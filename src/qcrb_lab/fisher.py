@@ -312,6 +312,79 @@ def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                                derivatives=derivs, second_derivatives=second)
 
 
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+# complex entries per stacked (B, d, d) array in one chunk of _outcome_probabilities
+_BATCH_ENTRIES = 1 << 18
+
+
+def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarray:
+    """Outcome probabilities for a batch of phases, shape ``(len(phis), len(povm))``.
+
+    Row ``b`` is bitwise equal to ``outcome_distribution(model, phis[b], povm,
+    second_order=False).probabilities`` and passes the same checks (Hermitian
+    state derivative, unit total, zero-sum derivatives). Generator models are
+    evaluated as stacked passes over the cached generator eigenbasis, in
+    chunks of at most ``_BATCH_ENTRIES / d**2`` phases so that memory does not
+    grow with the batch; blackbox models fall back to one
+    ``outcome_distribution`` per phase.
+    """
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    if model.kind != "unitary_generator":
+        return np.array([outcome_distribution(model, phi, povm,
+                                              second_order=False).probabilities
+                         for phi in phis.tolist()]).reshape(phis.size, len(povm))
+    if povm.dim != model.dim:
+        raise DimensionMismatchError(
+            f"POVM dimension {povm.dim} != model dimension {model.dim}")
+    chunk = max(1, _BATCH_ENTRIES // model.dim ** 2)
+    out = np.empty((phis.size, len(povm)))
+    for start in range(0, phis.size, chunk):
+        out[start:start + chunk] = _generator_probabilities(
+            model, phis[start:start + chunk], povm)
+    return out
+
+
+def _generator_probabilities(model: ParametricModel, phis: np.ndarray,
+                             povm: Povm) -> np.ndarray:
+    # same operation order as ParametricModel.density and state_derivative
+    eigenvalues, eigenvectors = model._generator_basis
+    phases = np.exp(-1j * eigenvalues * phis[:, None])
+    u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
+    if isinstance(model.initial_state, PureState):
+        amps = u @ model.initial_state.amplitudes
+        rho = amps[:, :, None] * amps.conj()[:, None, :]
+    else:
+        rho = u @ model.initial_state.matrix @ _dagger(u)
+        rho = (rho + _dagger(rho)) / 2.0
+    g = model.generator.matrix
+    deriv = -1j * (g @ rho - rho @ g)
+    defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
+    bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
+    if bad.any():
+        raise EvaluationFailureError(
+            f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
+    drho = (deriv + _dagger(deriv)) / 2.0
+    # one element at a time keeps memory at O(B d^2) for large POVMs
+    probs = np.stack([np.trace(rho @ m, axis1=1, axis2=2).real
+                      for m in povm.elements], axis=1)
+    probs = np.clip(probs, 0.0, 1.0)
+    derivs = np.stack([np.trace(drho @ m, axis1=1, axis2=2).real
+                       for m in povm.elements], axis=1)
+    totals = probs.sum(axis=1)
+    bad = np.abs(totals - 1.0) > 1e-10
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
+    deriv_totals = derivs.sum(axis=1)
+    bad = np.abs(deriv_totals) > 1e-8
+    if bad.any():
+        raise ValueError(f"probability derivatives sum to "
+                         f"{float(deriv_totals[bad][0])!r}, expected 0")
+    return probs
+
+
 def cfi(dist: OutcomeDistribution, *,
         prob_floor: float = 1e-12,
         derivative_floor: float = 1e-9,

@@ -3,12 +3,16 @@
 Shots are multinomial draws from a measurement's outcome distribution using
 numpy's PCG64 generator; per-trial streams are derived from ``(seed, trial
 index)`` via ``SeedSequence`` spawn keys, so trial results are reproducible
-and independent of execution order.
+and independent of execution order. Each run does its shared work once (the
+sample-mean branch, the likelihood grid) and estimates all maximum-likelihood
+trials in one batched pass that matches the single-record estimators bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +20,11 @@ from scipy.optimize import brentq
 
 from ._concurrency import parallel_map
 from .core import HermitianObservable, Povm, eigenprojector_povm
-from .errors import FlatLikelihoodError, InsufficientTrialsError
+from .errors import FlatLikelihoodError, InsufficientTrialsError, SingularOutcomeError
 from .fisher import (
     OutcomeDistribution,
     ParametricModel,
+    _outcome_probabilities,
     cfi,
     outcome_distribution,
     qfi,
@@ -27,6 +32,7 @@ from .fisher import (
 )
 from .optimality import (
     ErrorDecomposition,
+    ErrorPropagationReport,
     error_propagation,
     estimator_error_decomposition,
     observable_expectations,
@@ -158,6 +164,50 @@ def _branch_interval(model: ParametricModel, obs: HermitianObservable,
     return boundary(-1.0), boundary(+1.0)
 
 
+def _outcome_values(labels) -> np.ndarray:
+    try:
+        return np.array([float(label) for label in labels])
+    except (TypeError, ValueError) as exc:
+        raise ValueError("record labels must be numeric outcome values") from exc
+
+
+def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
+                   values: np.ndarray, report: ErrorPropagationReport,
+                   branch_center: float, branch_step: float | None
+                   ) -> Callable[[ShotRecord], EstimatorResult]:
+    """Set up the sample-mean inversion once per run: the predicted error,
+    the monotone branch around ``branch_center`` and its endpoint means.
+    Returns the per-record estimator."""
+    se_predicted = math.sqrt(report.delta_phi_sq)
+    if branch_step is None:
+        n_sites = max(1, math.ceil(math.log2(model.dim)))
+        branch_step = math.pi / (8.0 * n_sites)
+    lo, hi = _branch_interval(model, obs, branch_center, branch_step)
+    mean_lo = observable_expectations(model, lo, obs)[0]
+    mean_hi = observable_expectations(model, hi, obs)[0]
+    low_value, high_value = sorted((mean_lo, mean_hi))
+
+    def invert(record: ShotRecord) -> EstimatorResult:
+        empirical_mean = float(values @ record.frequencies())
+        out_of_branch = not low_value <= empirical_mean <= high_value
+        if out_of_branch:
+            phi_hat = (lo if abs(mean_lo - empirical_mean) <= abs(mean_hi - empirical_mean)
+                       else hi)
+        elif empirical_mean == mean_lo:
+            phi_hat = lo
+        elif empirical_mean == mean_hi:
+            phi_hat = hi
+        else:
+            phi_hat = brentq(
+                lambda x: observable_expectations(model, x, obs)[0] - empirical_mean,
+                lo, hi, xtol=1e-12)
+        return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
+                               se_predicted=se_predicted, out_of_branch=out_of_branch,
+                               branch=(lo, hi))
+
+    return invert
+
+
 def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
                              model: ParametricModel, branch_center: float, *,
                              branch_step: float | None = None) -> EstimatorResult:
@@ -168,64 +218,124 @@ def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
     the monotone branch containing ``branch_center``, which must not be a
     stationary point of the mean.
     """
-    try:
-        values = np.array([float(label) for label in record.labels])
-    except (TypeError, ValueError) as exc:
-        raise ValueError("record labels must be numeric outcome values") from exc
-    empirical_mean = float(values @ record.frequencies())
+    values = _outcome_values(record.labels)
     # raises SingularSensitivityError when branch_center carries no slope
     report = error_propagation(model, branch_center, obs, record.nu)
-    se_predicted = math.sqrt(report.delta_phi_sq)
-    if branch_step is None:
-        n_sites = max(1, math.ceil(math.log2(model.dim)))
-        branch_step = math.pi / (8.0 * n_sites)
-    lo, hi = _branch_interval(model, obs, branch_center, branch_step)
-    mean_lo = observable_expectations(model, lo, obs)[0]
-    mean_hi = observable_expectations(model, hi, obs)[0]
-    low_value, high_value = sorted((mean_lo, mean_hi))
-    if empirical_mean < low_value or empirical_mean > high_value:
-        phi_hat = lo if abs(mean_lo - empirical_mean) <= abs(mean_hi - empirical_mean) else hi
-        return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
-                               se_predicted=se_predicted, out_of_branch=True,
-                               branch=(lo, hi))
-    if empirical_mean == mean_lo:
-        phi_hat = lo
-    elif empirical_mean == mean_hi:
-        phi_hat = hi
-    else:
-        phi_hat = brentq(
-            lambda x: observable_expectations(model, x, obs)[0] - empirical_mean,
-            lo, hi, xtol=1e-12)
-    return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
-                           se_predicted=se_predicted, branch=(lo, hi))
+    return _mean_inverter(model, obs, values, report, branch_center,
+                          branch_step)(record)
 
 
-def _log_likelihood(record: ShotRecord, dist: OutcomeDistribution, *,
-                    floor: float = 1e-300) -> float:
-    total = 0.0
-    for count, p in zip(record.counts, dist.probabilities):
-        if count == 0:
-            continue
-        if p <= floor:
-            return -math.inf
-        total += float(count) * math.log(float(p))
+def _log_probabilities(probs: np.ndarray, floor: float = 1e-300) -> np.ndarray:
+    """``math.log`` of each probability; ``-inf`` marks ``p <= floor``."""
+    logs = [math.log(p) if p > floor else -math.inf for p in probs.ravel().tolist()]
+    return np.array(logs).reshape(probs.shape)
+
+
+def _log_likelihoods(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Multinomial log-likelihoods, broadcasting count rows against
+    log-probability rows.
+
+    Terms are added left to right over outcomes, skipping zero counts, so
+    each value is bitwise the scalar sum ``sum_x n_x log p_x``; a counted
+    outcome with ``p <= floor`` makes the value ``-inf``.
+    """
+    if counts.shape[-1] != log_p.shape[-1]:
+        raise ValueError(f"{counts.shape[-1]} outcome counts but "
+                         f"{log_p.shape[-1]} outcome probabilities")
+    total = np.zeros(np.broadcast_shapes(counts.shape[:-1], log_p.shape[:-1]))
+    with np.errstate(invalid="ignore"):  # 0 * -inf is discarded below
+        for k in range(counts.shape[-1]):
+            count = counts[..., k]
+            total = total + np.where(count > 0, count * log_p[..., k], 0.0)
     return total
 
 
-def _golden_max(fn, lo: float, hi: float, xtol: float) -> float:
+def _golden_max(loglik: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Golden-section maximisation of many brackets in lockstep.
+
+    ``loglik(phis, rows)`` evaluates the objective of trial ``rows[i]`` at
+    ``phis[i]``. Each bracket keeps its own state and stop condition; each
+    iteration evaluates the new point of every still-active bracket in one
+    call.
+    """
+    lo, hi = lo.copy(), hi.copy()
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > xtol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
+    rows = np.arange(lo.size)
+    fc, fd = np.split(loglik(np.concatenate([c, d]), np.concatenate([rows, rows])), 2)
+    active = rows[hi - lo > xtol]
+    while active.size:
+        left = fc[active] >= fd[active]
+        lower, upper = active[left], active[~left]
+        hi[lower], d[lower], fd[lower] = d[lower], c[lower], fc[lower]
+        c[lower] = hi[lower] - _GOLDEN * (hi[lower] - lo[lower])
+        lo[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
+        d[upper] = lo[upper] + _GOLDEN * (hi[upper] - lo[upper])
+        values = loglik(np.where(left, c[active], d[active]), active)
+        fc[lower], fd[upper] = values[left], values[~left]
+        active = active[hi[active] - lo[active] > xtol]
     return (lo + hi) / 2.0
+
+
+def _positive_cfi(model: ParametricModel, povm: Povm, phi: float) -> float | None:
+    """Classical Fisher information at ``phi``; ``None`` where it is zero or
+    singular, so that no pointwise error prediction exists."""
+    try:
+        info = cfi(outcome_distribution(model, phi, povm))
+    except SingularOutcomeError:
+        return None
+    return info if info > 0.0 else None
+
+
+def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm,
+                   search_interval: tuple[float, float], *,
+                   grid_points: int = 65, xtol: float = 1e-10) -> list[EstimatorResult]:
+    """Maximum-likelihood estimates of many records in one batched pass.
+
+    The grid's outcome probabilities are computed once and shared by every
+    record; each record's best grid cell is then refined by a lockstep
+    golden-section search.
+    """
+    lo, hi = (float(search_interval[0]), float(search_interval[1]))
+    if not hi > lo:
+        raise ValueError("search interval must have positive length")
+    counts = np.array([record.counts for record in records], dtype=float)
+
+    def log_probs(phis: np.ndarray) -> np.ndarray:
+        return _log_probabilities(_outcome_probabilities(model, phis, povm))
+
+    def loglik(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _log_likelihoods(counts[rows], log_probs(phis))
+
+    grid = np.linspace(lo, hi, grid_points)
+    values = _log_likelihoods(counts[:, None, :], log_probs(grid)[None, :, :])
+    finite = np.isfinite(values)
+    best = np.where(finite, values, -np.inf).max(axis=1)
+    spread = best - np.where(finite, values, np.inf).min(axis=1)
+    flat = spread <= 1e-12 * np.maximum(1.0, np.abs(best))
+    if flat.any():
+        first = int(np.argmax(flat))
+        if not finite[first].any():
+            raise FlatLikelihoodError(
+                "log-likelihood is -inf over the whole search interval")
+        raise FlatLikelihoodError(
+            "likelihood does not depend on the phase over the search interval")
+    # grid ties are broken toward the interval center, then the lower index
+    center = (lo + hi) / 2.0
+    tie_tol = 1e-9 * np.maximum(1.0, np.abs(best))
+    candidates = finite & (values >= (best - tie_tol)[:, None])
+    best_idx = np.where(candidates, np.abs(grid - center), np.inf).argmin(axis=1)
+    bracket_lo = grid[np.maximum(best_idx - 1, 0)]
+    bracket_hi = grid[np.minimum(best_idx + 1, grid_points - 1)]
+    results = []
+    for record, phi_hat in zip(records, _golden_max(loglik, bracket_lo, bracket_hi,
+                                                    xtol).tolist()):
+        info = _positive_cfi(model, povm, phi_hat)
+        se_predicted = None if info is None else 1.0 / math.sqrt(record.nu * info)
+        results.append(EstimatorResult(phi_hat=phi_hat, method="maximum_likelihood",
+                                       se_predicted=se_predicted, branch=(lo, hi)))
+    return results
 
 
 def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
@@ -238,40 +348,8 @@ def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
     :class:`FlatLikelihoodError` when the likelihood carries no phase
     dependence over the interval.
     """
-    lo, hi = (float(search_interval[0]), float(search_interval[1]))
-    if not hi > lo:
-        raise ValueError("search interval must have positive length")
-
-    def loglik(phi: float) -> float:
-        return _log_likelihood(
-            record, outcome_distribution(model, phi, povm, second_order=False))
-
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array([loglik(p) for p in grid])
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise FlatLikelihoodError(
-            "log-likelihood is -inf over the whole search interval")
-    best = float(values[finite].max())
-    spread = best - float(values[finite].min())
-    if spread <= 1e-12 * max(1.0, abs(best)):
-        raise FlatLikelihoodError(
-            "likelihood does not depend on the phase over the search interval")
-    center = (lo + hi) / 2.0
-    tie_tol = 1e-9 * max(1.0, abs(best))
-    candidates = [i for i in range(grid_points)
-                  if finite[i] and values[i] >= best - tie_tol]
-    best_idx = min(candidates, key=lambda i: (abs(grid[i] - center), i))
-    bracket_lo = grid[max(best_idx - 1, 0)]
-    bracket_hi = grid[min(best_idx + 1, grid_points - 1)]
-    phi_hat = _golden_max(loglik, float(bracket_lo), float(bracket_hi), xtol)
-    try:
-        info = cfi(outcome_distribution(model, phi_hat, povm))
-        se_predicted = 1.0 / math.sqrt(record.nu * info) if info > 0.0 else None
-    except Exception:  # noqa: BLE001 - singular outcomes leave se undefined
-        se_predicted = None
-    return EstimatorResult(phi_hat=float(phi_hat), method="maximum_likelihood",
-                           se_predicted=se_predicted, branch=(lo, hi))
+    return _mle_estimates([record], model, povm, search_interval,
+                          grid_points=grid_points, xtol=xtol)[0]
 
 
 @dataclass(frozen=True)
@@ -357,12 +435,11 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     report = error_propagation(model, center, obs, nu)
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
-
-    def one_trial(index: int) -> EstimatorResult:
-        record = sample_shots(dist, nu, seed, stream=index)
-        return estimate_phi_sample_mean(record, obs, model, center)
-
-    results = parallel_map(one_trial, range(trials))
+    invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report,
+                            center, None)
+    results = parallel_map(
+        lambda index: invert(sample_shots(dist, nu, seed, stream=index)),
+        range(trials))
     return _summarize("sample_mean_inversion", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=report.delta_phi_sq,
                       qcrb=report.qcrb)
@@ -378,17 +455,10 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
     interval = (default_mle_interval(model, phi_true)
                 if search_interval is None else search_interval)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
-    try:
-        info = cfi(outcome_distribution(model, phi_true, povm))
-        predicted = 1.0 / (nu * info) if info > 0.0 else None
-    except Exception:  # noqa: BLE001 - singular phase: no pointwise prediction
-        predicted = None
+    info = _positive_cfi(model, povm, phi_true)
+    predicted = None if info is None else 1.0 / (nu * info)
     qcrb = 1.0 / (nu * qfi(model, phi_true))
-
-    def one_trial(index: int) -> EstimatorResult:
-        record = sample_shots(dist, nu, seed, stream=index)
-        return estimate_phi_mle(record, model, povm, interval)
-
-    results = parallel_map(one_trial, range(trials))
+    records = [sample_shots(dist, nu, seed, stream=index) for index in range(trials)]
+    results = _mle_estimates(records, model, povm, interval)
     return _summarize("maximum_likelihood", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=predicted, qcrb=qcrb)

@@ -234,6 +234,16 @@ class TestSimulateCommand:
         for entry in payload["results"]:
             assert len(entry["estimates"]) == 10
 
+    def test_thread_cap_does_not_change_output(self, runner, ghz2_spec,
+                                               monkeypatch):
+        args = ["simulate", "--model", ghz2_spec, "--nu", "2000",
+                "--trials", "6", "--output", "json"]
+        serial = runner.invoke(main, args)
+        monkeypatch.setenv("QCRB_LAB_THREADS", "2")
+        threaded = runner.invoke(main, args)
+        assert serial.exit_code == 0, serial.output
+        assert serial.output == threaded.output
+
     def test_seed_changes_estimates(self, runner, ghz2_spec):
         base = ["simulate", "--model", ghz2_spec, "--nu", "2000",
                 "--trials", "8", "--output", "json"]
