@@ -174,10 +174,7 @@ def _run(fn) -> None:
     except SpecFileError as exc:
         click.echo(f"specification error: {exc}", err=True)
         sys.exit(EXIT_SPEC_ERROR)
-    except ValueError as exc:
-        click.echo(f"specification error: {exc}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
-    except MetrologyError as exc:
+    except (MetrologyError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RUNTIME_ERROR)
     except ArithmeticError as exc:
@@ -432,6 +429,8 @@ def cmd_simulate(model_path, phi_text, phi_range_text, nu, seed, trials,
         if spec.observable is None and spec.povm is None:
             raise SpecFileError("simulate requires an observable or a povm",
                                 field="observable")
+        if spec.trials < 2:
+            raise SpecFileError("simulate needs at least 2 trials", field="trials")
         phi = float(spec.phis[0])
         results = []
         if spec.observable is not None:

@@ -33,7 +33,6 @@ __all__ = [
     "VALIDATION_ATOL",
     "ALGORITHMIC_ATOL",
     "as_complex_matrix",
-    "hermiticity_defect",
     "require_hermitian",
     "tensor_product",
     "tensor_power",
@@ -86,17 +85,12 @@ def _require_square(arr: np.ndarray, *, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
 
 
-def hermiticity_defect(arr: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part gap ``m - m^dagger``."""
-    return float(np.linalg.norm(arr - arr.conj().T))
-
-
 def require_hermitian(value, *, atol: float = VALIDATION_ATOL,
                       name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``atol`` and return the symmetrized matrix."""
     arr = as_complex_matrix(value, name=name)
     _require_square(arr, name=name)
-    defect = hermiticity_defect(arr)
+    defect = float(np.linalg.norm(arr - arr.conj().T))
     if defect > atol:
         raise NotHermitianError(
             f"{name} is not Hermitian: defect {defect:.3e} > {atol:.1e}")

@@ -21,7 +21,6 @@ from .core import (
     HermitianObservable,
     Povm,
     PureState,
-    hermiticity_defect,
 )
 from .errors import (
     DimensionMismatchError,
@@ -48,6 +47,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +95,17 @@ class ParametricModel:
     def _generator_basis(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.generator.matrix)
 
-    def _unitary(self, phi: float) -> np.ndarray:
+    def _states(self, phis: np.ndarray, *, vectors: bool = False) -> np.ndarray:
+        """``rho_phi`` of a generator model for each phase, shape ``(B, d, d)``;
+        with ``vectors``, the amplitudes ``(B, d)`` of a pure initial state."""
         eigenvalues, eigenvectors = self._generator_basis
-        phases = np.exp(-1j * eigenvalues * phi)
-        return (eigenvectors * phases) @ eigenvectors.conj().T
+        phases = np.exp(-1j * eigenvalues * phis[:, None])
+        u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
+        if isinstance(self.initial_state, PureState):
+            amps = u @ self.initial_state.amplitudes
+            return amps if vectors else amps[:, :, None] * amps.conj()[:, None, :]
+        rho = u @ self.initial_state.matrix @ _dagger(u)
+        return (rho + _dagger(rho)) / 2.0
 
     def pure_amplitudes(self, phi: float) -> np.ndarray | None:
         """Evolved state vector, or ``None`` if the model is not a pure
@@ -103,17 +113,13 @@ class ParametricModel:
         if self.kind != "unitary_generator" or not isinstance(self.initial_state,
                                                               PureState):
             return None
-        return self._unitary(phi) @ self.initial_state.amplitudes
+        return self._states(np.array([phi], dtype=float), vectors=True)[0]
 
     def density(self, phi: float) -> DensityMatrix:
         """Evaluate ``rho_phi``."""
         if self.kind == "unitary_generator":
-            amps = self.pure_amplitudes(phi)
-            if amps is not None:
-                return DensityMatrix(np.outer(amps, amps.conj()), check=False)
-            u = self._unitary(phi)
-            rho = u @ self.initial_state.matrix @ u.conj().T
-            return DensityMatrix((rho + rho.conj().T) / 2.0, check=False)
+            return DensityMatrix(self._states(np.array([phi], dtype=float))[0],
+                                 check=False)
         try:
             out = self.state_fn(float(phi))
         except Exception as exc:  # noqa: BLE001 - user callables may fail arbitrarily
@@ -145,43 +151,60 @@ def _fd_step(phi: float, order: int) -> float:
     return base * max(1.0, abs(phi))
 
 
+def _state_derivatives(model: ParametricModel, phi: float | None,
+                       rho: np.ndarray | None = None) -> np.ndarray:
+    """``d rho_phi / d phi`` for stacked states ``rho`` ``(B, d, d)``, each
+    checked Hermitian: ``-i[G, rho]`` for generator models (``rho`` is built
+    at ``phi`` when not given), a central difference at the single phase
+    ``phi`` for blackbox models."""
+    if model.kind == "unitary_generator":
+        if rho is None:
+            rho = model.density(phi).matrix[None]
+        g = model.generator.matrix
+        deriv = -1j * (g @ rho - rho @ g)
+    else:
+        h = _fd_step(phi, order=1)
+        deriv = ((model.density(phi + h).matrix
+                  - model.density(phi - h).matrix) / (2.0 * h))[None]
+    defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
+    bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
+    if bad.any():
+        raise EvaluationFailureError(
+            f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
+    return (deriv + _dagger(deriv)) / 2.0
+
+
+def _second_state_derivatives(model: ParametricModel, phi: float,
+                              rho: np.ndarray) -> np.ndarray:
+    """``d^2 rho_phi / d phi^2`` (Hermitian part) for ``rho = rho_phi``
+    stacked as ``(1, d, d)``."""
+    if model.kind == "unitary_generator":
+        g = model.generator.matrix
+        deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+    else:
+        h = _fd_step(phi, order=2)
+        deriv2 = (model.density(phi + h).matrix - 2.0 * rho
+                  + model.density(phi - h).matrix) / (h * h)
+    return (deriv2 + _dagger(deriv2)) / 2.0
+
+
 def state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
     """Derivative ``d rho_phi / d phi`` as a Hermitian matrix.
 
     Exact commutator ``-i[G, rho]`` for generator models, central finite
     difference for blackbox models.
     """
-    if model.kind == "unitary_generator":
-        g = model.generator.matrix
-        rho = model.density(phi).matrix
-        deriv = -1j * (g @ rho - rho @ g)
-    else:
-        h = _fd_step(phi, order=1)
-        deriv = (model.density(phi + h).matrix
-                 - model.density(phi - h).matrix) / (2.0 * h)
-    defect = hermiticity_defect(deriv)
-    if defect > 1e-9 * max(1.0, float(np.linalg.norm(deriv))):
-        raise EvaluationFailureError(
-            f"state derivative is not Hermitian: defect {defect:.3e}")
-    return (deriv + deriv.conj().T) / 2.0
+    return _state_derivatives(model, phi)[0]
 
 
 def second_state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
     """Second derivative ``d^2 rho_phi / d phi^2`` (Hermitian)."""
-    if model.kind == "unitary_generator":
-        g = model.generator.matrix
-        rho = model.density(phi).matrix
-        deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
-    else:
-        h = _fd_step(phi, order=2)
-        deriv2 = (model.density(phi + h).matrix - 2.0 * model.density(phi).matrix
-                  + model.density(phi - h).matrix) / (h * h)
-    return (deriv2 + deriv2.conj().T) / 2.0
+    return _second_state_derivatives(model, phi, model.density(phi).matrix[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SldResult:
-    """SLD operator with its defining derivative and diagnostics.
+    """SLD operator with the state and derivative it solves for, and diagnostics.
 
     ``residual`` is the Frobenius norm of
     ``drho - (rho L + L rho) / 2``; ``kernel_dim`` counts eigenvalues of
@@ -193,6 +216,7 @@ class SldResult:
     qfi: float
     residual: float
     kernel_dim: int
+    rho: np.ndarray
 
 
 def sld(model: ParametricModel, phi: float, *,
@@ -205,7 +229,7 @@ def sld(model: ParametricModel, phi: float, *,
     to zero, the minimal-norm choice among the valid solutions.
     """
     rho = model.density(phi).matrix
-    drho = state_derivative(model, phi)
+    drho = _state_derivatives(model, phi, rho[None])[0]
     eigenvalues, eigenvectors = np.linalg.eigh(rho)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     cutoff = support_cutoff * float(np.sum(eigenvalues))
@@ -227,7 +251,7 @@ def sld(model: ParametricModel, phi: float, *,
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
     qfi_value = max(float(np.trace(rho @ l_matrix @ l_matrix).real), 0.0)
     residual = float(np.linalg.norm(drho - (rho @ l_matrix + l_matrix @ rho) / 2.0))
-    return SldResult(L=HermitianObservable(l_matrix, check=False), drho=drho,
+    return SldResult(L=HermitianObservable(l_matrix, check=False), rho=rho, drho=drho,
                      qfi=qfi_value, residual=residual, kernel_dim=kernel_dim)
 
 
@@ -278,13 +302,7 @@ class OutcomeDistribution:
         labels = tuple(self.labels)
         if not (len(labels) == probs.shape[0] == derivs.shape[0]):
             raise ValueError("labels, probabilities, derivatives must align")
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        deriv_total = float(np.sum(derivs))
-        if abs(deriv_total) > 1e-8:
-            raise ValueError(
-                f"probability derivatives sum to {deriv_total!r}, expected 0")
+        _check_totals(probs[None], derivs[None])
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "derivatives", derivs)
@@ -293,27 +311,44 @@ class OutcomeDistribution:
                                np.asarray(self.second_derivatives, dtype=float))
 
 
+def _check_totals(probs: np.ndarray, derivs: np.ndarray) -> None:
+    """Require each row of ``probs`` to sum to 1 and of ``derivs`` to 0."""
+    totals = probs.sum(axis=1)
+    bad = np.abs(totals - 1.0) > 1e-10
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
+    deriv_totals = derivs.sum(axis=1)
+    bad = np.abs(deriv_totals) > 1e-8
+    if bad.any():
+        raise ValueError(f"probability derivatives sum to "
+                         f"{float(deriv_totals[bad][0])!r}, expected 0")
+
+
+def _traces(stack: np.ndarray, povm: Povm) -> np.ndarray:
+    """``Re Tr(A_b M_x)``, shape ``(B, K)``; one element at a time keeps
+    memory at O(B d^2) for large POVMs."""
+    return np.stack([np.trace(stack @ m, axis1=1, axis2=2).real
+                     for m in povm.elements], axis=1)
+
+
+def _probabilities(rho: np.ndarray, drho: np.ndarray, povm: Povm):
+    """Clipped ``Tr(rho M_x)`` and ``Tr(drho M_x)`` of stacked states."""
+    return np.clip(_traces(rho, povm), 0.0, 1.0), _traces(drho, povm)
+
+
 def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                          second_order: bool = True) -> OutcomeDistribution:
     """Outcome distribution ``p(x) = Tr(rho_phi M_x)`` with derivatives."""
     if povm.dim != model.dim:
         raise DimensionMismatchError(
             f"POVM dimension {povm.dim} != model dimension {model.dim}")
-    rho = model.density(phi).matrix
-    drho = state_derivative(model, phi)
-    d2rho = second_state_derivative(model, phi) if second_order else None
-    probs = np.array([float(np.trace(rho @ m).real) for m in povm.elements])
-    probs = np.clip(probs, 0.0, 1.0)
-    derivs = np.array([float(np.trace(drho @ m).real) for m in povm.elements])
+    rho = model.density(phi).matrix[None]
+    probs, derivs = _probabilities(rho, _state_derivatives(model, phi, rho), povm)
     second = None
-    if d2rho is not None:
-        second = np.array([float(np.trace(d2rho @ m).real) for m in povm.elements])
-    return OutcomeDistribution(labels=povm.labels, probabilities=probs,
-                               derivatives=derivs, second_derivatives=second)
-
-
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
+    if second_order:
+        second = _traces(_second_state_derivatives(model, phi, rho), povm)[0]
+    return OutcomeDistribution(labels=povm.labels, probabilities=probs[0],
+                               derivatives=derivs[0], second_derivatives=second)
 
 
 # complex entries per stacked (B, d, d) array in one chunk of _outcome_probabilities
@@ -323,13 +358,11 @@ _BATCH_ENTRIES = 1 << 18
 def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarray:
     """Outcome probabilities for a batch of phases, shape ``(len(phis), len(povm))``.
 
-    Row ``b`` is bitwise equal to ``outcome_distribution(model, phis[b], povm,
-    second_order=False).probabilities`` and passes the same checks (Hermitian
-    state derivative, unit total, zero-sum derivatives). Generator models are
-    evaluated as stacked passes over the cached generator eigenbasis, in
-    chunks of at most ``_BATCH_ENTRIES / d**2`` phases so that memory does not
-    grow with the batch; blackbox models fall back to one
-    ``outcome_distribution`` per phase.
+    Row ``b`` equals ``outcome_distribution(model, phis[b], povm,
+    second_order=False).probabilities`` bit for bit. Generator models run
+    through the same stacked builders and checks, in chunks of at most
+    ``_BATCH_ENTRIES / d**2`` phases so that memory does not grow with the
+    batch; blackbox models fall back to one ``outcome_distribution`` per phase.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if model.kind != "unitary_generator":
@@ -342,47 +375,11 @@ def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarr
     chunk = max(1, _BATCH_ENTRIES // model.dim ** 2)
     out = np.empty((phis.size, len(povm)))
     for start in range(0, phis.size, chunk):
-        out[start:start + chunk] = _generator_probabilities(
-            model, phis[start:start + chunk], povm)
+        rho = model._states(phis[start:start + chunk])
+        probs, derivs = _probabilities(rho, _state_derivatives(model, None, rho), povm)
+        _check_totals(probs, derivs)
+        out[start:start + chunk] = probs
     return out
-
-
-def _generator_probabilities(model: ParametricModel, phis: np.ndarray,
-                             povm: Povm) -> np.ndarray:
-    # same operation order as ParametricModel.density and state_derivative
-    eigenvalues, eigenvectors = model._generator_basis
-    phases = np.exp(-1j * eigenvalues * phis[:, None])
-    u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
-    if isinstance(model.initial_state, PureState):
-        amps = u @ model.initial_state.amplitudes
-        rho = amps[:, :, None] * amps.conj()[:, None, :]
-    else:
-        rho = u @ model.initial_state.matrix @ _dagger(u)
-        rho = (rho + _dagger(rho)) / 2.0
-    g = model.generator.matrix
-    deriv = -1j * (g @ rho - rho @ g)
-    defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
-    bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
-    if bad.any():
-        raise EvaluationFailureError(
-            f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
-    drho = (deriv + _dagger(deriv)) / 2.0
-    # one element at a time keeps memory at O(B d^2) for large POVMs
-    probs = np.stack([np.trace(rho @ m, axis1=1, axis2=2).real
-                      for m in povm.elements], axis=1)
-    probs = np.clip(probs, 0.0, 1.0)
-    derivs = np.stack([np.trace(drho @ m, axis1=1, axis2=2).real
-                       for m in povm.elements], axis=1)
-    totals = probs.sum(axis=1)
-    bad = np.abs(totals - 1.0) > 1e-10
-    if bad.any():
-        raise ValueError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
-    deriv_totals = derivs.sum(axis=1)
-    bad = np.abs(deriv_totals) > 1e-8
-    if bad.any():
-        raise ValueError(f"probability derivatives sum to "
-                         f"{float(deriv_totals[bad][0])!r}, expected 0")
-    return probs
 
 
 def cfi(dist: OutcomeDistribution, *,
@@ -417,19 +414,19 @@ def cfi(dist: OutcomeDistribution, *,
     return total
 
 
-def _pure_vector(model: ParametricModel, phi: float, *,
+def _pure_vector(model: ParametricModel, phi: float, rho: np.ndarray, *,
                  atol: float = ALGORITHMIC_ATOL) -> np.ndarray:
-    """State vector of a pure model at ``phi`` (any global phase).
+    """State vector of a pure model at ``phi`` (any global phase); ``rho`` is
+    ``rho_phi``.
 
     Raises :class:`VariantInapplicableError` when the state is mixed.
     """
     amps = model.pure_amplitudes(phi)
     if amps is not None:
         return amps
-    state = model.density(phi)
+    state = DensityMatrix(rho, check=False)
     if not state.is_pure(atol=atol):
         raise VariantInapplicableError(
             f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
-    eigenvalues, eigenvectors = np.linalg.eigh(state.matrix)
-    return eigenvectors[:, -1]
+    return np.linalg.eigh(rho)[1][:, -1]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
     "KNOWN_TOLERANCES",
 ]
 
-KNOWN_TOLERANCES = ("optimality", "slope", "support_cutoff")
+KNOWN_TOLERANCES = ("optimality",)
 
 _ANGLE_CONSTANTS = {"pi": math.pi, "tau": math.tau, "e": math.e}
 _BIN_OPS = {
@@ -146,14 +147,6 @@ def _require_mapping(data, *, fieldname: str) -> dict:
     return data
 
 
-def _qubit_count(dim: int, *, fieldname: str) -> int:
-    n = dim.bit_length() - 1
-    if 2 ** n != dim:
-        raise SpecFileError(
-            f"dimension {dim} is not a power of two", field=fieldname)
-    return n
-
-
 def _build_state(data, *, fieldname: str = "state"):
     data = _require_mapping(data, fieldname=fieldname)
     if len(data) != 1:
@@ -165,6 +158,11 @@ def _build_state(data, *, fieldname: str = "state"):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SpecFileError("'n' must be a positive integer",
                                 field=f"{fieldname}.ghz.n")
+        # one dense 2^n x 2^n complex matrix takes 16 * 4^n = 2^(2n+4) bytes
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 2 * n + 4 >= memory.bit_length():
+            raise SpecFileError(f"a dense 2^{n} x 2^{n} matrix exceeds the {memory} "
+                                "bytes of physical memory", field=f"{fieldname}.ghz.n")
         return ghz_state(n, 0.0), n
     if "custom" in data:
         custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
@@ -232,12 +230,18 @@ def _coefficient_quadruple(data, *, fieldname: str) -> tuple[float, float, float
         if unknown:
             raise SpecFileError(f"unknown coefficients {sorted(unknown)}",
                                 field=fieldname)
-        quad = tuple(float(data.get(key, 0.0)) for key in ("a0", "a1", "a2", "a3"))
+        values = [data.get(key, 0.0) for key in ("a0", "a1", "a2", "a3")]
     elif isinstance(data, (list, tuple)) and len(data) == 4:
-        quad = tuple(float(x) for x in data)
+        values = data
     else:
         raise SpecFileError(
             "expected {a0, a1, a2, a3} or a 4-element list", field=fieldname)
+    try:
+        quad = tuple(float(x) for x in values)
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"must be numbers: {exc}", field=fieldname) from exc
+    if not all(map(math.isfinite, quad)):
+        raise SpecFileError(f"must be finite, got {quad}", field=fieldname)
     return quad
 
 

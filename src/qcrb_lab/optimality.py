@@ -79,8 +79,10 @@ def observable_expectations(model: ParametricModel, phi: float,
                             obs: HermitianObservable) -> tuple[float, float]:
     """First and second moments ``(Tr(rho O), Tr(rho O^2))``."""
     _require_same_dim(model, obs.dim)
-    rho = model.density(phi).matrix
-    o = obs.matrix
+    return _expectations(model.density(phi).matrix, obs.matrix)
+
+
+def _expectations(rho: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     mean = complex(np.trace(rho @ o))
     second = complex(np.trace(rho @ o @ o))
     scale = max(1.0, abs(mean), abs(second))
@@ -103,10 +105,10 @@ def error_propagation(model: ParametricModel, phi: float,
     if nu < 1:
         raise ValueError("nu must be a positive integer")
     sld_result = sld(model, phi)
-    rho = model.density(phi).matrix
+    rho = sld_result.rho
     o = obs.matrix
     l_matrix = sld_result.L.matrix
-    mean, second = observable_expectations(model, phi, obs)
+    mean, second = _expectations(rho, o)
     variance = max(second - mean * mean, 0.0)
     slope = float(np.trace(sld_result.drho @ o).real)
     cross = complex(np.trace(rho @ o @ l_matrix))
@@ -166,7 +168,7 @@ def check_observable_optimality(model: ParametricModel, phi: float,
     """
     _require_same_dim(model, obs.dim)
     sld_result = sld(model, phi)
-    rho = model.density(phi).matrix
+    rho = sld_result.rho
     o = obs.matrix
     l_matrix = sld_result.L.matrix
     mean = float(np.trace(rho @ o).real)
@@ -180,14 +182,14 @@ def check_observable_optimality(model: ParametricModel, phi: float,
         lhs = delta_o @ sqrt_rho
         rhs = l_matrix @ sqrt_rho
     elif variant == "pure":
-        psi = _pure_vector(model, phi)
+        psi = _pure_vector(model, phi, rho)
         lhs = delta_o @ psi
         rhs = l_matrix @ psi
     elif variant == "pure_unitary":
         if model.kind != "unitary_generator":
             raise VariantInapplicableError(
                 "pure_unitary variant needs a unitary_generator model")
-        psi = _pure_vector(model, phi)
+        psi = _pure_vector(model, phi, rho)
         g = model.generator.matrix
         g_mean = float(np.vdot(psi, g @ psi).real)
         lhs = delta_o @ psi
@@ -238,7 +240,7 @@ def check_povm_optimality(model: ParametricModel, phi: float, povm: Povm, *,
     """
     _require_same_dim(model, povm.dim)
     sld_result = sld(model, phi)
-    rho = model.density(phi).matrix
+    rho = sld_result.rho
     sqrt_rho = matrix_sqrt_psd(rho)
     l_sqrt_rho = sld_result.L.matrix @ sqrt_rho
     u_values = np.zeros(len(povm))

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from qcrb_lab.cli import SCAN_COLUMNS, main
+from qcrb_lab.errors import NotPositiveError
 
 SCHEMA = json.loads(
     resources.files("qcrb_lab").joinpath("schemas/output.schema.json")
@@ -186,6 +187,26 @@ class TestScanCommand:
         result = runner.invoke(main, ["scan", "--model", ghz2_spec])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("target,error", [
+        ("qcrb_lab.optimality.matrix_sqrt_psd",
+         NotPositiveError("matrix has negative eigenvalue -1.0e-03")),
+        ("qcrb_lab.fisher._probabilities",
+         ValueError("probabilities sum to 1.5, expected 1")),
+    ])
+    def test_derived_matrix_errors_exit_four(self, runner, ghz2_spec, monkeypatch,
+                                             target, error):
+        """Checks failing on computed matrices are runtime errors, not spec
+        errors, even where the error type is a ValueError."""
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, fail)
+        result = runner.invoke(main, ["scan", "--model", ghz2_spec,
+                                      "--phi-range", "0.1:1:3"])
+        assert result.exit_code == 4
+        assert str(error) in result.output
+        assert "specification error" not in result.output
+
 
 class TestCfiCommand:
     def test_value(self, runner, ghz2_spec):
@@ -251,6 +272,14 @@ class TestSimulateCommand:
         b = json.loads(runner.invoke(main, base + ["--seed", "99"]).output)
         assert a["results"][0]["estimates"] != b["results"][0]["estimates"]
 
+    def test_single_trial_spec_is_exit_two(self, runner, tmp_path):
+        path = tmp_path / "one-trial.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\nobservable:\n  parity: true\n"
+                        "trials: 1\n", encoding="utf-8")
+        result = runner.invoke(main, ["simulate", "--model", str(path)])
+        assert result.exit_code == 2
+        assert "trials" in result.output
+
     def test_flat_likelihood_exits_four(self, runner, tmp_path):
         path = tmp_path / "flat.yaml"
         path.write_text(
@@ -275,6 +304,15 @@ class TestCliContract:
         result = runner.invoke(main, ["qfi", "--model", str(path)])
         assert result.exit_code == 2
         assert "state.ghz.n" in result.output
+
+    def test_non_numeric_coefficient_is_exit_two(self, runner, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\n"
+                        "observable:\n  pauli_product: {a1: abc}\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["errprop", "--model", str(path)])
+        assert result.exit_code == 2
+        assert "observable.pauli_product" in result.output
 
     def test_csv_limited_to_scan(self, runner, ghz2_spec):
         result = runner.invoke(main, ["qfi", "--model", ghz2_spec,

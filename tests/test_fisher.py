@@ -1,7 +1,11 @@
 """Tests for parametric derivatives, SLD solving, and Fisher information."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb_lab import (
     DensityMatrix,
@@ -23,6 +27,7 @@ from qcrb_lab import (
     product_basis_povm,
     qfi,
     qfi_from_generator_variance,
+    second_state_derivative,
     sld,
     state_derivative,
     unitary_model,
@@ -272,3 +277,131 @@ class TestCfi:
             except SingularOutcomeError:
                 continue
             assert value <= qfi(model, phi) + 1e-7
+
+
+# --- scalar reference: the one-phase builders as they were before the
+# stacked builder became the single implementation ---------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _ref_fd_step(phi, order):
+    base = _EPS ** (1.0 / 3.0) if order == 1 else _EPS ** 0.25
+    return base * max(1.0, abs(phi))
+
+
+def _ref_unitary(model, phi):
+    eigenvalues, eigenvectors = np.linalg.eigh(model.generator.matrix)
+    phases = np.exp(-1j * eigenvalues * phi)
+    return (eigenvectors * phases) @ eigenvectors.conj().T
+
+
+def _ref_amplitudes(model, phi):
+    return _ref_unitary(model, phi) @ model.initial_state.amplitudes
+
+
+def _ref_density(model, phi):
+    if model.kind != "unitary_generator":
+        return model.density(phi).matrix
+    if isinstance(model.initial_state, PureState):
+        amps = _ref_amplitudes(model, phi)
+        return np.outer(amps, amps.conj())
+    u = _ref_unitary(model, phi)
+    rho = u @ model.initial_state.matrix @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def _ref_state_derivative(model, phi):
+    if model.kind == "unitary_generator":
+        g = model.generator.matrix
+        rho = _ref_density(model, phi)
+        deriv = -1j * (g @ rho - rho @ g)
+    else:
+        h = _ref_fd_step(phi, order=1)
+        deriv = (_ref_density(model, phi + h) - _ref_density(model, phi - h)) / (2.0 * h)
+    defect = float(np.linalg.norm(deriv - deriv.conj().T))
+    assert defect <= 1e-9 * max(1.0, float(np.linalg.norm(deriv)))
+    return (deriv + deriv.conj().T) / 2.0
+
+
+def _ref_second_state_derivative(model, phi):
+    if model.kind == "unitary_generator":
+        g = model.generator.matrix
+        rho = _ref_density(model, phi)
+        deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+    else:
+        h = _ref_fd_step(phi, order=2)
+        deriv2 = (_ref_density(model, phi + h) - 2.0 * _ref_density(model, phi)
+                  + _ref_density(model, phi - h)) / (h * h)
+    return (deriv2 + deriv2.conj().T) / 2.0
+
+
+def _ref_outcome_arrays(model, phi, povm, second_order):
+    rho = _ref_density(model, phi)
+    drho = _ref_state_derivative(model, phi)
+    probs = np.array([float(np.trace(rho @ m).real) for m in povm.elements])
+    probs = np.clip(probs, 0.0, 1.0)
+    derivs = np.array([float(np.trace(drho @ m).real) for m in povm.elements])
+    second = None
+    if second_order:
+        d2rho = _ref_second_state_derivative(model, phi)
+        second = np.array([float(np.trace(d2rho @ m).real) for m in povm.elements])
+    return probs, derivs, second
+
+
+REFERENCE_CASES = ("ghz1", "ghz2", "ghz3", "pure", "mixed", "blackbox")
+
+
+def reference_case(name, seed):
+    """(model, POVM) for a GHZ state or a random unitary family."""
+    if name.startswith("ghz"):
+        n = int(name[3:])
+        return ghz_model(n), product_basis_povm("xy"[seed % 2], n)
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    if name == "pure":
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps))
+    else:
+        state = random_density(rng, dim)
+    model = unitary_model(state, random_hermitian(rng, dim))
+    if name == "blackbox":
+        model = blackbox_model(model.density, dim)
+    return model, random_povm(rng, dim, int(rng.integers(2, 6)))
+
+
+class TestScalarReference:
+    """The stacked builder, run with one phase, reproduces the scalar code
+    bit for bit."""
+
+    @given(name=st.sampled_from(REFERENCE_CASES),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           second_order=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_scalar_code(self, name, seed, phi, second_order):
+        model, povm = reference_case(name, seed)
+        rho = model.density(phi).matrix
+        assert rho.tobytes() == _ref_density(model, phi).tobytes()
+        if name in ("ghz1", "ghz2", "ghz3", "pure"):
+            assert (model.pure_amplitudes(phi).tobytes()
+                    == _ref_amplitudes(model, phi).tobytes())
+        assert (state_derivative(model, phi).tobytes()
+                == _ref_state_derivative(model, phi).tobytes())
+        assert (second_state_derivative(model, phi).tobytes()
+                == _ref_second_state_derivative(model, phi).tobytes())
+        dist = outcome_distribution(model, phi, povm, second_order=second_order)
+        probs, derivs, second = _ref_outcome_arrays(model, phi, povm, second_order)
+        assert dist.probabilities.tobytes() == probs.tobytes()
+        assert dist.derivatives.tobytes() == derivs.tobytes()
+        if second_order:
+            assert dist.second_derivatives.tobytes() == second.tobytes()
+        else:
+            assert dist.second_derivatives is None
+
+    @pytest.mark.parametrize("name", ["ghz3", "mixed", "blackbox"])
+    def test_sld_reuses_the_state_it_solves_for(self, name):
+        model, _ = reference_case(name, 7)
+        result = sld(model, 0.4)
+        assert result.rho.tobytes() == _ref_density(model, 0.4).tobytes()
+        assert result.drho.tobytes() == _ref_state_derivative(model, 0.4).tobytes()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcrb_lab import SpecFileError
+from qcrb_lab import SpecFileError, modelspec
 from qcrb_lab.modelspec import (
     build_model_spec,
     load_model_spec,
@@ -144,11 +144,28 @@ class TestSpecErrors:
          "povm"),
         ({"state": {"custom": {"amplitudes": [[1, 0], [1, 0]]}}},
          "state.custom.amplitudes"),
+        ({"state": {"ghz": {"n": 2}}, "tolerances": {"slope": 1e-8}},
+         "tolerances.slope"),
+        ({"state": {"ghz": {"n": 2}}, "tolerances": {"support_cutoff": 1e-12}},
+         "tolerances.support_cutoff"),
+        ({"state": {"ghz": {"n": 40}}}, "state.ghz.n"),
+        ({"state": {"ghz": {"n": 2}},
+          "observable": {"pauli_product": {"a1": "one"}}}, "pauli_product"),
+        ({"state": {"ghz": {"n": 2}},
+          "observable": {"pauli_product": [0, float("nan"), 0, 0]}}, "pauli_product"),
     ])
     def test_offending_field_is_named(self, data, field_part):
         with pytest.raises(SpecFileError) as excinfo:
             build_model_spec(data)
         assert field_part in str(excinfo.value)
+
+    def test_oversized_ghz_rejected_before_allocation(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("ghz_state must not be called")
+
+        monkeypatch.setattr(modelspec, "ghz_state", allocate)
+        with pytest.raises(SpecFileError, match="physical memory"):
+            build_model_spec({"state": {"ghz": {"n": 40}}})
 
     def test_dimension_mismatch_between_sections(self):
         with pytest.raises(SpecFileError, match="observable"):

@@ -1,0 +1,182 @@
+"""Check that the CLI output of this tree is byte-identical to a git ref's.
+
+Usage, from anywhere inside the repository::
+
+    python tools/compare_outputs.py BASE_REF
+
+BASE_REF's ``src/`` is exported with ``git archive`` into a temporary
+directory; the other side is the ``src/`` of this checkout (HEAD plus any
+uncommitted edits). Both run the same fixed list of CLI invocations on the
+same generated spec files, each side in one fresh interpreter, and every
+invocation's exit code and output (stdout and stderr, as click's test runner
+interleaves them) are compared byte for byte.
+
+The list covers ``scan``, ``cfi``, ``check-optimal``, ``errprop``, ``sld``,
+``qfi`` and ``simulate`` on GHZ N=1-3 specs with x- and y-product
+measurements, a full-rank mixed-density spec and a low-nu spec whose
+sample-mean estimates clip at the branch ends, plus the ``scan-pure``,
+``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5.
+
+Exit codes: 0 when every invocation matches, 1 when any differs, 2 when
+BASE_REF cannot be exported or a side fails to run.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+REPO = Path(__file__).resolve().parent.parent
+BENCH_SEEDS = range(1, 6)
+
+# Runs a JSON list of argv lists (stdin) through the CLI in-process and
+# prints one {"exit_code", "output"} record per invocation.
+RUNNER_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+from qcrb_lab.cli import main
+runner = CliRunner()
+out = []
+for argv in json.load(sys.stdin):
+    result = runner.invoke(main, argv)
+    out.append({"exit_code": result.exit_code, "output": result.output})
+json.dump(out, sys.stdout)
+"""
+
+
+def _pairs(matrix: np.ndarray) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+
+
+def _mixed_ghz2_density(epsilon: float = 0.1) -> np.ndarray:
+    ghz = np.zeros(4, dtype=complex)
+    ghz[0] = ghz[-1] = 1.0 / np.sqrt(2.0)
+    return (1.0 - epsilon) * np.outer(ghz, ghz.conj()) + epsilon * np.eye(4) / 4.0
+
+
+def _write(path: Path, spec: dict) -> str:
+    path.write_text(yaml.safe_dump(spec, sort_keys=True), encoding="utf-8")
+    return str(path)
+
+
+def _spec_invocations(spec: str, *, pure: bool) -> list[list[str]]:
+    runs = [
+        ["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
+        ["scan", "--model", spec, "--phi-range", "0.1:3:4", "--output", "csv"],
+        ["scan", "--model", spec, "--phi-range", "0.1:3:4"],
+        ["cfi", "--model", spec, "--phi-range", "0.1:3:5", "--output", "json"],
+        ["cfi", "--model", spec, "--phi", "0"],
+        ["check-optimal", "--model", spec, "--phi-range", "0.1:3:5",
+         "--output", "json"],
+        ["errprop", "--model", spec, "--phi", "pi/8", "--output", "json"],
+        ["errprop", "--model", spec, "--phi-range", "0.1:3:4"],
+        ["sld", "--model", spec, "--phi", "0.3", "--output", "json"],
+        ["qfi", "--model", spec, "--phi-range", "0:pi:5", "--show-sld",
+         "--output", "json"],
+        ["simulate", "--model", spec, "--nu", "2000", "--trials", "20",
+         "--seed", "3", "--output", "json"],
+    ]
+    if pure:
+        runs += [["check-optimal", "--model", spec, "--phi", "pi/8",
+                  "--variant", variant, "--output", "json"]
+                 for variant in ("pure", "pure_unitary")]
+    return runs
+
+
+def invocations(workdir: Path) -> list[list[str]]:
+    """The fixed list, with its spec files written into ``workdir``."""
+    runs: list[list[str]] = []
+    for n in (1, 2, 3):
+        for axis, coefficient in (("x", "a1"), ("y", "a2")):
+            spec = _write(workdir / f"ghz{n}-{axis}.yaml", {
+                "state": {"ghz": {"n": n}},
+                "observable": {"pauli_product": {coefficient: 1.0}},
+                "povm": f"{axis}_basis_product", "phi": "pi/8", "nu": 1000})
+            runs += _spec_invocations(spec, pure=True)
+    mixed = _write(workdir / "mixed.yaml", {
+        "state": {"custom": {"density": _pairs(_mixed_ghz2_density())}},
+        "observable": {"pauli_product": {"a1": 1.0}},
+        "povm": "x_basis_product", "phi": "pi/8", "nu": 1000})
+    runs += _spec_invocations(mixed, pure=False)
+    low_nu = _write(workdir / "low-nu.yaml", {
+        "state": {"ghz": {"n": 2}},
+        "observable": {"pauli_product": {"a1": 1.0}},
+        "povm": "x_basis_product", "phi": 0.1, "nu": 20, "trials": 20})
+    runs.append(["simulate", "--model", low_nu, "--output", "json"])
+    runs.append(["simulate", "--model", low_nu])
+
+    sys.path.insert(0, str(REPO / "bench"))
+    from workloads import WORKLOADS
+
+    for name in ("scan-pure", "cfi-povm", "simulate-mle"):
+        workload = WORKLOADS[name]
+        for seed in BENCH_SEEDS:
+            casedir = workdir / f"{name}-seed{seed}"
+            casedir.mkdir()
+            case = workload.make(seed, casedir, workload.default_n)
+            runs.append(list(case.args))
+    return runs
+
+
+def _export(ref: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar",
+                              ref, "src"], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _run_side(src: Path, runs: list[list[str]], cwd: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", RUNNER_SCRIPT],
+                          input=json.dumps(runs), capture_output=True, text=True,
+                          cwd=cwd, env=env)
+    if done.returncode != 0:
+        raise RuntimeError(f"runner failed under {src}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    base_ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp_path = Path(tmp)
+        try:
+            base_src = _export(base_ref, tmp_path / "base")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot export {base_ref!r}: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        runs = invocations(specs)
+        try:
+            base = _run_side(base_src, runs, tmp_path)
+            head = _run_side(REPO / "src", runs, tmp_path)
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        differing = 0
+        for argv_run, old, new in zip(runs, base, head):
+            if old != new:
+                differing += 1
+                fields = [key for key in old if old[key] != new[key]]
+                print(f"DIFF ({', '.join(fields)}): {' '.join(argv_run)}")
+        print(f"{len(runs) - differing} of {len(runs)} invocations byte-identical "
+              f"to {base_ref}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
