@@ -25,8 +25,12 @@ from .errors import (
 from .fisher import cfi as cfi_value
 from .fisher import outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, two_qubit_lambda_solution
-from .modelspec import ModelSpec, load_model_spec, parse_angle
-from .optimality import check_observable_optimality, error_propagation
+from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
+from .optimality import (
+    _check_observable_optimality,
+    _error_propagation,
+    error_propagation,
+)
 from .simulate import run_mle_trials, run_sample_mean_trials
 
 SCAN_COLUMNS = ("phi", "qfi", "cfi", "variance", "slope", "delta_phi_ep",
@@ -91,9 +95,9 @@ def _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials) -> ModelS
             raise SpecFileError("--phi-range STEPS must be an integer") from exc
         if steps < 2:
             raise SpecFileError("--phi-range STEPS must be >= 2")
-        phis = np.linspace(parse_angle(parts[0], fieldname="phi-range.start"),
+        phis = _phase_grid(parse_angle(parts[0], fieldname="phi-range.start"),
                            parse_angle(parts[1], fieldname="phi-range.stop"),
-                           steps)
+                           steps, fieldname="phi-range")
         phi_is_range = True
     if nu is not None and nu < 1:
         raise SpecFileError("--nu must be a positive integer")
@@ -281,12 +285,14 @@ def cmd_check_optimal(model_path, phi_text, phi_range_text, nu, seed, trials,
         rows = []
         all_optimal = True
         for phi in spec.phis:
-            report = check_observable_optimality(
-                spec.model, float(phi), spec.observable, variant,
+            result = sld(spec.model, float(phi))
+            report = _check_observable_optimality(
+                spec.model, float(phi), spec.observable, variant, result,
                 tol=_opt_tol(spec, tol))
             singular = False
             try:
-                error_propagation(spec.model, float(phi), spec.observable, spec.nu)
+                _error_propagation(spec.model, float(phi), spec.observable, spec.nu,
+                                   result)
             except SingularSensitivityError:
                 singular = True
             is_optimal = bool(report.is_optimal and not singular)
@@ -324,12 +330,13 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
             singular = True
     if spec.observable is not None:
         try:
-            report = error_propagation(spec.model, phi, spec.observable, spec.nu)
+            report = _error_propagation(spec.model, phi, spec.observable, spec.nu,
+                                        result)
             row["variance"] = report.variance
             row["slope"] = report.slope
             row["delta_phi_ep"] = report.delta_phi_sq
-            check = check_observable_optimality(spec.model, phi, spec.observable,
-                                                tol=opt_tol)
+            check = _check_observable_optimality(spec.model, phi, spec.observable,
+                                                 "mixed", result, tol=opt_tol)
             row["alpha"] = check.alpha
             row["residual_rel"] = check.residual_rel
             row["is_optimal"] = bool(check.is_optimal)

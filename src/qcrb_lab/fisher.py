@@ -249,8 +249,9 @@ def sld(model: ParametricModel, phi: float, *,
     l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
     l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
-    qfi_value = max(float(np.trace(rho @ l_matrix @ l_matrix).real), 0.0)
-    residual = float(np.linalg.norm(drho - (rho @ l_matrix + l_matrix @ rho) / 2.0))
+    rl = rho @ l_matrix
+    qfi_value = max(float(np.trace(rl @ l_matrix).real), 0.0)
+    residual = float(np.linalg.norm(drho - (rl + l_matrix @ rho) / 2.0))
     return SldResult(L=HermitianObservable(l_matrix, check=False), rho=rho, drho=drho,
                      qfi=qfi_value, residual=residual, kernel_dim=kernel_dim)
 

@@ -140,6 +140,25 @@ class ModelSpec:
     tolerances: dict[str, float] = field(default_factory=dict)
 
 
+def _require_physical_memory(log2_bytes: float, what: str, *, fieldname: str) -> None:
+    """Reject ``2**log2_bytes`` bytes that exceed physical memory, before any
+    allocation; the size comes as a base-2 logarithm so that a huge spec value
+    is never expanded into a huge integer."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if log2_bytes > math.log2(memory):
+        raise SpecFileError(f"{what} exceeds the {memory} bytes of physical memory",
+                            field=fieldname)
+
+
+def _phase_grid(start: float, stop: float, steps: int, *,
+                fieldname: str) -> np.ndarray:
+    """``np.linspace(start, stop, steps)``, after rejecting a grid whose
+    ``8 * steps`` bytes exceed physical memory."""
+    _require_physical_memory(math.log2(8 * steps), f"a grid of {steps} phases",
+                             fieldname=fieldname)
+    return np.linspace(start, stop, steps)
+
+
 def _require_mapping(data, *, fieldname: str) -> dict:
     if not isinstance(data, dict):
         raise SpecFileError(f"expected a mapping, got {type(data).__name__}",
@@ -159,10 +178,8 @@ def _build_state(data, *, fieldname: str = "state"):
             raise SpecFileError("'n' must be a positive integer",
                                 field=f"{fieldname}.ghz.n")
         # one dense 2^n x 2^n complex matrix takes 16 * 4^n = 2^(2n+4) bytes
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 2 * n + 4 >= memory.bit_length():
-            raise SpecFileError(f"a dense 2^{n} x 2^{n} matrix exceeds the {memory} "
-                                "bytes of physical memory", field=f"{fieldname}.ghz.n")
+        _require_physical_memory(2 * n + 4, f"a dense 2^{n} x 2^{n} matrix",
+                                 fieldname=f"{fieldname}.ghz.n")
         return ghz_state(n, 0.0), n
     if "custom" in data:
         custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
@@ -315,9 +332,12 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
     elements = tuple(
         parse_matrix(m, fieldname=f"{fieldname}.custom.elements[{k}]")
         for k, m in enumerate(raw_elements))
-    labels = tuple(custom.get("labels", ()))
+    labels = custom.get("labels", [])
+    if not isinstance(labels, list):
+        raise SpecFileError(f"expected a list of labels, got {type(labels).__name__}",
+                            field=f"{fieldname}.custom.labels")
     try:
-        return Povm(elements, labels)
+        return Povm(elements, tuple(labels))
     except ValueError as exc:
         raise SpecFileError(str(exc), field=f"{fieldname}.custom") from exc
 
@@ -340,7 +360,7 @@ def _build_phis(data, *, fieldname: str = "phi") -> tuple[np.ndarray, bool]:
                                 field=f"{fieldname}.steps")
         start = parse_angle(data["start"], fieldname=f"{fieldname}.start")
         stop = parse_angle(data["stop"], fieldname=f"{fieldname}.stop")
-        return np.linspace(start, stop, steps), True
+        return _phase_grid(start, stop, steps, fieldname=f"{fieldname}.steps"), True
     return np.array([parse_angle(data, fieldname=fieldname)]), False
 
 

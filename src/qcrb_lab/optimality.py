@@ -21,7 +21,7 @@ from .errors import (
     SingularSensitivityError,
     VariantInapplicableError,
 )
-from .fisher import ParametricModel, _pure_vector, sld
+from .fisher import ParametricModel, SldResult, _pure_vector, sld
 
 __all__ = [
     "ErrorPropagationReport",
@@ -79,12 +79,13 @@ def observable_expectations(model: ParametricModel, phi: float,
                             obs: HermitianObservable) -> tuple[float, float]:
     """First and second moments ``(Tr(rho O), Tr(rho O^2))``."""
     _require_same_dim(model, obs.dim)
-    return _expectations(model.density(phi).matrix, obs.matrix)
+    return _expectations(model.density(phi).matrix @ obs.matrix, obs.matrix)
 
 
-def _expectations(rho: np.ndarray, o: np.ndarray) -> tuple[float, float]:
-    mean = complex(np.trace(rho @ o))
-    second = complex(np.trace(rho @ o @ o))
+def _expectations(ro: np.ndarray, o: np.ndarray) -> tuple[float, float]:
+    """``(Tr(rho O), Tr(rho O^2))`` from ``ro = rho @ O``."""
+    mean = complex(np.trace(ro))
+    second = complex(np.trace(ro @ o))
     scale = max(1.0, abs(mean), abs(second))
     if max(abs(mean.imag), abs(second.imag)) > 1e-10 * scale:
         raise ArithmeticError(
@@ -101,17 +102,25 @@ def error_propagation(model: ParametricModel, phi: float,
     (relative to the natural scale ``sqrt(<O^2> * QFI)``), i.e. at the phases
     where this observable carries no first-order information.
     """
+    return _error_propagation(model, phi, obs, nu, sld(model, phi),
+                              slope_rtol=slope_rtol)
+
+
+def _error_propagation(model: ParametricModel, phi: float,
+                       obs: HermitianObservable, nu: int, sld_result: SldResult, *,
+                       slope_rtol: float = SLOPE_RTOL) -> ErrorPropagationReport:
+    """:func:`error_propagation` from ``sld_result = sld(model, phi)``."""
     _require_same_dim(model, obs.dim)
     if nu < 1:
         raise ValueError("nu must be a positive integer")
-    sld_result = sld(model, phi)
     rho = sld_result.rho
     o = obs.matrix
     l_matrix = sld_result.L.matrix
-    mean, second = _expectations(rho, o)
+    ro = rho @ o
+    mean, second = _expectations(ro, o)
     variance = max(second - mean * mean, 0.0)
     slope = float(np.trace(sld_result.drho @ o).real)
-    cross = complex(np.trace(rho @ o @ l_matrix))
+    cross = complex(np.trace(ro @ l_matrix))
     anticommutator_mean = 2.0 * cross.real
     slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
     if abs(slope - anticommutator_mean / 2.0) > 1e-7 * max(1.0, abs(slope), slope_scale):
@@ -166,14 +175,24 @@ def check_observable_optimality(model: ParametricModel, phi: float,
     * ``"pure_unitary"``: ``(O - <O>) |psi> = -2i alpha (G - <G>) |psi>``
       (pure states under a unitary generator).
     """
+    return _check_observable_optimality(model, phi, obs, variant, sld(model, phi),
+                                        tol=tol, alpha_rtol=alpha_rtol)
+
+
+def _check_observable_optimality(model: ParametricModel, phi: float,
+                                 obs: HermitianObservable, variant: ConditionVariant,
+                                 sld_result: SldResult, *,
+                                 tol: float = OPTIMALITY_RTOL,
+                                 alpha_rtol: float = 1e-10) -> OptimalityReport:
+    """:func:`check_observable_optimality` from ``sld_result = sld(model, phi)``."""
     _require_same_dim(model, obs.dim)
-    sld_result = sld(model, phi)
     rho = sld_result.rho
     o = obs.matrix
     l_matrix = sld_result.L.matrix
-    mean = float(np.trace(rho @ o).real)
+    ro = rho @ o
+    mean = float(np.trace(ro).real)
     delta_o = o - mean * np.eye(obs.dim)
-    cross = complex(np.trace(rho @ o @ l_matrix))
+    cross = complex(np.trace(ro @ l_matrix))
     im_part = cross.imag
     anticommutator_mean = 2.0 * cross.real
 
@@ -210,7 +229,7 @@ def check_observable_optimality(model: ParametricModel, phi: float,
     residual = float(np.linalg.norm(lhs - alpha * rhs))
     scale = max(lhs_norm, abs(alpha) * rhs_norm)
     residual_rel = residual / scale if scale > 0.0 else 0.0
-    variance = max(float(np.trace(rho @ o @ o).real) - mean * mean, 0.0)
+    variance = max(float(np.trace(ro @ o).real) - mean * mean, 0.0)
     im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
     alpha_ok = abs(alpha) * rhs_norm > alpha_rtol * lhs_norm and lhs_norm > 0.0
     is_optimal = (residual_rel <= tol) and alpha_ok and (abs(im_part) <= tol * im_scale)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qcrb_lab import cli, fisher, optimality
 from qcrb_lab.cli import SCAN_COLUMNS, main
 from qcrb_lab.errors import NotPositiveError
 
@@ -35,6 +36,21 @@ def ghz2_spec(tmp_path):
         "phi: pi/8\nnu: 100000\nseed: 5\ntrials: 40\n",
         encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def sld_phases(monkeypatch):
+    """Phases of every ``sld`` call, counted at each module that binds it."""
+    phases = []
+    solve = fisher.sld
+
+    def counting_sld(model, phi, **kwargs):
+        phases.append(float(phi))
+        return solve(model, phi, **kwargs)
+
+    for module in (fisher, optimality, cli):
+        monkeypatch.setattr(module, "sld", counting_sld)
+    return phases
 
 
 def run_json(runner, args):
@@ -208,6 +224,28 @@ class TestScanCommand:
         assert "specification error" not in result.output
 
 
+class TestOneSolvePerPhase:
+    """Each phase solves the SLD once; every per-phase quantity reads it."""
+
+    def test_scan_row(self, runner, ghz2_spec, sld_phases):
+        payload = run_json(runner, ["scan", "--model", ghz2_spec,
+                                    "--phi-range", "0:pi:9"])
+        singular = [row["singular_flag"] for row in payload["rows"]]
+        assert singular == [k in (0, 4, 8) for k in range(9)]
+        assert sorted(sld_phases) == [row["phi"] for row in payload["rows"]]
+
+    @pytest.mark.parametrize("variant", ["mixed", "pure", "pure_unitary"])
+    def test_check_optimal_phase(self, runner, ghz2_spec, sld_phases, variant):
+        result = runner.invoke(main, ["check-optimal", "--model", ghz2_spec,
+                                      "--phi-range", "0:pi:5", "--variant", variant,
+                                      "--output", "json"])
+        assert result.exit_code == 3, result.output
+        rows = json.loads(result.output)["rows"]
+        assert [row["singular_flag"] for row in rows] == [True, False, True,
+                                                          False, True]
+        assert sorted(sld_phases) == [row["phi"] for row in rows]
+
+
 class TestCfiCommand:
     def test_value(self, runner, ghz2_spec):
         payload = run_json(runner, ["cfi", "--model", ghz2_spec])
@@ -313,6 +351,17 @@ class TestCliContract:
         result = runner.invoke(main, ["errprop", "--model", str(path)])
         assert result.exit_code == 2
         assert "observable.pauli_product" in result.output
+
+    def test_oversized_phi_range_is_exit_two(self, runner, ghz2_spec, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("np.linspace must not be called")
+
+        monkeypatch.setattr(np, "linspace", allocate)
+        result = runner.invoke(main, ["qfi", "--model", ghz2_spec,
+                                      "--phi-range", f"0:1:{10 ** 18}"])
+        assert result.exit_code == 2
+        assert "phi-range" in result.output
+        assert "physical memory" in result.output
 
     def test_csv_limited_to_scan(self, runner, ghz2_spec):
         result = runner.invoke(main, ["qfi", "--model", ghz2_spec,

@@ -153,6 +153,13 @@ class TestSpecErrors:
           "observable": {"pauli_product": {"a1": "one"}}}, "pauli_product"),
         ({"state": {"ghz": {"n": 2}},
           "observable": {"pauli_product": [0, float("nan"), 0, 0]}}, "pauli_product"),
+        ({"state": {"ghz": {"n": 1}},
+          "povm": {"custom": {"elements": [[[1, 0], [0, 0], [0, 0], [1, 0]]],
+                              "labels": 5}}}, "povm.custom.labels"),
+        ({"state": {"ghz": {"n": 1}},
+          "povm": {"custom": {"elements": [[[1, 0], [0, 0], [0, 0], [0, 0]],
+                                           [[0, 0], [0, 0], [0, 0], [1, 0]]],
+                              "labels": "ab"}}}, "povm.custom.labels"),
     ])
     def test_offending_field_is_named(self, data, field_part):
         with pytest.raises(SpecFileError) as excinfo:
@@ -166,6 +173,16 @@ class TestSpecErrors:
         monkeypatch.setattr(modelspec, "ghz_state", allocate)
         with pytest.raises(SpecFileError, match="physical memory"):
             build_model_spec({"state": {"ghz": {"n": 40}}})
+
+    def test_oversized_phase_grid_rejected_before_allocation(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("np.linspace must not be called")
+
+        monkeypatch.setattr(np, "linspace", allocate)
+        with pytest.raises(SpecFileError, match="physical memory") as excinfo:
+            build_model_spec({"state": {"ghz": {"n": 1}},
+                              "phi": {"start": 0, "stop": 1, "steps": 10 ** 18}})
+        assert "phi.steps" in str(excinfo.value)
 
     def test_dimension_mismatch_between_sections(self):
         with pytest.raises(SpecFileError, match="observable"):

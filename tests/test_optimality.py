@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb_lab import (
     DensityMatrix,
+    ErrorPropagationReport,
     HermitianObservable,
     InsufficientSamplesError,
+    MetrologyError,
+    OptimalityReport,
+    PureState,
     SIGMA_X,
     SIGMA_Z,
+    SingularOutcomeError,
     SingularSensitivityError,
     VariantInapplicableError,
     blackbox_model,
@@ -30,10 +37,14 @@ from qcrb_lab import (
     two_qubit_lambda_solution,
     unitary_model,
 )
+from qcrb_lab.cli import SCAN_COLUMNS, _scan_row
+from qcrb_lab.core import matrix_sqrt_psd
+from qcrb_lab.fisher import _pure_vector
 from qcrb_lab.ghz import SeparableObservableCoeffs
-from qcrb_lab.optimality import NO_INFORMATION
+from qcrb_lab.modelspec import ModelSpec
+from qcrb_lab.optimality import NO_INFORMATION, SLOPE_RTOL
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_povm
 
 
 def sx_family(n):
@@ -287,3 +298,190 @@ class TestSrur:
             anti = np.trace(rho @ (dx @ dy + dy @ dx)).real
             lower = abs(comm) ** 2 / 4.0 + anti ** 2 / 4.0
             assert var_x * var_y >= lower - 1e-9 * max(1.0, lower)
+
+
+# --- reference: error propagation, the saturation check and the scan row as
+# they were when each solved the SLD itself --------------------------------
+
+def _ref_expectations(rho, o):
+    mean = complex(np.trace(rho @ o))
+    second = complex(np.trace(rho @ o @ o))
+    scale = max(1.0, abs(mean), abs(second))
+    if max(abs(mean.imag), abs(second.imag)) > 1e-10 * scale:
+        raise ArithmeticError(
+            f"expectation values are not real: {mean!r}, {second!r}")
+    return mean.real, second.real
+
+
+def _ref_error_propagation(model, phi, obs, nu=1, *, slope_rtol=SLOPE_RTOL):
+    sld_result = sld(model, phi)
+    rho = sld_result.rho
+    o = obs.matrix
+    l_matrix = sld_result.L.matrix
+    mean, second = _ref_expectations(rho, o)
+    variance = max(second - mean * mean, 0.0)
+    slope = float(np.trace(sld_result.drho @ o).real)
+    cross = complex(np.trace(rho @ o @ l_matrix))
+    anticommutator_mean = 2.0 * cross.real
+    slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
+    if abs(slope - anticommutator_mean / 2.0) > 1e-7 * max(1.0, abs(slope), slope_scale):
+        raise ArithmeticError(
+            f"slope identity violated: Tr(drho O) = {slope!r} but "
+            f"<[O,L]+>/2 = {anticommutator_mean / 2.0!r}")
+    if abs(slope) <= slope_rtol * slope_scale or slope_scale == 0.0:
+        raise SingularSensitivityError(
+            f"observable mean has zero slope at phi={phi!r}; "
+            "the error-propagation estimate is undefined here")
+    delta_phi_sq = variance / (nu * slope * slope)
+    qcrb = 1.0 / (nu * sld_result.qfi)
+    commutator_sq = abs(complex(np.trace(rho @ (o @ l_matrix - l_matrix @ o)))) ** 2
+    intermediate = qcrb * (1.0 + commutator_sq / (anticommutator_mean ** 2))
+    return ErrorPropagationReport(
+        variance=variance, slope=slope, nu=nu, delta_phi_sq=delta_phi_sq,
+        intermediate_bound=intermediate, qcrb=qcrb, qfi=sld_result.qfi,
+        mean=mean, second_moment=second)
+
+
+def _ref_check_observable_optimality(model, phi, obs, variant="mixed", *,
+                                     tol=1e-8, alpha_rtol=1e-10):
+    sld_result = sld(model, phi)
+    rho = sld_result.rho
+    o = obs.matrix
+    l_matrix = sld_result.L.matrix
+    mean = float(np.trace(rho @ o).real)
+    delta_o = o - mean * np.eye(obs.dim)
+    cross = complex(np.trace(rho @ o @ l_matrix))
+    im_part = cross.imag
+    anticommutator_mean = 2.0 * cross.real
+    if variant == "mixed":
+        sqrt_rho = matrix_sqrt_psd(rho)
+        lhs = delta_o @ sqrt_rho
+        rhs = l_matrix @ sqrt_rho
+    elif variant == "pure":
+        psi = _pure_vector(model, phi, rho)
+        lhs = delta_o @ psi
+        rhs = l_matrix @ psi
+    else:
+        psi = _pure_vector(model, phi, rho)
+        g = model.generator.matrix
+        g_mean = float(np.vdot(psi, g @ psi).real)
+        lhs = delta_o @ psi
+        rhs = -2.0j * ((g @ psi) - g_mean * psi)
+    lhs_norm = float(np.linalg.norm(lhs))
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm * rhs_norm <= 1e-14:
+        return OptimalityReport(
+            alpha=0.0, residual_rel=(1.0 if lhs_norm > 0.0 else 0.0),
+            im_part=im_part, anticommutator_mean=anticommutator_mean,
+            is_optimal=False, condition_variant=variant,
+            diagnostic=NO_INFORMATION)
+    alpha = float(np.vdot(rhs, lhs).real) / (rhs_norm * rhs_norm)
+    residual = float(np.linalg.norm(lhs - alpha * rhs))
+    scale = max(lhs_norm, abs(alpha) * rhs_norm)
+    residual_rel = residual / scale if scale > 0.0 else 0.0
+    variance = max(float(np.trace(rho @ o @ o).real) - mean * mean, 0.0)
+    im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
+    alpha_ok = abs(alpha) * rhs_norm > alpha_rtol * lhs_norm and lhs_norm > 0.0
+    is_optimal = (residual_rel <= tol) and alpha_ok and (abs(im_part) <= tol * im_scale)
+    return OptimalityReport(
+        alpha=alpha, residual_rel=residual_rel, im_part=im_part,
+        anticommutator_mean=anticommutator_mean, is_optimal=is_optimal,
+        condition_variant=variant)
+
+
+def _ref_scan_row(spec, phi, opt_tol):
+    row = {c: None for c in SCAN_COLUMNS}
+    row["phi"] = phi
+    result = sld(spec.model, phi)
+    row["qfi"] = result.qfi
+    row["qcrb"] = 1.0 / (spec.nu * result.qfi) if result.qfi > 0.0 else None
+    singular = False
+    try:
+        row["cfi"] = cfi(outcome_distribution(spec.model, phi, spec.povm))
+    except SingularOutcomeError:
+        singular = True
+    try:
+        report = _ref_error_propagation(spec.model, phi, spec.observable, spec.nu)
+        row["variance"] = report.variance
+        row["slope"] = report.slope
+        row["delta_phi_ep"] = report.delta_phi_sq
+        check = _ref_check_observable_optimality(spec.model, phi, spec.observable,
+                                                 tol=opt_tol)
+        row["alpha"] = check.alpha
+        row["residual_rel"] = check.residual_rel
+        row["is_optimal"] = bool(check.is_optimal)
+    except SingularSensitivityError:
+        singular = True
+        row["is_optimal"] = False
+    row["singular_flag"] = singular
+    return row
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, MetrologyError) as exc:
+        return type(exc), str(exc)
+
+
+SHARED_SLD_CASES = ("ghz1", "ghz2", "ghz3", "ghz4", "pure", "mixed")
+
+
+def shared_sld_case(name, seed):
+    """(model, observable, POVM): a GHZ state with the x-parity or a random
+    observable, or a random pure or full-rank mixed unitary family."""
+    rng = np.random.default_rng(seed)
+    if name.startswith("ghz"):
+        n = int(name[3:])
+        obs = sx_family(n) if seed % 2 else random_hermitian(rng, 2 ** n)
+        return ghz_model(n), obs, product_basis_povm("xy"[seed % 3 % 2], n)
+    dim = int(rng.integers(2, 7))
+    if name == "pure":
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps))
+    else:
+        state = random_density(rng, dim)
+    model = unitary_model(state, random_hermitian(rng, dim))
+    return (model, random_hermitian(rng, dim),
+            random_povm(rng, dim, int(rng.integers(2, 6))))
+
+
+class TestSharedSldReference:
+    """With one SLD solve per phase, every report and scan row equals the one
+    computed by solving the SLD once per quantity."""
+
+    @given(name=st.sampled_from(SHARED_SLD_CASES),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           singular_k=st.one_of(st.none(), st.integers(-8, 8)),
+           nu=st.integers(1, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_one_solve_per_quantity(self, name, seed, phi, singular_k, nu):
+        model, obs, povm = shared_sld_case(name, seed)
+        if singular_k is not None and name.startswith("ghz"):
+            phi = singular_k * math.pi / int(name[3:])
+        result = sld(model, phi)
+        l_matrix = result.L.matrix
+        assert result.qfi == max(float(np.trace(result.rho @ l_matrix @ l_matrix)
+                                       .real), 0.0)
+        assert result.residual == float(np.linalg.norm(
+            result.drho - (result.rho @ l_matrix + l_matrix @ result.rho) / 2.0))
+
+        for new, ref in [
+            (_outcome(error_propagation, model, phi, obs, nu),
+             _outcome(_ref_error_propagation, model, phi, obs, nu)),
+            *((_outcome(check_observable_optimality, model, phi, obs, variant),
+               _outcome(_ref_check_observable_optimality, model, phi, obs, variant))
+              for variant in ("mixed", "pure", "pure_unitary")),
+        ]:
+            assert new == ref
+            assert repr(new) == repr(ref)
+
+        spec = ModelSpec(model=model, observable=obs, povm=povm,
+                         phis=np.array([phi]), phi_is_range=True, nu=nu, seed=0,
+                         trials=2, n_qubits=None)
+        new_row = _outcome(_scan_row, spec, phi, 1e-8)
+        ref_row = _outcome(_ref_scan_row, spec, phi, 1e-8)
+        assert new_row == ref_row
+        assert repr(new_row) == repr(ref_row)

@@ -15,7 +15,10 @@ The list covers ``scan``, ``cfi``, ``check-optimal``, ``errprop``, ``sld``,
 ``qfi`` and ``simulate`` on GHZ N=1-3 specs with x- and y-product
 measurements, a full-rank mixed-density spec and a low-nu spec whose
 sample-mean estimates clip at the branch ends, plus the ``scan-pure``,
-``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5.
+``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
+BLAS switches kernels with the matrix size, it also runs ``check-optimal``
+(every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
+a ``scan`` of a full-rank mixed GHZ N=4 density whose grid has singular rows.
 
 Exit codes: 0 when every invocation matches, 1 when any differs, 2 when
 BASE_REF cannot be exported or a side fails to run.
@@ -57,10 +60,11 @@ def _pairs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
 
 
-def _mixed_ghz2_density(epsilon: float = 0.1) -> np.ndarray:
-    ghz = np.zeros(4, dtype=complex)
+def _mixed_ghz_density(n: int, epsilon: float = 0.1) -> np.ndarray:
+    dim = 2 ** n
+    ghz = np.zeros(dim, dtype=complex)
     ghz[0] = ghz[-1] = 1.0 / np.sqrt(2.0)
-    return (1.0 - epsilon) * np.outer(ghz, ghz.conj()) + epsilon * np.eye(4) / 4.0
+    return (1.0 - epsilon) * np.outer(ghz, ghz.conj()) + epsilon * np.eye(dim) / dim
 
 
 def _write(path: Path, spec: dict) -> str:
@@ -103,10 +107,16 @@ def invocations(workdir: Path) -> list[list[str]]:
                 "povm": f"{axis}_basis_product", "phi": "pi/8", "nu": 1000})
             runs += _spec_invocations(spec, pure=True)
     mixed = _write(workdir / "mixed.yaml", {
-        "state": {"custom": {"density": _pairs(_mixed_ghz2_density())}},
+        "state": {"custom": {"density": _pairs(_mixed_ghz_density(2))}},
         "observable": {"pauli_product": {"a1": 1.0}},
         "povm": "x_basis_product", "phi": "pi/8", "nu": 1000})
     runs += _spec_invocations(mixed, pure=False)
+    mixed4 = _write(workdir / "mixed-ghz4.yaml", {
+        "state": {"custom": {"density": _pairs(_mixed_ghz_density(4))}},
+        "observable": {"pauli_product": {"a1": 1.0}},
+        "povm": "x_basis_product", "nu": 1000})
+    runs.append(["scan", "--model", mixed4, "--phi-range", "0:pi:9",
+                 "--output", "json"])
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
         "observable": {"pauli_product": {"a1": 1.0}},
@@ -124,6 +134,13 @@ def invocations(workdir: Path) -> list[list[str]]:
             casedir.mkdir()
             case = workload.make(seed, casedir, workload.default_n)
             runs.append(list(case.args))
+            if name == "scan-pure" and seed == BENCH_SEEDS[0]:
+                spec = str(case.spec_path)
+                runs += [["check-optimal", "--model", spec, "--variant", variant,
+                          "--output", "json"]
+                         for variant in ("mixed", "pure", "pure_unitary")]
+                runs.append(["errprop", "--model", spec, "--phi", "pi/8",
+                             "--output", "json"])
     return runs
 
 
