@@ -23,7 +23,7 @@ from .errors import (
     SpecFileError,
 )
 from .fisher import cfi as cfi_value
-from .fisher import outcome_distribution, sld
+from .fisher import _outcome_distribution, outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
 from .optimality import (
@@ -148,13 +148,9 @@ def _rows_as_text(rows: list[dict], columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(command: str, rows: list[dict], columns, output_format: str,
-                 extra: dict | None = None) -> str:
+def _render_rows(command: str, rows: list[dict], columns, output_format: str) -> str:
     if output_format == "json":
-        payload = {"command": command, "rows": rows}
-        if extra:
-            payload.update(extra)
-        return _to_json(payload)
+        return _to_json({"command": command, "rows": rows})
     if output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -170,8 +166,13 @@ class _ExitWith(Exception):
         self.code = code
 
 
-def _run(fn) -> None:
+def _run(fn, output_format: str | None = None) -> None:
+    """Run a command body, mapping its errors to exit codes. Only ``scan``
+    writes csv; the other commands pass their ``output_format`` to be
+    checked here."""
     try:
+        if output_format == "csv":
+            raise SpecFileError("csv output is only available for 'scan'")
         fn()
     except _ExitWith as stop:
         sys.exit(stop.code)
@@ -198,8 +199,6 @@ def cmd_qfi(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Quantum Fisher information at each phase."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         rows = []
         for phi in spec.phis:
@@ -211,7 +210,7 @@ def cmd_qfi(model_path, phi_text, phi_range_text, nu, seed, trials,
         columns = ("phi", "qfi") + (("sld_matrix",) if show_sld else ())
         _emit(_render_rows("qfi", rows, columns, output_format), out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 @main.command(name="sld")
@@ -221,8 +220,6 @@ def cmd_sld(model_path, phi_text, phi_range_text, nu, seed, trials,
     """SLD operator, residual, and kernel dimension at each phase."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         rows = []
         for phi in spec.phis:
@@ -234,7 +231,7 @@ def cmd_sld(model_path, phi_text, phi_range_text, nu, seed, trials,
         columns = ("phi", "qfi", "residual", "kernel_dim", "matrix")
         _emit(_render_rows("sld", rows, columns, output_format), out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 @main.command(name="errprop")
@@ -244,8 +241,6 @@ def cmd_errprop(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Error-propagation phase variance of the observable at each phase."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         if spec.observable is None:
             raise SpecFileError("errprop requires an observable", field="observable")
@@ -264,7 +259,7 @@ def cmd_errprop(model_path, phi_text, phi_range_text, nu, seed, trials,
                    "intermediate_bound", "qcrb", "qfi", "mean", "second_moment")
         _emit(_render_rows("errprop", rows, columns, output_format), out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 @main.command(name="check-optimal")
@@ -276,8 +271,6 @@ def cmd_check_optimal(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Certify (exit 0) or refute (exit 3) observable optimality."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         if spec.observable is None:
             raise SpecFileError("check-optimal requires an observable",
@@ -313,7 +306,7 @@ def cmd_check_optimal(model_path, phi_text, phi_range_text, nu, seed, trials,
         if not all_optimal:
             raise _ExitWith(EXIT_NOT_OPTIMAL)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
@@ -325,7 +318,8 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
     singular = False
     if spec.povm is not None:
         try:
-            row["cfi"] = cfi_value(outcome_distribution(spec.model, phi, spec.povm))
+            row["cfi"] = cfi_value(_outcome_distribution(
+                spec.model, phi, spec.povm, result.rho[None], result.drho[None]))
         except SingularOutcomeError:
             singular = True
     if spec.observable is not None:
@@ -373,8 +367,6 @@ def cmd_cfi(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Classical Fisher information of the POVM at each phase."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         if spec.povm is None:
             raise SpecFileError("cfi requires a povm", field="povm")
@@ -385,7 +377,7 @@ def cmd_cfi(model_path, phi_text, phi_range_text, nu, seed, trials,
             rows.append({"phi": float(phi), "cfi": value})
         _emit(_render_rows("cfi", rows, ("phi", "cfi"), output_format), out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 @main.command(name="lambda")
@@ -397,8 +389,6 @@ def cmd_lambda(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Diagonal-projector SLD coefficients for the two-qubit GHZ state."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         phi = 0.0
         if phi_text is not None:
             phi = parse_angle(phi_text)
@@ -420,7 +410,7 @@ def cmd_lambda(model_path, phi_text, phi_range_text, nu, seed, trials,
                                  "lambda_pm", "lambda_mp", "lambda_mm")]
             _emit("\n".join(lines) + "\n", out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 @main.command(name="simulate")
@@ -430,8 +420,6 @@ def cmd_simulate(model_path, phi_text, phi_range_text, nu, seed, trials,
     """Monte Carlo estimation trials with per-trial RNG streams."""
 
     def impl():
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
         if spec.observable is None and spec.povm is None:
             raise SpecFileError("simulate requires an observable or a povm",
@@ -475,7 +463,7 @@ def cmd_simulate(model_path, phi_text, phi_range_text, nu, seed, trials,
                     lines.append(f"  {key}: {_fmt(entry[key])}")
             _emit("\n".join(lines) + "\n", out_path)
 
-    _run(impl)
+    _run(impl, output_format)
 
 
 if __name__ == "__main__":

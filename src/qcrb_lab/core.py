@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "tensor_product",
     "tensor_power",
     "hermitian_eigendecomposition",
+    "PsdSpectrum",
+    "psd_spectrum",
     "matrix_sqrt_psd",
     "collective_spin",
     "single_site_observable",
@@ -126,37 +128,53 @@ def tensor_power(factor: np.ndarray, n: int) -> np.ndarray:
     return tensor_product([factor] * n)
 
 
-def hermitian_eigendecomposition(matrix, *, atol: float = ALGORITHMIC_ATOL):
+def hermitian_eigendecomposition(matrix):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the columns of a unitary matrix, so that
     ``matrix = V diag(w) V^dagger``.
     """
-    herm = require_hermitian(matrix, atol=atol)
-    eigenvalues, eigenvectors = np.linalg.eigh(herm)
-    return eigenvalues, eigenvectors
+    return np.linalg.eigh(require_hermitian(matrix, atol=ALGORITHMIC_ATOL))
 
 
-def matrix_sqrt_psd(matrix, *, negative_tol: float = 1e-8,
-                    zero_cutoff: float = SUPPORT_CUTOFF_REL) -> np.ndarray:
-    """Hermitian PSD square root ``S`` with ``S @ S == matrix``.
+class PsdSpectrum(NamedTuple):
+    """Eigendecomposition of a PSD matrix (see :func:`psd_spectrum`)."""
 
-    Eigenvalues in ``[-negative_tol, 0)`` are treated as numerical noise and
-    clamped to zero; anything more negative raises :class:`NotPositiveError`.
-    Eigenvalues below ``zero_cutoff`` times the trace are zeroed before
-    square-rooting, which keeps rank-deficient inputs from turning O(eps)
-    eigenvalue noise into O(sqrt(eps)) output noise.
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    cutoff: float
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.eigenvalues <= self.cutoff
+
+    def sqrt(self) -> np.ndarray:
+        """Hermitian PSD square root, with the kernel's eigenvalues zeroed."""
+        roots = np.sqrt(np.where(self.kernel, 0.0, self.eigenvalues))
+        return (self.eigenvectors * roots) @ self.eigenvectors.conj().T
+
+
+def psd_spectrum(matrix) -> PsdSpectrum:
+    """Eigendecomposition of a Hermitian PSD matrix with its support classified.
+
+    Eigenvalues are ascending and clipped at zero: those in ``[-1e-8, 0)`` are
+    rounding noise, anything more negative raises :class:`NotPositiveError`.
+    Eigenvalues at or below ``cutoff``, ``SUPPORT_CUTOFF_REL`` times the
+    trace, span the kernel; zeroing them keeps O(eps) eigenvalue noise from
+    becoming O(sqrt(eps)) noise in the square root.
     """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(matrix)
-    smallest = float(eigenvalues[0])
-    if smallest < -negative_tol:
+    if eigenvalues[0] < -1e-8:
         raise NotPositiveError(
-            f"matrix has negative eigenvalue {smallest:.3e} < -{negative_tol:.1e}")
-    clamped = np.clip(eigenvalues, 0.0, None)
-    if zero_cutoff > 0.0:
-        clamped[clamped <= zero_cutoff * float(np.sum(clamped))] = 0.0
-    return (eigenvectors * np.sqrt(clamped)) @ eigenvectors.conj().T
+            f"matrix has negative eigenvalue {float(eigenvalues[0]):.3e} < -1.0e-08")
+    clipped = np.clip(eigenvalues, 0.0, None)
+    return PsdSpectrum(clipped, eigenvectors, SUPPORT_CUTOFF_REL * float(np.sum(clipped)))
+
+
+def matrix_sqrt_psd(matrix) -> np.ndarray:
+    """Hermitian PSD square root ``S`` with ``S @ S == matrix``."""
+    return psd_spectrum(matrix).sqrt()
 
 
 def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":

@@ -15,12 +15,13 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import (
-    ALGORITHMIC_ATOL,
     SUPPORT_CUTOFF_REL,
     DensityMatrix,
     HermitianObservable,
     Povm,
+    PsdSpectrum,
     PureState,
+    psd_spectrum,
 )
 from .errors import (
     DimensionMismatchError,
@@ -209,6 +210,7 @@ class SldResult:
     ``residual`` is the Frobenius norm of
     ``drho - (rho L + L rho) / 2``; ``kernel_dim`` counts eigenvalues of
     ``rho`` below the support cutoff, where the zero-block gauge was applied.
+    ``spectrum``, the eigendecomposition of ``rho``, also gives ``sqrt_rho``.
     """
 
     L: HermitianObservable
@@ -217,11 +219,14 @@ class SldResult:
     residual: float
     kernel_dim: int
     rho: np.ndarray
+    spectrum: PsdSpectrum
+
+    @cached_property
+    def sqrt_rho(self) -> np.ndarray:
+        return self.spectrum.sqrt()
 
 
-def sld(model: ParametricModel, phi: float, *,
-        support_cutoff: float = SUPPORT_CUTOFF_REL,
-        solvability_tol: float = 1e-8) -> SldResult:
+def sld(model: ParametricModel, phi: float) -> SldResult:
     """Solve ``drho = (rho L + L rho) / 2`` for the Hermitian operator L.
 
     Works in the eigenbasis of ``rho``: ``L_jk = 2 drho_jk / (p_j + p_k)``.
@@ -230,17 +235,13 @@ def sld(model: ParametricModel, phi: float, *,
     """
     rho = model.density(phi).matrix
     drho = _state_derivatives(model, phi, rho[None])[0]
-    eigenvalues, eigenvectors = np.linalg.eigh(rho)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    cutoff = support_cutoff * float(np.sum(eigenvalues))
+    spectrum = psd_spectrum(rho)
+    eigenvalues, eigenvectors, cutoff = spectrum
     drho_eig = eigenvectors.conj().T @ drho @ eigenvectors
-    kernel = eigenvalues <= cutoff
-    kernel_dim = int(np.count_nonzero(kernel))
-    drho_norm = float(np.linalg.norm(drho))
-    if kernel_dim:
-        block = drho_eig[np.ix_(kernel, kernel)]
-        block_norm = float(np.linalg.norm(block))
-        if block_norm > solvability_tol * max(1.0, drho_norm):
+    kernel = spectrum.kernel
+    if kernel.any():
+        block_norm = float(np.linalg.norm(drho_eig[np.ix_(kernel, kernel)]))
+        if block_norm > 1e-8 * max(1.0, float(np.linalg.norm(drho))):
             raise SldUnsolvableError(
                 "state derivative has weight on the kernel of rho "
                 f"(block norm {block_norm:.3e}); the SLD equation has no solution")
@@ -253,7 +254,8 @@ def sld(model: ParametricModel, phi: float, *,
     qfi_value = max(float(np.trace(rl @ l_matrix).real), 0.0)
     residual = float(np.linalg.norm(drho - (rl + l_matrix @ rho) / 2.0))
     return SldResult(L=HermitianObservable(l_matrix, check=False), rho=rho, drho=drho,
-                     qfi=qfi_value, residual=residual, kernel_dim=kernel_dim)
+                     qfi=qfi_value, residual=residual, spectrum=spectrum,
+                     kernel_dim=int(np.count_nonzero(kernel)))
 
 
 def qfi(model: ParametricModel, phi: float) -> float:
@@ -334,17 +336,26 @@ def _traces(stack: np.ndarray, povm: Povm) -> np.ndarray:
 
 def _probabilities(rho: np.ndarray, drho: np.ndarray, povm: Povm):
     """Clipped ``Tr(rho M_x)`` and ``Tr(drho M_x)`` of stacked states."""
+    if povm.dim != rho.shape[-1]:
+        raise DimensionMismatchError(
+            f"POVM dimension {povm.dim} != model dimension {rho.shape[-1]}")
     return np.clip(_traces(rho, povm), 0.0, 1.0), _traces(drho, povm)
 
 
 def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                          second_order: bool = True) -> OutcomeDistribution:
     """Outcome distribution ``p(x) = Tr(rho_phi M_x)`` with derivatives."""
-    if povm.dim != model.dim:
-        raise DimensionMismatchError(
-            f"POVM dimension {povm.dim} != model dimension {model.dim}")
     rho = model.density(phi).matrix[None]
-    probs, derivs = _probabilities(rho, _state_derivatives(model, phi, rho), povm)
+    return _outcome_distribution(model, phi, povm, rho,
+                                 _state_derivatives(model, phi, rho), second_order)
+
+
+def _outcome_distribution(model: ParametricModel, phi: float, povm: Povm,
+                          rho: np.ndarray, drho: np.ndarray,
+                          second_order: bool = True) -> OutcomeDistribution:
+    """:func:`outcome_distribution` from ``rho_phi`` and its derivative,
+    each stacked as ``(1, d, d)``."""
+    probs, derivs = _probabilities(rho, drho, povm)
     second = None
     if second_order:
         second = _traces(_second_state_derivatives(model, phi, rho), povm)[0]
@@ -370,9 +381,6 @@ def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarr
         return np.array([outcome_distribution(model, phi, povm,
                                               second_order=False).probabilities
                          for phi in phis.tolist()]).reshape(phis.size, len(povm))
-    if povm.dim != model.dim:
-        raise DimensionMismatchError(
-            f"POVM dimension {povm.dim} != model dimension {model.dim}")
     chunk = max(1, _BATCH_ENTRIES // model.dim ** 2)
     out = np.empty((phis.size, len(povm)))
     for start in range(0, phis.size, chunk):
@@ -415,19 +423,18 @@ def cfi(dist: OutcomeDistribution, *,
     return total
 
 
-def _pure_vector(model: ParametricModel, phi: float, rho: np.ndarray, *,
-                 atol: float = ALGORITHMIC_ATOL) -> np.ndarray:
-    """State vector of a pure model at ``phi`` (any global phase); ``rho`` is
-    ``rho_phi``.
+def _pure_vector(model: ParametricModel, phi: float,
+                 sld_result: SldResult) -> np.ndarray:
+    """State vector of a pure model at ``phi`` (any global phase), from
+    ``sld_result = sld(model, phi)`` when the model has no amplitudes.
 
     Raises :class:`VariantInapplicableError` when the state is mixed.
     """
     amps = model.pure_amplitudes(phi)
     if amps is not None:
         return amps
-    state = DensityMatrix(rho, check=False)
-    if not state.is_pure(atol=atol):
+    state = DensityMatrix(sld_result.rho, check=False)
+    if not state.is_pure():
         raise VariantInapplicableError(
             f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
-    return np.linalg.eigh(rho)[1][:, -1]
-
+    return sld_result.spectrum.eigenvectors[:, -1]

@@ -94,21 +94,19 @@ def _expectations(ro: np.ndarray, o: np.ndarray) -> tuple[float, float]:
 
 
 def error_propagation(model: ParametricModel, phi: float,
-                      obs: HermitianObservable, nu: int = 1, *,
-                      slope_rtol: float = SLOPE_RTOL) -> ErrorPropagationReport:
+                      obs: HermitianObservable, nu: int = 1) -> ErrorPropagationReport:
     """Evaluate the phase error obtained by measuring the mean of ``obs``.
 
     Raises :class:`SingularSensitivityError` where the mean has zero slope
     (relative to the natural scale ``sqrt(<O^2> * QFI)``), i.e. at the phases
     where this observable carries no first-order information.
     """
-    return _error_propagation(model, phi, obs, nu, sld(model, phi),
-                              slope_rtol=slope_rtol)
+    return _error_propagation(model, phi, obs, nu, sld(model, phi))
 
 
 def _error_propagation(model: ParametricModel, phi: float,
-                       obs: HermitianObservable, nu: int, sld_result: SldResult, *,
-                       slope_rtol: float = SLOPE_RTOL) -> ErrorPropagationReport:
+                       obs: HermitianObservable, nu: int,
+                       sld_result: SldResult) -> ErrorPropagationReport:
     """:func:`error_propagation` from ``sld_result = sld(model, phi)``."""
     _require_same_dim(model, obs.dim)
     if nu < 1:
@@ -127,7 +125,7 @@ def _error_propagation(model: ParametricModel, phi: float,
         raise ArithmeticError(
             f"slope identity violated: Tr(drho O) = {slope!r} but "
             f"<[O,L]+>/2 = {anticommutator_mean / 2.0!r}")
-    if abs(slope) <= slope_rtol * slope_scale or slope_scale == 0.0:
+    if abs(slope) <= SLOPE_RTOL * slope_scale or slope_scale == 0.0:
         raise SingularSensitivityError(
             f"observable mean has zero slope at phi={phi!r}; "
             "the error-propagation estimate is undefined here")
@@ -163,8 +161,7 @@ class OptimalityReport:
 def check_observable_optimality(model: ParametricModel, phi: float,
                                 obs: HermitianObservable,
                                 variant: ConditionVariant = "mixed", *,
-                                tol: float = OPTIMALITY_RTOL,
-                                alpha_rtol: float = 1e-10) -> OptimalityReport:
+                                tol: float = OPTIMALITY_RTOL) -> OptimalityReport:
     """Test whether measuring ``obs`` saturates the quantum Cramér-Rao bound.
 
     Variants express the same condition on different carriers and agree
@@ -176,20 +173,18 @@ def check_observable_optimality(model: ParametricModel, phi: float,
       (pure states under a unitary generator).
     """
     return _check_observable_optimality(model, phi, obs, variant, sld(model, phi),
-                                        tol=tol, alpha_rtol=alpha_rtol)
+                                        tol=tol)
 
 
 def _check_observable_optimality(model: ParametricModel, phi: float,
                                  obs: HermitianObservable, variant: ConditionVariant,
                                  sld_result: SldResult, *,
-                                 tol: float = OPTIMALITY_RTOL,
-                                 alpha_rtol: float = 1e-10) -> OptimalityReport:
+                                 tol: float = OPTIMALITY_RTOL) -> OptimalityReport:
     """:func:`check_observable_optimality` from ``sld_result = sld(model, phi)``."""
     _require_same_dim(model, obs.dim)
-    rho = sld_result.rho
     o = obs.matrix
     l_matrix = sld_result.L.matrix
-    ro = rho @ o
+    ro = sld_result.rho @ o
     mean = float(np.trace(ro).real)
     delta_o = o - mean * np.eye(obs.dim)
     cross = complex(np.trace(ro @ l_matrix))
@@ -197,18 +192,17 @@ def _check_observable_optimality(model: ParametricModel, phi: float,
     anticommutator_mean = 2.0 * cross.real
 
     if variant == "mixed":
-        sqrt_rho = matrix_sqrt_psd(rho)
-        lhs = delta_o @ sqrt_rho
-        rhs = l_matrix @ sqrt_rho
+        lhs = delta_o @ sld_result.sqrt_rho
+        rhs = l_matrix @ sld_result.sqrt_rho
     elif variant == "pure":
-        psi = _pure_vector(model, phi, rho)
+        psi = _pure_vector(model, phi, sld_result)
         lhs = delta_o @ psi
         rhs = l_matrix @ psi
     elif variant == "pure_unitary":
         if model.kind != "unitary_generator":
             raise VariantInapplicableError(
                 "pure_unitary variant needs a unitary_generator model")
-        psi = _pure_vector(model, phi, rho)
+        psi = _pure_vector(model, phi, sld_result)
         g = model.generator.matrix
         g_mean = float(np.vdot(psi, g @ psi).real)
         lhs = delta_o @ psi
@@ -231,7 +225,7 @@ def _check_observable_optimality(model: ParametricModel, phi: float,
     residual_rel = residual / scale if scale > 0.0 else 0.0
     variance = max(float(np.trace(ro @ o).real) - mean * mean, 0.0)
     im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
-    alpha_ok = abs(alpha) * rhs_norm > alpha_rtol * lhs_norm and lhs_norm > 0.0
+    alpha_ok = abs(alpha) * rhs_norm > 1e-10 * lhs_norm and lhs_norm > 0.0
     is_optimal = (residual_rel <= tol) and alpha_ok and (abs(im_part) <= tol * im_scale)
     return OptimalityReport(
         alpha=alpha, residual_rel=residual_rel, im_part=im_part,
@@ -259,8 +253,7 @@ def check_povm_optimality(model: ParametricModel, phi: float, povm: Povm, *,
     """
     _require_same_dim(model, povm.dim)
     sld_result = sld(model, phi)
-    rho = sld_result.rho
-    sqrt_rho = matrix_sqrt_psd(rho)
+    sqrt_rho = sld_result.sqrt_rho
     l_sqrt_rho = sld_result.L.matrix @ sqrt_rho
     u_values = np.zeros(len(povm))
     residuals = np.zeros(len(povm))

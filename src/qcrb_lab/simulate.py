@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -58,6 +58,7 @@ __all__ = [
 RNG_ALGORITHM = "numpy PCG64 (default_rng), per-trial SeedSequence spawn keys"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MLE_GRID_POINTS = 65
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +174,13 @@ def _outcome_values(labels) -> np.ndarray:
 
 def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
                    values: np.ndarray, report: ErrorPropagationReport,
-                   branch_center: float, branch_step: float | None
-                   ) -> Callable[[ShotRecord], EstimatorResult]:
+                   branch_center: float) -> Callable[[ShotRecord], EstimatorResult]:
     """Set up the sample-mean inversion once per run: the predicted error,
     the monotone branch around ``branch_center`` and its endpoint means.
     Returns the per-record estimator."""
     se_predicted = math.sqrt(report.delta_phi_sq)
-    if branch_step is None:
-        n_sites = max(1, math.ceil(math.log2(model.dim)))
-        branch_step = math.pi / (8.0 * n_sites)
-    lo, hi = _branch_interval(model, obs, branch_center, branch_step)
+    n_sites = max(1, math.ceil(math.log2(model.dim)))
+    lo, hi = _branch_interval(model, obs, branch_center, math.pi / (8.0 * n_sites))
     mean_lo = observable_expectations(model, lo, obs)[0]
     mean_hi = observable_expectations(model, hi, obs)[0]
     low_value, high_value = sorted((mean_lo, mean_hi))
@@ -209,8 +207,8 @@ def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
 
 
 def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
-                             model: ParametricModel, branch_center: float, *,
-                             branch_step: float | None = None) -> EstimatorResult:
+                             model: ParametricModel,
+                             branch_center: float) -> EstimatorResult:
     """Invert the observable's mean curve at the empirical sample mean.
 
     The record's labels must be the numeric outcome values of ``obs`` (as
@@ -221,8 +219,7 @@ def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
     values = _outcome_values(record.labels)
     # raises SingularSensitivityError when branch_center carries no slope
     report = error_propagation(model, branch_center, obs, record.nu)
-    return _mean_inverter(model, obs, values, report, branch_center,
-                          branch_step)(record)
+    return _mean_inverter(model, obs, values, report, branch_center)(record)
 
 
 def _log_probabilities(probs: np.ndarray, floor: float = 1e-300) -> np.ndarray:
@@ -289,13 +286,12 @@ def _positive_cfi(model: ParametricModel, povm: Povm, phi: float) -> float | Non
 
 
 def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm,
-                   search_interval: tuple[float, float], *,
-                   grid_points: int = 65, xtol: float = 1e-10) -> list[EstimatorResult]:
+                   search_interval: tuple[float, float]) -> list[EstimatorResult]:
     """Maximum-likelihood estimates of many records in one batched pass.
 
     The grid's outcome probabilities are computed once and shared by every
     record; each record's best grid cell is then refined by a lockstep
-    golden-section search.
+    golden-section search. ``se_predicted`` is left ``None``.
     """
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not hi > lo:
@@ -308,7 +304,7 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     def loglik(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _log_likelihoods(counts[rows], log_probs(phis))
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _MLE_GRID_POINTS)
     values = _log_likelihoods(counts[:, None, :], log_probs(grid)[None, :, :])
     finite = np.isfinite(values)
     best = np.where(finite, values, -np.inf).max(axis=1)
@@ -327,29 +323,25 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     candidates = finite & (values >= (best - tie_tol)[:, None])
     best_idx = np.where(candidates, np.abs(grid - center), np.inf).argmin(axis=1)
     bracket_lo = grid[np.maximum(best_idx - 1, 0)]
-    bracket_hi = grid[np.minimum(best_idx + 1, grid_points - 1)]
-    results = []
-    for record, phi_hat in zip(records, _golden_max(loglik, bracket_lo, bracket_hi,
-                                                    xtol).tolist()):
-        info = _positive_cfi(model, povm, phi_hat)
-        se_predicted = None if info is None else 1.0 / math.sqrt(record.nu * info)
-        results.append(EstimatorResult(phi_hat=phi_hat, method="maximum_likelihood",
-                                       se_predicted=se_predicted, branch=(lo, hi)))
-    return results
+    bracket_hi = grid[np.minimum(best_idx + 1, _MLE_GRID_POINTS - 1)]
+    return [EstimatorResult(phi_hat=phi_hat, method="maximum_likelihood",
+                            se_predicted=None, branch=(lo, hi))
+            for phi_hat in _golden_max(loglik, bracket_lo, bracket_hi, 1e-10).tolist()]
 
 
 def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
-                     search_interval: tuple[float, float], *,
-                     grid_points: int = 65, xtol: float = 1e-10) -> EstimatorResult:
+                     search_interval: tuple[float, float]) -> EstimatorResult:
     """Maximum-likelihood phase estimate over a search interval.
 
-    Coarse grid scan followed by golden-section refinement of the best cell;
-    grid ties are broken toward the interval center. Raises
-    :class:`FlatLikelihoodError` when the likelihood carries no phase
-    dependence over the interval.
+    Coarse scan of a 65-point grid followed by golden-section refinement of
+    the best cell to 1e-10; grid ties are broken toward the interval
+    center. Raises :class:`FlatLikelihoodError` when the likelihood carries
+    no phase dependence over the interval.
     """
-    return _mle_estimates([record], model, povm, search_interval,
-                          grid_points=grid_points, xtol=xtol)[0]
+    result = _mle_estimates([record], model, povm, search_interval)[0]
+    info = _positive_cfi(model, povm, result.phi_hat)
+    return replace(result, se_predicted=(None if info is None
+                                         else 1.0 / math.sqrt(record.nu * info)))
 
 
 @dataclass(frozen=True)
@@ -435,8 +427,7 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     report = error_propagation(model, center, obs, nu)
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
-    invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report,
-                            center, None)
+    invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report, center)
     results = parallel_map(
         lambda index: invert(sample_shots(dist, nu, seed, stream=index)),
         range(trials))
@@ -449,7 +440,8 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
                    nu: int, trials: int, seed: int, *,
                    search_interval: tuple[float, float] | None = None) -> SimulationSummary:
     """Repeat (sample nu shots of the POVM, maximize the likelihood)
-    ``trials`` times with independent RNG streams."""
+    ``trials`` times with independent RNG streams; trials carry no
+    ``se_predicted``."""
     if trials < 2:
         raise InsufficientTrialsError("need at least 2 trials")
     interval = (default_mle_interval(model, phi_true)

@@ -53,6 +53,37 @@ def sld_phases(monkeypatch):
     return phases
 
 
+@pytest.fixture
+def pure_density_spec(tmp_path):
+    """The GHZ N=2 spec with the state given as a pure density matrix, so
+    that no amplitudes are available."""
+    pairs = [[0.5 if (i in (0, 3) and j in (0, 3)) else 0.0, 0.0]
+             for i in range(4) for j in range(4)]
+    path = tmp_path / "ghz2-density.yaml"
+    path.write_text(
+        f"state:\n  custom: {{density: {json.dumps(pairs)}}}\n"
+        "observable:\n  pauli_product: {a1: 1}\n"
+        "povm: x_basis_product\n"
+        "phi: pi/8\nnu: 100000\n",
+        encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def rho_eighs(monkeypatch):
+    """Every ``np.linalg.eigh`` call on a unit-trace matrix, i.e. on a state."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        if abs(np.trace(matrix) - 1.0) < 1e-9:
+            calls.append(matrix)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def run_json(runner, args):
     result = runner.invoke(main, args + ["--output", "json"])
     assert result.exit_code == 0, result.output
@@ -204,7 +235,7 @@ class TestScanCommand:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("target,error", [
-        ("qcrb_lab.optimality.matrix_sqrt_psd",
+        ("qcrb_lab.fisher.psd_spectrum",
          NotPositiveError("matrix has negative eigenvalue -1.0e-03")),
         ("qcrb_lab.fisher._probabilities",
          ValueError("probabilities sum to 1.5, expected 1")),
@@ -244,6 +275,40 @@ class TestOneSolvePerPhase:
         assert [row["singular_flag"] for row in rows] == [True, False, True,
                                                           False, True]
         assert sorted(sld_phases) == [row["phi"] for row in rows]
+
+
+class TestOneEigendecompositionPerPhase:
+    """Each phase diagonalises rho once: L, sqrt(rho) and psi all come from
+    the ``SldResult``, and a scan row's outcome distribution reuses its rho."""
+
+    @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
+    def test_scan_row(self, runner, request, spec, rho_eighs):
+        payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
+                                    "--phi-range", "0:pi:9"])
+        assert len(payload["rows"]) == len(rho_eighs) == 9
+
+    @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
+    @pytest.mark.parametrize("variant", ["mixed", "pure", "pure_unitary"])
+    def test_check_optimal_phase(self, runner, request, spec, variant, rho_eighs):
+        result = runner.invoke(main, ["check-optimal", "--model",
+                                      request.getfixturevalue(spec),
+                                      "--phi-range", "0:pi:5", "--variant", variant,
+                                      "--output", "json"])
+        assert result.exit_code == 3, result.output
+        assert len(json.loads(result.output)["rows"]) == len(rho_eighs) == 5
+
+    def test_one_density_per_povm_scan_row(self, runner, ghz2_spec, monkeypatch):
+        phases = []
+        density = fisher.ParametricModel.density
+
+        def counting_density(model, phi):
+            phases.append(float(phi))
+            return density(model, phi)
+
+        monkeypatch.setattr(fisher.ParametricModel, "density", counting_density)
+        payload = run_json(runner, ["scan", "--model", ghz2_spec,
+                                    "--phi-range", "0:pi:9"])
+        assert sorted(phases) == [row["phi"] for row in payload["rows"]]
 
 
 class TestCfiCommand:

@@ -32,6 +32,7 @@ from qcrb_lab import (
     state_derivative,
     unitary_model,
 )
+from qcrb_lab.core import matrix_sqrt_psd
 
 from conftest import random_density, random_hermitian, random_povm
 
@@ -405,3 +406,56 @@ class TestScalarReference:
         result = sld(model, 0.4)
         assert result.rho.tobytes() == _ref_density(model, 0.4).tobytes()
         assert result.drho.tobytes() == _ref_state_derivative(model, 0.4).tobytes()
+
+
+def _ref_sld(model, phi):
+    """``(L, QFI, kernel_dim)`` as ``sld`` computed them when it ran its own
+    ``eigh`` of the unsymmetrised rho and its own support cutoff."""
+    rho = model.density(phi).matrix
+    drho = state_derivative(model, phi)
+    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    cutoff = 1e-12 * float(np.sum(eigenvalues))
+    drho_eig = eigenvectors.conj().T @ drho @ eigenvectors
+    denom = eigenvalues[:, None] + eigenvalues[None, :]
+    solvable = denom > cutoff
+    l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
+    l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
+    l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
+    qfi_value = max(float(np.trace(rho @ l_matrix @ l_matrix).real), 0.0)
+    return l_matrix, qfi_value, int(np.count_nonzero(eigenvalues <= cutoff))
+
+
+def spectrum_case(name, seed):
+    """A reference model, a rank-deficient mixed family, or a blackbox family
+    returning unsymmetrised pure states."""
+    if name == "rank":
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 7))
+        state = random_density(rng, dim, int(rng.integers(1, dim)))
+        return unitary_model(state, random_hermitian(rng, dim))
+    if name == "pure-blackbox":
+        model, _ = reference_case("pure", seed)
+        return blackbox_model(lambda phi: DensityMatrix(
+            model.density(phi).matrix, check=False), model.dim)
+    return reference_case(name, seed)[0]
+
+
+class TestOneEigendecomposition:
+    """``sld`` diagonalises rho once; ``sqrt_rho`` is the square root that
+    ``matrix_sqrt_psd`` computes, and L is the one an unsymmetrised ``eigh``
+    gave, up to rounding."""
+
+    @given(name=st.sampled_from(REFERENCE_CASES + ("rank", "pure-blackbox")),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_separate_decompositions(self, name, seed, phi):
+        model = spectrum_case(name, seed)
+        result = sld(model, phi)
+        assert result.sqrt_rho.tobytes() == matrix_sqrt_psd(result.rho).tobytes()
+        l_matrix, qfi_value, kernel_dim = _ref_sld(model, phi)
+        scale = max(1.0, float(np.linalg.norm(l_matrix)))
+        assert np.linalg.norm(result.L.matrix - l_matrix) <= 1e-12 * scale
+        assert abs(result.qfi - qfi_value) <= 1e-12 * max(1.0, qfi_value)
+        assert result.kernel_dim == kernel_dim

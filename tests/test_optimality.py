@@ -13,6 +13,7 @@ from qcrb_lab import (
     HermitianObservable,
     InsufficientSamplesError,
     MetrologyError,
+    NotPositiveError,
     OptimalityReport,
     PureState,
     SIGMA_X,
@@ -38,8 +39,7 @@ from qcrb_lab import (
     unitary_model,
 )
 from qcrb_lab.cli import SCAN_COLUMNS, _scan_row
-from qcrb_lab.core import matrix_sqrt_psd
-from qcrb_lab.fisher import _pure_vector
+from qcrb_lab.core import require_hermitian
 from qcrb_lab.ghz import SeparableObservableCoeffs
 from qcrb_lab.modelspec import ModelSpec
 from qcrb_lab.optimality import NO_INFORMATION, SLOPE_RTOL
@@ -301,7 +301,31 @@ class TestSrur:
 
 
 # --- reference: error propagation, the saturation check and the scan row as
-# they were when each solved the SLD itself --------------------------------
+# they were when each solved the SLD itself, and sqrt(rho) and psi as they
+# were when each diagonalised rho again -------------------------------------
+
+def _ref_matrix_sqrt_psd(matrix, *, negative_tol=1e-8, zero_cutoff=1e-12):
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(matrix, atol=1e-8))
+    smallest = float(eigenvalues[0])
+    if smallest < -negative_tol:
+        raise NotPositiveError(
+            f"matrix has negative eigenvalue {smallest:.3e} < -{negative_tol:.1e}")
+    clamped = np.clip(eigenvalues, 0.0, None)
+    if zero_cutoff > 0.0:
+        clamped[clamped <= zero_cutoff * float(np.sum(clamped))] = 0.0
+    return (eigenvectors * np.sqrt(clamped)) @ eigenvectors.conj().T
+
+
+def _ref_pure_vector(model, phi, rho, *, atol=1e-8):
+    amps = model.pure_amplitudes(phi)
+    if amps is not None:
+        return amps
+    state = DensityMatrix(rho, check=False)
+    if not state.is_pure(atol=atol):
+        raise VariantInapplicableError(
+            f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
+    return np.linalg.eigh(rho)[1][:, -1]
+
 
 def _ref_expectations(rho, o):
     mean = complex(np.trace(rho @ o))
@@ -354,15 +378,15 @@ def _ref_check_observable_optimality(model, phi, obs, variant="mixed", *,
     im_part = cross.imag
     anticommutator_mean = 2.0 * cross.real
     if variant == "mixed":
-        sqrt_rho = matrix_sqrt_psd(rho)
+        sqrt_rho = _ref_matrix_sqrt_psd(rho)
         lhs = delta_o @ sqrt_rho
         rhs = l_matrix @ sqrt_rho
     elif variant == "pure":
-        psi = _pure_vector(model, phi, rho)
+        psi = _ref_pure_vector(model, phi, rho)
         lhs = delta_o @ psi
         rhs = l_matrix @ psi
     else:
-        psi = _pure_vector(model, phi, rho)
+        psi = _ref_pure_vector(model, phi, rho)
         g = model.generator.matrix
         g_mean = float(np.vdot(psi, g @ psi).real)
         lhs = delta_o @ psi

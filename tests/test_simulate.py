@@ -440,6 +440,12 @@ def trial_results(monkeypatch):
     return captured
 
 
+def _trial_fields(results):
+    """What a multi-trial MLE run keeps of each trial: its ``se_predicted``
+    is computed only by the single-record ``estimate_phi_mle``."""
+    return [(r.phi_hat, r.branch, r.out_of_branch) for r in results]
+
+
 class TestBatchedEquivalence:
     """The batched estimators reproduce the per-trial loop bit for bit."""
 
@@ -450,7 +456,7 @@ class TestBatchedEquivalence:
         records = reference_records(model, povm, phi, NU, TRIALS, SEED)
         expected = [reference_mle(r, model, povm, interval) for r in records]
         summary = run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
-        assert trial_results[0] == expected
+        assert _trial_fields(trial_results[0]) == _trial_fields(expected)
         assert summary.estimates.tolist() == [r.phi_hat for r in expected]
         assert summary.n_clipped == 0
         assert estimate_phi_mle(records[0], model, povm, interval) == expected[0]
@@ -461,7 +467,7 @@ class TestBatchedEquivalence:
         records = reference_records(model, povm, phi, NU, TRIALS, SEED)
         expected = [reference_mle(r, model, povm, interval) for r in records]
         run_mle_trials(model, povm, phi, NU, TRIALS, SEED, search_interval=interval)
-        assert trial_results[0] == expected
+        assert _trial_fields(trial_results[0]) == _trial_fields(expected)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     def test_sample_mean(self, name, trial_results):

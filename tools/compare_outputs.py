@@ -20,19 +20,27 @@ BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
 a ``scan`` of a full-rank mixed GHZ N=4 density whose grid has singular rows.
 
+Each differing invocation is listed with every output field that moved and,
+for numeric fields, the largest absolute and relative difference over the
+field's values. Fields are the keys of JSON output, the columns of CSV and
+text tables, and the ``key: value`` lines of other text output.
+
 Exit codes: 0 when every invocation matches, 1 when any differs, 2 when
 BASE_REF cannot be exported or a side fails to run.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +170,78 @@ def _run_side(src: Path, runs: list[list[str]], cwd: Path) -> list[dict]:
     return json.loads(done.stdout)
 
 
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _fields(output: str) -> dict[str, list]:
+    """Values of each named field of one CLI output, in output order."""
+    fields: dict[str, list] = defaultdict(list)
+
+    def walk(node, key: str) -> None:
+        if isinstance(node, dict):
+            for name, value in node.items():
+                walk(value, name)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, key)
+        else:
+            fields[key].append(node)
+
+    lines = output.splitlines()
+    try:
+        walk(json.loads(output), "output")
+    except ValueError:
+        if lines and "," in lines[0]:
+            rows = list(csv.reader(lines))
+            for row in rows[1:]:
+                for name, value in zip(rows[0], row):
+                    fields[name].append(value)
+        elif lines and all(": " in line or line.startswith("[") for line in lines):
+            section = ""
+            for line in lines:
+                if line.startswith("["):
+                    section = line.strip("[]") + "."
+                else:
+                    name, value = line.split(": ", 1)
+                    fields[(section if line[0] == " " else "") + name.strip()].append(value)
+        elif lines:
+            starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+            for line in lines[1:]:
+                for name, lo, hi in zip(lines[0].split(), starts, starts[1:] + [None]):
+                    fields[name].append(line[lo:hi].strip())
+    return fields
+
+
+def describe(old: str, new: str) -> list[str]:
+    """One line per field whose values differ between two outputs."""
+    before, after = _fields(old), _fields(new)
+    report = []
+    for name in sorted(set(before) | set(after)):
+        old_values, new_values = before.get(name, []), after.get(name, [])
+        if len(old_values) != len(new_values):
+            report.append(f"{name}: {len(old_values)} values -> {len(new_values)}")
+            continue
+        moved = [(a, b) for a, b in zip(old_values, new_values) if repr(a) != repr(b)]
+        if not moved:
+            continue
+        numbers = [(_number(a), _number(b)) for a, b in moved]
+        if any(a is None or b is None for a, b in numbers):
+            a, b = moved[0]
+            report.append(f"{name}: {len(moved)} values changed, e.g. {a!r} -> {b!r}")
+            continue
+        gaps = [(abs(a - b), abs(a - b) / max(abs(a), abs(b))) for a, b in numbers]
+        report.append(f"{name}: {len(moved)} values changed, max abs diff "
+                      f"{max(g[0] for g in gaps):.3g}, max rel diff "
+                      f"{max(g[1] for g in gaps):.3g}")
+    return report
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
@@ -190,6 +270,10 @@ def main(argv: list[str]) -> int:
                 differing += 1
                 fields = [key for key in old if old[key] != new[key]]
                 print(f"DIFF ({', '.join(fields)}): {' '.join(argv_run)}")
+                if old["exit_code"] != new["exit_code"]:
+                    print(f"    exit_code: {old['exit_code']} -> {new['exit_code']}")
+                for line in describe(old["output"], new["output"]):
+                    print(f"    {line}")
         print(f"{len(runs) - differing} of {len(runs)} invocations byte-identical "
               f"to {base_ref}")
     return 1 if differing else 0
