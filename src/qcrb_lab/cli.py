@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Reads a model specification file, runs the requested analysis, and emits
-text, JSON, or CSV. Exit codes: 0 success, 2 specification error, 3
-not-optimal verdict (``check-optimal`` only), 4 runtime or numeric error.
+text, JSON, or CSV. Exit codes: 0 success, 2 specification or usage error,
+3 not-optimal verdict (``check-optimal`` only), 4 runtime or numeric error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -47,44 +48,52 @@ def _matrix_pairs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _common_options(fn):
-    options = [
-        click.option("--model", "model_path", type=click.Path(), default=None,
-                     help="Model specification file (YAML)."),
-        click.option("--phi", "phi_text", default=None,
-                     help="Phase value; accepts expressions like 'pi/8'."),
-        click.option("--phi-range", "phi_range_text", default=None,
-                     metavar="START:STOP:STEPS",
-                     help="Phase grid; parts accept expressions."),
-        click.option("--nu", type=int, default=None,
-                     help="Number of measurement repetitions."),
-        click.option("--seed", type=int, default=None, help="RNG seed."),
-        click.option("--trials", type=int, default=None,
-                     help="Number of independent simulation trials."),
-        click.option("--output", "output_format",
-                     type=click.Choice(["text", "json", "csv"]), default="text",
-                     help="Output format."),
-        click.option("--out", "out_path", type=click.Path(), default=None,
-                     help="Write output to a file instead of stdout."),
-        click.option("--tol", type=float, default=None,
-                     help="Relative residual tolerance for optimality verdicts."),
-        click.option("--show-sld", is_flag=True, default=False,
-                     help="Include the SLD matrix in qfi output."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# One definition per flag; each command attaches the ones it reads, so a flag
+# outside a command's list is a click usage error (exit 2).
+_OPTIONS = {
+    "--model": click.option("--model", "model_path", type=click.Path(), default=None,
+                            help="Model specification file (YAML)."),
+    "--phi": click.option("--phi", "phi_text", default=None,
+                          help="Phase value; accepts expressions like 'pi/8'."),
+    "--phi-range": click.option("--phi-range", "phi_range_text", default=None,
+                                metavar="START:STOP:STEPS",
+                                help="Phase grid; parts accept expressions."),
+    "--nu": click.option("--nu", type=int, default=None,
+                         help="Number of measurement repetitions."),
+    "--seed": click.option("--seed", type=int, default=None, help="RNG seed."),
+    "--trials": click.option("--trials", type=int, default=None,
+                             help="Number of independent simulation trials."),
+    "--tol": click.option("--tol", type=float, default=None,
+                          help="Relative residual tolerance for optimality verdicts."),
+    "--show-sld": click.option("--show-sld", is_flag=True, default=False,
+                               help="Include the SLD matrix in qfi output."),
+}
 
 
-def _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials) -> ModelSpec:
+def _options(*flags, formats=("text", "json")):
+    """Attach the named ``_OPTIONS``, then ``--output FORMAT`` and ``--out``."""
+    def attach(fn):
+        fn = click.option("--out", "out_path", type=click.Path(), default=None,
+                          help="Write output to a file instead of stdout.")(fn)
+        fn = click.option("--output", "output_format", type=click.Choice(formats),
+                          default="text", help="Output format.")(fn)
+        for flag in reversed(flags):
+            fn = _OPTIONS[flag](fn)
+        return fn
+    return attach
+
+
+def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
+               seed=None, trials=None) -> ModelSpec:
+    """The spec file with the command-line overrides its command takes."""
     if model_path is None:
         raise SpecFileError("a --model specification file is required")
     spec = load_model_spec(model_path)
-    phis, phi_is_range = spec.phis, spec.phi_is_range
+    changes: dict = {}
     if phi_text is not None and phi_range_text is not None:
         raise SpecFileError("--phi and --phi-range are mutually exclusive")
     if phi_text is not None:
-        phis, phi_is_range = np.array([parse_angle(phi_text)]), False
+        changes.update(phis=np.array([parse_angle(phi_text)]), phi_is_range=False)
     elif phi_range_text is not None:
         parts = phi_range_text.split(":")
         if len(parts) != 3:
@@ -95,21 +104,17 @@ def _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials) -> ModelS
             raise SpecFileError("--phi-range STEPS must be an integer") from exc
         if steps < 2:
             raise SpecFileError("--phi-range STEPS must be >= 2")
-        phis = _phase_grid(parse_angle(parts[0], fieldname="phi-range.start"),
-                           parse_angle(parts[1], fieldname="phi-range.stop"),
-                           steps, fieldname="phi-range")
-        phi_is_range = True
+        changes.update(phis=_phase_grid(
+            parse_angle(parts[0], fieldname="phi-range.start"),
+            parse_angle(parts[1], fieldname="phi-range.stop"),
+            steps, fieldname="phi-range"), phi_is_range=True)
     if nu is not None and nu < 1:
         raise SpecFileError("--nu must be a positive integer")
     if trials is not None and trials < 2:
         raise SpecFileError("--trials must be at least 2")
-    return ModelSpec(
-        model=spec.model, observable=spec.observable, povm=spec.povm,
-        phis=phis, phi_is_range=phi_is_range,
-        nu=spec.nu if nu is None else nu,
-        seed=spec.seed if seed is None else seed,
-        trials=spec.trials if trials is None else trials,
-        n_qubits=spec.n_qubits, tolerances=spec.tolerances)
+    overrides = {"nu": nu, "seed": seed, "trials": trials}
+    changes.update((key, value) for key, value in overrides.items() if value is not None)
+    return replace(spec, **changes)
 
 
 def _opt_tol(spec: ModelSpec, tol: float | None) -> float:
@@ -161,21 +166,10 @@ def _render_rows(command: str, rows: list[dict], columns, output_format: str) ->
     return _rows_as_text(rows, columns)
 
 
-class _ExitWith(Exception):
-    def __init__(self, code: int):
-        self.code = code
-
-
-def _run(fn, output_format: str | None = None) -> None:
-    """Run a command body, mapping its errors to exit codes. Only ``scan``
-    writes csv; the other commands pass their ``output_format`` to be
-    checked here."""
+def _run(fn) -> None:
+    """Run a command body, mapping its errors to exit codes."""
     try:
-        if output_format == "csv":
-            raise SpecFileError("csv output is only available for 'scan'")
         fn()
-    except _ExitWith as stop:
-        sys.exit(stop.code)
     except SpecFileError as exc:
         click.echo(f"specification error: {exc}", err=True)
         sys.exit(EXIT_SPEC_ERROR)
@@ -193,13 +187,12 @@ def main() -> None:
 
 
 @main.command(name="qfi")
-@_common_options
-def cmd_qfi(model_path, phi_text, phi_range_text, nu, seed, trials,
-            output_format, out_path, tol, show_sld):
+@_options("--model", "--phi", "--phi-range", "--show-sld")
+def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_path):
     """Quantum Fisher information at each phase."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
         rows = []
         for phi in spec.phis:
             result = sld(spec.model, float(phi))
@@ -210,17 +203,16 @@ def cmd_qfi(model_path, phi_text, phi_range_text, nu, seed, trials,
         columns = ("phi", "qfi") + (("sld_matrix",) if show_sld else ())
         _emit(_render_rows("qfi", rows, columns, output_format), out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 @main.command(name="sld")
-@_common_options
-def cmd_sld(model_path, phi_text, phi_range_text, nu, seed, trials,
-            output_format, out_path, tol, show_sld):
+@_options("--model", "--phi", "--phi-range")
+def cmd_sld(model_path, phi_text, phi_range_text, output_format, out_path):
     """SLD operator, residual, and kernel dimension at each phase."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
         rows = []
         for phi in spec.phis:
             result = sld(spec.model, float(phi))
@@ -231,17 +223,17 @@ def cmd_sld(model_path, phi_text, phi_range_text, nu, seed, trials,
         columns = ("phi", "qfi", "residual", "kernel_dim", "matrix")
         _emit(_render_rows("sld", rows, columns, output_format), out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 @main.command(name="errprop")
-@_common_options
-def cmd_errprop(model_path, phi_text, phi_range_text, nu, seed, trials,
-                output_format, out_path, tol, show_sld):
+@_options("--model", "--phi", "--phi-range", "--nu")
+def cmd_errprop(model_path, phi_text, phi_range_text, nu, output_format, out_path):
     """Error-propagation phase variance of the observable at each phase."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
+                          nu=nu)
         if spec.observable is None:
             raise SpecFileError("errprop requires an observable", field="observable")
         rows = []
@@ -259,19 +251,19 @@ def cmd_errprop(model_path, phi_text, phi_range_text, nu, seed, trials,
                    "intermediate_bound", "qcrb", "qfi", "mean", "second_moment")
         _emit(_render_rows("errprop", rows, columns, output_format), out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 @main.command(name="check-optimal")
-@_common_options
+@_options("--model", "--phi", "--phi-range", "--tol")
 @click.option("--variant", type=click.Choice(["mixed", "pure", "pure_unitary"]),
               default="mixed", help="Saturation-condition variant.")
-def cmd_check_optimal(model_path, phi_text, phi_range_text, nu, seed, trials,
-                      output_format, out_path, tol, show_sld, variant):
+def cmd_check_optimal(model_path, phi_text, phi_range_text, tol, output_format,
+                      out_path, variant):
     """Certify (exit 0) or refute (exit 3) observable optimality."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
         if spec.observable is None:
             raise SpecFileError("check-optimal requires an observable",
                                 field="observable")
@@ -304,9 +296,9 @@ def cmd_check_optimal(model_path, phi_text, phi_range_text, nu, seed, trials,
         _emit(_render_rows("check_optimal", rows, columns, output_format),
               out_path)
         if not all_optimal:
-            raise _ExitWith(EXIT_NOT_OPTIMAL)
+            sys.exit(EXIT_NOT_OPTIMAL)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
@@ -342,13 +334,12 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
 
 
 @main.command(name="scan")
-@_common_options
-def cmd_scan(model_path, phi_text, phi_range_text, nu, seed, trials,
-             output_format, out_path, tol, show_sld):
+@_options("--model", "--phi-range", "--nu", "--tol", formats=("text", "json", "csv"))
+def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
     """One row per grid phase: QFI, CFI, error propagation, optimality."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_range_text=phi_range_text, nu=nu)
         if not spec.phi_is_range or spec.phis.shape[0] < 2:
             raise SpecFileError("scan requires a phi range with steps >= 2",
                                 field="phi")
@@ -361,13 +352,12 @@ def cmd_scan(model_path, phi_text, phi_range_text, nu, seed, trials,
 
 
 @main.command(name="cfi")
-@_common_options
-def cmd_cfi(model_path, phi_text, phi_range_text, nu, seed, trials,
-            output_format, out_path, tol, show_sld):
+@_options("--model", "--phi", "--phi-range")
+def cmd_cfi(model_path, phi_text, phi_range_text, output_format, out_path):
     """Classical Fisher information of the POVM at each phase."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
         if spec.povm is None:
             raise SpecFileError("cfi requires a povm", field="povm")
         rows = []
@@ -377,15 +367,14 @@ def cmd_cfi(model_path, phi_text, phi_range_text, nu, seed, trials,
             rows.append({"phi": float(phi), "cfi": value})
         _emit(_render_rows("cfi", rows, ("phi", "cfi"), output_format), out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 @main.command(name="lambda")
-@_common_options
+@_options("--model", "--phi")
 @click.option("--basis", type=click.Choice([X_BASIS, Y_BASIS]), default=X_BASIS,
               help="Two-qubit product basis for the diagonal SLD ansatz.")
-def cmd_lambda(model_path, phi_text, phi_range_text, nu, seed, trials,
-               output_format, out_path, tol, show_sld, basis):
+def cmd_lambda(model_path, phi_text, output_format, out_path, basis):
     """Diagonal-projector SLD coefficients for the two-qubit GHZ state."""
 
     def impl():
@@ -394,6 +383,8 @@ def cmd_lambda(model_path, phi_text, phi_range_text, nu, seed, trials,
             phi = parse_angle(phi_text)
         elif model_path is not None:
             spec = load_model_spec(model_path)
+            if spec.phi_is_range:
+                raise SpecFileError("lambda takes a single phase", field="phi")
             phi = float(spec.phis[0])
         solution = two_qubit_lambda_solution(phi, basis)
         payload = {"command": "lambda", "phi": phi, "basis": solution.basis,
@@ -410,20 +401,22 @@ def cmd_lambda(model_path, phi_text, phi_range_text, nu, seed, trials,
                                  "lambda_pm", "lambda_mp", "lambda_mm")]
             _emit("\n".join(lines) + "\n", out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 @main.command(name="simulate")
-@_common_options
-def cmd_simulate(model_path, phi_text, phi_range_text, nu, seed, trials,
-                 output_format, out_path, tol, show_sld):
+@_options("--model", "--phi", "--nu", "--seed", "--trials")
+def cmd_simulate(model_path, phi_text, nu, seed, trials, output_format, out_path):
     """Monte Carlo estimation trials with per-trial RNG streams."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text, phi_range_text, nu, seed, trials)
+        spec = _load_spec(model_path, phi_text=phi_text, nu=nu, seed=seed,
+                          trials=trials)
         if spec.observable is None and spec.povm is None:
             raise SpecFileError("simulate requires an observable or a povm",
                                 field="observable")
+        if spec.phi_is_range:
+            raise SpecFileError("simulate takes a single phase", field="phi")
         if spec.trials < 2:
             raise SpecFileError("simulate needs at least 2 trials", field="trials")
         phi = float(spec.phis[0])
@@ -463,7 +456,7 @@ def cmd_simulate(model_path, phi_text, phi_range_text, nu, seed, trials,
                     lines.append(f"  {key}: {_fmt(entry[key])}")
             _emit("\n".join(lines) + "\n", out_path)
 
-    _run(impl, output_format)
+    _run(impl)
 
 
 if __name__ == "__main__":

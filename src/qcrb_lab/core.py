@@ -66,6 +66,8 @@ VALIDATION_ATOL = 1e-10
 ALGORITHMIC_ATOL = 1e-8
 #: relative eigenvalue cutoff classifying the support of a PSD matrix
 SUPPORT_CUTOFF_REL = 1e-12
+# relative eigenvalue gap below which eigenprojector_povm merges outcomes
+_DEGENERACY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +277,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, *, atol: float = ALGORITHMIC_ATOL) -> bool:
-        return abs(self.purity() - 1.0) <= atol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= ALGORITHMIC_ATOL
 
     def expectation(self, operator: np.ndarray) -> complex:
         return complex(np.trace(self.matrix @ operator))
@@ -367,19 +369,18 @@ class Povm:
         return len(self.elements)
 
 
-def eigenprojector_povm(obs: HermitianObservable, *,
-                        degeneracy_tol: float = 1e-8) -> Povm:
+def eigenprojector_povm(obs: HermitianObservable) -> Povm:
     """Projective measurement of an observable, one outcome per distinct
     eigenvalue.
 
-    Eigenvalues closer than ``degeneracy_tol`` (relative to the spectral
+    Eigenvalues closer than ``_DEGENERACY_TOL`` (relative to the spectral
     spread) are merged into one outcome; labels are the merged eigenvalues.
     """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(obs.matrix)
     spread = max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
     groups: list[list[int]] = [[0]]
     for idx in range(1, len(eigenvalues)):
-        if eigenvalues[idx] - eigenvalues[groups[-1][-1]] <= degeneracy_tol * spread:
+        if eigenvalues[idx] - eigenvalues[groups[-1][-1]] <= _DEGENERACY_TOL * spread:
             groups[-1].append(idx)
         else:
             groups.append([idx])

@@ -15,6 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import (
+    ALGORITHMIC_ATOL,
     SUPPORT_CUTOFF_REL,
     DensityMatrix,
     HermitianObservable,
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_PROB_FLOOR, _DERIVATIVE_FLOOR, _CURVATURE_FLOOR = 1e-12, 1e-9, 1e-6
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -117,7 +119,7 @@ class ParametricModel:
         return self._states(np.array([phi], dtype=float), vectors=True)[0]
 
     def density(self, phi: float) -> DensityMatrix:
-        """Evaluate ``rho_phi``."""
+        """Evaluate ``rho_phi``; a blackbox state must be Hermitian within 1e-8."""
         if self.kind == "unitary_generator":
             return DensityMatrix(self._states(np.array([phi], dtype=float))[0],
                                  check=False)
@@ -130,6 +132,10 @@ class ParametricModel:
         if state.dim != self.dim:
             raise EvaluationFailureError(
                 f"state_fn returned dimension {state.dim}, expected {self.dim}")
+        defect = float(np.linalg.norm(state.matrix - state.matrix.conj().T))
+        if defect > ALGORITHMIC_ATOL:
+            raise EvaluationFailureError(
+                f"state_fn returned a non-Hermitian matrix at phi={phi!r}: {defect:.3e}")
         return state
 
 
@@ -391,15 +397,12 @@ def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarr
     return out
 
 
-def cfi(dist: OutcomeDistribution, *,
-        prob_floor: float = 1e-12,
-        derivative_floor: float = 1e-9,
-        curvature_floor: float = 1e-6) -> float:
+def cfi(dist: OutcomeDistribution) -> float:
     """Classical Fisher information ``sum_x (dp)^2 / p`` of a distribution.
 
-    Outcomes with ``p <= prob_floor`` are skipped only when both their first
-    derivative and (when available) second derivative vanish, i.e. when the
-    outcome never fires near this phase. A vanishing probability with a
+    Outcomes with ``p <= 1e-12`` are skipped only when both their first
+    derivative (``|dp| <= 1e-9``) and, when available, second derivative
+    (``|d2p| <= 1e-6``) vanish, i.e. when the outcome never fires near this phase. A vanishing probability with a
     nonzero derivative means a divergent or limit-only Fisher information
     and raises :class:`SingularOutcomeError` instead of being dropped.
     """
@@ -408,14 +411,14 @@ def cfi(dist: OutcomeDistribution, *,
     for idx, label in enumerate(dist.labels):
         p = float(dist.probabilities[idx])
         dp = float(dist.derivatives[idx])
-        if p > prob_floor:
+        if p > _PROB_FLOOR:
             total += dp * dp / p
             continue
-        if abs(dp) > derivative_floor:
+        if abs(dp) > _DERIVATIVE_FLOOR:
             raise SingularOutcomeError(
-                f"outcome {label!r} has p <= {prob_floor:.1e} but dp = {dp:.3e}: "
+                f"outcome {label!r} has p <= {_PROB_FLOOR:.1e} but dp = {dp:.3e}: "
                 "classical Fisher information diverges at this phase")
-        if second is not None and abs(float(second[idx])) > curvature_floor:
+        if second is not None and abs(float(second[idx])) > _CURVATURE_FLOOR:
             raise SingularOutcomeError(
                 f"outcome {label!r} has p and dp ~ 0 but d2p = "
                 f"{float(second[idx]):.3e}: classical Fisher information is "

@@ -59,6 +59,7 @@ RNG_ALGORITHM = "numpy PCG64 (default_rng), per-trial SeedSequence spawn keys"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MLE_GRID_POINTS = 65
+_MIN_CLT_TRIALS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +356,7 @@ class CltReport:
     within_three_se: bool
 
 
-def verify_clt_link(means, observable_variance: float, nu: int, *,
-                    min_trials: int = 100) -> CltReport:
+def verify_clt_link(means, observable_variance: float, nu: int) -> CltReport:
     """Check that sample means fluctuate with variance ``Var(O)/nu``.
 
     The tolerance is three standard errors of a variance estimate from
@@ -364,9 +364,9 @@ def verify_clt_link(means, observable_variance: float, nu: int, *,
     """
     values = np.asarray(means, dtype=float).reshape(-1)
     n_trials = values.shape[0]
-    if n_trials < min_trials:
+    if n_trials < _MIN_CLT_TRIALS:
         raise InsufficientTrialsError(
-            f"need at least {min_trials} trials, got {n_trials}")
+            f"need at least {_MIN_CLT_TRIALS} trials, got {n_trials}")
     empirical = float(np.var(values, ddof=1))
     predicted = float(observable_variance) / nu
     stderr = predicted * math.sqrt(2.0 / (n_trials - 1))

@@ -39,6 +39,14 @@ def ghz2_spec(tmp_path):
 
 
 @pytest.fixture
+def range_spec(tmp_path):
+    path = tmp_path / "range.yaml"
+    path.write_text("state:\n  ghz: {n: 2}\nobservable:\n  parity: true\n"
+                    "phi: {start: 0.1, stop: 0.5, steps: 3}\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def sld_phases(monkeypatch):
     """Phases of every ``sld`` call, counted at each module that binds it."""
     phases = []
@@ -342,6 +350,11 @@ class TestLambdaCommand:
         assert payload["lambda_pp"] == pytest.approx(2.0, abs=1e-9)
         assert payload["lambda_pm"] == pytest.approx(-2.0, abs=1e-9)
 
+    def test_phi_range_spec_is_exit_two(self, runner, range_spec):
+        result = runner.invoke(main, ["lambda", "--model", range_spec])
+        assert result.exit_code == 2
+        assert "specification error: phi:" in result.output
+
 
 class TestSimulateCommand:
     def test_deterministic_json(self, runner, ghz2_spec):
@@ -382,6 +395,11 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--model", str(path)])
         assert result.exit_code == 2
         assert "trials" in result.output
+
+    def test_phi_range_spec_is_exit_two(self, runner, range_spec):
+        result = runner.invoke(main, ["simulate", "--model", range_spec])
+        assert result.exit_code == 2
+        assert "specification error: phi:" in result.output
 
     def test_flat_likelihood_exits_four(self, runner, tmp_path):
         path = tmp_path / "flat.yaml"
@@ -442,3 +460,46 @@ class TestCliContract:
                                     "--phi-range", "0:pi:3"])
         phis = [row["phi"] for row in payload["rows"]]
         assert phis == pytest.approx([0.0, math.pi / 2, math.pi])
+
+
+# Every flag each command takes, with its --output formats; any other flag is
+# a usage error.
+OPTION_TABLE = {
+    "qfi": ({"--model", "--phi", "--phi-range", "--show-sld", "--output", "--out"},
+            ("text", "json")),
+    "sld": ({"--model", "--phi", "--phi-range", "--output", "--out"}, ("text", "json")),
+    "cfi": ({"--model", "--phi", "--phi-range", "--output", "--out"}, ("text", "json")),
+    "errprop": ({"--model", "--phi", "--phi-range", "--nu", "--output", "--out"},
+                ("text", "json")),
+    "check-optimal": ({"--model", "--phi", "--phi-range", "--tol", "--variant",
+                       "--output", "--out"}, ("text", "json")),
+    "scan": ({"--model", "--phi-range", "--nu", "--tol", "--output", "--out"},
+             ("text", "json", "csv")),
+    "lambda": ({"--model", "--phi", "--basis", "--output", "--out"}, ("text", "json")),
+    "simulate": ({"--model", "--phi", "--nu", "--seed", "--trials", "--output",
+                  "--out"}, ("text", "json")),
+}
+# a valid value for each flag, so that only a command's not taking the flag
+# can make it fail
+FLAG_VALUES = {"--phi": ["0.3"], "--phi-range": ["0.1:0.5:3"], "--nu": ["5"],
+               "--seed": ["4"], "--trials": ["5"], "--tol": ["1e-3"],
+               "--show-sld": [], "--variant": ["pure"], "--basis": ["y_basis"]}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("name", sorted(OPTION_TABLE))
+    def test_command_takes_exactly_its_flags(self, name):
+        command = main.commands[name]
+        flags, formats = OPTION_TABLE[name]
+        assert {opt for param in command.params for opt in param.opts} == flags
+        output = next(p for p in command.params if "--output" in p.opts)
+        assert tuple(output.type.choices) == formats
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name in sorted(OPTION_TABLE) for flag in sorted(FLAG_VALUES)
+        if flag not in OPTION_TABLE[name][0]])
+    def test_other_flags_are_usage_errors(self, runner, ghz2_spec, name, flag):
+        result = runner.invoke(main, [name, "--model", ghz2_spec, flag]
+                               + FLAG_VALUES[flag])
+        assert result.exit_code == 2
+        assert f"No such option '{flag}'" in result.output

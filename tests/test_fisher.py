@@ -152,6 +152,24 @@ class TestSld:
         with pytest.raises(EvaluationFailureError, match="dimension"):
             model.density(0.2)
 
+    def test_non_hermitian_state_fn_is_rejected_on_every_path(self):
+        """An unchecked non-Hermitian state (defect 7.07e-2) is rejected by the
+        SLD, the outcome distribution and the batched probabilities alike."""
+        from qcrb_lab import EvaluationFailureError
+        from qcrb_lab.fisher import _outcome_probabilities
+
+        def skewed(phi):
+            coherence = 0.4 * np.exp(1j * phi)
+            return DensityMatrix(np.array([[0.5, coherence.conjugate() + 0.05],
+                                           [coherence, 0.5]]), check=False)
+
+        model, povm = blackbox_model(skewed, 2), product_basis_povm("x", 1)
+        for evaluate in (lambda: sld(model, 0.3),
+                         lambda: outcome_distribution(model, 0.3, povm),
+                         lambda: _outcome_probabilities(model, [0.3], povm)):
+            with pytest.raises(EvaluationFailureError, match="non-Hermitian"):
+                evaluate()
+
 
 class TestQfi:
     @pytest.mark.parametrize("n", [1, 2, 4, 6])

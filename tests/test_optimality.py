@@ -316,12 +316,12 @@ def _ref_matrix_sqrt_psd(matrix, *, negative_tol=1e-8, zero_cutoff=1e-12):
     return (eigenvectors * np.sqrt(clamped)) @ eigenvectors.conj().T
 
 
-def _ref_pure_vector(model, phi, rho, *, atol=1e-8):
+def _ref_pure_vector(model, phi, rho):
     amps = model.pure_amplitudes(phi)
     if amps is not None:
         return amps
     state = DensityMatrix(rho, check=False)
-    if not state.is_pure(atol=atol):
+    if not state.is_pure():
         raise VariantInapplicableError(
             f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
     return np.linalg.eigh(rho)[1][:, -1]

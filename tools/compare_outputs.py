@@ -14,7 +14,8 @@ interleaves them) are compared byte for byte.
 The list covers ``scan``, ``cfi``, ``check-optimal``, ``errprop``, ``sld``,
 ``qfi`` and ``simulate`` on GHZ N=1-3 specs with x- and y-product
 measurements, a full-rank mixed-density spec and a low-nu spec whose
-sample-mean estimates clip at the branch ends, plus the ``scan-pure``,
+sample-mean estimates clip at the branch ends; ``lambda`` at pi/4 in both
+bases, at the singular phase 0 and from the GHZ N=2 spec; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -114,6 +115,12 @@ def invocations(workdir: Path) -> list[list[str]]:
                 "observable": {"pauli_product": {coefficient: 1.0}},
                 "povm": f"{axis}_basis_product", "phi": "pi/8", "nu": 1000})
             runs += _spec_invocations(spec, pure=True)
+    runs += [["lambda", "--phi", "pi/4", "--output", "json"],
+             ["lambda", "--phi", "pi/4"],
+             ["lambda", "--phi", "pi/4", "--basis", "y_basis", "--output", "json"],
+             ["lambda", "--phi", "0", "--output", "json"],
+             ["lambda", "--phi", "0"],
+             ["lambda", "--model", str(workdir / "ghz2-x.yaml"), "--output", "json"]]
     mixed = _write(workdir / "mixed.yaml", {
         "state": {"custom": {"density": _pairs(_mixed_ghz_density(2))}},
         "observable": {"pauli_product": {"a1": 1.0}},
