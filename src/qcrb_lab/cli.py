@@ -17,19 +17,17 @@ import click
 import numpy as np
 
 from ._concurrency import parallel_map
-from .errors import (
-    MetrologyError,
-    SingularOutcomeError,
-    SingularSensitivityError,
-    SpecFileError,
-)
+from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
 from .fisher import _outcome_distribution, outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
+from .modelspec import _positive_float
 from .optimality import (
+    OPTIMALITY_RTOL,
     _check_observable_optimality,
     _error_propagation,
+    _moments,
     error_propagation,
 )
 from .simulate import run_mle_trials, run_sample_mean_trials
@@ -84,7 +82,7 @@ def _options(*flags, formats=("text", "json")):
 
 
 def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
-               seed=None, trials=None) -> ModelSpec:
+               seed=None, trials=None, tol=None) -> ModelSpec:
     """The spec file with the command-line overrides its command takes."""
     if model_path is None:
         raise SpecFileError("a --model specification file is required")
@@ -112,15 +110,12 @@ def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
         raise SpecFileError("--nu must be a positive integer")
     if trials is not None and trials < 2:
         raise SpecFileError("--trials must be at least 2")
+    if tol is not None:
+        changes["tolerances"] = {**spec.tolerances,
+                                 "optimality": _positive_float(tol, fieldname="--tol")}
     overrides = {"nu": nu, "seed": seed, "trials": trials}
     changes.update((key, value) for key, value in overrides.items() if value is not None)
     return replace(spec, **changes)
-
-
-def _opt_tol(spec: ModelSpec, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return spec.tolerances.get("optimality", 1e-8)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -263,42 +258,38 @@ def cmd_check_optimal(model_path, phi_text, phi_range_text, tol, output_format,
     """Certify (exit 0) or refute (exit 3) observable optimality."""
 
     def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
+        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
+                          tol=tol)
         if spec.observable is None:
             raise SpecFileError("check-optimal requires an observable",
                                 field="observable")
-        rows = []
-        all_optimal = True
-        for phi in spec.phis:
-            result = sld(spec.model, float(phi))
-            report = _check_observable_optimality(
-                spec.model, float(phi), spec.observable, variant, result,
-                tol=_opt_tol(spec, tol))
-            singular = False
-            try:
-                _error_propagation(spec.model, float(phi), spec.observable, spec.nu,
-                                   result)
-            except SingularSensitivityError:
-                singular = True
-            is_optimal = bool(report.is_optimal and not singular)
-            all_optimal = all_optimal and is_optimal
-            rows.append({"phi": float(phi), "alpha": report.alpha,
-                         "residual_rel": report.residual_rel,
-                         "im_part": report.im_part,
-                         "anticommutator_mean": report.anticommutator_mean,
-                         "is_optimal": is_optimal,
-                         "condition_variant": report.condition_variant,
-                         "singular_flag": singular,
-                         "diagnostic": report.diagnostic})
+        opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
+        rows = [_check_optimal_row(spec, float(phi), variant, opt_tol)
+                for phi in spec.phis]
         columns = ("phi", "alpha", "residual_rel", "im_part",
                    "anticommutator_mean", "is_optimal", "condition_variant",
                    "singular_flag", "diagnostic")
         _emit(_render_rows("check_optimal", rows, columns, output_format),
               out_path)
-        if not all_optimal:
+        if not all(row["is_optimal"] for row in rows):
             sys.exit(EXIT_NOT_OPTIMAL)
 
     _run(impl)
+
+
+def _check_optimal_row(spec: ModelSpec, phi: float, variant: str,
+                       opt_tol: float) -> dict:
+    result = sld(spec.model, phi)
+    moments = _moments(spec.model, spec.observable, result)
+    report = _check_observable_optimality(spec.model, phi, spec.observable, variant,
+                                          result, moments, tol=opt_tol)
+    singular = moments[-1]
+    return {"phi": phi, "alpha": report.alpha, "residual_rel": report.residual_rel,
+            "im_part": report.im_part,
+            "anticommutator_mean": report.anticommutator_mean,
+            "is_optimal": bool(report.is_optimal and not singular),
+            "condition_variant": report.condition_variant,
+            "singular_flag": singular, "diagnostic": report.diagnostic}
 
 
 def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
@@ -315,20 +306,20 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
         except SingularOutcomeError:
             singular = True
     if spec.observable is not None:
-        try:
-            report = _error_propagation(spec.model, phi, spec.observable, spec.nu,
-                                        result)
+        moments = _moments(spec.model, spec.observable, result)
+        if moments[-1]:
+            singular = True
+            row["is_optimal"] = False
+        else:
+            report = _error_propagation(phi, spec.observable, spec.nu, result, moments)
             row["variance"] = report.variance
             row["slope"] = report.slope
             row["delta_phi_ep"] = report.delta_phi_sq
             check = _check_observable_optimality(spec.model, phi, spec.observable,
-                                                 "mixed", result, tol=opt_tol)
+                                                 "mixed", result, moments, tol=opt_tol)
             row["alpha"] = check.alpha
             row["residual_rel"] = check.residual_rel
             row["is_optimal"] = bool(check.is_optimal)
-        except SingularSensitivityError:
-            singular = True
-            row["is_optimal"] = False
     row["singular_flag"] = singular
     return row
 
@@ -339,11 +330,11 @@ def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
     """One row per grid phase: QFI, CFI, error propagation, optimality."""
 
     def impl():
-        spec = _load_spec(model_path, phi_range_text=phi_range_text, nu=nu)
+        spec = _load_spec(model_path, phi_range_text=phi_range_text, nu=nu, tol=tol)
         if not spec.phi_is_range or spec.phis.shape[0] < 2:
             raise SpecFileError("scan requires a phi range with steps >= 2",
                                 field="phi")
-        opt_tol = _opt_tol(spec, tol)
+        opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
         rows = parallel_map(lambda phi: _scan_row(spec, float(phi), opt_tol),
                             list(spec.phis))
         _emit(_render_rows("scan", rows, SCAN_COLUMNS, output_format), out_path)
@@ -379,13 +370,13 @@ def cmd_lambda(model_path, phi_text, output_format, out_path, basis):
 
     def impl():
         phi = 0.0
-        if phi_text is not None:
-            phi = parse_angle(phi_text)
-        elif model_path is not None:
-            spec = load_model_spec(model_path)
+        if model_path is not None:
+            spec = _load_spec(model_path, phi_text=phi_text)
             if spec.phi_is_range:
                 raise SpecFileError("lambda takes a single phase", field="phi")
             phi = float(spec.phis[0])
+        elif phi_text is not None:
+            phi = parse_angle(phi_text)
         solution = two_qubit_lambda_solution(phi, basis)
         payload = {"command": "lambda", "phi": phi, "basis": solution.basis,
                    "singular": solution.singular,

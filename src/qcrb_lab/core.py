@@ -280,9 +280,6 @@ class DensityMatrix:
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) <= ALGORITHMIC_ATOL
 
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ operator))
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:

@@ -372,6 +372,13 @@ def _positive_int(data, default: int, *, fieldname: str) -> int:
     return data
 
 
+def _positive_float(value, *, fieldname: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < math.inf):
+        raise SpecFileError("must be a positive finite number", field=fieldname)
+    return float(value)
+
+
 def _build_tolerances(data, *, fieldname: str = "tolerances") -> dict[str, float]:
     if data is None:
         return {}
@@ -382,10 +389,7 @@ def _build_tolerances(data, *, fieldname: str = "tolerances") -> dict[str, float
             raise SpecFileError(
                 f"unknown tolerance {key!r}; known: {KNOWN_TOLERANCES}",
                 field=f"{fieldname}.{key}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise SpecFileError("must be a positive number",
-                                field=f"{fieldname}.{key}")
-        out[key] = float(value)
+        out[key] = _positive_float(value, fieldname=f"{fieldname}.{key}")
     return out
 
 

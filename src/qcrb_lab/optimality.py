@@ -101,38 +101,46 @@ def error_propagation(model: ParametricModel, phi: float,
     (relative to the natural scale ``sqrt(<O^2> * QFI)``), i.e. at the phases
     where this observable carries no first-order information.
     """
-    return _error_propagation(model, phi, obs, nu, sld(model, phi))
+    sld_result = sld(model, phi)
+    return _error_propagation(phi, obs, nu, sld_result,
+                              _moments(model, obs, sld_result))
 
 
-def _error_propagation(model: ParametricModel, phi: float,
-                       obs: HermitianObservable, nu: int,
-                       sld_result: SldResult) -> ErrorPropagationReport:
-    """:func:`error_propagation` from ``sld_result = sld(model, phi)``."""
+def _moments(model: ParametricModel, obs: HermitianObservable,
+             sld_result: SldResult) -> tuple[float, float, float, complex, bool]:
+    """``(<O>, <O^2>, slope Tr(drho O), Tr(rho O L), slope is singular)``;
+    raises :class:`ArithmeticError` if the slope is not ``<[O,L]+>/2``."""
     _require_same_dim(model, obs.dim)
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
-    rho = sld_result.rho
     o = obs.matrix
-    l_matrix = sld_result.L.matrix
-    ro = rho @ o
+    ro = sld_result.rho @ o
     mean, second = _expectations(ro, o)
-    variance = max(second - mean * mean, 0.0)
     slope = float(np.trace(sld_result.drho @ o).real)
-    cross = complex(np.trace(ro @ l_matrix))
-    anticommutator_mean = 2.0 * cross.real
+    cross = complex(np.trace(ro @ sld_result.L.matrix))
     slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
-    if abs(slope - anticommutator_mean / 2.0) > 1e-7 * max(1.0, abs(slope), slope_scale):
+    if abs(slope - cross.real) > 1e-7 * max(1.0, abs(slope), slope_scale):
         raise ArithmeticError(
             f"slope identity violated: Tr(drho O) = {slope!r} but "
-            f"<[O,L]+>/2 = {anticommutator_mean / 2.0!r}")
-    if abs(slope) <= SLOPE_RTOL * slope_scale or slope_scale == 0.0:
+            f"<[O,L]+>/2 = {cross.real!r}")
+    singular = abs(slope) <= SLOPE_RTOL * slope_scale or slope_scale == 0.0
+    return mean, second, slope, cross, singular
+
+
+def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
+                       sld_result: SldResult, moments: tuple) -> ErrorPropagationReport:
+    """:func:`error_propagation` from ``sld_result`` and its ``_moments``."""
+    if nu < 1:
+        raise ValueError("nu must be a positive integer")
+    mean, second, slope, cross, singular = moments
+    if singular:
         raise SingularSensitivityError(
             f"observable mean has zero slope at phi={phi!r}; "
             "the error-propagation estimate is undefined here")
+    variance = max(second - mean * mean, 0.0)
     delta_phi_sq = variance / (nu * slope * slope)
     qcrb = 1.0 / (nu * sld_result.qfi)
+    rho, o, l_matrix = sld_result.rho, obs.matrix, sld_result.L.matrix
     commutator_sq = abs(complex(np.trace(rho @ (o @ l_matrix - l_matrix @ o)))) ** 2
-    intermediate = qcrb * (1.0 + commutator_sq / (anticommutator_mean ** 2))
+    intermediate = qcrb * (1.0 + commutator_sq / ((2.0 * cross.real) ** 2))
     return ErrorPropagationReport(
         variance=variance, slope=slope, nu=nu, delta_phi_sq=delta_phi_sq,
         intermediate_bound=intermediate, qcrb=qcrb, qfi=sld_result.qfi,
@@ -172,22 +180,19 @@ def check_observable_optimality(model: ParametricModel, phi: float,
     * ``"pure_unitary"``: ``(O - <O>) |psi> = -2i alpha (G - <G>) |psi>``
       (pure states under a unitary generator).
     """
-    return _check_observable_optimality(model, phi, obs, variant, sld(model, phi),
-                                        tol=tol)
+    sld_result = sld(model, phi)
+    return _check_observable_optimality(model, phi, obs, variant, sld_result,
+                                        _moments(model, obs, sld_result), tol=tol)
 
 
 def _check_observable_optimality(model: ParametricModel, phi: float,
                                  obs: HermitianObservable, variant: ConditionVariant,
-                                 sld_result: SldResult, *,
+                                 sld_result: SldResult, moments: tuple, *,
                                  tol: float = OPTIMALITY_RTOL) -> OptimalityReport:
-    """:func:`check_observable_optimality` from ``sld_result = sld(model, phi)``."""
-    _require_same_dim(model, obs.dim)
-    o = obs.matrix
+    """:func:`check_observable_optimality` from ``sld_result`` and its ``_moments``."""
+    mean, second, _, cross, _ = moments
     l_matrix = sld_result.L.matrix
-    ro = sld_result.rho @ o
-    mean = float(np.trace(ro).real)
-    delta_o = o - mean * np.eye(obs.dim)
-    cross = complex(np.trace(ro @ l_matrix))
+    delta_o = obs.matrix - mean * np.eye(obs.dim)
     im_part = cross.imag
     anticommutator_mean = 2.0 * cross.real
 
@@ -223,7 +228,7 @@ def _check_observable_optimality(model: ParametricModel, phi: float,
     residual = float(np.linalg.norm(lhs - alpha * rhs))
     scale = max(lhs_norm, abs(alpha) * rhs_norm)
     residual_rel = residual / scale if scale > 0.0 else 0.0
-    variance = max(float(np.trace(ro @ o).real) - mean * mean, 0.0)
+    variance = max(second - mean * mean, 0.0)
     im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
     alpha_ok = abs(alpha) * rhs_norm > 1e-10 * lhs_norm and lhs_norm > 0.0
     is_optimal = (residual_rel <= tol) and alpha_ok and (abs(im_part) <= tol * im_scale)

@@ -47,6 +47,15 @@ def range_spec(tmp_path):
 
 
 @pytest.fixture
+def not_optimal_spec(tmp_path):
+    path = tmp_path / "not-optimal.yaml"
+    path.write_text("state:\n  ghz: {n: 2}\n"
+                    "observable:\n  pauli_product: {a1: 1, a3: 0.5}\n"
+                    "phi: {start: 0.3, stop: 0.5, steps: 2}\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def sld_phases(monkeypatch):
     """Phases of every ``sld`` call, counted at each module that binds it."""
     phases = []
@@ -178,6 +187,41 @@ class TestCheckOptimalCommand:
         assert row["singular_flag"] is True
         assert row["is_optimal"] is False
 
+    @pytest.mark.parametrize("command", ["check-optimal", "scan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, runner, ghz2_spec,
+                                             not_optimal_spec, command, tol):
+        """Rejected on the optimal x-parity, which a NaN would refute, and on
+        a non-optimal observable, which an infinite tolerance would certify."""
+        for spec in (ghz2_spec, not_optimal_spec):
+            result = runner.invoke(main, [command, "--model", spec, "--tol", tol,
+                                          "--phi-range", "0.3:0.5:2"])
+            assert result.exit_code == 2, result.output
+            assert "specification error: --tol: must be a positive finite number" \
+                in result.output
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-1", "0"])
+    def test_spec_tolerance_must_be_positive_and_finite(self, runner, tmp_path, value):
+        path = tmp_path / "tol.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\n"
+                        "observable:\n  pauli_product: {a1: 1, a3: 0.5}\n"
+                        f"tolerances: {{optimality: {value}}}\n", encoding="utf-8")
+        result = runner.invoke(main, ["check-optimal", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "tolerances.optimality: must be a positive finite number" in result.output
+
+    def test_finite_tol_is_applied(self, runner, not_optimal_spec):
+        """``residual_rel`` of the a1 + a3/2 product is 0.46-0.50 on the grid."""
+        for tol, exit_code in (("1e-3", 3), ("0.9", 0)):
+            result = runner.invoke(main, ["check-optimal", "--model", not_optimal_spec,
+                                          "--tol", tol, "--output", "json"])
+            assert result.exit_code == exit_code, result.output
+            rows = json.loads(result.output)["rows"]
+            assert [row["is_optimal"] for row in rows] == [exit_code == 0] * 2
+        rows = run_json(runner, ["scan", "--model", not_optimal_spec,
+                                 "--tol", "1e-3"])["rows"]
+        assert [row["is_optimal"] for row in rows] == [False] * 2
+
     @pytest.mark.parametrize("variant", ["pure", "pure_unitary"])
     def test_variants_available(self, runner, ghz2_spec, variant):
         payload = run_json(runner, ["check-optimal", "--model", ghz2_spec,
@@ -284,6 +328,29 @@ class TestOneSolvePerPhase:
                                                           False, True]
         assert sorted(sld_phases) == [row["phi"] for row in rows]
 
+    @pytest.mark.parametrize("args", [["scan"], ["check-optimal", "--variant", "pure"]])
+    def test_one_moment_set_per_phase(self, runner, ghz2_spec, monkeypatch, args):
+        """Every observable moment of a phase, and check-optimal's singular
+        flag, come from one ``_moments`` call."""
+        solves = []
+        moments = optimality._moments
+
+        def counting_moments(model, obs, sld_result):
+            solves.append(sld_result)
+            return moments(model, obs, sld_result)
+
+        monkeypatch.setattr(cli, "_moments", counting_moments)
+        if args[0] == "check-optimal":
+            monkeypatch.setattr(cli, "_error_propagation", None)
+        result = runner.invoke(main, args + ["--model", ghz2_spec, "--phi-range",
+                                             "0:pi:5", "--output", "json"])
+        assert result.exit_code == (3 if args[0] == "check-optimal" else 0), \
+            result.output
+        rows = json.loads(result.output)["rows"]
+        assert [row["singular_flag"] for row in rows] == [True, False, True,
+                                                          False, True]
+        assert len({id(solve) for solve in solves}) == len(solves) == len(rows)
+
 
 class TestOneEigendecompositionPerPhase:
     """Each phase diagonalises rho once: L, sqrt(rho) and psi all come from
@@ -354,6 +421,19 @@ class TestLambdaCommand:
         result = runner.invoke(main, ["lambda", "--model", range_spec])
         assert result.exit_code == 2
         assert "specification error: phi:" in result.output
+
+    def test_model_is_loaded_with_phi_overriding_its_phase(self, runner, ghz2_spec,
+                                                            tmp_path):
+        assert run_json(runner, ["lambda", "--model", ghz2_spec])["phi"] == \
+            pytest.approx(math.pi / 8)
+        assert run_json(runner, ["lambda", "--model", ghz2_spec, "--phi", "pi/4"]) \
+            == run_json(runner, ["lambda", "--phi", "pi/4"])
+        invalid = tmp_path / "bad.yaml"
+        invalid.write_text("state:\n  ghz: {n: 0}\n", encoding="utf-8")
+        for path in (str(tmp_path / "missing.yaml"), str(invalid)):
+            result = runner.invoke(main, ["lambda", "--phi", "pi/4", "--model", path])
+            assert result.exit_code == 2, result.output
+            assert "specification error" in result.output
 
 
 class TestSimulateCommand:

@@ -38,7 +38,7 @@ from qcrb_lab import (
     two_qubit_lambda_solution,
     unitary_model,
 )
-from qcrb_lab.cli import SCAN_COLUMNS, _scan_row
+from qcrb_lab.cli import SCAN_COLUMNS, _check_optimal_row, _scan_row
 from qcrb_lab.core import require_hermitian
 from qcrb_lab.ghz import SeparableObservableCoeffs
 from qcrb_lab.modelspec import ModelSpec
@@ -441,6 +441,22 @@ def _ref_scan_row(spec, phi, opt_tol):
     return row
 
 
+def _ref_check_optimal_row(spec, phi, variant, opt_tol):
+    report = _ref_check_observable_optimality(spec.model, phi, spec.observable,
+                                              variant, tol=opt_tol)
+    try:
+        _ref_error_propagation(spec.model, phi, spec.observable, spec.nu)
+        singular = False
+    except SingularSensitivityError:
+        singular = True
+    return {"phi": phi, "alpha": report.alpha, "residual_rel": report.residual_rel,
+            "im_part": report.im_part,
+            "anticommutator_mean": report.anticommutator_mean,
+            "is_optimal": bool(report.is_optimal and not singular),
+            "condition_variant": report.condition_variant,
+            "singular_flag": singular, "diagnostic": report.diagnostic}
+
+
 def _outcome(fn, *args, **kwargs):
     """The value ``fn`` returns, or the type and message of what it raises."""
     try:
@@ -472,8 +488,9 @@ def shared_sld_case(name, seed):
 
 
 class TestSharedSldReference:
-    """With one SLD solve per phase, every report and scan row equals the one
-    computed by solving the SLD once per quantity."""
+    """With one SLD solve and one moment set per phase, every report, scan row
+    and check-optimal phase equals the one computed by solving the SLD and
+    taking the moments once per quantity."""
 
     @given(name=st.sampled_from(SHARED_SLD_CASES),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -505,7 +522,12 @@ class TestSharedSldReference:
         spec = ModelSpec(model=model, observable=obs, povm=povm,
                          phis=np.array([phi]), phi_is_range=True, nu=nu, seed=0,
                          trials=2, n_qubits=None)
-        new_row = _outcome(_scan_row, spec, phi, 1e-8)
-        ref_row = _outcome(_ref_scan_row, spec, phi, 1e-8)
-        assert new_row == ref_row
-        assert repr(new_row) == repr(ref_row)
+        for new_row, ref_row in [
+            (_outcome(_scan_row, spec, phi, 1e-8),
+             _outcome(_ref_scan_row, spec, phi, 1e-8)),
+            *((_outcome(_check_optimal_row, spec, phi, variant, 1e-8),
+               _outcome(_ref_check_optimal_row, spec, phi, variant, 1e-8))
+              for variant in ("mixed", "pure", "pure_unitary")),
+        ]:
+            assert new_row == ref_row
+            assert repr(new_row) == repr(ref_row)

@@ -14,7 +14,9 @@ interleaves them) are compared byte for byte.
 The list covers ``scan``, ``cfi``, ``check-optimal``, ``errprop``, ``sld``,
 ``qfi`` and ``simulate`` on GHZ N=1-3 specs with x- and y-product
 measurements, a full-rank mixed-density spec and a low-nu spec whose
-sample-mean estimates clip at the branch ends; ``lambda`` at pi/4 in both
+sample-mean estimates clip at the branch ends; ``check-optimal`` also runs on
+the grid 0:pi:9, whose phases k*pi/N are singular for the GHZ specs, in every
+variant and with ``--tol 1e-3``; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
@@ -90,6 +92,8 @@ def _spec_invocations(spec: str, *, pure: bool) -> list[list[str]]:
         ["cfi", "--model", spec, "--phi", "0"],
         ["check-optimal", "--model", spec, "--phi-range", "0.1:3:5",
          "--output", "json"],
+        ["check-optimal", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
+        ["check-optimal", "--model", spec, "--phi-range", "0:pi:9", "--tol", "1e-3"],
         ["errprop", "--model", spec, "--phi", "pi/8", "--output", "json"],
         ["errprop", "--model", spec, "--phi-range", "0.1:3:4"],
         ["sld", "--model", spec, "--phi", "0.3", "--output", "json"],
@@ -99,8 +103,9 @@ def _spec_invocations(spec: str, *, pure: bool) -> list[list[str]]:
          "--seed", "3", "--output", "json"],
     ]
     if pure:
-        runs += [["check-optimal", "--model", spec, "--phi", "pi/8",
+        runs += [["check-optimal", "--model", spec, phi_flag, phi,
                   "--variant", variant, "--output", "json"]
+                 for phi_flag, phi in (("--phi", "pi/8"), ("--phi-range", "0:pi:9"))
                  for variant in ("pure", "pure_unitary")]
     return runs
 
