@@ -1,36 +1,10 @@
-"""Worker-pool helper honoring the QCRB_LAB_THREADS environment cap."""
+"""Worker count reported by the benchmark harness: the package runs
+serially and ignores QCRB_LAB_THREADS."""
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
+# bench/harness.py imports both names; the module goes with the next benchmark change.
 ENV_THREADS = "QCRB_LAB_THREADS"
 
 
 def worker_cap() -> int:
-    """Maximum worker count; 1 (serial) unless QCRB_LAB_THREADS raises it."""
-    raw = os.environ.get(ENV_THREADS)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving input order; parallel only when the cap allows it.
-
-    Results are deterministic regardless of scheduling because items carry
-    their own independent inputs (e.g. per-trial RNG streams).
-    """
-    workers = min(worker_cap(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Worker count: always 1."""
+    return 1

@@ -16,11 +16,10 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from ._concurrency import parallel_map
 from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
 from .fisher import _outcome_distribution, outcome_distribution, sld
-from .ghz import X_BASIS, Y_BASIS, two_qubit_lambda_solution
+from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
 from .modelspec import _positive_float
 from .optimality import (
@@ -335,8 +334,7 @@ def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
             raise SpecFileError("scan requires a phi range with steps >= 2",
                                 field="phi")
         opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
-        rows = parallel_map(lambda phi: _scan_row(spec, float(phi), opt_tol),
-                            list(spec.phis))
+        rows = [_scan_row(spec, float(phi), opt_tol) for phi in spec.phis]
         _emit(_render_rows("scan", rows, SCAN_COLUMNS, output_format), out_path)
 
     _run(impl)
@@ -361,6 +359,17 @@ def cmd_cfi(model_path, phi_text, phi_range_text, output_format, out_path):
     _run(impl)
 
 
+def _require_two_qubit_ghz(model) -> None:
+    """``lambda`` solves only the two-qubit GHZ state under ``J_z``."""
+    reference = ghz_model(2)
+    if model.dim != reference.dim or not np.allclose(
+            model.density(0.0).matrix, reference.density(0.0).matrix, atol=1e-12):
+        raise SpecFileError("lambda solves only the two-qubit GHZ state", field="state")
+    if not np.allclose(model.generator.matrix, reference.generator.matrix, atol=1e-12):
+        raise SpecFileError("lambda solves only the collective J_z generator",
+                            field="parametrization.generator")
+
+
 @main.command(name="lambda")
 @_options("--model", "--phi")
 @click.option("--basis", type=click.Choice([X_BASIS, Y_BASIS]), default=X_BASIS,
@@ -374,6 +383,7 @@ def cmd_lambda(model_path, phi_text, output_format, out_path, basis):
             spec = _load_spec(model_path, phi_text=phi_text)
             if spec.phi_is_range:
                 raise SpecFileError("lambda takes a single phase", field="phi")
+            _require_two_qubit_ghz(spec.model)
             phi = float(spec.phis[0])
         elif phi_text is not None:
             phi = parse_angle(phi_text)

@@ -6,8 +6,7 @@ Conventions used throughout the package:
 * qubit site 0 is the leftmost (most significant) Kronecker factor, so the
   computational-basis index of ``|b_0 b_1 ... b_{N-1}>`` is the integer with
   binary digits ``b_0 b_1 ... b_{N-1}``;
-* all values are immutable after construction and safe to share between
-  workers.
+* all values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -387,7 +386,7 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
         vecs = eigenvectors[:, group]
         elements.append(vecs @ vecs.conj().T)
         labels.append(float(np.mean(eigenvalues[group])))
-    return Povm(tuple(elements), tuple(labels))
+    return Povm(tuple(elements), tuple(labels), check=False)
 
 
 _XY_BASIS_VECTORS = {
@@ -427,4 +426,4 @@ def product_basis_povm(axis: str, n_qubits: int) -> Povm:
     entries = product_basis_vectors(axis, n_qubits)
     elements = tuple(np.outer(vec, vec.conj()) for _, vec in entries)
     labels = tuple(label for label, _ in entries)
-    return Povm(elements, labels)
+    return Povm(elements, labels, check=False)

@@ -312,6 +312,10 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
         if data in ("x_basis_product", "y_basis_product"):
             if n_qubits is None:
                 raise SpecFileError(f"{data} needs a qubit system", field=fieldname)
+            # 2^n dense 2^n x 2^n complex elements take 2^(3n+4) bytes
+            _require_physical_memory(3 * n_qubits + 4,
+                                     f"{2 ** n_qubits} dense POVM elements",
+                                     fieldname=fieldname)
             return product_basis_povm(data[0], n_qubits)
         if data == "eigenprojectors_of_observable":
             if observable is None:

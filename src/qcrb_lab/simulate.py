@@ -16,9 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._concurrency import parallel_map
 from .core import HermitianObservable, Povm, eigenprojector_povm
 from .errors import FlatLikelihoodError, InsufficientTrialsError, SingularOutcomeError
 from .fisher import (
@@ -139,6 +137,13 @@ class EstimatorResult:
     branch: tuple[float, float] | None = None
 
 
+def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` bracketed by ``[lo, hi]``, to 1e-12."""
+    # scipy.optimize costs most of the package's import time; only estimators need it
+    from scipy.optimize import brentq
+    return brentq(f, lo, hi, xtol=1e-12)
+
+
 def _slope_at(model: ParametricModel, phi: float, obs: HermitianObservable) -> float:
     return float(np.trace(state_derivative(model, phi) @ obs.matrix).real)
 
@@ -158,8 +163,8 @@ def _branch_interval(model: ParametricModel, obs: HermitianObservable,
             if slope == 0.0:
                 return here
             if math.copysign(1.0, slope) != sign_center:
-                return brentq(lambda x: _slope_at(model, x, obs), min(prev, here),
-                              max(prev, here), xtol=1e-12)
+                return _root(lambda x: _slope_at(model, x, obs), min(prev, here),
+                             max(prev, here))
             prev = here
         return prev
 
@@ -197,9 +202,9 @@ def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
         elif empirical_mean == mean_hi:
             phi_hat = hi
         else:
-            phi_hat = brentq(
+            phi_hat = _root(
                 lambda x: observable_expectations(model, x, obs)[0] - empirical_mean,
-                lo, hi, xtol=1e-12)
+                lo, hi)
         return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
                                se_predicted=se_predicted, out_of_branch=out_of_branch,
                                branch=(lo, hi))
@@ -428,9 +433,8 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
     invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report, center)
-    results = parallel_map(
-        lambda index: invert(sample_shots(dist, nu, seed, stream=index)),
-        range(trials))
+    results = [invert(sample_shots(dist, nu, seed, stream=index))
+               for index in range(trials)]
     return _summarize("sample_mean_inversion", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=report.delta_phi_sq,
                       qcrb=report.qcrb)

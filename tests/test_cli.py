@@ -4,7 +4,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -434,6 +439,54 @@ class TestLambdaCommand:
             result = runner.invoke(main, ["lambda", "--phi", "pi/4", "--model", path])
             assert result.exit_code == 2, result.output
             assert "specification error" in result.output
+
+    @pytest.mark.parametrize("state,parametrization,field", [
+        ("ghz: {n: 3}", "", "state"),
+        ("ghz: {n: 2}", "parametrization:\n  generator:\n    matrix: [[2, 0], "
+         + "[0, 0], " * 14 + "[-2, 0]]\n", "parametrization.generator"),
+    ], ids=["ghz3", "generator-2jz"])
+    def test_model_other_than_two_qubit_ghz_is_exit_two(self, runner, tmp_path,
+                                                         state, parametrization,
+                                                         field):
+        path = tmp_path / "other.yaml"
+        path.write_text(f"state:\n  {state}\n{parametrization}"
+                        "observable:\n  pauli_product: {a3: 1}\nphi: 0.3\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["lambda", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"specification error: {field}: lambda solves only" in result.output
+
+
+class TestSerialExecution:
+    @pytest.mark.parametrize("args", [["scan", "--phi-range", "0:pi:7"],
+                                      ["simulate", "--nu", "2000", "--trials", "6"]])
+    def test_no_thread_is_started(self, runner, ghz2_spec, monkeypatch, args):
+        """QCRB_LAB_THREADS is ignored: rows and trials run in the calling thread."""
+        args = [args[0], "--model", ghz2_spec, *args[1:], "--output", "json"]
+        serial = runner.invoke(main, args)
+
+        def refuse(thread):
+            raise RuntimeError("the package must not start a thread")
+
+        monkeypatch.setenv("QCRB_LAB_THREADS", "4")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, repr(result.exception)
+        assert result.output == serial.output
+
+
+class TestImports:
+    def test_loading_a_spec_does_not_import_scipy_optimize(self, ghz2_spec):
+        code = ("import sys\nimport qcrb_lab.cli\n"
+                "from qcrb_lab.modelspec import load_model_spec\n"
+                f"load_model_spec({ghz2_spec!r})\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestSimulateCommand:

@@ -225,6 +225,21 @@ class TestMeasurementBuilders:
         povm = product_basis_povm("y", 3)
         assert np.allclose(sum(povm.elements), np.eye(8), atol=1e-12)
 
+    def test_builders_skip_per_element_validation(self, monkeypatch):
+        """Their elements are orthonormal projectors by construction; the
+        per-element eigensolver is left to POVMs given from outside."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh must not be called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        built = (product_basis_povm("x", 3), product_basis_povm("y", 2),
+                 eigenprojector_povm(collective_spin("x", 3)))
+        monkeypatch.undo()
+        for povm in built:
+            checked = Povm(povm.elements, povm.labels)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(checked.elements, povm.elements))
+
 
 class TestParityIdentity:
     @pytest.mark.parametrize("n", range(1, 9))

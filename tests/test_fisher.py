@@ -20,6 +20,7 @@ from qcrb_lab import (
     blackbox_model,
     cfi,
     collective_spin,
+    eigenprojector_povm,
     ghz_model,
     ghz_sld_closed_form,
     ghz_state,
@@ -477,3 +478,36 @@ class TestOneEigendecomposition:
         assert np.linalg.norm(result.L.matrix - l_matrix) <= 1e-12 * scale
         assert abs(result.qfi - qfi_value) <= 1e-12 * max(1.0, qfi_value)
         assert result.kernel_dim == kernel_dim
+
+
+class TestInformationInvariants:
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(0.0, 1.0),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_qfi_is_convex_under_mixing(self, seed, p, phi):
+        """``F(p rho1 + (1-p) rho2) <= p F(rho1) + (1-p) F(rho2)`` for two
+        states of one unitary family."""
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        generator = random_hermitian(rng, dim)
+        rho1, rho2 = (random_density(rng, dim, int(rng.integers(1, dim + 1)))
+                      for _ in range(2))
+
+        def info(state):
+            return qfi(unitary_model(state, generator), phi)
+
+        bound = p * info(rho1) + (1.0 - p) * info(rho2)
+        mixed = DensityMatrix(p * rho1.matrix + (1.0 - p) * rho2.matrix)
+        assert info(mixed) <= bound + 1e-9 * max(1.0, bound)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_sld_eigenprojectors_attain_qfi(self, seed, phi):
+        """On a full-rank state, measuring the eigenbasis of L gives CFI = QFI."""
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        model = unitary_model(random_density(rng, dim), random_hermitian(rng, dim))
+        result = sld(model, phi)
+        value = cfi(outcome_distribution(model, phi, eigenprojector_povm(result.L)))
+        assert abs(value - result.qfi) <= 1e-8 * result.qfi

@@ -1,6 +1,7 @@
 """Tests for the model specification file format."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ class TestSpecErrors:
             build_model_spec({"state": {"ghz": {"n": 1}},
                               "phi": {"start": 0, "stop": 1, "steps": 10 ** 18}})
         assert "phi.steps" in str(excinfo.value)
+
+    def test_oversized_product_povm_rejected_before_allocation(self, monkeypatch):
+        """GHZ N=8 needs 2^20 bytes, its x-basis product POVM 2^28; on a
+        machine with 2^26 bytes the POVM, not the state, is refused."""
+        def allocate(*args):
+            raise AssertionError("product_basis_povm must not be called")
+
+        sysconf = os.sysconf
+        memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 14}
+        monkeypatch.setattr(modelspec, "product_basis_povm", allocate)
+        monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+        assert build_model_spec({"state": {"ghz": {"n": 8}}}).povm is None
+        with pytest.raises(SpecFileError, match="physical memory") as excinfo:
+            build_model_spec({"state": {"ghz": {"n": 8}}, "povm": "x_basis_product"})
+        assert excinfo.value.field == "povm"
 
     def test_dimension_mismatch_between_sections(self):
         with pytest.raises(SpecFileError, match="observable"):

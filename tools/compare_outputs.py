@@ -16,7 +16,9 @@ The list covers ``scan``, ``cfi``, ``check-optimal``, ``errprop``, ``sld``,
 measurements, a full-rank mixed-density spec and a low-nu spec whose
 sample-mean estimates clip at the branch ends; ``check-optimal`` also runs on
 the grid 0:pi:9, whose phases k*pi/N are singular for the GHZ specs, in every
-variant and with ``--tol 1e-3``; ``lambda`` at pi/4 in both
+variant and with ``--tol 1e-3``; ``cfi``, ``scan`` and ``simulate`` on GHZ
+N=2 and N=3 specs measured with the eigenprojectors of the x-parity
+observable; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
@@ -120,6 +122,15 @@ def invocations(workdir: Path) -> list[list[str]]:
                 "observable": {"pauli_product": {coefficient: 1.0}},
                 "povm": f"{axis}_basis_product", "phi": "pi/8", "nu": 1000})
             runs += _spec_invocations(spec, pure=True)
+    for n in (2, 3):
+        spec = _write(workdir / f"ghz{n}-x-eigenprojectors.yaml", {
+            "state": {"ghz": {"n": n}},
+            "observable": {"pauli_product": {"a1": 1.0}},
+            "povm": "eigenprojectors_of_observable", "phi": "pi/8", "nu": 1000})
+        runs += [["cfi", "--model", spec, "--phi-range", "0.1:3:5", "--output", "json"],
+                 ["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
+                 ["simulate", "--model", spec, "--nu", "2000", "--trials", "20",
+                  "--seed", "3", "--output", "json"]]
     runs += [["lambda", "--phi", "pi/4", "--output", "json"],
              ["lambda", "--phi", "pi/4"],
              ["lambda", "--phi", "pi/4", "--basis", "y_basis", "--output", "json"],
