@@ -109,6 +109,8 @@ def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
         raise SpecFileError("--nu must be a positive integer")
     if trials is not None and trials < 2:
         raise SpecFileError("--trials must be at least 2")
+    if seed is not None and seed < 0:
+        raise SpecFileError("--seed must be a non-negative integer")
     if tol is not None:
         changes["tolerances"] = {**spec.tolerances,
                                  "optimality": _positive_float(tol, fieldname="--tol")}
@@ -280,9 +282,9 @@ def _check_optimal_row(spec: ModelSpec, phi: float, variant: str,
                        opt_tol: float) -> dict:
     result = sld(spec.model, phi)
     moments = _moments(spec.model, spec.observable, result)
-    report = _check_observable_optimality(spec.model, phi, spec.observable, variant,
+    report = _check_observable_optimality(spec.model, spec.observable, variant,
                                           result, moments, tol=opt_tol)
-    singular = moments[-1]
+    singular = moments.singular
     return {"phi": phi, "alpha": report.alpha, "residual_rel": report.residual_rel,
             "im_part": report.im_part,
             "anticommutator_mean": report.anticommutator_mean,
@@ -306,7 +308,7 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
             singular = True
     if spec.observable is not None:
         moments = _moments(spec.model, spec.observable, result)
-        if moments[-1]:
+        if moments.singular:
             singular = True
             row["is_optimal"] = False
         else:
@@ -314,7 +316,7 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
             row["variance"] = report.variance
             row["slope"] = report.slope
             row["delta_phi_ep"] = report.delta_phi_sq
-            check = _check_observable_optimality(spec.model, phi, spec.observable,
+            check = _check_observable_optimality(spec.model, spec.observable,
                                                  "mixed", result, moments, tol=opt_tol)
             row["alpha"] = check.alpha
             row["residual_rel"] = check.residual_rel

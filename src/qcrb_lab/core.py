@@ -179,13 +179,22 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
 
 
 def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":
-    """Collective spin component ``J_axis = (1/2) sum_i sigma_axis^(i)``."""
+    """Collective spin component ``J_axis = (1/2) sum_i sigma_axis^(i)``.
+
+    ``J_z`` is built as its diagonal ``(N - 2 popcount(k)) / 2``, bit for
+    bit the Kronecker sum that builds ``J_x`` and ``J_y``.
+    """
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    sigma = PAULIS[axis]
     dim = 2 ** n_qubits
+    if axis == "z":
+        index = np.arange(dim)
+        ones = sum((index >> site) & 1 for site in range(n_qubits))
+        return HermitianObservable(np.diag(((n_qubits - 2.0 * ones) / 2.0).astype(complex)),
+                                   check=False)
+    sigma = PAULIS[axis]
     total = np.zeros((dim, dim), dtype=complex)
     for site in range(n_qubits):
         factors = [IDENTITY_2] * n_qubits

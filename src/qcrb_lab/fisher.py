@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "unitary_model",
     "blackbox_model",
     "SldResult",
+    "DenseSld",
     "OutcomeDistribution",
     "state_derivative",
     "second_state_derivative",
@@ -209,23 +210,67 @@ def second_state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
     return _second_state_derivatives(model, phi, model.density(phi).matrix[None])[0]
 
 
+class DenseSld(NamedTuple):
+    """What the eigenbasis solve of :func:`sld` builds besides the QFI."""
+
+    rho: np.ndarray
+    drho: np.ndarray
+    L: HermitianObservable
+    spectrum: PsdSpectrum
+
+
 @dataclass(frozen=True, eq=False)
 class SldResult:
-    """SLD operator with the state and derivative it solves for, and diagnostics.
+    """SLD of ``model`` at ``phi`` with its quantum Fisher information.
 
-    ``residual`` is the Frobenius norm of
-    ``drho - (rho L + L rho) / 2``; ``kernel_dim`` counts eigenvalues of
-    ``rho`` below the support cutoff, where the zero-block gauge was applied.
-    ``spectrum``, the eigendecomposition of ``rho``, also gives ``sqrt_rho``.
+    ``kernel_dim`` counts eigenvalues of ``rho`` at or below the support
+    cutoff, where the zero-block gauge was applied. A pure unitary family
+    carries its state vector ``psi``, ``dpsi = -iG psi`` and ``l_psi =
+    L psi``; nothing dense is solved for it, and ``rho``, ``drho``, ``L = 2
+    drho`` and ``spectrum`` are built on first read. Any other family
+    carries them in ``dense``. On either route ``residual``, the Frobenius
+    norm of ``drho - (rho L + L rho) / 2``, and ``sqrt_rho``, from the
+    eigendecomposition ``spectrum`` of ``rho``, are computed on first read.
     """
 
-    L: HermitianObservable
-    drho: np.ndarray
+    model: ParametricModel
+    phi: float
     qfi: float
-    residual: float
     kernel_dim: int
-    rho: np.ndarray
-    spectrum: PsdSpectrum
+    psi: np.ndarray | None = None
+    dpsi: np.ndarray | None = None
+    l_psi: np.ndarray | None = None
+    dense: DenseSld | None = None
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense.rho
+        return self.model.density(self.phi).matrix
+
+    @cached_property
+    def drho(self) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense.drho
+        return _state_derivatives(self.model, self.phi, self.rho[None])[0]
+
+    @cached_property
+    def L(self) -> HermitianObservable:
+        if self.dense is not None:
+            return self.dense.L
+        return HermitianObservable(2.0 * self.drho, check=False)
+
+    @cached_property
+    def spectrum(self) -> PsdSpectrum:
+        if self.dense is not None:
+            return self.dense.spectrum
+        return psd_spectrum(self.rho)
+
+    @cached_property
+    def residual(self) -> float:
+        l_matrix = self.L.matrix
+        return float(np.linalg.norm(
+            self.drho - (self.rho @ l_matrix + l_matrix @ self.rho) / 2.0))
 
     @cached_property
     def sqrt_rho(self) -> np.ndarray:
@@ -235,10 +280,20 @@ class SldResult:
 def sld(model: ParametricModel, phi: float) -> SldResult:
     """Solve ``drho = (rho L + L rho) / 2`` for the Hermitian operator L.
 
-    Works in the eigenbasis of ``rho``: ``L_jk = 2 drho_jk / (p_j + p_k)``.
-    On the kernel-kernel block (``p_j + p_k`` below the cutoff) L is gauged
-    to zero, the minimal-norm choice among the valid solutions.
+    A pure unitary family needs no solve: with ``dpsi = -iG psi``, ``L = 2
+    drho`` acts as ``L psi = 2(dpsi + <dpsi|psi> psi)``, and ``QFI = <psi|L^2
+    |psi> = ||L psi||^2``, which equals ``4(<dpsi|dpsi> - |<psi|dpsi>|^2)``
+    without its cancellation when ``<G>^2`` dwarfs ``Var(G)``. Otherwise
+    ``sld`` works in the eigenbasis of ``rho``: ``L_jk = 2 drho_jk / (p_j +
+    p_k)``. On the kernel-kernel block (``p_j + p_k`` below the cutoff) L is
+    gauged to zero, the minimal-norm choice among the valid solutions.
     """
+    psi = model.pure_amplitudes(phi)
+    if psi is not None:
+        dpsi = -1j * (model.generator.matrix @ psi)
+        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * psi)
+        return SldResult(model=model, phi=phi, qfi=float(np.vdot(l_psi, l_psi).real),
+                         kernel_dim=model.dim - 1, psi=psi, dpsi=dpsi, l_psi=l_psi)
     rho = model.density(phi).matrix
     drho = _state_derivatives(model, phi, rho[None])[0]
     spectrum = psd_spectrum(rho)
@@ -256,12 +311,11 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
     l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
-    rl = rho @ l_matrix
-    qfi_value = max(float(np.trace(rl @ l_matrix).real), 0.0)
-    residual = float(np.linalg.norm(drho - (rl + l_matrix @ rho) / 2.0))
-    return SldResult(L=HermitianObservable(l_matrix, check=False), rho=rho, drho=drho,
-                     qfi=qfi_value, residual=residual, spectrum=spectrum,
-                     kernel_dim=int(np.count_nonzero(kernel)))
+    return SldResult(model=model, phi=phi,
+                     qfi=max(float(np.trace(rho @ l_matrix @ l_matrix).real), 0.0),
+                     kernel_dim=int(np.count_nonzero(kernel)),
+                     dense=DenseSld(rho, drho, HermitianObservable(l_matrix, check=False),
+                                    spectrum))
 
 
 def qfi(model: ParametricModel, phi: float) -> float:
@@ -426,18 +480,14 @@ def cfi(dist: OutcomeDistribution) -> float:
     return total
 
 
-def _pure_vector(model: ParametricModel, phi: float,
-                 sld_result: SldResult) -> np.ndarray:
-    """State vector of a pure model at ``phi`` (any global phase), from
+def _pure_vector(sld_result: SldResult) -> np.ndarray:
+    """State vector (any global phase) of a pure density-matrix state, from
     ``sld_result = sld(model, phi)`` when the model has no amplitudes.
 
     Raises :class:`VariantInapplicableError` when the state is mixed.
     """
-    amps = model.pure_amplitudes(phi)
-    if amps is not None:
-        return amps
     state = DensityMatrix(sld_result.rho, check=False)
     if not state.is_pure():
         raise VariantInapplicableError(
-            f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
+            f"state at phi={sld_result.phi!r} is mixed (purity {state.purity()!r})")
     return sld_result.spectrum.eigenvectors[:, -1]

@@ -166,6 +166,15 @@ def _require_mapping(data, *, fieldname: str) -> dict:
     return data
 
 
+def _require_known_keys(data: dict, known, *, fieldname: str) -> None:
+    """Reject keys of the mapping ``data`` outside ``known``, naming the
+    first such key's dotted path."""
+    unknown = sorted(str(key) for key in data if key not in known)
+    if unknown:
+        raise SpecFileError(f"unknown keys {unknown}; known: {sorted(known)}",
+                            field=f"{fieldname}.{unknown[0]}")
+
+
 def _build_state(data, *, fieldname: str = "state"):
     data = _require_mapping(data, fieldname=fieldname)
     if len(data) != 1:
@@ -173,6 +182,7 @@ def _build_state(data, *, fieldname: str = "state"):
                             field=fieldname)
     if "ghz" in data:
         ghz = _require_mapping(data["ghz"], fieldname=f"{fieldname}.ghz")
+        _require_known_keys(ghz, ("n",), fieldname=f"{fieldname}.ghz")
         n = ghz.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SpecFileError("'n' must be a positive integer",
@@ -183,6 +193,11 @@ def _build_state(data, *, fieldname: str = "state"):
         return ghz_state(n, 0.0), n
     if "custom" in data:
         custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
+        _require_known_keys(custom, ("amplitudes", "density"),
+                            fieldname=f"{fieldname}.custom")
+        if len(custom) != 1:
+            raise SpecFileError("expected exactly one of 'amplitudes' or 'density'",
+                                field=f"{fieldname}.custom")
         if "amplitudes" in custom:
             amps = parse_vector(custom["amplitudes"],
                                 fieldname=f"{fieldname}.custom.amplitudes")
@@ -191,7 +206,7 @@ def _build_state(data, *, fieldname: str = "state"):
             except ValueError as exc:
                 raise SpecFileError(str(exc),
                                     field=f"{fieldname}.custom.amplitudes") from exc
-        elif "density" in custom:
+        else:
             matrix = parse_matrix(custom["density"],
                                   fieldname=f"{fieldname}.custom.density")
             try:
@@ -199,9 +214,6 @@ def _build_state(data, *, fieldname: str = "state"):
             except ValueError as exc:
                 raise SpecFileError(str(exc),
                                     field=f"{fieldname}.custom.density") from exc
-        else:
-            raise SpecFileError("expected 'amplitudes' or 'density'",
-                                field=f"{fieldname}.custom")
         dim = state.dim
         n = dim.bit_length() - 1 if 2 ** (dim.bit_length() - 1) == dim else None
         return state, n
@@ -219,6 +231,7 @@ def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
     if "blackbox" in data:
         raise SpecFileError("blackbox parametrization is not supported in files",
                             field=f"{fieldname}.blackbox")
+    _require_known_keys(data, ("generator",), fieldname=fieldname)
     if "generator" not in data:
         raise SpecFileError("expected 'generator'", field=fieldname)
     gen = data["generator"]
@@ -229,6 +242,7 @@ def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
                 field=f"{fieldname}.generator")
         return collective_spin("z", n_qubits)
     if isinstance(gen, dict) and "matrix" in gen:
+        _require_known_keys(gen, ("matrix",), fieldname=f"{fieldname}.generator")
         matrix = parse_matrix(gen["matrix"],
                               fieldname=f"{fieldname}.generator.matrix")
         try:
@@ -329,6 +343,7 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
         raise SpecFileError("expected a POVM name or a 'custom' mapping",
                             field=fieldname)
     custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
+    _require_known_keys(custom, ("elements", "labels"), fieldname=f"{fieldname}.custom")
     raw_elements = custom.get("elements")
     if not isinstance(raw_elements, list) or not raw_elements:
         raise SpecFileError("expected a non-empty 'elements' list",
@@ -427,8 +442,8 @@ def build_model_spec(data: dict) -> ModelSpec:
             field="povm")
     phis, phi_is_range = _build_phis(data.get("phi"))
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SpecFileError("must be an integer", field="seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SpecFileError("must be a non-negative integer", field="seed")
     return ModelSpec(
         model=model, observable=observable, povm=povm, phis=phis,
         phi_is_range=phi_is_range,

@@ -84,8 +84,12 @@ def observable_expectations(model: ParametricModel, phi: float,
 
 def _expectations(ro: np.ndarray, o: np.ndarray) -> tuple[float, float]:
     """``(Tr(rho O), Tr(rho O^2))`` from ``ro = rho @ O``."""
-    mean = complex(np.trace(ro))
-    second = complex(np.trace(ro @ o))
+    return _real_moments(complex(np.trace(ro)), complex(np.trace(ro @ o)))
+
+
+def _real_moments(mean: complex, second: complex) -> tuple[float, float]:
+    """Real parts of ``<O>`` and ``<O^2>``; raises :class:`ArithmeticError`
+    if either has an imaginary part beyond rounding."""
     scale = max(1.0, abs(mean), abs(second))
     if max(abs(mean.imag), abs(second.imag)) > 1e-10 * scale:
         raise ArithmeticError(
@@ -106,31 +110,57 @@ def error_propagation(model: ParametricModel, phi: float,
                               _moments(model, obs, sld_result))
 
 
+class Moments(NamedTuple):
+    """What one observable needs of one phase; ``o_psi`` is ``O|psi>`` when
+    the SLD result carries a state vector, else ``None``."""
+
+    mean: float
+    second: float
+    slope: float
+    cross: complex
+    singular: bool
+    o_psi: np.ndarray | None
+
+
 def _moments(model: ParametricModel, obs: HermitianObservable,
-             sld_result: SldResult) -> tuple[float, float, float, complex, bool]:
-    """``(<O>, <O^2>, slope Tr(drho O), Tr(rho O L), slope is singular)``;
-    raises :class:`ArithmeticError` if the slope is not ``<[O,L]+>/2``."""
+             sld_result: SldResult) -> Moments:
+    """``<O>``, ``<O^2>``, the slope ``Tr(drho O)``, ``Tr(rho O L)`` and
+    whether the slope is singular; raises :class:`ArithmeticError` if the
+    slope is not ``<[O,L]+>/2``.
+
+    With a state vector these are ``<psi|O psi>``, ``||O psi||^2``,
+    ``2 Re<dpsi|O psi>`` and ``<O psi|L psi>``; no d x d product is formed.
+    """
     _require_same_dim(model, obs.dim)
     o = obs.matrix
-    ro = sld_result.rho @ o
-    mean, second = _expectations(ro, o)
-    slope = float(np.trace(sld_result.drho @ o).real)
-    cross = complex(np.trace(ro @ sld_result.L.matrix))
+    psi = sld_result.psi
+    if psi is None:
+        o_psi = None
+        ro = sld_result.rho @ o
+        mean, second = _expectations(ro, o)
+        slope = float(np.trace(sld_result.drho @ o).real)
+        cross = complex(np.trace(ro @ sld_result.L.matrix))
+    else:
+        o_psi = o @ psi
+        mean, second = _real_moments(complex(np.vdot(psi, o_psi)),
+                                     complex(np.vdot(o_psi, o_psi)))
+        slope = 2.0 * float(np.vdot(sld_result.dpsi, o_psi).real)
+        cross = complex(np.vdot(o_psi, sld_result.l_psi))
     slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
     if abs(slope - cross.real) > 1e-7 * max(1.0, abs(slope), slope_scale):
         raise ArithmeticError(
             f"slope identity violated: Tr(drho O) = {slope!r} but "
             f"<[O,L]+>/2 = {cross.real!r}")
     singular = abs(slope) <= SLOPE_RTOL * slope_scale or slope_scale == 0.0
-    return mean, second, slope, cross, singular
+    return Moments(mean, second, slope, cross, singular, o_psi)
 
 
 def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
-                       sld_result: SldResult, moments: tuple) -> ErrorPropagationReport:
+                       sld_result: SldResult, moments: Moments) -> ErrorPropagationReport:
     """:func:`error_propagation` from ``sld_result`` and its ``_moments``."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
-    mean, second, slope, cross, singular = moments
+    mean, second, slope, cross, singular, o_psi = moments
     if singular:
         raise SingularSensitivityError(
             f"observable mean has zero slope at phi={phi!r}; "
@@ -138,8 +168,13 @@ def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
     variance = max(second - mean * mean, 0.0)
     delta_phi_sq = variance / (nu * slope * slope)
     qcrb = 1.0 / (nu * sld_result.qfi)
-    rho, o, l_matrix = sld_result.rho, obs.matrix, sld_result.L.matrix
-    commutator_sq = abs(complex(np.trace(rho @ (o @ l_matrix - l_matrix @ o)))) ** 2
+    if o_psi is None:
+        rho, o, l_matrix = sld_result.rho, obs.matrix, sld_result.L.matrix
+        commutator = complex(np.trace(rho @ (o @ l_matrix - l_matrix @ o)))
+    else:
+        # <psi|[O,L]|psi> = <O psi|L psi> - conj(<O psi|L psi>)
+        commutator = 2j * cross.imag
+    commutator_sq = abs(commutator) ** 2
     intermediate = qcrb * (1.0 + commutator_sq / ((2.0 * cross.real) ** 2))
     return ErrorPropagationReport(
         variance=variance, slope=slope, nu=nu, delta_phi_sq=delta_phi_sq,
@@ -181,39 +216,35 @@ def check_observable_optimality(model: ParametricModel, phi: float,
       (pure states under a unitary generator).
     """
     sld_result = sld(model, phi)
-    return _check_observable_optimality(model, phi, obs, variant, sld_result,
+    return _check_observable_optimality(model, obs, variant, sld_result,
                                         _moments(model, obs, sld_result), tol=tol)
 
 
-def _check_observable_optimality(model: ParametricModel, phi: float,
+def _check_observable_optimality(model: ParametricModel,
                                  obs: HermitianObservable, variant: ConditionVariant,
-                                 sld_result: SldResult, moments: tuple, *,
+                                 sld_result: SldResult, moments: Moments, *,
                                  tol: float = OPTIMALITY_RTOL) -> OptimalityReport:
     """:func:`check_observable_optimality` from ``sld_result`` and its ``_moments``."""
-    mean, second, _, cross, _ = moments
-    l_matrix = sld_result.L.matrix
-    delta_o = obs.matrix - mean * np.eye(obs.dim)
+    mean, second, _, cross, _, o_psi = moments
     im_part = cross.imag
     anticommutator_mean = 2.0 * cross.real
-
-    if variant == "mixed":
-        lhs = delta_o @ sld_result.sqrt_rho
-        rhs = l_matrix @ sld_result.sqrt_rho
-    elif variant == "pure":
-        psi = _pure_vector(model, phi, sld_result)
-        lhs = delta_o @ psi
-        rhs = l_matrix @ psi
-    elif variant == "pure_unitary":
-        if model.kind != "unitary_generator":
-            raise VariantInapplicableError(
-                "pure_unitary variant needs a unitary_generator model")
-        psi = _pure_vector(model, phi, sld_result)
-        g = model.generator.matrix
-        g_mean = float(np.vdot(psi, g @ psi).real)
-        lhs = delta_o @ psi
-        rhs = -2.0j * ((g @ psi) - g_mean * psi)
-    else:
+    if variant not in ("mixed", "pure", "pure_unitary"):
         raise VariantInapplicableError(f"unknown condition variant {variant!r}")
+    if variant == "pure_unitary" and model.kind != "unitary_generator":
+        raise VariantInapplicableError(
+            "pure_unitary variant needs a unitary_generator model")
+
+    if o_psi is not None:
+        # sqrt(rho) = |psi><psi|: the mixed residual is the pure one
+        carrier = sld_result.psi
+        lhs, rhs = o_psi - mean * carrier, sld_result.l_psi
+    else:
+        carrier = sld_result.sqrt_rho if variant == "mixed" else _pure_vector(sld_result)
+        lhs = (obs.matrix - mean * np.eye(obs.dim)) @ carrier
+        rhs = sld_result.L.matrix @ carrier
+    if variant == "pure_unitary":
+        g_psi = model.generator.matrix @ carrier
+        rhs = -2.0j * (g_psi - float(np.vdot(carrier, g_psi).real) * carrier)
 
     lhs_norm = float(np.linalg.norm(lhs))
     rhs_norm = float(np.linalg.norm(rhs))

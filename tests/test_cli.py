@@ -291,21 +291,25 @@ class TestScanCommand:
         result = runner.invoke(main, ["scan", "--model", ghz2_spec])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("target,error", [
+    @pytest.mark.parametrize("target,error,spec", [
         ("qcrb_lab.fisher.psd_spectrum",
-         NotPositiveError("matrix has negative eigenvalue -1.0e-03")),
+         NotPositiveError("matrix has negative eigenvalue -1.0e-03"), "pure_density_spec"),
         ("qcrb_lab.fisher._probabilities",
-         ValueError("probabilities sum to 1.5, expected 1")),
+         ValueError("probabilities sum to 1.5, expected 1"), "pure_density_spec"),
+        ("qcrb_lab.fisher._probabilities",
+         ValueError("probabilities sum to 1.5, expected 1"), "ghz2_spec"),
     ])
-    def test_derived_matrix_errors_exit_four(self, runner, ghz2_spec, monkeypatch,
-                                             target, error):
+    def test_derived_matrix_errors_exit_four(self, runner, request, monkeypatch,
+                                             target, error, spec):
         """Checks failing on computed matrices are runtime errors, not spec
-        errors, even where the error type is a ValueError."""
+        errors, even where the error type is a ValueError. Only a density
+        matrix state solves its SLD through ``psd_spectrum``; a state vector's
+        POVM row reaches ``_probabilities`` through the lazily built rho."""
         def fail(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(target, fail)
-        result = runner.invoke(main, ["scan", "--model", ghz2_spec,
+        result = runner.invoke(main, ["scan", "--model", request.getfixturevalue(spec),
                                       "--phi-range", "0.1:1:3"])
         assert result.exit_code == 4
         assert str(error) in result.output
@@ -357,15 +361,21 @@ class TestOneSolvePerPhase:
         assert len({id(solve) for solve in solves}) == len(solves) == len(rows)
 
 
+# rho eigendecompositions per phase: none for state vectors, one for a density
+RHO_EIGHS_PER_PHASE = {"ghz2_spec": 0, "pure_density_spec": 1}
+
+
 class TestOneEigendecompositionPerPhase:
-    """Each phase diagonalises rho once: L, sqrt(rho) and psi all come from
-    the ``SldResult``, and a scan row's outcome distribution reuses its rho."""
+    """Each phase diagonalises rho at most once: L, sqrt(rho) and psi all
+    come from the ``SldResult``, a pure unitary family never diagonalises it,
+    and a scan row's outcome distribution reuses its rho."""
 
     @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
     def test_scan_row(self, runner, request, spec, rho_eighs):
         payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
                                     "--phi-range", "0:pi:9"])
-        assert len(payload["rows"]) == len(rho_eighs) == 9
+        assert len(payload["rows"]) == 9
+        assert len(rho_eighs) == 9 * RHO_EIGHS_PER_PHASE[spec]
 
     @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
     @pytest.mark.parametrize("variant", ["mixed", "pure", "pure_unitary"])
@@ -375,7 +385,8 @@ class TestOneEigendecompositionPerPhase:
                                       "--phi-range", "0:pi:5", "--variant", variant,
                                       "--output", "json"])
         assert result.exit_code == 3, result.output
-        assert len(json.loads(result.output)["rows"]) == len(rho_eighs) == 5
+        assert len(json.loads(result.output)["rows"]) == 5
+        assert len(rho_eighs) == 5 * RHO_EIGHS_PER_PHASE[spec]
 
     def test_one_density_per_povm_scan_row(self, runner, ghz2_spec, monkeypatch):
         phases = []
@@ -545,6 +556,46 @@ class TestSimulateCommand:
             encoding="utf-8")
         result = runner.invoke(main, ["simulate", "--model", str(path)])
         assert result.exit_code == 4
+
+
+class TestSpecValidation:
+    """Every key a nested spec mapping holds either takes effect or exits 2
+    naming it, and so does a negative seed."""
+
+    @pytest.mark.parametrize("text,field", [
+        ("state:\n  ghz: {n: 2, phi: 0.7}\n", "state.ghz.phi"),
+        ("state:\n  ghz: {n: 2}\n"
+         "parametrization: {generator: half_sigma_z_sum, scale: 3}\n",
+         "parametrization.scale"),
+        ("state:\n  ghz: {n: 1}\n"
+         "povm:\n  custom:\n    elements:\n"
+         "      - [[1, 0], [0, 0], [0, 0], [0, 0]]\n"
+         "      - [[0, 0], [0, 0], [0, 0], [1, 0]]\n"
+         "    weights: [1, 2]\n", "povm.custom.weights"),
+        ("state:\n  custom:\n    amplitudes: [[1, 0], [0, 0]]\n"
+         "    density: [[0, 0], [0, 0], [0, 0], [1, 0]]\n", "state.custom"),
+    ], ids=["state.ghz", "parametrization", "povm.custom", "state.custom"])
+    def test_unknown_nested_key_exits_two(self, runner, tmp_path, text, field):
+        path = tmp_path / "spec.yaml"
+        path.write_text(text + "phi: 0.3\n", encoding="utf-8")
+        result = runner.invoke(main, ["qfi", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"specification error: {field}" in result.output
+
+    def test_negative_spec_seed_exits_two(self, runner, tmp_path):
+        path = tmp_path / "seed.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\nobservable:\n  parity: true\n"
+                        "phi: 0.3\nseed: -1\n", encoding="utf-8")
+        result = runner.invoke(main, ["simulate", "--model", str(path),
+                                      "--trials", "4"])
+        assert result.exit_code == 2, result.output
+        assert "specification error: seed:" in result.output
+
+    def test_negative_seed_flag_exits_two(self, runner, ghz2_spec):
+        result = runner.invoke(main, ["simulate", "--model", ghz2_spec,
+                                      "--seed", "-5", "--trials", "4"])
+        assert result.exit_code == 2, result.output
+        assert "specification error: --seed" in result.output
 
 
 class TestCliContract:

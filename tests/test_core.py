@@ -121,6 +121,15 @@ class TestCollectiveSpin:
         with pytest.raises(ValueError):
             collective_spin("q", 2)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_z_diagonal_is_the_kronecker_sum_bit_for_bit(self, n):
+        total = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for site in range(n):
+            factors = [IDENTITY_2] * n
+            factors[site] = SIGMA_Z
+            total += tensor_product(factors)
+        assert collective_spin("z", n).matrix.tobytes() == (total / 2.0).tobytes()
+
 
 class TestMatrixSqrt:
     def test_projector_is_fixed_point(self):

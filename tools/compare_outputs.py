@@ -19,7 +19,10 @@ the grid 0:pi:9, whose phases k*pi/N are singular for the GHZ specs, in every
 variant and with ``--tol 1e-3``; ``cfi``, ``scan`` and ``simulate`` on GHZ
 N=2 and N=3 specs measured with the eigenprojectors of the x-parity
 observable; ``lambda`` at pi/4 in both
-bases, at the singular phase 0 and from the GHZ N=2 spec; plus the ``scan-pure``,
+bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
+``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
+two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
+plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -148,6 +151,22 @@ def invocations(workdir: Path) -> list[list[str]]:
         "povm": "x_basis_product", "nu": 1000})
     runs.append(["scan", "--model", mixed4, "--phi-range", "0:pi:9",
                  "--output", "json"])
+    rng = np.random.default_rng(2013)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    custom = _write(workdir / "custom-amplitudes.yaml", {
+        "state": {"custom": {"amplitudes": _pairs(amps / np.linalg.norm(amps))}},
+        "parametrization": {"generator": {"matrix": _pairs((raw + raw.conj().T) / 2)}},
+        "observable": {"pauli_product": [{"a1": 1.0}, {"a2": 0.5, "a3": 0.5}]},
+        "povm": "x_basis_product", "phi": 0.4, "nu": 1000})
+    runs += [["qfi", "--model", custom, "--phi-range", "0:pi:5", "--show-sld",
+              "--output", "json"],
+             ["sld", "--model", custom, "--phi-range", "0:pi:5", "--output", "json"],
+             ["errprop", "--model", custom, "--phi-range", "0:pi:5", "--output", "json"],
+             ["scan", "--model", custom, "--phi-range", "0:pi:9", "--output", "json"]]
+    runs += [["check-optimal", "--model", custom, "--phi-range", "0:pi:9",
+              "--variant", variant, "--output", "json"]
+             for variant in ("mixed", "pure", "pure_unitary")]
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
         "observable": {"pauli_product": {"a1": 1.0}},
