@@ -20,7 +20,6 @@ from .core import (
     DensityMatrix,
     HermitianObservable,
     Povm,
-    PsdSpectrum,
     PureState,
     psd_spectrum,
 )
@@ -216,30 +215,31 @@ class DenseSld(NamedTuple):
     rho: np.ndarray
     drho: np.ndarray
     L: HermitianObservable
-    spectrum: PsdSpectrum
 
 
 @dataclass(frozen=True, eq=False)
 class SldResult:
     """SLD of ``model`` at ``phi`` with its quantum Fisher information.
 
-    ``kernel_dim`` counts eigenvalues of ``rho`` at or below the support
-    cutoff, where the zero-block gauge was applied. A pure unitary family
-    carries its state vector ``psi``, ``dpsi = -iG psi`` and ``l_psi =
-    L psi``; nothing dense is solved for it, and ``rho``, ``drho``, ``L = 2
-    drho`` and ``spectrum`` are built on first read. Any other family
-    carries them in ``dense``. On either route ``residual``, the Frobenius
-    norm of ``drho - (rho L + L rho) / 2``, and ``sqrt_rho``, from the
-    eigendecomposition ``spectrum`` of ``rho``, are computed on first read.
+    ``carrier`` is a ``d x r`` factor ``C`` of ``rho = C C^dagger`` and
+    ``l_carrier = L C``, so that ``QFI = ||L C||^2``. ``kernel_dim`` counts
+    eigenvalues of ``rho`` at or below the support cutoff, where the
+    zero-block gauge was applied. A pure unitary family carries ``C = psi``
+    with ``dcarrier = -iG psi``; nothing dense is solved for it, and
+    ``rho``, ``drho`` and ``L = 2 drho`` are built on first read. Any other
+    family carries them in ``dense``, with ``C = V sqrt(p)`` over the
+    support of ``rho``'s eigendecomposition. On either route ``residual``,
+    the Frobenius norm of ``drho - (rho L + L rho) / 2``, is computed on
+    first read.
     """
 
     model: ParametricModel
     phi: float
     qfi: float
     kernel_dim: int
-    psi: np.ndarray | None = None
-    dpsi: np.ndarray | None = None
-    l_psi: np.ndarray | None = None
+    carrier: np.ndarray
+    l_carrier: np.ndarray
+    dcarrier: np.ndarray | None = None
     dense: DenseSld | None = None
 
     @cached_property
@@ -261,20 +261,18 @@ class SldResult:
         return HermitianObservable(2.0 * self.drho, check=False)
 
     @cached_property
-    def spectrum(self) -> PsdSpectrum:
-        if self.dense is not None:
-            return self.dense.spectrum
-        return psd_spectrum(self.rho)
-
-    @cached_property
     def residual(self) -> float:
         l_matrix = self.L.matrix
         return float(np.linalg.norm(
             self.drho - (self.rho @ l_matrix + l_matrix @ self.rho) / 2.0))
 
-    @cached_property
-    def sqrt_rho(self) -> np.ndarray:
-        return self.spectrum.sqrt()
+    def slope(self, o: np.ndarray, o_carrier: np.ndarray) -> float:
+        """``d<O>/dphi`` from ``o_carrier = O C``: ``2 Re<dC|O C>`` with a
+        state vector, else ``Re Tr(drho O)``; independent of ``l_carrier``,
+        so it checks ``Re<O C|L C>``."""
+        if self.dcarrier is not None:
+            return 2.0 * float(np.vdot(self.dcarrier, o_carrier).real)
+        return float(np.vdot(o, self.drho).real)
 
 
 def sld(model: ParametricModel, phi: float) -> SldResult:
@@ -293,7 +291,8 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
         dpsi = -1j * (model.generator.matrix @ psi)
         l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * psi)
         return SldResult(model=model, phi=phi, qfi=float(np.vdot(l_psi, l_psi).real),
-                         kernel_dim=model.dim - 1, psi=psi, dpsi=dpsi, l_psi=l_psi)
+                         kernel_dim=model.dim - 1, carrier=psi[:, None],
+                         l_carrier=l_psi[:, None], dcarrier=dpsi[:, None])
     rho = model.density(phi).matrix
     drho = _state_derivatives(model, phi, rho[None])[0]
     spectrum = psd_spectrum(rho)
@@ -311,11 +310,13 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
     l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
+    carrier = eigenvectors[:, ~kernel] * np.sqrt(eigenvalues[~kernel])
+    l_carrier = l_matrix @ carrier
     return SldResult(model=model, phi=phi,
-                     qfi=max(float(np.trace(rho @ l_matrix @ l_matrix).real), 0.0),
+                     qfi=float(np.vdot(l_carrier, l_carrier).real),
                      kernel_dim=int(np.count_nonzero(kernel)),
-                     dense=DenseSld(rho, drho, HermitianObservable(l_matrix, check=False),
-                                    spectrum))
+                     carrier=carrier, l_carrier=l_carrier,
+                     dense=DenseSld(rho, drho, HermitianObservable(l_matrix, check=False)))
 
 
 def qfi(model: ParametricModel, phi: float) -> float:
@@ -478,16 +479,3 @@ def cfi(dist: OutcomeDistribution) -> float:
                 f"{float(second[idx]):.3e}: classical Fisher information is "
                 "defined only as a limit at this phase")
     return total
-
-
-def _pure_vector(sld_result: SldResult) -> np.ndarray:
-    """State vector (any global phase) of a pure density-matrix state, from
-    ``sld_result = sld(model, phi)`` when the model has no amplitudes.
-
-    Raises :class:`VariantInapplicableError` when the state is mixed.
-    """
-    state = DensityMatrix(sld_result.rho, check=False)
-    if not state.is_pure():
-        raise VariantInapplicableError(
-            f"state at phi={sld_result.phi!r} is mixed (purity {state.purity()!r})")
-    return sld_result.spectrum.eigenvectors[:, -1]

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 KNOWN_TOLERANCES = ("optimality",)
+# libyaml's parser when PyYAML was built with it; it builds the same data
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _ANGLE_CONSTANTS = {"pi": math.pi, "tau": math.tau, "e": math.e}
 _BIN_OPS = {
@@ -458,7 +460,7 @@ def load_model_spec(path: str) -> ModelSpec:
     """Parse a model specification file (YAML)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -5,6 +5,13 @@ error propagation if and only if ``(O - <O>) sqrt(rho) = alpha L sqrt(rho)``
 for some nonzero real ``alpha``, where ``L`` is the SLD operator. The
 analogous per-outcome condition ``sqrt(M_x) sqrt(rho) = u_x sqrt(M_x) L
 sqrt(rho)`` certifies a POVM as attaining the quantum Fisher information.
+
+Both conditions are checked on the carrier ``C`` of :func:`~.fisher.sld`,
+any factor with ``C C^dagger = rho``: ``sqrt(rho)`` and ``C`` differ by a
+partial isometry on the right, so ``(O - <O>) C = alpha L C`` has the same
+Frobenius residual and the same least-squares ``alpha``. Every moment is a
+product of ``O C`` with ``C`` or ``L C``: ``<O> = <C, O C>``, ``<O^2> =
+||O C||^2`` and ``Tr(rho O L) = <O C, L C>``.
 """
 
 from __future__ import annotations
@@ -14,14 +21,14 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import HermitianObservable, Povm, matrix_sqrt_psd
+from .core import DensityMatrix, HermitianObservable, Povm, matrix_sqrt_psd
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
     SingularSensitivityError,
     VariantInapplicableError,
 )
-from .fisher import ParametricModel, SldResult, _pure_vector, sld
+from .fisher import ParametricModel, SldResult, sld
 
 __all__ = [
     "ErrorPropagationReport",
@@ -35,7 +42,9 @@ __all__ = [
     "estimator_error_decomposition",
     "OPTIMALITY_RTOL",
     "SLOPE_RTOL",
+    "EIGENSTATE_RTOL",
     "NO_INFORMATION",
+    "EIGENSTATE",
 ]
 
 #: relative residual below which the saturation condition counts as satisfied
@@ -44,6 +53,10 @@ OPTIMALITY_RTOL = 1e-8
 SLOPE_RTOL = 1e-10
 #: diagnostic value reported when the state carries no phase information
 NO_INFORMATION = "no_information"
+#: diagnostic value reported when the state is an eigenvector of the observable
+EIGENSTATE = "eigenstate_of_observable"
+#: ``||(O - <O>) C||`` at or below this fraction of ``sqrt(<O^2>)`` is rounding
+EIGENSTATE_RTOL = 1e-12
 
 ConditionVariant = Literal["mixed", "pure", "pure_unitary"]
 
@@ -79,12 +92,8 @@ def observable_expectations(model: ParametricModel, phi: float,
                             obs: HermitianObservable) -> tuple[float, float]:
     """First and second moments ``(Tr(rho O), Tr(rho O^2))``."""
     _require_same_dim(model, obs.dim)
-    return _expectations(model.density(phi).matrix @ obs.matrix, obs.matrix)
-
-
-def _expectations(ro: np.ndarray, o: np.ndarray) -> tuple[float, float]:
-    """``(Tr(rho O), Tr(rho O^2))`` from ``ro = rho @ O``."""
-    return _real_moments(complex(np.trace(ro)), complex(np.trace(ro @ o)))
+    ro = model.density(phi).matrix @ obs.matrix
+    return _real_moments(complex(np.trace(ro)), complex(np.trace(ro @ obs.matrix)))
 
 
 def _real_moments(mean: complex, second: complex) -> tuple[float, float]:
@@ -111,48 +120,35 @@ def error_propagation(model: ParametricModel, phi: float,
 
 
 class Moments(NamedTuple):
-    """What one observable needs of one phase; ``o_psi`` is ``O|psi>`` when
-    the SLD result carries a state vector, else ``None``."""
+    """What one observable needs of one phase, with ``o_carrier = O C``."""
 
     mean: float
     second: float
     slope: float
     cross: complex
     singular: bool
-    o_psi: np.ndarray | None
+    o_carrier: np.ndarray
 
 
 def _moments(model: ParametricModel, obs: HermitianObservable,
              sld_result: SldResult) -> Moments:
-    """``<O>``, ``<O^2>``, the slope ``Tr(drho O)``, ``Tr(rho O L)`` and
-    whether the slope is singular; raises :class:`ArithmeticError` if the
-    slope is not ``<[O,L]+>/2``.
-
-    With a state vector these are ``<psi|O psi>``, ``||O psi||^2``,
-    ``2 Re<dpsi|O psi>`` and ``<O psi|L psi>``; no d x d product is formed.
-    """
+    """``<O> = <C, O C>``, ``<O^2> = ||O C||^2``, the slope ``d<O>/dphi``,
+    ``Tr(rho O L) = <O C, L C>`` and whether the slope is singular; raises
+    :class:`ArithmeticError` if the slope is not ``<[O,L]+>/2``."""
     _require_same_dim(model, obs.dim)
-    o = obs.matrix
-    psi = sld_result.psi
-    if psi is None:
-        o_psi = None
-        ro = sld_result.rho @ o
-        mean, second = _expectations(ro, o)
-        slope = float(np.trace(sld_result.drho @ o).real)
-        cross = complex(np.trace(ro @ sld_result.L.matrix))
-    else:
-        o_psi = o @ psi
-        mean, second = _real_moments(complex(np.vdot(psi, o_psi)),
-                                     complex(np.vdot(o_psi, o_psi)))
-        slope = 2.0 * float(np.vdot(sld_result.dpsi, o_psi).real)
-        cross = complex(np.vdot(o_psi, sld_result.l_psi))
+    carrier = sld_result.carrier
+    o_carrier = obs.matrix @ carrier
+    mean, second = _real_moments(complex(np.vdot(carrier, o_carrier)),
+                                 complex(np.vdot(o_carrier, o_carrier)))
+    slope = sld_result.slope(obs.matrix, o_carrier)
+    cross = complex(np.vdot(o_carrier, sld_result.l_carrier))
     slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
     if abs(slope - cross.real) > 1e-7 * max(1.0, abs(slope), slope_scale):
         raise ArithmeticError(
             f"slope identity violated: Tr(drho O) = {slope!r} but "
             f"<[O,L]+>/2 = {cross.real!r}")
     singular = abs(slope) <= SLOPE_RTOL * slope_scale or slope_scale == 0.0
-    return Moments(mean, second, slope, cross, singular, o_psi)
+    return Moments(mean, second, slope, cross, singular, o_carrier)
 
 
 def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
@@ -160,7 +156,7 @@ def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
     """:func:`error_propagation` from ``sld_result`` and its ``_moments``."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
-    mean, second, slope, cross, singular, o_psi = moments
+    mean, second, slope, cross, singular, _ = moments
     if singular:
         raise SingularSensitivityError(
             f"observable mean has zero slope at phi={phi!r}; "
@@ -168,14 +164,8 @@ def _error_propagation(phi: float, obs: HermitianObservable, nu: int,
     variance = max(second - mean * mean, 0.0)
     delta_phi_sq = variance / (nu * slope * slope)
     qcrb = 1.0 / (nu * sld_result.qfi)
-    if o_psi is None:
-        rho, o, l_matrix = sld_result.rho, obs.matrix, sld_result.L.matrix
-        commutator = complex(np.trace(rho @ (o @ l_matrix - l_matrix @ o)))
-    else:
-        # <psi|[O,L]|psi> = <O psi|L psi> - conj(<O psi|L psi>)
-        commutator = 2j * cross.imag
-    commutator_sq = abs(commutator) ** 2
-    intermediate = qcrb * (1.0 + commutator_sq / ((2.0 * cross.real) ** 2))
+    # |Tr(rho [O,L])| = 2 |Im<O C, L C>| and Tr(rho {O,L}) = 2 Re<O C, L C>
+    intermediate = qcrb * (1.0 + (2.0 * cross.imag) ** 2 / ((2.0 * cross.real) ** 2))
     return ErrorPropagationReport(
         variance=variance, slope=slope, nu=nu, delta_phi_sq=delta_phi_sq,
         intermediate_bound=intermediate, qcrb=qcrb, qfi=sld_result.qfi,
@@ -189,7 +179,9 @@ class OptimalityReport:
     ``alpha`` is the real least-squares coefficient projecting
     ``(O - <O>) sqrt(rho)`` onto ``L sqrt(rho)``; ``residual_rel`` the
     relative norm left over; ``im_part`` the imaginary part of ``<O L>``
-    (must vanish for saturation).
+    (must vanish for saturation). ``diagnostic`` is :data:`NO_INFORMATION`
+    where ``L sqrt(rho)`` vanishes and :data:`EIGENSTATE` where ``(O - <O>)
+    sqrt(rho)`` is rounding noise; both report ``alpha = 0`` and fail.
     """
 
     alpha: float
@@ -225,7 +217,7 @@ def _check_observable_optimality(model: ParametricModel,
                                  sld_result: SldResult, moments: Moments, *,
                                  tol: float = OPTIMALITY_RTOL) -> OptimalityReport:
     """:func:`check_observable_optimality` from ``sld_result`` and its ``_moments``."""
-    mean, second, _, cross, _, o_psi = moments
+    mean, second, _, cross, _, o_carrier = moments
     im_part = cross.imag
     anticommutator_mean = 2.0 * cross.real
     if variant not in ("mixed", "pure", "pure_unitary"):
@@ -234,17 +226,16 @@ def _check_observable_optimality(model: ParametricModel,
         raise VariantInapplicableError(
             "pure_unitary variant needs a unitary_generator model")
 
-    if o_psi is not None:
-        # sqrt(rho) = |psi><psi|: the mixed residual is the pure one
-        carrier = sld_result.psi
-        lhs, rhs = o_psi - mean * carrier, sld_result.l_psi
-    else:
-        carrier = sld_result.sqrt_rho if variant == "mixed" else _pure_vector(sld_result)
-        lhs = (obs.matrix - mean * np.eye(obs.dim)) @ carrier
-        rhs = sld_result.L.matrix @ carrier
+    carrier = sld_result.carrier
+    if variant != "mixed" and carrier.shape[1] > 1:
+        state = DensityMatrix(sld_result.rho, check=False)
+        if not state.is_pure():
+            raise VariantInapplicableError(
+                f"state at phi={sld_result.phi!r} is mixed (purity {state.purity()!r})")
+    lhs, rhs = o_carrier - mean * carrier, sld_result.l_carrier
     if variant == "pure_unitary":
-        g_psi = model.generator.matrix @ carrier
-        rhs = -2.0j * (g_psi - float(np.vdot(carrier, g_psi).real) * carrier)
+        g_carrier = model.generator.matrix @ carrier
+        rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
 
     lhs_norm = float(np.linalg.norm(lhs))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -255,13 +246,18 @@ def _check_observable_optimality(model: ParametricModel,
             im_part=im_part, anticommutator_mean=anticommutator_mean,
             is_optimal=False, condition_variant=variant,
             diagnostic=NO_INFORMATION)
+    if lhs_norm <= EIGENSTATE_RTOL * np.sqrt(max(second, 0.0)):
+        # an eigenvector of O: both norms of the residual ratio are rounding
+        return OptimalityReport(
+            alpha=0.0, residual_rel=0.0, im_part=im_part,
+            anticommutator_mean=anticommutator_mean, is_optimal=False,
+            condition_variant=variant, diagnostic=EIGENSTATE)
     alpha = float(np.vdot(rhs, lhs).real) / (rhs_norm * rhs_norm)
     residual = float(np.linalg.norm(lhs - alpha * rhs))
-    scale = max(lhs_norm, abs(alpha) * rhs_norm)
-    residual_rel = residual / scale if scale > 0.0 else 0.0
+    residual_rel = residual / max(lhs_norm, abs(alpha) * rhs_norm)
     variance = max(second - mean * mean, 0.0)
     im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
-    alpha_ok = abs(alpha) * rhs_norm > 1e-10 * lhs_norm and lhs_norm > 0.0
+    alpha_ok = abs(alpha) * rhs_norm > 1e-10 * lhs_norm
     is_optimal = (residual_rel <= tol) and alpha_ok and (abs(im_part) <= tol * im_scale)
     return OptimalityReport(
         alpha=alpha, residual_rel=residual_rel, im_part=im_part,
@@ -283,20 +279,19 @@ def check_povm_optimality(model: ParametricModel, phi: float, povm: Povm, *,
     """Test whether a POVM attains the quantum Fisher information.
 
     Fits, for each outcome, the real ``u_x`` minimizing
-    ``|| sqrt(M_x) sqrt(rho) - u_x sqrt(M_x) L sqrt(rho) ||`` and requires
-    every relative residual to vanish. Outcomes where both sides vanish
-    (the outcome never fires) are trivially satisfied with ``u_x = 0``.
+    ``|| sqrt(M_x) sqrt(rho) - u_x sqrt(M_x) L sqrt(rho) ||``, on the
+    carrier as ``|| sqrt(M_x) C - u_x sqrt(M_x) L C ||``, and requires every
+    relative residual to vanish. Outcomes where both sides vanish (the
+    outcome never fires) are trivially satisfied with ``u_x = 0``.
     """
     _require_same_dim(model, povm.dim)
     sld_result = sld(model, phi)
-    sqrt_rho = sld_result.sqrt_rho
-    l_sqrt_rho = sld_result.L.matrix @ sqrt_rho
     u_values = np.zeros(len(povm))
     residuals = np.zeros(len(povm))
     for idx, element in enumerate(povm.elements):
         sqrt_m = matrix_sqrt_psd(element)
-        lhs = sqrt_m @ sqrt_rho
-        rhs = sqrt_m @ l_sqrt_rho
+        lhs = sqrt_m @ sld_result.carrier
+        rhs = sqrt_m @ sld_result.l_carrier
         lhs_norm = float(np.linalg.norm(lhs))
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm * rhs_norm <= 1e-14 * max(1.0, lhs_norm):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcrb_lab import DensityMatrix, HermitianObservable, Povm
+from qcrb_lab.core import require_hermitian
 
 
 def random_hermitian(rng, dim):
@@ -26,6 +27,15 @@ def random_povm(rng, dim, n_outcomes):
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
     return Povm(tuple(inv_sqrt @ a @ inv_sqrt for a in raw))
+
+
+def support_carrier(rho):
+    """``C = V sqrt(p)`` with ``C C^dagger = rho`` over the eigenvalues of the
+    symmetrised ``rho`` above 1e-12 times their sum."""
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(rho, atol=1e-8))
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    support = eigenvalues > 1e-12 * float(np.sum(eigenvalues))
+    return eigenvectors[:, support] * np.sqrt(eigenvalues[support])
 
 
 @pytest.fixture

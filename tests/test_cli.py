@@ -14,9 +14,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from qcrb_lab import cli, fisher, optimality
+from qcrb_lab import cli, fisher, modelspec, optimality
 from qcrb_lab.cli import SCAN_COLUMNS, main
 from qcrb_lab.errors import NotPositiveError
 
@@ -609,6 +610,16 @@ class TestCliContract:
         result = runner.invoke(main, ["qfi", "--model", str(path)])
         assert result.exit_code == 2
         assert "state.ghz.n" in result.output
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_malformed_yaml_is_exit_two(self, runner, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.setattr(modelspec, "_Loader", yaml.SafeLoader)
+        path = tmp_path / "broken.yaml"
+        path.write_text("state: [unbalanced", encoding="utf-8")
+        result = runner.invoke(main, ["qfi", "--model", str(path)])
+        assert result.exit_code == 2
+        assert "invalid YAML" in result.output
 
     def test_non_numeric_coefficient_is_exit_two(self, runner, tmp_path):
         path = tmp_path / "bad.yaml"

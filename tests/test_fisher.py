@@ -33,9 +33,7 @@ from qcrb_lab import (
     state_derivative,
     unitary_model,
 )
-from qcrb_lab.core import matrix_sqrt_psd
-
-from conftest import random_density, random_hermitian, random_povm
+from conftest import random_density, random_hermitian, random_povm, support_carrier
 
 
 def computational_povm(dim):
@@ -445,6 +443,18 @@ def _ref_sld(model, phi):
     return l_matrix, qfi_value, int(np.count_nonzero(eigenvalues <= cutoff))
 
 
+def _ref_carrier_sld(model, phi, l_matrix):
+    """``(C, L C)`` with ``C C^dagger = rho``: ``C = psi`` and ``L psi = 2(dpsi
+    + <dpsi|psi> psi)`` for a pure unitary family, else ``support_carrier(rho)``
+    and ``L C`` with the given ``l_matrix``."""
+    psi = model.pure_amplitudes(phi)
+    if psi is not None:
+        dpsi = -1j * (model.generator.matrix @ psi)
+        return psi[:, None], (2.0 * (dpsi + np.vdot(dpsi, psi) * psi))[:, None]
+    carrier = support_carrier(model.density(phi).matrix)
+    return carrier, l_matrix @ carrier
+
+
 def spectrum_case(name, seed):
     """A reference model, a rank-deficient mixed family, or a blackbox family
     returning unsymmetrised pure states."""
@@ -461,8 +471,9 @@ def spectrum_case(name, seed):
 
 
 class TestOneEigendecomposition:
-    """``sld`` diagonalises rho once; ``sqrt_rho`` is the square root that
-    ``matrix_sqrt_psd`` computes, and L is the one an unsymmetrised ``eigh``
+    """``sld`` diagonalises rho once; its carrier is the factor of rho that
+    the support rule of ``matrix_sqrt_psd`` gives, the QFI is ``||L C||^2``,
+    and L and the trace-formula QFI are the ones an unsymmetrised ``eigh``
     gave, up to rounding."""
 
     @given(name=st.sampled_from(REFERENCE_CASES + ("rank", "pure-blackbox")),
@@ -472,7 +483,11 @@ class TestOneEigendecomposition:
     def test_matches_separate_decompositions(self, name, seed, phi):
         model = spectrum_case(name, seed)
         result = sld(model, phi)
-        assert result.sqrt_rho.tobytes() == matrix_sqrt_psd(result.rho).tobytes()
+        carrier, l_carrier = _ref_carrier_sld(model, phi, result.L.matrix)
+        assert result.carrier.tobytes() == carrier.tobytes()
+        assert result.l_carrier.tobytes() == l_carrier.tobytes()
+        assert repr(result.qfi) == repr(float(np.vdot(l_carrier, l_carrier).real))
+        assert np.linalg.norm(carrier @ carrier.conj().T - result.rho) <= 1e-11
         l_matrix, qfi_value, kernel_dim = _ref_sld(model, phi)
         scale = max(1.0, float(np.linalg.norm(l_matrix)))
         assert np.linalg.norm(result.L.matrix - l_matrix) <= 1e-12 * scale

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from qcrb_lab import SpecFileError, modelspec
 from qcrb_lab.modelspec import (
@@ -207,6 +208,12 @@ class TestSpecErrors:
                                                         [0, 0], [1, 0]]}})
 
 
+@pytest.fixture
+def python_yaml_loader(monkeypatch):
+    """Load specs with PyYAML's pure-Python parser, as without libyaml."""
+    monkeypatch.setattr(modelspec, "_Loader", yaml.SafeLoader)
+
+
 class TestLoadFromFile:
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "spec.yaml"
@@ -220,6 +227,9 @@ class TestLoadFromFile:
         assert spec.nu == 1000 and spec.seed == 5 and spec.trials == 20
         assert spec.phis[0] == pytest.approx(math.pi / 8)
 
+    def test_yaml_round_trip_without_libyaml(self, tmp_path, python_yaml_loader):
+        self.test_yaml_round_trip(tmp_path)
+
     def test_missing_file(self):
         with pytest.raises(SpecFileError, match="cannot read"):
             load_model_spec("/nonexistent/spec.yaml")
@@ -229,3 +239,16 @@ class TestLoadFromFile:
         path.write_text("state: [unbalanced", encoding="utf-8")
         with pytest.raises(SpecFileError, match="invalid YAML"):
             load_model_spec(str(path))
+
+    def test_invalid_yaml_without_libyaml(self, tmp_path, python_yaml_loader):
+        self.test_invalid_yaml(tmp_path)
+
+    def test_libyaml_parser_when_available(self):
+        assert modelspec._Loader is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    def test_both_parsers_build_the_same_data(self):
+        values = np.random.default_rng(5).normal(size=(16, 2)).tolist()
+        text = yaml.safe_dump({"state": {"custom": {"density": values}},
+                               "phi": "pi/8", "nu": 1000, "povm": "x_basis_product"})
+        assert (yaml.load(text, Loader=modelspec._Loader)
+                == yaml.load(text, Loader=yaml.SafeLoader))

@@ -22,7 +22,9 @@ observable; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
 ``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
-plus the ``scan-pure``,
+``qfi``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
+two-qubit rank-2 ``custom`` density spec and a pure ``custom`` density spec,
+whose SLD carriers have two columns and one; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -167,6 +169,22 @@ def invocations(workdir: Path) -> list[list[str]]:
     runs += [["check-optimal", "--model", custom, "--phi-range", "0:pi:9",
               "--variant", variant, "--output", "json"]
              for variant in ("mixed", "pure", "pure_unitary")]
+    rng = np.random.default_rng(2014)
+    basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rank2 = 0.7 * np.outer(basis[:, 0], basis[:, 0].conj()) + 0.3 * np.outer(
+        basis[:, 1], basis[:, 1].conj())
+    for name, density in (("rank2", rank2),
+                          ("pure", np.outer(basis[:, 2], basis[:, 2].conj()))):
+        spec = _write(workdir / f"custom-{name}-density.yaml", {
+            "state": {"custom": {"density": _pairs(density)}},
+            "observable": {"pauli_product": {"a1": 1.0}},
+            "povm": "x_basis_product", "phi": 0.4, "nu": 1000})
+        runs += [[command, "--model", spec, "--phi-range", "0:pi:5", "--output", "json"]
+                 for command in ("qfi", "errprop")]
+        runs.append(["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"])
+        runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
+                  "--variant", variant, "--output", "json"]
+                 for variant in ("mixed", "pure", "pure_unitary")]
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
         "observable": {"pauli_product": {"a1": 1.0}},
