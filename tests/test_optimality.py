@@ -705,15 +705,30 @@ def shared_sld_case(name, seed):
             random_povm(rng, dim, int(rng.integers(2, 6))))
 
 
+_EPS = float(np.finfo(float).eps)
+
+#: ``delta_phi_sq`` and ``intermediate_bound`` may differ by this many
+#: ``eps sqrt(<O^2> QFI) / |slope|`` relative (see TestSharedSldReference)
+SLOPE_NOISE = 64.0
+
+
 def _assert_reports_close(new, ref):
-    """Equal errors and non-float fields; floats within 1e-12 max(1, |ref|)."""
+    """Equal errors and non-float fields; floats within 1e-12 max(1, |ref|),
+    and the two that divide by the squared slope also within ``SLOPE_NOISE
+    eps sqrt(<O^2> QFI) / |slope|`` relative."""
     assert isinstance(new, tuple) == isinstance(ref, tuple), (new, ref)
     if isinstance(ref, tuple):
         assert new == ref
         return
     for field in dataclasses.fields(ref):
         value, expected = getattr(new, field.name), getattr(ref, field.name)
-        if isinstance(expected, float):
+        if field.name in ("delta_phi_sq", "intermediate_bound"):
+            condition = math.sqrt(ref.second_moment * ref.qfi) / abs(ref.slope)
+            assert abs(value - expected) <= max(
+                1e-12 * max(1.0, abs(expected)),
+                SLOPE_NOISE * _EPS * condition * abs(expected)), (
+                field.name, value, expected, condition)
+        elif isinstance(expected, float):
             _assert_close(field.name, value, expected)
         else:
             assert value == expected, (field.name, value, expected)
@@ -725,7 +740,13 @@ class TestSharedSldReference:
     the SLD and taking the carrier formulas once per quantity. On a mixed
     family the trace formulas (``Tr(rho L^2)``, ``Tr(rho O)``, ``Tr(drho O)``,
     ``Tr(rho O L)``, the residual on ``sqrt(rho)``) agree within
-    ``1e-12 max(1, |value|)``."""
+    ``1e-12 max(1, |value|)``. ``delta_phi_sq`` and ``intermediate_bound``
+    divide by the squared slope ``Re Tr(rho O L)``, whose two formulas differ
+    by a few ``eps sqrt(<O^2> QFI)``; near a zero of the slope that becomes a
+    relative error of ``eps sqrt(<O^2> QFI) / |slope|``, up to ``1 /
+    SLOPE_RTOL``. Over 22,000 draws, half of them bisected towards a zero of
+    the slope, the largest ratio of the disagreement to that was 26, and
+    ``SLOPE_NOISE = 64`` leaves a factor of about 2.5 above it."""
 
     @given(name=st.sampled_from(SHARED_SLD_CASES),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -824,8 +845,6 @@ def vector_and_dense_case(name, seed):
     return (unitary_model(state, generator), unitary_model(state.density(), generator),
             obs, None)
 
-
-_EPS = float(np.finfo(float).eps)
 
 #: draws whose generator is conditioned worse than this are skipped
 KAPPA_MAX = 100.0
