@@ -8,6 +8,7 @@ text, JSON, or CSV. Exit codes: 0 success, 2 specification or usage error,
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -21,7 +22,7 @@ from .fisher import cfi as cfi_value
 from .fisher import _outcome_distribution, outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
-from .modelspec import _positive_float
+from .modelspec import _RUN_MINIMUMS, _integer, _positive_float
 from .optimality import (
     OPTIMALITY_RTOL,
     _check_observable_optimality,
@@ -67,16 +68,31 @@ _OPTIONS = {
 }
 
 
-def _options(*flags, formats=("text", "json")):
-    """Attach the named ``_OPTIONS``, then ``--output FORMAT`` and ``--out``."""
+def _command(name, *flags, formats=("text", "json")):
+    """Register a ``main`` command taking the named ``_OPTIONS``, then
+    ``--output FORMAT`` and ``--out``, with its errors mapped to exit codes."""
     def attach(fn):
-        fn = click.option("--out", "out_path", type=click.Path(), default=None,
-                          help="Write output to a file instead of stdout.")(fn)
-        fn = click.option("--output", "output_format", type=click.Choice(formats),
-                          default="text", help="Output format.")(fn)
+        @functools.wraps(fn)
+        def run(**kwargs):
+            try:
+                fn(**kwargs)
+            except SpecFileError as exc:
+                click.echo(f"specification error: {exc}", err=True)
+                sys.exit(EXIT_SPEC_ERROR)
+            except (MetrologyError, ValueError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_RUNTIME_ERROR)
+            except ArithmeticError as exc:
+                click.echo(f"numeric error: {exc}", err=True)
+                sys.exit(EXIT_RUNTIME_ERROR)
+
+        run = click.option("--out", "out_path", type=click.Path(), default=None,
+                           help="Write output to a file instead of stdout.")(run)
+        run = click.option("--output", "output_format", type=click.Choice(formats),
+                           default="text", help="Output format.")(run)
         for flag in reversed(flags):
-            fn = _OPTIONS[flag](fn)
-        return fn
+            run = _OPTIONS[flag](run)
+        return main.command(name=name)(run)
     return attach
 
 
@@ -97,25 +113,19 @@ def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
             raise SpecFileError("--phi-range must be START:STOP:STEPS")
         try:
             steps = int(parts[2])
-        except ValueError as exc:
-            raise SpecFileError("--phi-range STEPS must be an integer") from exc
-        if steps < 2:
-            raise SpecFileError("--phi-range STEPS must be >= 2")
+        except ValueError:
+            steps = parts[2]  # not an integer: _integer rejects it by name
+        steps = _integer(steps, 2, fieldname="--phi-range STEPS")
         changes.update(phis=_phase_grid(
             parse_angle(parts[0], fieldname="phi-range.start"),
             parse_angle(parts[1], fieldname="phi-range.stop"),
             steps, fieldname="phi-range"), phi_is_range=True)
-    if nu is not None and nu < 1:
-        raise SpecFileError("--nu must be a positive integer")
-    if trials is not None and trials < 2:
-        raise SpecFileError("--trials must be at least 2")
-    if seed is not None and seed < 0:
-        raise SpecFileError("--seed must be a non-negative integer")
+    for key, value in (("nu", nu), ("trials", trials), ("seed", seed)):
+        if value is not None:
+            changes[key] = _integer(value, _RUN_MINIMUMS[key], fieldname=f"--{key}")
     if tol is not None:
         changes["tolerances"] = {**spec.tolerances,
                                  "optimality": _positive_float(tol, fieldname="--tol")}
-    overrides = {"nu": nu, "seed": seed, "trials": trials}
-    changes.update((key, value) for key, value in overrides.items() if value is not None)
     return replace(spec, **changes)
 
 
@@ -162,19 +172,22 @@ def _render_rows(command: str, rows: list[dict], columns, output_format: str) ->
     return _rows_as_text(rows, columns)
 
 
-def _run(fn) -> None:
-    """Run a command body, mapping its errors to exit codes."""
-    try:
-        fn()
-    except SpecFileError as exc:
-        click.echo(f"specification error: {exc}", err=True)
-        sys.exit(EXIT_SPEC_ERROR)
-    except (MetrologyError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME_ERROR)
-    except ArithmeticError as exc:
-        click.echo(f"numeric error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME_ERROR)
+def _table(command: str, spec: ModelSpec, row, output_format: str,
+           out_path: str | None) -> list[dict]:
+    """Emit ``row(phi)`` for each phase of ``spec`` as one table whose
+    columns are the first row's keys; returns the rows."""
+    rows = [row(float(phi)) for phi in spec.phis]
+    _emit(_render_rows(command, rows, tuple(rows[0]), output_format), out_path)
+    return rows
+
+
+def _required(spec: ModelSpec, section: str, command: str):
+    """The spec's ``observable`` or ``povm``, which ``command`` cannot run without."""
+    value = getattr(spec, section)
+    if value is None:
+        article = "an" if section == "observable" else "a"
+        raise SpecFileError(f"{command} requires {article} {section}", field=section)
+    return value
 
 
 @click.group()
@@ -182,100 +195,68 @@ def main() -> None:
     """Quantum Fisher information and Cramér-Rao saturation toolkit."""
 
 
-@main.command(name="qfi")
-@_options("--model", "--phi", "--phi-range", "--show-sld")
+@_command("qfi", "--model", "--phi", "--phi-range", "--show-sld")
 def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_path):
     """Quantum Fisher information at each phase."""
+    spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
 
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-        rows = []
-        for phi in spec.phis:
-            result = sld(spec.model, float(phi))
-            row = {"phi": float(phi), "qfi": result.qfi}
-            if show_sld:
-                row["sld_matrix"] = _matrix_pairs(result.L.matrix)
-            rows.append(row)
-        columns = ("phi", "qfi") + (("sld_matrix",) if show_sld else ())
-        _emit(_render_rows("qfi", rows, columns, output_format), out_path)
+    def row(phi):
+        result = sld(spec.model, phi)
+        if show_sld:
+            return {"phi": phi, "qfi": result.qfi,
+                    "sld_matrix": _matrix_pairs(result.L.matrix)}
+        return {"phi": phi, "qfi": result.qfi}
 
-    _run(impl)
+    _table("qfi", spec, row, output_format, out_path)
 
 
-@main.command(name="sld")
-@_options("--model", "--phi", "--phi-range")
+@_command("sld", "--model", "--phi", "--phi-range")
 def cmd_sld(model_path, phi_text, phi_range_text, output_format, out_path):
     """SLD operator, residual, and kernel dimension at each phase."""
+    spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
 
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-        rows = []
-        for phi in spec.phis:
-            result = sld(spec.model, float(phi))
-            rows.append({"phi": float(phi), "qfi": result.qfi,
-                         "residual": result.residual,
-                         "kernel_dim": result.kernel_dim,
-                         "matrix": _matrix_pairs(result.L.matrix)})
-        columns = ("phi", "qfi", "residual", "kernel_dim", "matrix")
-        _emit(_render_rows("sld", rows, columns, output_format), out_path)
+    def row(phi):
+        result = sld(spec.model, phi)
+        return {"phi": phi, "qfi": result.qfi, "residual": result.residual,
+                "kernel_dim": result.kernel_dim,
+                "matrix": _matrix_pairs(result.L.matrix)}
 
-    _run(impl)
+    _table("sld", spec, row, output_format, out_path)
 
 
-@main.command(name="errprop")
-@_options("--model", "--phi", "--phi-range", "--nu")
+@_command("errprop", "--model", "--phi", "--phi-range", "--nu")
 def cmd_errprop(model_path, phi_text, phi_range_text, nu, output_format, out_path):
     """Error-propagation phase variance of the observable at each phase."""
+    spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
+                      nu=nu)
+    observable = _required(spec, "observable", "errprop")
 
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
-                          nu=nu)
-        if spec.observable is None:
-            raise SpecFileError("errprop requires an observable", field="observable")
-        rows = []
-        for phi in spec.phis:
-            report = error_propagation(spec.model, float(phi), spec.observable,
-                                       spec.nu)
-            rows.append({"phi": float(phi), "variance": report.variance,
-                         "slope": report.slope, "nu": report.nu,
-                         "delta_phi_sq": report.delta_phi_sq,
-                         "intermediate_bound": report.intermediate_bound,
-                         "qcrb": report.qcrb, "qfi": report.qfi,
-                         "mean": report.mean,
-                         "second_moment": report.second_moment})
-        columns = ("phi", "variance", "slope", "nu", "delta_phi_sq",
-                   "intermediate_bound", "qcrb", "qfi", "mean", "second_moment")
-        _emit(_render_rows("errprop", rows, columns, output_format), out_path)
+    def row(phi):
+        report = error_propagation(spec.model, phi, observable, spec.nu)
+        return {"phi": phi, "variance": report.variance, "slope": report.slope,
+                "nu": report.nu, "delta_phi_sq": report.delta_phi_sq,
+                "intermediate_bound": report.intermediate_bound,
+                "qcrb": report.qcrb, "qfi": report.qfi, "mean": report.mean,
+                "second_moment": report.second_moment}
 
-    _run(impl)
+    _table("errprop", spec, row, output_format, out_path)
 
 
-@main.command(name="check-optimal")
-@_options("--model", "--phi", "--phi-range", "--tol")
+@_command("check-optimal", "--model", "--phi", "--phi-range", "--tol")
 @click.option("--variant", type=click.Choice(["mixed", "pure", "pure_unitary"]),
               default="mixed", help="Saturation-condition variant.")
 def cmd_check_optimal(model_path, phi_text, phi_range_text, tol, output_format,
                       out_path, variant):
     """Certify (exit 0) or refute (exit 3) observable optimality."""
-
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
-                          tol=tol)
-        if spec.observable is None:
-            raise SpecFileError("check-optimal requires an observable",
-                                field="observable")
-        opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
-        rows = [_check_optimal_row(spec, float(phi), variant, opt_tol)
-                for phi in spec.phis]
-        columns = ("phi", "alpha", "residual_rel", "im_part",
-                   "anticommutator_mean", "is_optimal", "condition_variant",
-                   "singular_flag", "diagnostic")
-        _emit(_render_rows("check_optimal", rows, columns, output_format),
-              out_path)
-        if not all(row["is_optimal"] for row in rows):
-            sys.exit(EXIT_NOT_OPTIMAL)
-
-    _run(impl)
+    spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text,
+                      tol=tol)
+    _required(spec, "observable", "check-optimal")
+    opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
+    rows = _table("check_optimal", spec,
+                  lambda phi: _check_optimal_row(spec, phi, variant, opt_tol),
+                  output_format, out_path)
+    if not all(row["is_optimal"] for row in rows):
+        sys.exit(EXIT_NOT_OPTIMAL)
 
 
 def _check_optimal_row(spec: ModelSpec, phi: float, variant: str,
@@ -325,40 +306,27 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
     return row
 
 
-@main.command(name="scan")
-@_options("--model", "--phi-range", "--nu", "--tol", formats=("text", "json", "csv"))
+@_command("scan", "--model", "--phi-range", "--nu", "--tol",
+          formats=("text", "json", "csv"))
 def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
     """One row per grid phase: QFI, CFI, error propagation, optimality."""
-
-    def impl():
-        spec = _load_spec(model_path, phi_range_text=phi_range_text, nu=nu, tol=tol)
-        if not spec.phi_is_range or spec.phis.shape[0] < 2:
-            raise SpecFileError("scan requires a phi range with steps >= 2",
-                                field="phi")
-        opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
-        rows = [_scan_row(spec, float(phi), opt_tol) for phi in spec.phis]
-        _emit(_render_rows("scan", rows, SCAN_COLUMNS, output_format), out_path)
-
-    _run(impl)
+    spec = _load_spec(model_path, phi_range_text=phi_range_text, nu=nu, tol=tol)
+    if not spec.phi_is_range:
+        raise SpecFileError("scan requires a phi range with steps >= 2", field="phi")
+    opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
+    _table("scan", spec, lambda phi: _scan_row(spec, phi, opt_tol), output_format,
+           out_path)
 
 
-@main.command(name="cfi")
-@_options("--model", "--phi", "--phi-range")
+@_command("cfi", "--model", "--phi", "--phi-range")
 def cmd_cfi(model_path, phi_text, phi_range_text, output_format, out_path):
     """Classical Fisher information of the POVM at each phase."""
-
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-        if spec.povm is None:
-            raise SpecFileError("cfi requires a povm", field="povm")
-        rows = []
-        for phi in spec.phis:
-            value = cfi_value(outcome_distribution(spec.model, float(phi),
-                                                   spec.povm))
-            rows.append({"phi": float(phi), "cfi": value})
-        _emit(_render_rows("cfi", rows, ("phi", "cfi"), output_format), out_path)
-
-    _run(impl)
+    spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
+    povm = _required(spec, "povm", "cfi")
+    _table("cfi", spec,
+           lambda phi: {"phi": phi,
+                        "cfi": cfi_value(outcome_distribution(spec.model, phi, povm))},
+           output_format, out_path)
 
 
 def _require_two_qubit_ghz(model) -> None:
@@ -372,94 +340,80 @@ def _require_two_qubit_ghz(model) -> None:
                             field="parametrization.generator")
 
 
-@main.command(name="lambda")
-@_options("--model", "--phi")
+@_command("lambda", "--model", "--phi")
 @click.option("--basis", type=click.Choice([X_BASIS, Y_BASIS]), default=X_BASIS,
               help="Two-qubit product basis for the diagonal SLD ansatz.")
 def cmd_lambda(model_path, phi_text, output_format, out_path, basis):
     """Diagonal-projector SLD coefficients for the two-qubit GHZ state."""
-
-    def impl():
-        phi = 0.0
-        if model_path is not None:
-            spec = _load_spec(model_path, phi_text=phi_text)
-            if spec.phi_is_range:
-                raise SpecFileError("lambda takes a single phase", field="phi")
-            _require_two_qubit_ghz(spec.model)
-            phi = float(spec.phis[0])
-        elif phi_text is not None:
-            phi = parse_angle(phi_text)
-        solution = two_qubit_lambda_solution(phi, basis)
-        payload = {"command": "lambda", "phi": phi, "basis": solution.basis,
-                   "singular": solution.singular,
-                   "lambda_pp": solution.lambda_pp,
-                   "lambda_pm": solution.lambda_pm,
-                   "lambda_mp": solution.lambda_mp,
-                   "lambda_mm": solution.lambda_mm}
-        if output_format == "json":
-            _emit(_to_json(payload), out_path)
-        else:
-            lines = [f"{key}: {_fmt(payload[key])}"
-                     for key in ("phi", "basis", "singular", "lambda_pp",
-                                 "lambda_pm", "lambda_mp", "lambda_mm")]
-            _emit("\n".join(lines) + "\n", out_path)
-
-    _run(impl)
+    phi = 0.0
+    if model_path is not None:
+        spec = _load_spec(model_path, phi_text=phi_text)
+        if spec.phi_is_range:
+            raise SpecFileError("lambda takes a single phase", field="phi")
+        _require_two_qubit_ghz(spec.model)
+        phi = float(spec.phis[0])
+    elif phi_text is not None:
+        phi = parse_angle(phi_text)
+    solution = two_qubit_lambda_solution(phi, basis)
+    payload = {"command": "lambda", "phi": phi, "basis": solution.basis,
+               "singular": solution.singular,
+               "lambda_pp": solution.lambda_pp,
+               "lambda_pm": solution.lambda_pm,
+               "lambda_mp": solution.lambda_mp,
+               "lambda_mm": solution.lambda_mm}
+    if output_format == "json":
+        _emit(_to_json(payload), out_path)
+    else:
+        lines = [f"{key}: {_fmt(payload[key])}"
+                 for key in ("phi", "basis", "singular", "lambda_pp",
+                             "lambda_pm", "lambda_mp", "lambda_mm")]
+        _emit("\n".join(lines) + "\n", out_path)
 
 
-@main.command(name="simulate")
-@_options("--model", "--phi", "--nu", "--seed", "--trials")
+@_command("simulate", "--model", "--phi", "--nu", "--seed", "--trials")
 def cmd_simulate(model_path, phi_text, nu, seed, trials, output_format, out_path):
     """Monte Carlo estimation trials with per-trial RNG streams."""
-
-    def impl():
-        spec = _load_spec(model_path, phi_text=phi_text, nu=nu, seed=seed,
-                          trials=trials)
-        if spec.observable is None and spec.povm is None:
-            raise SpecFileError("simulate requires an observable or a povm",
-                                field="observable")
-        if spec.phi_is_range:
-            raise SpecFileError("simulate takes a single phase", field="phi")
-        if spec.trials < 2:
-            raise SpecFileError("simulate needs at least 2 trials", field="trials")
-        phi = float(spec.phis[0])
-        results = []
-        if spec.observable is not None:
-            results.append(run_sample_mean_trials(
-                spec.model, spec.observable, phi, spec.nu, spec.trials,
-                spec.seed))
-        if spec.povm is not None:
-            results.append(run_mle_trials(
-                spec.model, spec.povm, phi, spec.nu, spec.trials, spec.seed))
-        payload = {
-            "command": "simulate", "phi": phi, "nu": spec.nu,
-            "trials": spec.trials, "seed": spec.seed,
-            "rng_algorithm": results[0].rng_algorithm,
-            "results": [{
-                "method": summary.method,
-                "estimates": [float(x) for x in summary.estimates],
-                "mse": summary.mse,
-                "variance_term": summary.decomposition.variance_term,
-                "bias_term": summary.decomposition.bias_term,
-                "se_empirical": summary.se_empirical,
-                "predicted_delta_phi_sq": summary.predicted_delta_phi_sq,
-                "qcrb": summary.qcrb,
-                "n_clipped": summary.n_clipped,
-            } for summary in results],
-        }
-        if output_format == "json":
-            _emit(_to_json(payload), out_path)
-        else:
-            lines = [f"phi: {phi!r}", f"nu: {spec.nu}", f"trials: {spec.trials}",
-                     f"seed: {spec.seed}"]
-            for entry in payload["results"]:
-                lines.append(f"[{entry['method']}]")
-                for key in ("mse", "variance_term", "bias_term", "se_empirical",
-                            "predicted_delta_phi_sq", "qcrb", "n_clipped"):
-                    lines.append(f"  {key}: {_fmt(entry[key])}")
-            _emit("\n".join(lines) + "\n", out_path)
-
-    _run(impl)
+    spec = _load_spec(model_path, phi_text=phi_text, nu=nu, seed=seed, trials=trials)
+    if spec.observable is None and spec.povm is None:
+        raise SpecFileError("simulate requires an observable or a povm",
+                            field="observable")
+    if spec.phi_is_range:
+        raise SpecFileError("simulate takes a single phase", field="phi")
+    phi = float(spec.phis[0])
+    results = []
+    if spec.observable is not None:
+        results.append(run_sample_mean_trials(
+            spec.model, spec.observable, phi, spec.nu, spec.trials, spec.seed))
+    if spec.povm is not None:
+        results.append(run_mle_trials(
+            spec.model, spec.povm, phi, spec.nu, spec.trials, spec.seed))
+    payload = {
+        "command": "simulate", "phi": phi, "nu": spec.nu,
+        "trials": spec.trials, "seed": spec.seed,
+        "rng_algorithm": results[0].rng_algorithm,
+        "results": [{
+            "method": summary.method,
+            "estimates": [float(x) for x in summary.estimates],
+            "mse": summary.mse,
+            "variance_term": summary.decomposition.variance_term,
+            "bias_term": summary.decomposition.bias_term,
+            "se_empirical": summary.se_empirical,
+            "predicted_delta_phi_sq": summary.predicted_delta_phi_sq,
+            "qcrb": summary.qcrb,
+            "n_clipped": summary.n_clipped,
+        } for summary in results],
+    }
+    if output_format == "json":
+        _emit(_to_json(payload), out_path)
+    else:
+        lines = [f"phi: {phi!r}", f"nu: {spec.nu}", f"trials: {spec.trials}",
+                 f"seed: {spec.seed}"]
+        for entry in payload["results"]:
+            lines.append(f"[{entry['method']}]")
+            for key in ("mse", "variance_term", "bias_term", "se_empirical",
+                        "predicted_delta_phi_sq", "qcrb", "n_clipped"):
+                lines.append(f"  {key}: {_fmt(entry[key])}")
+        _emit("\n".join(lines) + "\n", out_path)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 KNOWN_TOLERANCES = ("optimality",)
+# least value of each integer run parameter, as a spec key and as a flag
+_RUN_MINIMUMS = {"nu": 1, "seed": 0, "trials": 2}
 # libyaml's parser when PyYAML was built with it; it builds the same data
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -170,11 +173,38 @@ def _require_mapping(data, *, fieldname: str) -> dict:
 
 def _require_known_keys(data: dict, known, *, fieldname: str) -> None:
     """Reject keys of the mapping ``data`` outside ``known``, naming the
-    first such key's dotted path."""
+    first such key's dotted path (the key alone in the top-level mapping,
+    whose ``fieldname`` is empty)."""
     unknown = sorted(str(key) for key in data if key not in known)
     if unknown:
         raise SpecFileError(f"unknown keys {unknown}; known: {sorted(known)}",
-                            field=f"{fieldname}.{unknown[0]}")
+                            field=f"{fieldname}.{unknown[0]}" if fieldname else unknown[0])
+
+
+def _integer(value, minimum: int, *, fieldname: str) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SpecFileError(f"must be an integer >= {minimum}, got {value!r}",
+                            field=fieldname)
+    return value
+
+
+def _number(value, *, fieldname: str) -> float:
+    """``value`` as a float: a number, or a string ``float()`` parses (YAML
+    1.1 reads ``1e-6``, without a dot, as a string). A bool is not a number."""
+    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise SpecFileError(f"expected a number, got {value!r}", field=fieldname)
+
+
+def _positive_float(value, *, fieldname: str) -> float:
+    number = _number(value, fieldname=fieldname)
+    if not 0 < number < math.inf:
+        raise SpecFileError("must be a positive finite number", field=fieldname)
+    return number
 
 
 def _build_state(data, *, fieldname: str = "state"):
@@ -185,10 +215,7 @@ def _build_state(data, *, fieldname: str = "state"):
     if "ghz" in data:
         ghz = _require_mapping(data["ghz"], fieldname=f"{fieldname}.ghz")
         _require_known_keys(ghz, ("n",), fieldname=f"{fieldname}.ghz")
-        n = ghz.get("n")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise SpecFileError("'n' must be a positive integer",
-                                field=f"{fieldname}.ghz.n")
+        n = _integer(ghz.get("n"), 1, fieldname=f"{fieldname}.ghz.n")
         # one dense 2^n x 2^n complex matrix takes 16 * 4^n = 2^(2n+4) bytes
         _require_physical_memory(2 * n + 4, f"a dense 2^{n} x 2^{n} matrix",
                                  fieldname=f"{fieldname}.ghz.n")
@@ -259,20 +286,14 @@ def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
 
 def _coefficient_quadruple(data, *, fieldname: str) -> tuple[float, float, float, float]:
     if isinstance(data, dict):
-        unknown = set(data) - {"a0", "a1", "a2", "a3"}
-        if unknown:
-            raise SpecFileError(f"unknown coefficients {sorted(unknown)}",
-                                field=fieldname)
+        _require_known_keys(data, ("a0", "a1", "a2", "a3"), fieldname=fieldname)
         values = [data.get(key, 0.0) for key in ("a0", "a1", "a2", "a3")]
     elif isinstance(data, (list, tuple)) and len(data) == 4:
         values = data
     else:
         raise SpecFileError(
             "expected {a0, a1, a2, a3} or a 4-element list", field=fieldname)
-    try:
-        quad = tuple(float(x) for x in values)
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"must be numbers: {exc}", field=fieldname) from exc
+    quad = tuple(_number(x, fieldname=fieldname) for x in values)
     if not all(map(math.isfinite, quad)):
         raise SpecFileError(f"must be finite, got {quad}", field=fieldname)
     return quad
@@ -367,62 +388,32 @@ def _build_phis(data, *, fieldname: str = "phi") -> tuple[np.ndarray, bool]:
     if data is None:
         return np.array([0.0]), False
     if isinstance(data, dict):
-        unknown = set(data) - {"start", "stop", "steps"}
-        if unknown:
-            raise SpecFileError(f"unknown range keys {sorted(unknown)}",
-                                field=fieldname)
+        _require_known_keys(data, ("start", "stop", "steps"), fieldname=fieldname)
         for key in ("start", "stop", "steps"):
             if key not in data:
                 raise SpecFileError(f"range needs '{key}'",
                                     field=f"{fieldname}.{key}")
-        steps = data["steps"]
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
-            raise SpecFileError("'steps' must be an integer >= 2",
-                                field=f"{fieldname}.steps")
+        steps = _integer(data["steps"], 2, fieldname=f"{fieldname}.steps")
         start = parse_angle(data["start"], fieldname=f"{fieldname}.start")
         stop = parse_angle(data["stop"], fieldname=f"{fieldname}.stop")
         return _phase_grid(start, stop, steps, fieldname=f"{fieldname}.steps"), True
     return np.array([parse_angle(data, fieldname=fieldname)]), False
 
 
-def _positive_int(data, default: int, *, fieldname: str) -> int:
-    if data is None:
-        return default
-    if isinstance(data, bool) or not isinstance(data, int) or data < 1:
-        raise SpecFileError("must be a positive integer", field=fieldname)
-    return data
-
-
-def _positive_float(value, *, fieldname: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value < math.inf):
-        raise SpecFileError("must be a positive finite number", field=fieldname)
-    return float(value)
-
-
 def _build_tolerances(data, *, fieldname: str = "tolerances") -> dict[str, float]:
     if data is None:
         return {}
     data = _require_mapping(data, fieldname=fieldname)
-    out: dict[str, float] = {}
-    for key, value in data.items():
-        if key not in KNOWN_TOLERANCES:
-            raise SpecFileError(
-                f"unknown tolerance {key!r}; known: {KNOWN_TOLERANCES}",
-                field=f"{fieldname}.{key}")
-        out[key] = _positive_float(value, fieldname=f"{fieldname}.{key}")
-    return out
+    _require_known_keys(data, KNOWN_TOLERANCES, fieldname=fieldname)
+    return {key: _positive_float(value, fieldname=f"{fieldname}.{key}")
+            for key, value in data.items()}
 
 
 def build_model_spec(data: dict) -> ModelSpec:
     """Build a validated :class:`ModelSpec` from a parsed mapping."""
     data = _require_mapping(data, fieldname="<document>")
-    known = {"state", "parametrization", "observable", "povm", "phi", "nu",
-             "seed", "trials", "tolerances"}
-    unknown = set(data) - known
-    if unknown:
-        raise SpecFileError(f"unknown top-level keys {sorted(unknown)}",
-                            field="<document>")
+    _require_known_keys(data, ("state", "parametrization", "observable", "povm", "phi",
+                               "nu", "seed", "trials", "tolerances"), fieldname="")
     if "state" not in data:
         raise SpecFileError("missing required 'state' section", field="state")
     state, n_qubits = _build_state(data["state"])
@@ -443,15 +434,15 @@ def build_model_spec(data: dict) -> ModelSpec:
             f"POVM dimension {povm.dim} != state dimension {state.dim}",
             field="povm")
     phis, phi_is_range = _build_phis(data.get("phi"))
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise SpecFileError("must be a non-negative integer", field="seed")
+    # a null nu or trials takes the default, as a missing one does
+    nu, trials = data.get("nu"), data.get("trials")
     return ModelSpec(
         model=model, observable=observable, povm=povm, phis=phis,
         phi_is_range=phi_is_range,
-        nu=_positive_int(data.get("nu"), 1, fieldname="nu"),
-        seed=seed,
-        trials=_positive_int(data.get("trials"), 100, fieldname="trials"),
+        nu=1 if nu is None else _integer(nu, _RUN_MINIMUMS["nu"], fieldname="nu"),
+        seed=_integer(data.get("seed", 0), _RUN_MINIMUMS["seed"], fieldname="seed"),
+        trials=(100 if trials is None
+                else _integer(trials, _RUN_MINIMUMS["trials"], fieldname="trials")),
         n_qubits=n_qubits,
         tolerances=_build_tolerances(data.get("tolerances")))
 

@@ -181,7 +181,8 @@ class OptimalityReport:
     relative norm left over; ``im_part`` the imaginary part of ``<O L>``
     (must vanish for saturation). ``diagnostic`` is :data:`NO_INFORMATION`
     where ``L sqrt(rho)`` vanishes and :data:`EIGENSTATE` where ``(O - <O>)
-    sqrt(rho)`` is rounding noise; both report ``alpha = 0`` and fail.
+    sqrt(rho)`` is rounding noise; both report ``alpha = 0`` and fail, and
+    ``residual_rel`` is 0 at an eigenvector of O and 1 elsewhere.
     """
 
     alpha: float
@@ -239,22 +240,23 @@ def _check_observable_optimality(model: ParametricModel,
 
     lhs_norm = float(np.linalg.norm(lhs))
     rhs_norm = float(np.linalg.norm(rhs))
+    # an eigenvector of O: (O - <O>) sqrt(rho) is rounding
+    eigenstate = lhs_norm <= EIGENSTATE_RTOL * np.sqrt(max(second, 0.0))
     if rhs_norm * rhs_norm <= 1e-14:
         # L sqrt(rho) ~ 0 means QFI ~ 0: the state carries no information
         return OptimalityReport(
-            alpha=0.0, residual_rel=(1.0 if lhs_norm > 0.0 else 0.0),
+            alpha=0.0, residual_rel=(0.0 if eigenstate else 1.0),
             im_part=im_part, anticommutator_mean=anticommutator_mean,
             is_optimal=False, condition_variant=variant,
             diagnostic=NO_INFORMATION)
-    if lhs_norm <= EIGENSTATE_RTOL * np.sqrt(max(second, 0.0)):
-        # an eigenvector of O: both norms of the residual ratio are rounding
+    if eigenstate:
+        # both norms of the residual ratio are rounding
         return OptimalityReport(
             alpha=0.0, residual_rel=0.0, im_part=im_part,
             anticommutator_mean=anticommutator_mean, is_optimal=False,
             condition_variant=variant, diagnostic=EIGENSTATE)
-    alpha = float(np.vdot(rhs, lhs).real) / (rhs_norm * rhs_norm)
-    residual = float(np.linalg.norm(lhs - alpha * rhs))
-    residual_rel = residual / max(lhs_norm, abs(alpha) * rhs_norm)
+    alpha, residual, scale = _fit(lhs, rhs, lhs_norm, rhs_norm)
+    residual_rel = residual / scale
     variance = max(second - mean * mean, 0.0)
     im_scale = max(1.0, float(np.sqrt(variance * sld_result.qfi)))
     alpha_ok = abs(alpha) * rhs_norm > 1e-10 * lhs_norm
@@ -263,6 +265,16 @@ def _check_observable_optimality(model: ParametricModel,
         alpha=alpha, residual_rel=residual_rel, im_part=im_part,
         anticommutator_mean=anticommutator_mean, is_optimal=is_optimal,
         condition_variant=variant)
+
+
+def _fit(lhs: np.ndarray, rhs: np.ndarray, lhs_norm: float,
+         rhs_norm: float) -> tuple[float, float, float]:
+    """The real least-squares ``coef`` of ``lhs ~ coef * rhs``, the residual
+    norm ``||lhs - coef * rhs||`` and the scale ``max(||lhs||, |coef| ||rhs||)``
+    it is relative to; ``rhs`` must not vanish."""
+    coef = float(np.vdot(rhs, lhs).real) / (rhs_norm * rhs_norm)
+    residual = float(np.linalg.norm(lhs - coef * rhs))
+    return coef, residual, max(lhs_norm, abs(coef) * rhs_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +310,8 @@ def check_povm_optimality(model: ParametricModel, phi: float, povm: Povm, *,
             u = 0.0
             residual = 0.0 if lhs_norm <= 1e-14 else 1.0
         else:
-            u = float(np.vdot(rhs, lhs).real) / (rhs_norm * rhs_norm)
-            scale = max(lhs_norm, abs(u) * rhs_norm)
-            residual = (float(np.linalg.norm(lhs - u * rhs)) / scale
-                        if scale > 0.0 else 0.0)
+            u, residual, scale = _fit(lhs, rhs, lhs_norm, rhs_norm)
+            residual = residual / scale if scale > 0.0 else 0.0
         u_values[idx] = u
         residuals[idx] = residual
     return PovmOptimalityReport(per_outcome_u=u_values,

@@ -598,6 +598,58 @@ class TestSpecValidation:
         assert result.exit_code == 2, result.output
         assert "specification error: --seed" in result.output
 
+    @pytest.mark.parametrize("command", ["qfi", "sld", "errprop", "check-optimal",
+                                         "scan", "cfi", "lambda", "simulate"])
+    def test_single_trial_spec_exits_two_for_every_command(self, runner, tmp_path,
+                                                           command):
+        """``trials`` is validated with the spec, whether or not the command
+        reads it."""
+        path = tmp_path / "one-trial.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\nobservable:\n  pauli_product: {a1: 1}\n"
+                        "povm: x_basis_product\nphi: 0.3\ntrials: 1\n",
+                        encoding="utf-8")
+        args = ["--phi-range", "0.1:0.3:2"] if command == "scan" else []
+        result = runner.invoke(main, [command, "--model", str(path)] + args)
+        assert result.exit_code == 2, result.output
+        assert result.output == ("specification error: trials: "
+                                 "must be an integer >= 2, got 1\n")
+
+    @pytest.mark.parametrize("args,message", [
+        (["errprop", "--nu", "0"], "--nu: must be an integer >= 1, got 0"),
+        (["simulate", "--trials", "1"], "--trials: must be an integer >= 2, got 1"),
+        (["simulate", "--seed", "-1"], "--seed: must be an integer >= 0, got -1"),
+        (["qfi", "--phi-range", "0:1:1"],
+         "--phi-range STEPS: must be an integer >= 2, got 1"),
+        (["qfi", "--phi-range", "0:1:x"],
+         "--phi-range STEPS: must be an integer >= 2, got 'x'"),
+    ])
+    def test_integer_flag_minimums(self, runner, ghz2_spec, args, message):
+        result = runner.invoke(main, args + ["--model", ghz2_spec])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"specification error: {message}\n"
+
+    def test_tolerance_read_as_a_string_takes_effect(self, runner, tmp_path):
+        """YAML reads ``9e-1`` as a string; it is the number 0.9, which
+        certifies the a1 + a3/2 product (``residual_rel`` 0.46-0.50)."""
+        path = tmp_path / "tol.yaml"
+        for tol, exit_code in (("", 3), ("tolerances: {optimality: 9e-1}\n", 0)):
+            path.write_text("state:\n  ghz: {n: 2}\n"
+                            "observable:\n  pauli_product: {a1: 1, a3: 0.5}\n"
+                            "phi: 0.3\n" + tol, encoding="utf-8")
+            result = runner.invoke(main, ["check-optimal", "--model", str(path)])
+            assert result.exit_code == exit_code, result.output
+
+    @pytest.mark.parametrize("value,shown", [("true", "True"), ("abc", "'abc'")])
+    def test_tolerance_not_a_number_exits_two(self, runner, tmp_path, value, shown):
+        path = tmp_path / "tol.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\n"
+                        "observable:\n  pauli_product: {a1: 1}\n"
+                        f"tolerances: {{optimality: {value}}}\n", encoding="utf-8")
+        result = runner.invoke(main, ["check-optimal", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("specification error: tolerances.optimality: "
+                                 f"expected a number, got {shown}\n")
+
 
 class TestCliContract:
     def test_missing_model_is_spec_error(self, runner):

@@ -130,7 +130,7 @@ class TestBuildModelSpec:
 class TestSpecErrors:
     @pytest.mark.parametrize("data,field_part", [
         ({"state": {"ghz": {"n": 0}}}, "state.ghz.n"),
-        ({"state": {"ghz": {"n": 2}}, "bogus": 1}, "<document>"),
+        ({"state": {"ghz": {"n": 2}}, "bogus": 1}, "bogus"),
         ({}, "state"),
         ({"state": {"ghz": {"n": 2}},
           "parametrization": {"blackbox": True}}, "blackbox"),
@@ -206,6 +206,107 @@ class TestSpecErrors:
             build_model_spec({"state": {"ghz": {"n": 2}},
                               "observable": {"custom": [[1, 0], [0, 0],
                                                         [0, 0], [1, 0]]}})
+
+
+
+GHZ2 = {"state": {"ghz": {"n": 2}}}
+
+
+def _field_error(data) -> SpecFileError:
+    with pytest.raises(SpecFileError) as excinfo:
+        build_model_spec(data)
+    return excinfo.value
+
+
+class TestIntegerFields:
+    """Every integer field has one rule: an int, not a bool, at least the
+    field's minimum; the error names the field and the minimum."""
+
+    @pytest.mark.parametrize("field,minimum,place", [
+        ("state.ghz.n", 1, lambda v: {"state": {"ghz": {"n": v}}}),
+        ("phi.steps", 2, lambda v: {**GHZ2, "phi": {"start": 0, "stop": 1, "steps": v}}),
+        ("seed", 0, lambda v: {**GHZ2, "seed": v}),
+        ("nu", 1, lambda v: {**GHZ2, "nu": v}),
+        ("trials", 2, lambda v: {**GHZ2, "trials": v}),
+    ])
+    def test_minimum_and_type(self, field, minimum, place):
+        build_model_spec(place(minimum))
+        for bad in (minimum - 1, True, float(minimum), str(minimum), [minimum]):
+            error = _field_error(place(bad))
+            assert error.field == field
+            assert str(error) == f"{field}: must be an integer >= {minimum}, got {bad!r}"
+
+    def test_null_nu_and_trials_take_the_default(self):
+        spec = build_model_spec({**GHZ2, "nu": None, "trials": None})
+        assert (spec.nu, spec.trials) == (1, 100)
+
+
+class TestNumberFields:
+    """``tolerances.*`` and the coefficient quadruples take a number or a
+    string ``float()`` parses, never a bool; the field's range check follows."""
+
+    @pytest.mark.parametrize("value", [1e-6, "1e-6", "1.0e-6", 0.000001])
+    def test_tolerance(self, value):
+        spec = build_model_spec({**GHZ2, "tolerances": {"optimality": value}})
+        assert spec.tolerances == {"optimality": 1e-6}
+
+    @pytest.mark.parametrize("value", [True, False, "abc", None, [1e-6]])
+    def test_tolerance_not_a_number(self, value):
+        error = _field_error({**GHZ2, "tolerances": {"optimality": value}})
+        assert str(error) == f"tolerances.optimality: expected a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-6", "inf", 0])
+    def test_tolerance_out_of_range(self, value):
+        error = _field_error({**GHZ2, "tolerances": {"optimality": value}})
+        assert str(error) == "tolerances.optimality: must be a positive finite number"
+
+    @pytest.mark.parametrize("entry", [{"a1": "1e-1"}, {"a1": 0.1}, [0, "1e-1", 0, 0]])
+    def test_coefficient(self, entry):
+        spec = build_model_spec({**GHZ2, "observable": {"pauli_product": entry}})
+        reference = build_model_spec({**GHZ2, "observable": {"pauli_product": {"a1": 0.1}}})
+        assert np.array_equal(spec.observable.matrix, reference.observable.matrix)
+
+    @pytest.mark.parametrize("value", [True, "abc", None])
+    def test_coefficient_not_a_number(self, value):
+        error = _field_error({**GHZ2, "observable": {"pauli_product": {"a1": value}}})
+        assert str(error) == f"observable.pauli_product: expected a number, got {value!r}"
+        error = _field_error({**GHZ2, "observable": {
+            "pauli_product": [{"a1": 1}, {"a2": value}]}})
+        assert error.field == "observable.pauli_product[1]"
+
+    def test_coefficient_must_be_finite(self):
+        error = _field_error({**GHZ2, "observable": {"pauli_product": {"a1": "inf"}}})
+        assert error.field == "observable.pauli_product"
+        assert "must be finite" in str(error)
+
+    def test_exponent_without_dot_from_yaml(self, tmp_path):
+        """YAML 1.1 reads ``1e-6`` as a string and ``1.0e-6`` as a float."""
+        path = tmp_path / "spec.yaml"
+        path.write_text("state:\n  ghz: {n: 2}\n"
+                        "observable:\n  pauli_product: {a1: 1e-1}\n"
+                        "tolerances: {optimality: 1e-6}\n", encoding="utf-8")
+        for loader in (modelspec._Loader, yaml.SafeLoader):
+            assert yaml.load(path.read_text(), Loader=loader)["tolerances"] == {
+                "optimality": "1e-6"}
+        assert load_model_spec(str(path)).tolerances == {"optimality": 1e-6}
+
+
+class TestUnknownKeys:
+    """Every mapping rejects keys it does not know, naming the key's path."""
+
+    @pytest.mark.parametrize("data,field", [
+        ({**GHZ2, "foo": 1}, "foo"),
+        ({**GHZ2, "phi": {"start": 0, "stop": 1, "steps": 3, "foo": 1}}, "phi.foo"),
+        ({**GHZ2, "observable": {"pauli_product": {"a1": 1, "a4": 1}}},
+         "observable.pauli_product.a4"),
+        ({**GHZ2, "observable": {"pauli_product": [{"a1": 1}, {"b": 1}]}},
+         "observable.pauli_product[1].b"),
+        ({**GHZ2, "tolerances": {"typo": 1e-8}}, "tolerances.typo"),
+    ])
+    def test_key_is_named(self, data, field):
+        error = _field_error(data)
+        assert error.field == field
+        assert str(error).startswith(f"{field}: unknown keys ['{field.rsplit('.')[-1]}']")
 
 
 @pytest.fixture

@@ -30,10 +30,20 @@ BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
 a ``scan`` of a full-rank mixed GHZ N=4 density whose grid has singular rows.
 
+It also runs invocations on the error paths of spec and flag validation and
+of the commands, so that error messages are compared too: ``--nu 0``,
+``--trials 1``, ``--seed -1`` and ``--phi-range 0:1:1``; specs with
+``trials: 1``, ``ghz: {n: 0}``, an unknown top-level key, an unknown ``phi``
+range key, a coefficient ``a4``, a ``true`` coefficient and the tolerance
+``1e-6`` that YAML reads as a string; ``errprop`` without an observable,
+``cfi`` without a POVM, and ``errprop`` at a singular phase.
+
 Each differing invocation is listed with every output field that moved and,
 for numeric fields, the largest absolute and relative difference over the
 field's values. Fields are the keys of JSON output, the columns of CSV and
-text tables, and the ``key: value`` lines of other text output.
+text tables, and the ``key: value`` lines of other text output. Where either
+side exits 2 or 4, both outputs are printed whole instead (``-`` lines the
+base's, ``+`` lines this tree's).
 
 Exit codes: 0 when every invocation matches, 1 when any differs, 2 when
 BASE_REF cannot be exported or a side fails to run.
@@ -117,6 +127,36 @@ def _spec_invocations(spec: str, *, pure: bool) -> list[list[str]]:
     return runs
 
 
+def _error_invocations(workdir: Path) -> list[list[str]]:
+    """Error-path invocations on the GHZ N=2 x spec or variants of it."""
+    spec = str(workdir / "ghz2-x.yaml")
+    runs = [["errprop", "--model", spec, "--nu", "0"],
+            ["simulate", "--model", spec, "--trials", "1"],
+            ["simulate", "--model", spec, "--seed", "-1", "--trials", "4"],
+            ["qfi", "--model", spec, "--phi-range", "0:1:1"],
+            ["errprop", "--model", spec, "--phi", "0"]]
+    base = {"state": {"ghz": {"n": 2}}, "observable": {"pauli_product": {"a1": 1.0}},
+            "povm": "x_basis_product", "phi": 0.3}
+    variants = {
+        "trials-1": {**base, "trials": 1},
+        "ghz-n-0": {**base, "state": {"ghz": {"n": 0}}},
+        "unknown-top-level": {**base, "foo": 1},
+        "unknown-range-key": {**base, "phi": {"start": 0, "stop": 1, "steps": 3,
+                                              "foo": 1}},
+        "coefficient-a4": {**base, "observable": {"pauli_product": {"a4": 1.0}}},
+        "coefficient-true": {**base, "observable": {"pauli_product": {"a1": True}}},
+        "tolerance-string": {**base, "tolerances": {"optimality": "1e-6"}},
+    }
+    for name, data in variants.items():
+        runs.append(["qfi" if name == "trials-1" else "check-optimal", "--model",
+                     _write(workdir / f"error-{name}.yaml", data)])
+    runs.append(["errprop", "--model", _write(workdir / "error-no-observable.yaml",
+                                              {**base, "observable": None})])
+    runs.append(["cfi", "--model", _write(workdir / "error-no-povm.yaml",
+                                          {**base, "povm": None})])
+    return runs
+
+
 def invocations(workdir: Path) -> list[list[str]]:
     """The fixed list, with its spec files written into ``workdir``."""
     runs: list[list[str]] = []
@@ -185,6 +225,7 @@ def invocations(workdir: Path) -> list[list[str]]:
         runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
                   "--variant", variant, "--output", "json"]
                  for variant in ("mixed", "pure", "pure_unitary")]
+    runs += _error_invocations(workdir)
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
         "observable": {"pauli_product": {"a1": 1.0}},
@@ -332,7 +373,12 @@ def main(argv: list[str]) -> int:
                 print(f"DIFF ({', '.join(fields)}): {' '.join(argv_run)}")
                 if old["exit_code"] != new["exit_code"]:
                     print(f"    exit_code: {old['exit_code']} -> {new['exit_code']}")
-                for line in describe(old["output"], new["output"]):
+                if {old["exit_code"], new["exit_code"]} <= {0, 3}:
+                    report = describe(old["output"], new["output"])
+                else:  # an error message is shown whole, old then new
+                    report = ([f"- {line}" for line in old["output"].splitlines()]
+                              + [f"+ {line}" for line in new["output"].splitlines()])
+                for line in report:
                     print(f"    {line}")
         print(f"{len(runs) - differing} of {len(runs)} invocations byte-identical "
               f"to {base_ref}")
