@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "unitary_model",
     "blackbox_model",
     "SldResult",
-    "DenseSld",
     "OutcomeDistribution",
     "state_derivative",
     "second_state_derivative",
@@ -209,14 +208,6 @@ def second_state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
     return _second_state_derivatives(model, phi, model.density(phi).matrix[None])[0]
 
 
-class DenseSld(NamedTuple):
-    """What the eigenbasis solve of :func:`sld` builds besides the QFI."""
-
-    rho: np.ndarray
-    drho: np.ndarray
-    L: HermitianObservable
-
-
 @dataclass(frozen=True, eq=False)
 class SldResult:
     """SLD of ``model`` at ``phi`` with its quantum Fisher information.
@@ -226,11 +217,12 @@ class SldResult:
     eigenvalues of ``rho`` at or below the support cutoff, where the
     zero-block gauge was applied. A pure unitary family carries ``C = psi``
     with ``dcarrier = -iG psi``; nothing dense is solved for it, and
-    ``rho``, ``drho`` and ``L = 2 drho`` are built on first read. Any other
-    family carries them in ``dense``, with ``C = V sqrt(p)`` over the
-    support of ``rho``'s eigendecomposition. On either route ``residual``,
-    the Frobenius norm of ``drho - (rho L + L rho) / 2``, is computed on
-    first read.
+    ``rho = psi psi^dagger``, ``drho`` and ``L = 2 drho`` are built on first
+    read. Any other family carries ``C = V sqrt(p)`` over the support of
+    ``rho``'s eigendecomposition, and :func:`sld` stores the ``rho``,
+    ``drho`` and ``L`` of its solve as their values. On either route
+    ``residual``, the Frobenius norm of ``drho - (rho L + L rho) / 2``, is
+    computed on first read.
     """
 
     model: ParametricModel
@@ -240,24 +232,18 @@ class SldResult:
     carrier: np.ndarray
     l_carrier: np.ndarray
     dcarrier: np.ndarray | None = None
-    dense: DenseSld | None = None
 
     @cached_property
     def rho(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense.rho
-        return self.model.density(self.phi).matrix
+        # the elementwise outer product of _states, bit for bit
+        return self.carrier * self.carrier.conj().T
 
     @cached_property
     def drho(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense.drho
         return _state_derivatives(self.model, self.phi, self.rho[None])[0]
 
     @cached_property
     def L(self) -> HermitianObservable:
-        if self.dense is not None:
-            return self.dense.L
         return HermitianObservable(2.0 * self.drho, check=False)
 
     @cached_property
@@ -312,11 +298,14 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
     carrier = eigenvectors[:, ~kernel] * np.sqrt(eigenvalues[~kernel])
     l_carrier = l_matrix @ carrier
-    return SldResult(model=model, phi=phi,
-                     qfi=float(np.vdot(l_carrier, l_carrier).real),
-                     kernel_dim=int(np.count_nonzero(kernel)),
-                     carrier=carrier, l_carrier=l_carrier,
-                     dense=DenseSld(rho, drho, HermitianObservable(l_matrix, check=False)))
+    result = SldResult(model=model, phi=phi,
+                       qfi=float(np.vdot(l_carrier, l_carrier).real),
+                       kernel_dim=int(np.count_nonzero(kernel)),
+                       carrier=carrier, l_carrier=l_carrier)
+    # the values of the cached properties, which read the instance dict first
+    result.__dict__.update(rho=rho, drho=drho,
+                           L=HermitianObservable(l_matrix, check=False))
+    return result
 
 
 def qfi(model: ParametricModel, phi: float) -> float:

@@ -97,30 +97,29 @@ def parse_angle(value, *, fieldname: str = "phi") -> float:
     return float(result)
 
 
-def _complex_pairs(entries, *, fieldname: str) -> np.ndarray:
+def parse_vector(entries, *, fieldname: str) -> np.ndarray:
+    """Complex vector from a list of ``[re, im]`` pairs, each component a
+    number by the rule of every number field."""
     if not isinstance(entries, (list, tuple)) or not entries:
         raise SpecFileError("expected a non-empty list of [re, im] pairs",
                             field=fieldname)
     values = []
     for k, pair in enumerate(entries):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in pair)):
-            raise SpecFileError(f"entry {k} is not an [re, im] pair: {pair!r}",
-                                field=fieldname)
-        values.append(complex(float(pair[0]), float(pair[1])))
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            try:
+                values.append(complex(*(_number(x, fieldname=fieldname) for x in pair)))
+                continue
+            except SpecFileError:
+                pass
+        raise SpecFileError(f"entry {k} is not an [re, im] pair: {pair!r}",
+                            field=fieldname)
     return np.array(values, dtype=complex)
-
-
-def parse_vector(entries, *, fieldname: str) -> np.ndarray:
-    """Complex vector from a list of ``[re, im]`` pairs."""
-    return _complex_pairs(entries, fieldname=fieldname)
 
 
 def parse_matrix(entries, *, fieldname: str) -> np.ndarray:
     """Square complex matrix from a row-major flat list of ``[re, im]``
     pairs."""
-    flat = _complex_pairs(entries, fieldname=fieldname)
+    flat = parse_vector(entries, fieldname=fieldname)
     dim = math.isqrt(flat.shape[0])
     if dim * dim != flat.shape[0]:
         raise SpecFileError(
@@ -207,55 +206,55 @@ def _positive_float(value, *, fieldname: str) -> float:
     return number
 
 
-def _build_state(data, *, fieldname: str = "state"):
+def _one_of(data, names, *, fieldname: str):
+    """The one form key of the section mapping ``data`` and its value; an
+    unknown key is rejected by name, and zero or two keys are rejected."""
     data = _require_mapping(data, fieldname=fieldname)
+    _require_known_keys(data, names, fieldname=fieldname)
     if len(data) != 1:
-        raise SpecFileError("expected exactly one of 'ghz' or 'custom'",
-                            field=fieldname)
-    if "ghz" in data:
-        ghz = _require_mapping(data["ghz"], fieldname=f"{fieldname}.ghz")
-        _require_known_keys(ghz, ("n",), fieldname=f"{fieldname}.ghz")
-        n = _integer(ghz.get("n"), 1, fieldname=f"{fieldname}.ghz.n")
+        raise SpecFileError(f"expected exactly one of {list(names)}", field=fieldname)
+    return next(iter(data.items()))
+
+
+def _qubits(n_qubits, what: str, *, fieldname: str) -> int:
+    """``n_qubits``, or an error that ``what`` needs a qubit system."""
+    if n_qubits is None:
+        raise SpecFileError(f"{what} needs a qubit system", field=fieldname)
+    return n_qubits
+
+
+def _checked(build, *args, fieldname: str):
+    """``build(*args)``, its ``ValueError`` reported against ``fieldname``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SpecFileError(str(exc), field=fieldname) from exc
+
+
+def _build_state(data, *, fieldname: str = "state"):
+    form, body = _one_of(data, ("ghz", "custom"), fieldname=fieldname)
+    fieldname = f"{fieldname}.{form}"
+    if form == "ghz":
+        body = _require_mapping(body, fieldname=fieldname)
+        _require_known_keys(body, ("n",), fieldname=fieldname)
+        n = _integer(body.get("n"), 1, fieldname=f"{fieldname}.n")
         # one dense 2^n x 2^n complex matrix takes 16 * 4^n = 2^(2n+4) bytes
         _require_physical_memory(2 * n + 4, f"a dense 2^{n} x 2^{n} matrix",
-                                 fieldname=f"{fieldname}.ghz.n")
+                                 fieldname=f"{fieldname}.n")
         return ghz_state(n, 0.0), n
-    if "custom" in data:
-        custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
-        _require_known_keys(custom, ("amplitudes", "density"),
-                            fieldname=f"{fieldname}.custom")
-        if len(custom) != 1:
-            raise SpecFileError("expected exactly one of 'amplitudes' or 'density'",
-                                field=f"{fieldname}.custom")
-        if "amplitudes" in custom:
-            amps = parse_vector(custom["amplitudes"],
-                                fieldname=f"{fieldname}.custom.amplitudes")
-            try:
-                state = PureState(amps)
-            except ValueError as exc:
-                raise SpecFileError(str(exc),
-                                    field=f"{fieldname}.custom.amplitudes") from exc
-        else:
-            matrix = parse_matrix(custom["density"],
-                                  fieldname=f"{fieldname}.custom.density")
-            try:
-                state = DensityMatrix(matrix)
-            except ValueError as exc:
-                raise SpecFileError(str(exc),
-                                    field=f"{fieldname}.custom.density") from exc
-        dim = state.dim
-        n = dim.bit_length() - 1 if 2 ** (dim.bit_length() - 1) == dim else None
-        return state, n
-    raise SpecFileError("expected 'ghz' or 'custom'", field=fieldname)
+    form, entries = _one_of(body, ("amplitudes", "density"), fieldname=fieldname)
+    fieldname = f"{fieldname}.{form}"
+    parse, build = ((parse_vector, PureState) if form == "amplitudes"
+                    else (parse_matrix, DensityMatrix))
+    state = _checked(build, parse(entries, fieldname=fieldname), fieldname=fieldname)
+    n = state.dim.bit_length() - 1
+    return state, (n if 2 ** n == state.dim else None)
 
 
 def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
     if data is None:
-        if n_qubits is None:
-            raise SpecFileError(
-                "parametrization required for non-qubit custom states",
-                field=fieldname)
-        return collective_spin("z", n_qubits)
+        return collective_spin("z", _qubits(n_qubits, "a default parametrization",
+                                            fieldname=fieldname))
     data = _require_mapping(data, fieldname=fieldname)
     if "blackbox" in data:
         raise SpecFileError("blackbox parametrization is not supported in files",
@@ -263,25 +262,19 @@ def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
     _require_known_keys(data, ("generator",), fieldname=fieldname)
     if "generator" not in data:
         raise SpecFileError("expected 'generator'", field=fieldname)
-    gen = data["generator"]
+    gen, fieldname = data["generator"], f"{fieldname}.generator"
     if gen == "half_sigma_z_sum":
-        if n_qubits is None:
-            raise SpecFileError(
-                "named generator 'half_sigma_z_sum' needs a qubit system",
-                field=f"{fieldname}.generator")
-        return collective_spin("z", n_qubits)
+        return collective_spin("z", _qubits(
+            n_qubits, "named generator 'half_sigma_z_sum'", fieldname=fieldname))
     if isinstance(gen, dict) and "matrix" in gen:
-        _require_known_keys(gen, ("matrix",), fieldname=f"{fieldname}.generator")
-        matrix = parse_matrix(gen["matrix"],
-                              fieldname=f"{fieldname}.generator.matrix")
-        try:
-            return HermitianObservable(matrix)
-        except ValueError as exc:
-            raise SpecFileError(str(exc),
-                                field=f"{fieldname}.generator.matrix") from exc
+        _require_known_keys(gen, ("matrix",), fieldname=fieldname)
+        fieldname = f"{fieldname}.matrix"
+        return _checked(HermitianObservable,
+                        parse_matrix(gen["matrix"], fieldname=fieldname),
+                        fieldname=fieldname)
     raise SpecFileError(
         f"expected 'half_sigma_z_sum' or a matrix mapping, got {gen!r}",
-        field=f"{fieldname}.generator")
+        field=fieldname)
 
 
 def _coefficient_quadruple(data, *, fieldname: str) -> tuple[float, float, float, float]:
@@ -302,44 +295,26 @@ def _coefficient_quadruple(data, *, fieldname: str) -> tuple[float, float, float
 def _build_observable(data, n_qubits, *, fieldname: str = "observable"):
     if data is None:
         return None
-    data = _require_mapping(data, fieldname=fieldname)
-    if len(data) != 1:
-        raise SpecFileError(
-            "expected exactly one of 'pauli_product', 'parity', 'custom'",
-            field=fieldname)
-    if "pauli_product" in data:
-        if n_qubits is None:
-            raise SpecFileError("pauli_product needs a qubit system",
-                                field=f"{fieldname}.pauli_product")
-        entry = data["pauli_product"]
-        if isinstance(entry, list) and entry and isinstance(entry[0], (list, dict)):
-            if len(entry) != n_qubits:
-                raise SpecFileError(
-                    f"{len(entry)} site quadruples for {n_qubits} qubits",
-                    field=f"{fieldname}.pauli_product")
-            quads = [_coefficient_quadruple(
-                q, fieldname=f"{fieldname}.pauli_product[{k}]")
-                for k, q in enumerate(entry)]
-        else:
-            quads = [_coefficient_quadruple(
-                entry, fieldname=f"{fieldname}.pauli_product")] * n_qubits
-        return product_observable(quads)
-    if "parity" in data:
-        if data["parity"] is not True:
-            raise SpecFileError("expected 'parity: true'",
-                                field=f"{fieldname}.parity")
-        if n_qubits is None:
-            raise SpecFileError("parity needs a qubit system",
-                                field=f"{fieldname}.parity")
-        return parity_observable(n_qubits)
-    if "custom" in data:
-        matrix = parse_matrix(data["custom"], fieldname=f"{fieldname}.custom")
-        try:
-            return HermitianObservable(matrix)
-        except ValueError as exc:
-            raise SpecFileError(str(exc), field=f"{fieldname}.custom") from exc
-    raise SpecFileError(
-        "expected 'pauli_product', 'parity', or 'custom'", field=fieldname)
+    form, entry = _one_of(data, ("pauli_product", "parity", "custom"),
+                          fieldname=fieldname)
+    fieldname = f"{fieldname}.{form}"
+    if form == "custom":
+        return _checked(HermitianObservable, parse_matrix(entry, fieldname=fieldname),
+                        fieldname=fieldname)
+    if form == "parity":
+        if entry is not True:
+            raise SpecFileError("expected 'parity: true'", field=fieldname)
+        return parity_observable(_qubits(n_qubits, "parity", fieldname=fieldname))
+    n_qubits = _qubits(n_qubits, "pauli_product", fieldname=fieldname)
+    if isinstance(entry, list) and entry and isinstance(entry[0], (list, dict)):
+        if len(entry) != n_qubits:
+            raise SpecFileError(f"{len(entry)} site quadruples for {n_qubits} qubits",
+                                field=fieldname)
+        return product_observable([
+            _coefficient_quadruple(q, fieldname=f"{fieldname}[{k}]")
+            for k, q in enumerate(entry)])
+    return product_observable(
+        [_coefficient_quadruple(entry, fieldname=fieldname)] * n_qubits)
 
 
 def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
@@ -347,8 +322,7 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
         return None
     if isinstance(data, str):
         if data in ("x_basis_product", "y_basis_product"):
-            if n_qubits is None:
-                raise SpecFileError(f"{data} needs a qubit system", field=fieldname)
+            n_qubits = _qubits(n_qubits, data, fieldname=fieldname)
             # 2^n dense 2^n x 2^n complex elements take 2^(3n+4) bytes
             _require_physical_memory(3 * n_qubits + 4,
                                      f"{2 ** n_qubits} dense POVM elements",
@@ -361,27 +335,21 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
                     field=fieldname)
             return eigenprojector_povm(observable)
         raise SpecFileError(f"unknown POVM name {data!r}", field=fieldname)
-    data = _require_mapping(data, fieldname=fieldname)
-    if set(data) != {"custom"}:
-        raise SpecFileError("expected a POVM name or a 'custom' mapping",
-                            field=fieldname)
-    custom = _require_mapping(data["custom"], fieldname=f"{fieldname}.custom")
-    _require_known_keys(custom, ("elements", "labels"), fieldname=f"{fieldname}.custom")
+    _, custom = _one_of(data, ("custom",), fieldname=fieldname)
+    fieldname = f"{fieldname}.custom"
+    custom = _require_mapping(custom, fieldname=fieldname)
+    _require_known_keys(custom, ("elements", "labels"), fieldname=fieldname)
     raw_elements = custom.get("elements")
     if not isinstance(raw_elements, list) or not raw_elements:
         raise SpecFileError("expected a non-empty 'elements' list",
-                            field=f"{fieldname}.custom.elements")
-    elements = tuple(
-        parse_matrix(m, fieldname=f"{fieldname}.custom.elements[{k}]")
-        for k, m in enumerate(raw_elements))
+                            field=f"{fieldname}.elements")
+    elements = tuple(parse_matrix(m, fieldname=f"{fieldname}.elements[{k}]")
+                     for k, m in enumerate(raw_elements))
     labels = custom.get("labels", [])
     if not isinstance(labels, list):
         raise SpecFileError(f"expected a list of labels, got {type(labels).__name__}",
-                            field=f"{fieldname}.custom.labels")
-    try:
-        return Povm(elements, tuple(labels))
-    except ValueError as exc:
-        raise SpecFileError(str(exc), field=f"{fieldname}.custom") from exc
+                            field=f"{fieldname}.labels")
+    return _checked(Povm, elements, tuple(labels), fieldname=fieldname)
 
 
 def _build_phis(data, *, fieldname: str = "phi") -> tuple[np.ndarray, bool]:
@@ -398,6 +366,16 @@ def _build_phis(data, *, fieldname: str = "phi") -> tuple[np.ndarray, bool]:
         stop = parse_angle(data["stop"], fieldname=f"{fieldname}.stop")
         return _phase_grid(start, stop, steps, fieldname=f"{fieldname}.steps"), True
     return np.array([parse_angle(data, fieldname=fieldname)]), False
+
+
+def _same_dim(what: str, operator, state, *, fieldname: str):
+    """``operator`` (``None`` passes) after checking that its dimension is
+    the state's."""
+    if operator is not None and operator.dim != state.dim:
+        raise SpecFileError(
+            f"{what} dimension {operator.dim} != state dimension {state.dim}",
+            field=fieldname)
+    return operator
 
 
 def _build_tolerances(data, *, fieldname: str = "tolerances") -> dict[str, float]:
@@ -417,28 +395,20 @@ def build_model_spec(data: dict) -> ModelSpec:
     if "state" not in data:
         raise SpecFileError("missing required 'state' section", field="state")
     state, n_qubits = _build_state(data["state"])
-    generator = _build_generator(data.get("parametrization"), n_qubits)
-    if generator.dim != state.dim:
-        raise SpecFileError(
-            f"generator dimension {generator.dim} != state dimension {state.dim}",
-            field="parametrization.generator")
-    model = unitary_model(state, generator)
-    observable = _build_observable(data.get("observable"), n_qubits)
-    if observable is not None and observable.dim != state.dim:
-        raise SpecFileError(
-            f"observable dimension {observable.dim} != state dimension {state.dim}",
-            field="observable")
-    povm = _build_povm(data.get("povm"), n_qubits, observable)
-    if povm is not None and povm.dim != state.dim:
-        raise SpecFileError(
-            f"POVM dimension {povm.dim} != state dimension {state.dim}",
-            field="povm")
+    generator = _same_dim("generator", _build_generator(data.get("parametrization"),
+                                                        n_qubits),
+                          state, fieldname="parametrization.generator")
+    observable = _same_dim("observable", _build_observable(data.get("observable"),
+                                                           n_qubits),
+                           state, fieldname="observable")
+    povm = _same_dim("POVM", _build_povm(data.get("povm"), n_qubits, observable),
+                     state, fieldname="povm")
     phis, phi_is_range = _build_phis(data.get("phi"))
     # a null nu or trials takes the default, as a missing one does
     nu, trials = data.get("nu"), data.get("trials")
     return ModelSpec(
-        model=model, observable=observable, povm=povm, phis=phis,
-        phi_is_range=phi_is_range,
+        model=unitary_model(state, generator), observable=observable, povm=povm,
+        phis=phis, phi_is_range=phi_is_range,
         nu=1 if nu is None else _integer(nu, _RUN_MINIMUMS["nu"], fieldname="nu"),
         seed=_integer(data.get("seed", 0), _RUN_MINIMUMS["seed"], fieldname="seed"),
         trials=(100 if trials is None

@@ -242,19 +242,15 @@ def _check_observable_optimality(model: ParametricModel,
     rhs_norm = float(np.linalg.norm(rhs))
     # an eigenvector of O: (O - <O>) sqrt(rho) is rounding
     eigenstate = lhs_norm <= EIGENSTATE_RTOL * np.sqrt(max(second, 0.0))
-    if rhs_norm * rhs_norm <= 1e-14:
-        # L sqrt(rho) ~ 0 means QFI ~ 0: the state carries no information
+    # L sqrt(rho) ~ 0 means QFI ~ 0: the state carries no information
+    no_information = rhs_norm * rhs_norm <= 1e-14
+    if no_information or eigenstate:
+        # the residual ratio would divide rounding by rounding
         return OptimalityReport(
-            alpha=0.0, residual_rel=(0.0 if eigenstate else 1.0),
-            im_part=im_part, anticommutator_mean=anticommutator_mean,
-            is_optimal=False, condition_variant=variant,
-            diagnostic=NO_INFORMATION)
-    if eigenstate:
-        # both norms of the residual ratio are rounding
-        return OptimalityReport(
-            alpha=0.0, residual_rel=0.0, im_part=im_part,
+            alpha=0.0, residual_rel=(0.0 if eigenstate else 1.0), im_part=im_part,
             anticommutator_mean=anticommutator_mean, is_optimal=False,
-            condition_variant=variant, diagnostic=EIGENSTATE)
+            condition_variant=variant,
+            diagnostic=NO_INFORMATION if no_information else EIGENSTATE)
     alpha, residual, scale = _fit(lhs, rhs, lhs_norm, rhs_norm)
     residual_rel = residual / scale
     variance = max(second - mean * mean, 0.0)

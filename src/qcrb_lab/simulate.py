@@ -281,11 +281,11 @@ def _golden_max(loglik: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return (lo + hi) / 2.0
 
 
-def _positive_cfi(model: ParametricModel, povm: Povm, phi: float) -> float | None:
-    """Classical Fisher information at ``phi``; ``None`` where it is zero or
+def _positive_cfi(dist: OutcomeDistribution) -> float | None:
+    """Classical Fisher information of ``dist``; ``None`` where it is zero or
     singular, so that no pointwise error prediction exists."""
     try:
-        info = cfi(outcome_distribution(model, phi, povm))
+        info = cfi(dist)
     except SingularOutcomeError:
         return None
     return info if info > 0.0 else None
@@ -345,7 +345,7 @@ def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
     no phase dependence over the interval.
     """
     result = _mle_estimates([record], model, povm, search_interval)[0]
-    info = _positive_cfi(model, povm, result.phi_hat)
+    info = _positive_cfi(outcome_distribution(model, result.phi_hat, povm))
     return replace(result, se_predicted=(None if info is None
                                          else 1.0 / math.sqrt(record.nu * info)))
 
@@ -450,8 +450,8 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
         raise InsufficientTrialsError("need at least 2 trials")
     interval = (default_mle_interval(model, phi_true)
                 if search_interval is None else search_interval)
-    dist = outcome_distribution(model, phi_true, povm, second_order=False)
-    info = _positive_cfi(model, povm, phi_true)
+    dist = outcome_distribution(model, phi_true, povm)
+    info = _positive_cfi(dist)
     predicted = None if info is None else 1.0 / (nu * info)
     qcrb = 1.0 / (nu * qfi(model, phi_true))
     records = [sample_shots(dist, nu, seed, stream=index) for index in range(trials)]

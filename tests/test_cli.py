@@ -389,7 +389,11 @@ class TestOneEigendecompositionPerPhase:
         assert len(json.loads(result.output)["rows"]) == 5
         assert len(rho_eighs) == 5 * RHO_EIGHS_PER_PHASE[spec]
 
-    def test_one_density_per_povm_scan_row(self, runner, ghz2_spec, monkeypatch):
+    @pytest.mark.parametrize("spec,per_row", [("ghz2_spec", 0), ("pure_density_spec", 1)])
+    def test_one_density_per_povm_scan_row(self, runner, request, spec, per_row,
+                                           monkeypatch):
+        """A state vector's rho comes from its carrier, a density's from the
+        one ``density`` call of its SLD solve."""
         phases = []
         density = fisher.ParametricModel.density
 
@@ -398,9 +402,10 @@ class TestOneEigendecompositionPerPhase:
             return density(model, phi)
 
         monkeypatch.setattr(fisher.ParametricModel, "density", counting_density)
-        payload = run_json(runner, ["scan", "--model", ghz2_spec,
+        payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
                                     "--phi-range", "0:pi:9"])
-        assert sorted(phases) == [row["phi"] for row in payload["rows"]]
+        assert sorted(phases) == [row["phi"] for row in payload["rows"]
+                                  for _ in range(per_row)]
 
 
 class TestCfiCommand:
@@ -649,6 +654,21 @@ class TestSpecValidation:
         assert result.exit_code == 2, result.output
         assert result.output == ("specification error: tolerances.optimality: "
                                  f"expected a number, got {shown}\n")
+
+    @pytest.mark.parametrize("value,exit_code,shown", [
+        ("1e-1", 0, None), ("true", 2, "True"), ("abc", 2, "'abc'")])
+    def test_matrix_entry_read_as_a_string(self, runner, tmp_path, value, exit_code,
+                                           shown):
+        """YAML reads ``1e-1`` as a string; as a matrix component it is the
+        number 0.1, and a component that is no number names its entry."""
+        path = tmp_path / "entry.yaml"
+        path.write_text(f"state:\n  custom: {{density: [[{value}, 0], [0, 0], [0, 0], "
+                        "[0.9, 0]]}\nphi: 0.3\n", encoding="utf-8")
+        result = runner.invoke(main, ["qfi", "--model", str(path)])
+        assert result.exit_code == exit_code, result.output
+        if shown is not None:
+            assert result.output == ("specification error: state.custom.density: "
+                                     f"entry 0 is not an [re, im] pair: [{shown}, 0]\n")
 
 
 class TestCliContract:

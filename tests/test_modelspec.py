@@ -127,6 +127,12 @@ class TestBuildModelSpec:
         assert spec.tolerances == {"optimality": 1e-6}
 
 
+IDENTITY_3 = [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+QUTRIT = {"custom": {"amplitudes": [[1, 0], [0, 0], [0, 0]]}}
+QUTRIT_Z = {"generator": {"matrix": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0],
+                                     [0, 0], [0, 0], [0, 0], [-1, 0]]}}
+
+
 class TestSpecErrors:
     @pytest.mark.parametrize("data,field_part", [
         ({"state": {"ghz": {"n": 0}}}, "state.ghz.n"),
@@ -162,6 +168,24 @@ class TestSpecErrors:
           "povm": {"custom": {"elements": [[[1, 0], [0, 0], [0, 0], [0, 0]],
                                            [[0, 0], [0, 0], [0, 0], [1, 0]]],
                               "labels": "ab"}}}, "povm.custom.labels"),
+        ({"state": {"foo": 1}}, "state.foo"),
+        ({"state": {"ghz": {"n": 2}},
+          "observable": {"parity": True, "pauli_product": {"a1": 1}}}, "observable"),
+        ({"state": {"ghz": {"n": 2}}, "povm": {"foo": 1}}, "povm.foo"),
+        ({"state": {"ghz": {"n": 2}}, "povm": {}}, "povm"),
+        ({"state": QUTRIT}, "parametrization"),
+        ({"state": QUTRIT, "parametrization": QUTRIT_Z,
+          "observable": {"parity": True}}, "observable.parity"),
+        ({"state": QUTRIT, "parametrization": QUTRIT_Z,
+          "observable": {"pauli_product": {"a1": 1}}}, "observable.pauli_product"),
+        ({"state": QUTRIT, "parametrization": QUTRIT_Z, "povm": "x_basis_product"},
+         "povm"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": QUTRIT_Z},
+         "parametrization.generator"),
+        ({"state": {"ghz": {"n": 2}}, "observable": {"custom": IDENTITY_3}},
+         "observable"),
+        ({"state": {"ghz": {"n": 2}}, "povm": {"custom": {"elements": [IDENTITY_3]}}},
+         "povm"),
     ])
     def test_offending_field_is_named(self, data, field_part):
         with pytest.raises(SpecFileError) as excinfo:
@@ -200,6 +224,11 @@ class TestSpecErrors:
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
             build_model_spec({"state": {"ghz": {"n": 8}}, "povm": "x_basis_product"})
         assert excinfo.value.field == "povm"
+
+    def test_generator_dimension_is_checked_before_the_observable(self):
+        error = _field_error({"state": {"ghz": {"n": 2}}, "parametrization": QUTRIT_Z,
+                              "observable": {"pauli_product": "not a quadruple"}})
+        assert error.field == "parametrization.generator"
 
     def test_dimension_mismatch_between_sections(self):
         with pytest.raises(SpecFileError, match="observable"):
@@ -278,6 +307,14 @@ class TestNumberFields:
         error = _field_error({**GHZ2, "observable": {"pauli_product": {"a1": "inf"}}})
         assert error.field == "observable.pauli_product"
         assert "must be finite" in str(error)
+
+    def test_matrix_entry(self):
+        def density(entry):
+            data = {"state": {"custom": {"density": [entry, [0, 0], [0, 0], [0.9, 0]]}}}
+            return build_model_spec(data).model.initial_state.matrix
+
+        assert np.array_equal(density(["1e-1", 0]), density([0.1, 0]))
+        assert np.array_equal(density([0.1, "0e0"]), density([0.1, 0]))
 
     def test_exponent_without_dot_from_yaml(self, tmp_path):
         """YAML 1.1 reads ``1e-6`` as a string and ``1.0e-6`` as a float."""

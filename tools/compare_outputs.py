@@ -35,8 +35,12 @@ of the commands, so that error messages are compared too: ``--nu 0``,
 ``--trials 1``, ``--seed -1`` and ``--phi-range 0:1:1``; specs with
 ``trials: 1``, ``ghz: {n: 0}``, an unknown top-level key, an unknown ``phi``
 range key, a coefficient ``a4``, a ``true`` coefficient and the tolerance
-``1e-6`` that YAML reads as a string; ``errprop`` without an observable,
-``cfi`` without a POVM, and ``errprop`` at a singular phase.
+``1e-6`` that YAML reads as a string; specs with two ``state`` forms, an
+unknown ``state``, ``observable`` or ``povm`` form, an empty ``povm``
+mapping, a qutrit without a ``parametrization``, a generator of the wrong
+dimension, and a ``custom`` density whose entries are strings such as
+``1e-1``; ``errprop`` without an observable, ``cfi`` without a POVM, and
+``errprop`` at a singular phase.
 
 Each differing invocation is listed with every output field that moved and,
 for numeric fields, the largest absolute and relative difference over the
@@ -146,10 +150,23 @@ def _error_invocations(workdir: Path) -> list[list[str]]:
         "coefficient-a4": {**base, "observable": {"pauli_product": {"a4": 1.0}}},
         "coefficient-true": {**base, "observable": {"pauli_product": {"a1": True}}},
         "tolerance-string": {**base, "tolerances": {"optimality": "1e-6"}},
+        "two-state-forms": {**base, "state": {"ghz": {"n": 2},
+                                              "custom": {"amplitudes": [[1.0, 0.0]]}}},
+        "unknown-state-form": {**base, "state": {"foo": 1}},
+        "unknown-observable-form": {**base, "observable": {"foo": 1}},
+        "unknown-povm-form": {**base, "povm": {"foo": 1}},
+        "empty-povm": {**base, "povm": {}},
+        "qutrit-default-parametrization": {
+            **base, "state": {"custom": {"amplitudes": _pairs(np.eye(3)[0])}}},
+        "generator-dimension": {**base, "parametrization": {
+            "generator": {"matrix": _pairs(np.diag([1.0, 0.0, -1.0]))}}},
+        "entries-1e-1": {**base, "state": {"custom": {"density": [
+            [f"{p}e-1", "0"] if i == j else ["0", "0"]
+            for i, p in enumerate((1, 2, 3, 4)) for j in range(4)]}}},
     }
     for name, data in variants.items():
-        runs.append(["qfi" if name == "trials-1" else "check-optimal", "--model",
-                     _write(workdir / f"error-{name}.yaml", data)])
+        command = "qfi" if name in ("trials-1", "entries-1e-1") else "check-optimal"
+        runs.append([command, "--model", _write(workdir / f"error-{name}.yaml", data)])
     runs.append(["errprop", "--model", _write(workdir / "error-no-observable.yaml",
                                               {**base, "observable": None})])
     runs.append(["cfi", "--model", _write(workdir / "error-no-povm.yaml",
