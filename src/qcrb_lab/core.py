@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -155,6 +156,12 @@ class PsdSpectrum(NamedTuple):
         roots = np.sqrt(np.where(self.kernel, 0.0, self.eigenvalues))
         return (self.eigenvectors * roots) @ self.eigenvectors.conj().T
 
+    def carrier(self) -> np.ndarray:
+        """``V sqrt(p)`` over the support: a ``d x r`` factor ``C`` with
+        ``C C^dagger`` the matrix without its kernel part."""
+        support = ~self.kernel
+        return self.eigenvectors[:, support] * np.sqrt(self.eigenvalues[support])
+
 
 def psd_spectrum(matrix) -> PsdSpectrum:
     """Eigendecomposition of a Hermitian PSD matrix with its support classified.
@@ -169,6 +176,11 @@ def psd_spectrum(matrix) -> PsdSpectrum:
     if eigenvalues[0] < -1e-8:
         raise NotPositiveError(
             f"matrix has negative eigenvalue {float(eigenvalues[0]):.3e} < -1.0e-08")
+    return _support(eigenvalues, eigenvectors)
+
+
+def _support(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> PsdSpectrum:
+    """The spectrum with its eigenvalues clipped at zero and its cutoff."""
     clipped = np.clip(eigenvalues, 0.0, None)
     return PsdSpectrum(clipped, eigenvectors, SUPPORT_CUTOFF_REL * float(np.sum(clipped)))
 
@@ -327,51 +339,112 @@ class HermitianObservable:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
-    """Positive-operator-valued measure: PSD elements summing to identity."""
+    """Positive-operator-valued measure: PSD elements summing to identity.
 
-    elements: tuple[np.ndarray, ...]
-    labels: tuple = ()
-    check: InitVar[bool] = True
+    Every POVM is stored as one ``d x R`` column factor ``F``: outcome ``x``
+    owns the contiguous, non-empty block of columns ``F_x = F[:,
+    block_bounds[x]:block_bounds[x + 1]]``, and its element is ``M_x = F_x
+    F_x^dagger``. A probability ``Re Tr(A M_x)`` is then ``Re sum conj(F_x) *
+    (A F_x)``, so no element needs to exist as a ``d x d`` matrix.
 
-    def __post_init__(self, check: bool) -> None:
-        elements = tuple(as_complex_matrix(e, name=f"POVM element {k}")
-                         for k, e in enumerate(self.elements))
-        if not elements:
-            raise ValueError("POVM requires at least one element")
-        dim = elements[0].shape[0]
-        for k, element in enumerate(elements):
-            _require_square(element, name=f"POVM element {k}")
-            if element.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"POVM element {k} has dimension {element.shape[0]} != {dim}")
-        if check:
-            for k, element in enumerate(elements):
-                herm = require_hermitian(element, atol=VALIDATION_ATOL,
-                                         name=f"POVM element {k}")
-                smallest = float(np.linalg.eigvalsh(herm)[0])
-                if smallest < -VALIDATION_ATOL:
-                    raise NotPositiveError(
-                        f"POVM element {k} has negative eigenvalue {smallest:.3e}")
-            total = sum(elements)
-            gap = float(np.linalg.norm(total - np.eye(dim)))
-            if gap > VALIDATION_ATOL * max(1.0, dim):
-                raise ValueError(
-                    f"POVM elements do not sum to identity: gap {gap:.3e}")
-        labels = tuple(self.labels) if self.labels else tuple(range(len(elements)))
-        if len(labels) != len(elements):
+    ``Povm(elements, labels, check)`` takes dense elements and factors each
+    once by its eigendecomposition, over the eigenvalues above
+    ``SUPPORT_CUTOFF_REL`` times its trace (an element with none keeps one
+    zero column); ``check`` validates each element and the sum to identity
+    on the given matrices. ``Povm(labels=..., factor=F, block_sizes=...)``
+    takes the factor itself, and ``check`` then validates ``F F^dagger =
+    I``. ``elements`` are the given matrices, or ``F_x F_x^dagger`` built on
+    first read.
+    """
+
+    factor: np.ndarray
+    block_bounds: np.ndarray
+    labels: tuple
+
+    def __init__(self, elements: Sequence = (), labels: Sequence = (),
+                 check: bool = True, *, factor: np.ndarray | None = None,
+                 block_sizes: Sequence[int] = ()) -> None:
+        if factor is None:
+            given = _dense_elements(elements)
+            blocks = [_element_factor(element, k, check)
+                      for k, element in enumerate(given)]
+            if check:
+                _require_identity(sum(given), "POVM elements do not sum to identity")
+            factor = np.concatenate(blocks, axis=1)
+            block_sizes = [block.shape[1] for block in blocks]
+            self.__dict__["elements"] = tuple(_freeze(e) for e in given)
+        else:
+            factor = as_complex_matrix(factor, name="POVM factor")
+            block_sizes = [int(size) for size in block_sizes]
+            if min(block_sizes, default=0) < 1 or sum(block_sizes) != factor.shape[1]:
+                raise ValueError(f"block sizes {block_sizes} do not split the "
+                                 f"{factor.shape[1]} columns of the POVM factor")
+            if check:
+                _require_identity(factor @ factor.conj().T,
+                                  "POVM factor F does not give F F^dagger = I")
+        labels = tuple(labels) if labels else tuple(range(len(block_sizes)))
+        if len(labels) != len(block_sizes):
             raise ValueError(
-                f"{len(labels)} labels for {len(elements)} POVM elements")
-        object.__setattr__(self, "elements", tuple(_freeze(e) for e in elements))
+                f"{len(labels)} labels for {len(block_sizes)} POVM elements")
+        object.__setattr__(self, "factor", _freeze(factor))
+        object.__setattr__(self, "block_bounds",
+                           _freeze(np.cumsum([0, *block_sizes])))
         object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """``M_x = F_x F_x^dagger`` for each outcome, built on first read."""
+        bounds = self.block_bounds.tolist()
+        return tuple(_freeze(block @ block.conj().T)
+                     for block in (self.factor[:, lo:hi]
+                                   for lo, hi in zip(bounds, bounds[1:])))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.factor.shape[0]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
+
+
+def _dense_elements(elements: Sequence) -> tuple[np.ndarray, ...]:
+    """Owned square complex copies of ``elements``, all of one dimension."""
+    given = tuple(as_complex_matrix(e, name=f"POVM element {k}")
+                  for k, e in enumerate(elements))
+    if not given:
+        raise ValueError("POVM requires at least one element")
+    dim = given[0].shape[0]
+    for k, element in enumerate(given):
+        _require_square(element, name=f"POVM element {k}")
+        if element.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"POVM element {k} has dimension {element.shape[0]} != {dim}")
+    return given
+
+
+def _element_factor(element: np.ndarray, k: int, check: bool) -> np.ndarray:
+    """``F_k`` with ``F_k F_k^dagger`` the support part of the Hermitian part
+    of ``element``; under ``check`` the element must be Hermitian and PSD."""
+    if check:
+        herm = require_hermitian(element, atol=VALIDATION_ATOL,
+                                 name=f"POVM element {k}")
+    else:
+        herm = (element + element.conj().T) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(herm)
+    if check and eigenvalues[0] < -VALIDATION_ATOL:
+        raise NotPositiveError(
+            f"POVM element {k} has negative eigenvalue {float(eigenvalues[0]):.3e}")
+    block = _support(eigenvalues, eigenvectors).carrier()
+    return block if block.shape[1] else np.zeros((element.shape[0], 1), dtype=complex)
+
+
+def _require_identity(total: np.ndarray, message: str) -> None:
+    dim = total.shape[0]
+    gap = float(np.linalg.norm(total - np.eye(dim)))
+    if gap > VALIDATION_ATOL * max(1.0, dim):
+        raise ValueError(f"{message}: gap {gap:.3e}")
 
 
 def eigenprojector_povm(obs: HermitianObservable) -> Povm:
@@ -380,6 +453,8 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
 
     Eigenvalues closer than ``_DEGENERACY_TOL`` (relative to the spectral
     spread) are merged into one outcome; labels are the merged eigenvalues.
+    The factor is the eigenvector matrix, eigenvalues ascending, with one
+    block of columns per merged group.
     """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(obs.matrix)
     spread = max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
@@ -389,13 +464,9 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
             groups[-1].append(idx)
         else:
             groups.append([idx])
-    elements = []
-    labels = []
-    for group in groups:
-        vecs = eigenvectors[:, group]
-        elements.append(vecs @ vecs.conj().T)
-        labels.append(float(np.mean(eigenvalues[group])))
-    return Povm(tuple(elements), tuple(labels), check=False)
+    labels = tuple(float(np.mean(eigenvalues[group])) for group in groups)
+    return Povm(labels=labels, check=False, factor=eigenvectors,
+                block_sizes=[len(group) for group in groups])
 
 
 _XY_BASIS_VECTORS = {
@@ -410,17 +481,22 @@ _XY_BASIS_VECTORS = {
 }
 
 
+def _basis_vectors(axis: str, n_qubits: int) -> dict[str, np.ndarray]:
+    """The single-qubit ``axis`` eigenvectors, after checking the arguments."""
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    return _XY_BASIS_VECTORS[axis]
+
+
 def product_basis_vectors(axis: str, n_qubits: int) -> tuple[tuple[str, np.ndarray], ...]:
     """Per-outcome product vectors of the single-qubit ``axis`` eigenbasis.
 
     Outcomes are ordered ``++..+, ++..-, ..., --..-`` and labelled by their
     sign strings.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    single = _XY_BASIS_VECTORS[axis]
+    single = _basis_vectors(axis, n_qubits)
     out = []
     for signs in itertools.product("+-", repeat=n_qubits):
         vec = np.array([1.0], dtype=complex)
@@ -431,8 +507,17 @@ def product_basis_vectors(axis: str, n_qubits: int) -> tuple[tuple[str, np.ndarr
 
 
 def product_basis_povm(axis: str, n_qubits: int) -> Povm:
-    """Projective POVM onto the product ``axis in {x, y}`` eigenbasis."""
-    entries = product_basis_vectors(axis, n_qubits)
-    elements = tuple(np.outer(vec, vec.conj()) for _, vec in entries)
-    labels = tuple(label for label, _ in entries)
-    return Povm(elements, labels, check=False)
+    """Projective POVM onto the product ``axis in {x, y}`` eigenbasis.
+
+    Its factor is ``B^{tensor N}``, where the columns of ``B`` are the
+    single-qubit ``+`` and ``-`` vectors; each column is one outcome, in the
+    order and with the labels of :func:`product_basis_vectors`.
+    """
+    single = _basis_vectors(axis, n_qubits)
+    basis = np.stack([single["+"], single["-"]], axis=1)
+    factor = basis
+    for _ in range(n_qubits - 1):
+        factor = np.kron(factor, basis)
+    labels = tuple("".join(signs) for signs in itertools.product("+-", repeat=n_qubits))
+    return Povm(labels=labels, check=False, factor=factor,
+                block_sizes=[1] * len(labels))

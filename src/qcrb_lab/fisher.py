@@ -180,10 +180,11 @@ def _state_derivatives(model: ParametricModel, phi: float | None,
     return (deriv + _dagger(deriv)) / 2.0
 
 
-def _second_state_derivatives(model: ParametricModel, phi: float,
+def _second_state_derivatives(model: ParametricModel, phi: float | None,
                               rho: np.ndarray) -> np.ndarray:
-    """``d^2 rho_phi / d phi^2`` (Hermitian part) for ``rho = rho_phi``
-    stacked as ``(1, d, d)``."""
+    """``d^2 rho_phi / d phi^2`` (Hermitian part) for stacked states ``rho``
+    ``(B, d, d)`` of a generator model, or for ``rho = rho_phi`` stacked as
+    ``(1, d, d)`` at the single phase ``phi`` of a blackbox model."""
     if model.kind == "unitary_generator":
         g = model.generator.matrix
         deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
@@ -296,7 +297,7 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
     l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
-    carrier = eigenvectors[:, ~kernel] * np.sqrt(eigenvalues[~kernel])
+    carrier = spectrum.carrier()
     l_carrier = l_matrix @ carrier
     result = SldResult(model=model, phi=phi,
                        qfi=float(np.vdot(l_carrier, l_carrier).real),
@@ -378,10 +379,14 @@ def _check_totals(probs: np.ndarray, derivs: np.ndarray) -> None:
 
 
 def _traces(stack: np.ndarray, povm: Povm) -> np.ndarray:
-    """``Re Tr(A_b M_x)``, shape ``(B, K)``; one element at a time keeps
-    memory at O(B d^2) for large POVMs."""
-    return np.stack([np.trace(stack @ m, axis1=1, axis2=2).real
-                     for m in povm.elements], axis=1)
+    """``Re Tr(A_b M_x)``, shape ``(B, K)``: with ``M_x = F_x F_x^dagger`` it
+    is ``Re sum conj(F_x) * (A_b F_x)``, summed over the rows of the POVM
+    factor and then over each outcome's block of columns; one ``d x d @ d x
+    R`` product per stacked matrix."""
+    f = povm.factor
+    af = stack @ f
+    columns = (f.real * af.real + f.imag * af.imag).sum(axis=1)
+    return np.add.reduceat(columns, povm.block_bounds[:-1], axis=1)
 
 
 def _probabilities(rho: np.ndarray, drho: np.ndarray, povm: Povm):
@@ -413,7 +418,7 @@ def _outcome_distribution(model: ParametricModel, phi: float, povm: Povm,
                                derivatives=derivs[0], second_derivatives=second)
 
 
-# complex entries per stacked (B, d, d) array in one chunk of _outcome_probabilities
+# complex entries per stacked array in one chunk of _outcome_arrays
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -421,23 +426,42 @@ def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarr
     """Outcome probabilities for a batch of phases, shape ``(len(phis), len(povm))``.
 
     Row ``b`` equals ``outcome_distribution(model, phis[b], povm,
-    second_order=False).probabilities`` bit for bit. Generator models run
-    through the same stacked builders and checks, in chunks of at most
-    ``_BATCH_ENTRIES / d**2`` phases so that memory does not grow with the
-    batch; blackbox models fall back to one ``outcome_distribution`` per phase.
+    second_order=False).probabilities`` bit for bit.
+    """
+    return _outcome_arrays(model, phis, povm, second_order=False)[0]
+
+
+def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
+                    second_order: bool) -> np.ndarray:
+    """Probabilities, their derivatives and, with ``second_order``, their
+    second derivatives for a batch of phases, stacked as ``(2 or 3,
+    len(phis), len(povm))``; row ``b`` of each equals the field of
+    ``outcome_distribution(model, phis[b], povm, second_order=second_order)``
+    bit for bit.
+
+    Generator models run through the same stacked builders and checks, in
+    chunks of at most ``_BATCH_ENTRIES / (d * max(d, R))`` phases for a
+    ``d x R`` POVM factor, so that memory does not grow with the batch;
+    blackbox models fall back to one ``outcome_distribution`` per phase.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
+    out = np.empty((3 if second_order else 2, phis.size, len(povm)))
     if model.kind != "unitary_generator":
-        return np.array([outcome_distribution(model, phi, povm,
-                                              second_order=False).probabilities
-                         for phi in phis.tolist()]).reshape(phis.size, len(povm))
-    chunk = max(1, _BATCH_ENTRIES // model.dim ** 2)
-    out = np.empty((phis.size, len(povm)))
+        for b, phi in enumerate(phis.tolist()):
+            dist = outcome_distribution(model, phi, povm, second_order=second_order)
+            out[0, b], out[1, b] = dist.probabilities, dist.derivatives
+            if second_order:
+                out[2, b] = dist.second_derivatives
+        return out
+    chunk = max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
     for start in range(0, phis.size, chunk):
-        rho = model._states(phis[start:start + chunk])
-        probs, derivs = _probabilities(rho, _state_derivatives(model, None, rho), povm)
-        _check_totals(probs, derivs)
-        out[start:start + chunk] = probs
+        rows = slice(start, start + chunk)
+        rho = model._states(phis[rows])
+        out[0, rows], out[1, rows] = _probabilities(
+            rho, _state_derivatives(model, None, rho), povm)
+        _check_totals(out[0, rows], out[1, rows])
+        if second_order:
+            out[2, rows] = _traces(_second_state_derivatives(model, None, rho), povm)
     return out
 
 

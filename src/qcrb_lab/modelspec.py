@@ -255,26 +255,22 @@ def _build_generator(data, n_qubits, *, fieldname: str = "parametrization"):
     if data is None:
         return collective_spin("z", _qubits(n_qubits, "a default parametrization",
                                             fieldname=fieldname))
-    data = _require_mapping(data, fieldname=fieldname)
-    if "blackbox" in data:
+    if isinstance(data, dict) and "blackbox" in data:
         raise SpecFileError("blackbox parametrization is not supported in files",
                             field=f"{fieldname}.blackbox")
-    _require_known_keys(data, ("generator",), fieldname=fieldname)
-    if "generator" not in data:
-        raise SpecFileError("expected 'generator'", field=fieldname)
-    gen, fieldname = data["generator"], f"{fieldname}.generator"
+    _, gen = _one_of(data, ("generator",), fieldname=fieldname)
+    fieldname = f"{fieldname}.generator"
     if gen == "half_sigma_z_sum":
         return collective_spin("z", _qubits(
             n_qubits, "named generator 'half_sigma_z_sum'", fieldname=fieldname))
-    if isinstance(gen, dict) and "matrix" in gen:
-        _require_known_keys(gen, ("matrix",), fieldname=fieldname)
-        fieldname = f"{fieldname}.matrix"
-        return _checked(HermitianObservable,
-                        parse_matrix(gen["matrix"], fieldname=fieldname),
-                        fieldname=fieldname)
-    raise SpecFileError(
-        f"expected 'half_sigma_z_sum' or a matrix mapping, got {gen!r}",
-        field=fieldname)
+    if not isinstance(gen, dict):
+        raise SpecFileError(
+            f"expected 'half_sigma_z_sum' or a matrix mapping, got {gen!r}",
+            field=fieldname)
+    _, entries = _one_of(gen, ("matrix",), fieldname=fieldname)
+    fieldname = f"{fieldname}.matrix"
+    return _checked(HermitianObservable, parse_matrix(entries, fieldname=fieldname),
+                    fieldname=fieldname)
 
 
 def _coefficient_quadruple(data, *, fieldname: str) -> tuple[float, float, float, float]:
@@ -323,9 +319,9 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
     if isinstance(data, str):
         if data in ("x_basis_product", "y_basis_product"):
             n_qubits = _qubits(n_qubits, data, fieldname=fieldname)
-            # 2^n dense 2^n x 2^n complex elements take 2^(3n+4) bytes
-            _require_physical_memory(3 * n_qubits + 4,
-                                     f"{2 ** n_qubits} dense POVM elements",
+            # 2^n product vectors of 2^n complex amplitudes take 2^(2n+4) bytes
+            _require_physical_memory(2 * n_qubits + 4,
+                                     f"{2 ** n_qubits} product-basis POVM vectors",
                                      fieldname=fieldname)
             return product_basis_povm(data[0], n_qubits)
         if data == "eigenprojectors_of_observable":

@@ -21,7 +21,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix, HermitianObservable, Povm, matrix_sqrt_psd
+from .core import DensityMatrix, HermitianObservable, Povm
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
@@ -290,16 +290,21 @@ def check_povm_optimality(model: ParametricModel, phi: float, povm: Povm, *,
     ``|| sqrt(M_x) sqrt(rho) - u_x sqrt(M_x) L sqrt(rho) ||``, on the
     carrier as ``|| sqrt(M_x) C - u_x sqrt(M_x) L C ||``, and requires every
     relative residual to vanish. Outcomes where both sides vanish (the
-    outcome never fires) are trivially satisfied with ``u_x = 0``.
+    outcome never fires) are trivially satisfied with ``u_x = 0``. With
+    ``M_x = F_x F_x^dagger``, ``||sqrt(M_x) X|| = ||F_x^dagger X||`` and
+    ``<sqrt(M_x) Y, sqrt(M_x) X> = <F_x^dagger Y, F_x^dagger X>``, so the fit
+    runs on ``F_x^dagger C`` and ``F_x^dagger L C`` and needs no square root.
     """
     _require_same_dim(model, povm.dim)
     sld_result = sld(model, phi)
+    f_dagger = povm.factor.conj().T
+    lhs_rows = f_dagger @ sld_result.carrier
+    rhs_rows = f_dagger @ sld_result.l_carrier
     u_values = np.zeros(len(povm))
     residuals = np.zeros(len(povm))
-    for idx, element in enumerate(povm.elements):
-        sqrt_m = matrix_sqrt_psd(element)
-        lhs = sqrt_m @ sld_result.carrier
-        rhs = sqrt_m @ sld_result.l_carrier
+    bounds = povm.block_bounds.tolist()
+    for idx, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        lhs, rhs = lhs_rows[lo:hi], rhs_rows[lo:hi]
         lhs_norm = float(np.linalg.norm(lhs))
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm * rhs_norm <= 1e-14 * max(1.0, lhs_norm):

@@ -10,6 +10,14 @@ def random_hermitian(rng, dim):
     return HermitianObservable((x + x.conj().T) / 2.0)
 
 
+def degenerate_observable(rng, dim):
+    """A random eigenbasis with eigenvalues drawn from {0, 1, 2}, so that its
+    eigenprojector POVM has blocks of several columns."""
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    matrix = (basis * rng.integers(0, 3, size=dim)) @ basis.conj().T
+    return HermitianObservable((matrix + matrix.conj().T) / 2.0)
+
+
 def random_density(rng, dim, rank=None):
     rank = dim if rank is None else rank
     w = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))

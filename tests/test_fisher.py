@@ -33,7 +33,8 @@ from qcrb_lab import (
     state_derivative,
     unitary_model,
 )
-from conftest import random_density, random_hermitian, random_povm, support_carrier
+from conftest import (degenerate_observable, random_density, random_hermitian, random_povm,
+                      support_carrier)
 
 
 def computational_povm(dim):
@@ -354,16 +355,22 @@ def _ref_second_state_derivative(model, phi):
     return (deriv2 + deriv2.conj().T) / 2.0
 
 
+def _ref_factor_traces(a, povm):
+    """``Re Tr(A M_x)`` as ``Re sum conj(F_x) * (A F_x)`` for one matrix:
+    the column sums of the elementwise product, then each outcome's block of
+    columns."""
+    f = povm.factor
+    af = a @ f
+    columns = (f.real * af.real + f.imag * af.imag).sum(axis=0)
+    return np.add.reduceat(columns, povm.block_bounds[:-1])
+
+
 def _ref_outcome_arrays(model, phi, povm, second_order):
-    rho = _ref_density(model, phi)
-    drho = _ref_state_derivative(model, phi)
-    probs = np.array([float(np.trace(rho @ m).real) for m in povm.elements])
-    probs = np.clip(probs, 0.0, 1.0)
-    derivs = np.array([float(np.trace(drho @ m).real) for m in povm.elements])
+    probs = np.clip(_ref_factor_traces(_ref_density(model, phi), povm), 0.0, 1.0)
+    derivs = _ref_factor_traces(_ref_state_derivative(model, phi), povm)
     second = None
     if second_order:
-        d2rho = _ref_second_state_derivative(model, phi)
-        second = np.array([float(np.trace(d2rho @ m).real) for m in povm.elements])
+        second = _ref_factor_traces(_ref_second_state_derivative(model, phi), povm)
     return probs, derivs, second
 
 
@@ -371,7 +378,9 @@ REFERENCE_CASES = ("ghz1", "ghz2", "ghz3", "pure", "mixed", "blackbox")
 
 
 def reference_case(name, seed):
-    """(model, POVM) for a GHZ state or a random unitary family."""
+    """(model, POVM) for a GHZ state or a random unitary family, measured
+    with a random POVM or, on odd seeds, the eigenprojectors of a degenerate
+    observable."""
     if name.startswith("ghz"):
         n = int(name[3:])
         return ghz_model(n), product_basis_povm("xy"[seed % 2], n)
@@ -385,6 +394,8 @@ def reference_case(name, seed):
     model = unitary_model(state, random_hermitian(rng, dim))
     if name == "blackbox":
         model = blackbox_model(model.density, dim)
+    if seed % 2:
+        return model, eigenprojector_povm(degenerate_observable(rng, dim))
     return model, random_povm(rng, dim, int(rng.integers(2, 6)))
 
 

@@ -182,6 +182,18 @@ class TestSpecErrors:
          "povm"),
         ({"state": {"ghz": {"n": 2}}, "parametrization": QUTRIT_Z},
          "parametrization.generator"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": {}},
+         "parametrization: expected exactly one of ['generator']"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": {"generator": {"foo": 1}}},
+         "parametrization.generator.foo: unknown keys ['foo']; known: ['matrix']"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": {"generator": {}}},
+         "parametrization.generator: expected exactly one of ['matrix']"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": {"generator": 3}},
+         "parametrization.generator: expected 'half_sigma_z_sum' or a matrix "
+         "mapping, got 3"),
+        ({"state": {"ghz": {"n": 2}}, "parametrization": {"generator": "foo"}},
+         "parametrization.generator: expected 'half_sigma_z_sum' or a matrix "
+         "mapping, got 'foo'"),
         ({"state": {"ghz": {"n": 2}}, "observable": {"custom": IDENTITY_3}},
          "observable"),
         ({"state": {"ghz": {"n": 2}}, "povm": {"custom": {"elements": [IDENTITY_3]}}},
@@ -211,18 +223,20 @@ class TestSpecErrors:
         assert "phi.steps" in str(excinfo.value)
 
     def test_oversized_product_povm_rejected_before_allocation(self, monkeypatch):
-        """GHZ N=8 needs 2^20 bytes, its x-basis product POVM 2^28; on a
-        machine with 2^26 bytes the POVM, not the state, is refused."""
+        """A custom 8-qubit amplitude state needs 2^12 bytes, its x-basis
+        product POVM (2^8 vectors of 2^8 amplitudes) 2^20; on a machine with
+        2^19 bytes the POVM, not the state, is refused."""
         def allocate(*args):
             raise AssertionError("product_basis_povm must not be called")
 
         sysconf = os.sysconf
-        memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 14}
+        memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 7}
         monkeypatch.setattr(modelspec, "product_basis_povm", allocate)
         monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
-        assert build_model_spec({"state": {"ghz": {"n": 8}}}).povm is None
+        state = {"custom": {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 255}}
+        assert build_model_spec({"state": state}).povm is None
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
-            build_model_spec({"state": {"ghz": {"n": 8}}, "povm": "x_basis_product"})
+            build_model_spec({"state": state, "povm": "x_basis_product"})
         assert excinfo.value.field == "povm"
 
     def test_generator_dimension_is_checked_before_the_observable(self):

@@ -1,0 +1,169 @@
+"""The column-factor form of a POVM against dense elements.
+
+Every POVM is stored as a ``d x R`` factor F with ``M_x = F_x F_x^dagger``.
+These tests compare what is computed from F with the dense ``d x d``
+elements the builders used to produce: the rebuilt ``elements``, and the
+outcome probabilities with their first and second phase derivatives.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcrb_lab import (
+    Povm,
+    PureState,
+    cfi,
+    collective_spin,
+    eigenprojector_povm,
+    ghz_model,
+    outcome_distribution,
+    product_basis_povm,
+    product_basis_vectors,
+    second_state_derivative,
+    state_derivative,
+    unitary_model,
+)
+from qcrb_lab.core import _DEGENERACY_TOL
+from conftest import degenerate_observable, random_density, random_hermitian, random_povm
+
+
+def dense_product_elements(axis, n):
+    """``|v><v|`` for each product vector, as ``product_basis_povm`` built them."""
+    return [np.outer(vec, vec.conj()) for _, vec in product_basis_vectors(axis, n)]
+
+
+def dense_eigenprojectors(obs):
+    """One projector per group of eigenvalues closer than the degeneracy
+    tolerance, as ``eigenprojector_povm`` built them."""
+    eigenvalues, eigenvectors = np.linalg.eigh(obs.matrix)
+    spread = max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
+    groups = [[0]]
+    for idx in range(1, len(eigenvalues)):
+        if eigenvalues[idx] - eigenvalues[groups[-1][-1]] <= _DEGENERACY_TOL * spread:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return [eigenvectors[:, g] @ eigenvectors[:, g].conj().T for g in groups]
+
+
+def custom_elements(rng, dim):
+    """A rank-2 projector, a zero element and random PSD elements on the
+    complement of the projector, summing to the identity."""
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    rank2 = basis[:, :2] @ basis[:, :2].conj().T
+    rest = np.eye(dim) - rank2
+    elements = [rank2, np.zeros((dim, dim), dtype=complex)]
+    for element in random_povm(rng, dim, int(rng.integers(1, 4))).elements:
+        squeezed = rest @ element @ rest
+        elements.append((squeezed + squeezed.conj().T) / 2.0)
+    return elements
+
+
+FACTOR_CASES = ("product-x", "product-y", "eigen-degenerate", "eigen-nondegenerate",
+                "custom")
+
+
+def factor_case(name, seed):
+    """(model, POVM, dense elements) on a random state and generator."""
+    rng = np.random.default_rng(seed)
+    if name.startswith("product"):
+        n = 1 + seed % 6
+        povm, dense = product_basis_povm(name[-1], n), dense_product_elements(name[-1], n)
+        dim = 2 ** n
+    else:
+        dim = int(rng.integers(2, 7)) if name != "custom" else int(rng.integers(3, 7))
+    if seed % 2:
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps))
+    else:
+        state = random_density(rng, dim)
+    model = unitary_model(state, random_hermitian(rng, dim))
+    if name.startswith("eigen"):
+        obs = (degenerate_observable(rng, dim) if name == "eigen-degenerate"
+               else random_hermitian(rng, dim))
+        povm, dense = eigenprojector_povm(obs), dense_eigenprojectors(obs)
+    elif name == "custom":
+        dense = custom_elements(rng, dim)
+        povm = Povm(tuple(dense))
+    return model, povm, dense
+
+
+class TestFactorTraces:
+    """p, p' and p'' from the factor agree with ``Re Tr(A M_x)`` on the dense
+    elements within ``1e-14 max(1, |value|, ||A||)``. Both sides round at a
+    few ``eps ||A||``, and ``||A||`` for ``A = d^2 rho / d phi^2`` is of
+    order ``||G||^2``, about 30 for some of the random generators drawn."""
+
+    @given(name=st.sampled_from(FACTOR_CASES), seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_dense_traces(self, name, seed, phi):
+        model, povm, dense = factor_case(name, seed)
+        assert len(povm) == len(dense)
+        dist = outcome_distribution(model, phi, povm)
+        for value, a in ((dist.probabilities, model.density(phi).matrix),
+                         (dist.derivatives, state_derivative(model, phi)),
+                         (dist.second_derivatives, second_state_derivative(model, phi))):
+            expected = np.array([float(np.trace(a @ m).real) for m in dense])
+            if value is dist.probabilities:
+                expected = np.clip(expected, 0.0, 1.0)
+            scale = max(1.0, float(np.linalg.norm(a)))
+            assert np.all(np.abs(value - expected)
+                          <= 1e-14 * np.maximum(scale, np.abs(expected)))
+
+    def test_zero_element_keeps_one_zero_column(self):
+        povm = Povm((np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
+        assert povm.block_bounds.tolist() == [0, 2, 3]
+        assert not povm.factor[:, 2].any()
+        dist = outcome_distribution(ghz_model(1), 0.3, povm)
+        assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-15)
+        assert dist.probabilities[1] == 0.0
+
+
+class TestRebuiltElements:
+    """``elements`` built from the factor equal the dense builders' matrices
+    within 1e-15."""
+
+    @pytest.mark.parametrize("axis, n", itertools.product("xy", range(1, 7)))
+    def test_product_basis(self, axis, n):
+        povm = product_basis_povm(axis, n)
+        stacked = np.stack([vec for _, vec in product_basis_vectors(axis, n)], axis=1)
+        assert np.array_equal(povm.factor, stacked)
+        for built, dense in zip(povm.elements, dense_product_elements(axis, n),
+                                strict=True):
+            assert np.max(np.abs(built - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("obs", [collective_spin("x", 3), collective_spin("z", 4),
+                                     random_hermitian(np.random.default_rng(3), 5),
+                                     degenerate_observable(np.random.default_rng(4), 6)],
+                             ids=["jx3", "jz4", "random5", "degenerate6"])
+    def test_eigenprojectors(self, obs):
+        povm = eigenprojector_povm(obs)
+        for built, dense in zip(povm.elements, dense_eigenprojectors(obs), strict=True):
+            assert np.max(np.abs(built - dense)) <= 1e-15
+
+    def test_given_elements_are_kept(self):
+        elements = custom_elements(np.random.default_rng(5), 4)
+        povm = Povm(tuple(elements))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(povm.elements, elements))
+
+    def test_factor_input_is_checked(self):
+        with pytest.raises(ValueError, match="F F\\^dagger = I"):
+            Povm(factor=np.eye(2) / 2.0, block_sizes=[1, 1])
+        with pytest.raises(ValueError, match="block sizes"):
+            Povm(factor=np.eye(2), block_sizes=[2, 0], check=False)
+        povm = Povm(factor=np.eye(2), block_sizes=[1, 1], labels=("a", "b"))
+        assert povm.labels == ("a", "b") and len(povm) == 2 and povm.dim == 2
+
+
+def test_ghz9_x_product_reaches_heisenberg_limit():
+    """CFI = N^2 for the x-product POVM on GHZ N=9 at a regular phase; its
+    512 dense elements would take 2^31 bytes."""
+    n = 9
+    dist = outcome_distribution(ghz_model(n), math.pi / (4 * n), product_basis_povm("x", n))
+    assert abs(cfi(dist) - n * n) <= 1e-9

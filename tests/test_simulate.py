@@ -326,6 +326,25 @@ def _reference_golden_max(fn, lo, hi, xtol):
     return (lo + hi) / 2.0
 
 
+def _reference_newton_step(record, model, povm, phi, lo, hi):
+    """One Newton step on the score from ``phi``, kept where it is finite,
+    the curvature negative and the new point in ``[lo, hi]``."""
+    dist = outcome_distribution(model, phi, povm)
+    score, curvature = 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for count, p, dp, d2p in zip(record.counts, dist.probabilities,
+                                     dist.derivatives, dist.second_derivatives):
+            if count == 0:
+                continue
+            ratio = dp / p
+            score += count * ratio
+            curvature += count * (d2p / p - ratio * ratio)
+        stepped = phi - score / curvature
+    if np.isfinite(stepped) and curvature < 0.0 and lo <= stepped <= hi:
+        return float(stepped)
+    return phi
+
+
 def reference_mle(record, model, povm, search_interval, grid_points=65, xtol=1e-10):
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
 
@@ -342,9 +361,10 @@ def reference_mle(record, model, povm, search_interval, grid_points=65, xtol=1e-
     candidates = [i for i in range(grid_points)
                   if finite[i] and values[i] >= best - tie_tol]
     best_idx = min(candidates, key=lambda i: (abs(grid[i] - center), i))
-    phi_hat = _reference_golden_max(
-        loglik, float(grid[max(best_idx - 1, 0)]),
-        float(grid[min(best_idx + 1, grid_points - 1)]), xtol)
+    bracket = (float(grid[max(best_idx - 1, 0)]),
+               float(grid[min(best_idx + 1, grid_points - 1)]))
+    phi_hat = _reference_newton_step(
+        record, model, povm, _reference_golden_max(loglik, *bracket, xtol), *bracket)
     try:
         info = cfi(outcome_distribution(model, phi_hat, povm))
         se_predicted = 1.0 / math.sqrt(record.nu * info) if info > 0.0 else None

@@ -22,6 +22,9 @@ observable; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
 ``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
+``cfi``, ``scan`` and ``simulate`` on the same state measured with a
+``povm.custom`` whose elements are ``diag(1, 0, 0, 1)`` (rank 2), the
+projectors onto ``(|01> +- |10>)/sqrt(2)`` and the zero matrix;
 ``qfi``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit rank-2 ``custom`` density spec and a pure ``custom`` density spec,
 whose SLD carriers have two columns and one; plus the ``scan-pure``,
@@ -226,6 +229,19 @@ def invocations(workdir: Path) -> list[list[str]]:
     runs += [["check-optimal", "--model", custom, "--phi-range", "0:pi:9",
               "--variant", variant, "--output", "json"]
              for variant in ("mixed", "pure", "pure_unitary")]
+    psi_plus, psi_minus = (np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2.0)
+                           for sign in (1.0, -1.0))
+    custom_povm = _write(workdir / "custom-povm.yaml", {
+        "state": {"custom": {"amplitudes": _pairs(amps / np.linalg.norm(amps))}},
+        "parametrization": {"generator": {"matrix": _pairs((raw + raw.conj().T) / 2)}},
+        "povm": {"custom": {"elements": [
+            _pairs(np.diag([1.0, 0.0, 0.0, 1.0])), _pairs(np.outer(psi_plus, psi_plus)),
+            _pairs(np.outer(psi_minus, psi_minus)), _pairs(np.zeros((4, 4)))]}},
+        "phi": 0.4, "nu": 1000})
+    runs += [["cfi", "--model", custom_povm, "--phi-range", "0.1:3:5", "--output", "json"],
+             ["scan", "--model", custom_povm, "--phi-range", "0:pi:9", "--output", "json"],
+             ["simulate", "--model", custom_povm, "--nu", "2000", "--trials", "20",
+              "--seed", "3", "--output", "json"]]
     rng = np.random.default_rng(2014)
     basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     rank2 = 0.7 * np.outer(basis[:, 0], basis[:, 0].conj()) + 0.3 * np.outer(
