@@ -338,6 +338,15 @@ class HermitianObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The real diagonal, read-only, when every off-diagonal entry is
+        exactly zero and the diagonal is real; ``None`` otherwise."""
+        diag = np.diagonal(self.matrix)
+        if np.count_nonzero(self.matrix) != np.count_nonzero(diag) or np.any(diag.imag):
+            return None
+        return _freeze(diag.real.copy())
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Povm:

@@ -97,16 +97,47 @@ class ParametricModel:
     def _generator_basis(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.generator.matrix)
 
+    @cached_property
+    def _initial_coefficients(self) -> np.ndarray:
+        """``V^dagger psi_0``: the pure initial state in the generator's
+        eigenbasis, as a ``(d, 1)`` column."""
+        return self._generator_basis[1].conj().T @ self.initial_state.amplitudes[:, None]
+
+    @cached_property
+    def _centred_generator(self) -> np.ndarray:
+        """``G - (tr G / d) I``, which has the commutators of G with
+        rounding that does not grow with a multiple of the identity in G."""
+        g = self.generator.matrix
+        return g - (np.trace(g).real / self.dim) * np.eye(self.dim)
+
     def _states(self, phis: np.ndarray, *, vectors: bool = False) -> np.ndarray:
         """``rho_phi`` of a generator model for each phase, shape ``(B, d, d)``;
-        with ``vectors``, the amplitudes ``(B, d)`` of a pure initial state."""
-        eigenvalues, eigenvectors = self._generator_basis
-        phases = np.exp(-1j * eigenvalues * phis[:, None])
-        u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
-        if isinstance(self.initial_state, PureState):
-            amps = u @ self.initial_state.amplitudes
+        with ``vectors``, the amplitudes ``(B, d)`` of a pure initial state.
+
+        A diagonal generator ``g`` multiplies by ``e_j = exp(-i g_j phi)``:
+        ``e * psi_0``, or ``e_j rho_jk e_k^*``. Otherwise, with ``G = V
+        diag(lambda) V^dagger``, a state vector is ``V (e * V^dagger psi_0)``,
+        O(d^2) per phase, and a density matrix is ``U rho U^dagger`` with the
+        propagator ``U = V diag(e) V^dagger``."""
+        pure = isinstance(self.initial_state, PureState)
+        g = self.generator.diagonal
+        if g is not None:
+            phases = np.exp(-1j * g * phis[:, None])
+            if pure:
+                amps = phases * self.initial_state.amplitudes
+            else:
+                rho = (phases[:, :, None] * self.initial_state.matrix
+                       * phases.conj()[:, None, :])
+        else:
+            eigenvalues, eigenvectors = self._generator_basis
+            phases = np.exp(-1j * eigenvalues * phis[:, None])
+            if pure:
+                amps = (eigenvectors @ (phases[:, :, None] * self._initial_coefficients))[:, :, 0]
+            else:
+                u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
+                rho = u @ self.initial_state.matrix @ _dagger(u)
+        if pure:
             return amps if vectors else amps[:, :, None] * amps.conj()[:, None, :]
-        rho = u @ self.initial_state.matrix @ _dagger(u)
         return (rho + _dagger(rho)) / 2.0
 
     def pure_amplitudes(self, phi: float) -> np.ndarray | None:
@@ -151,6 +182,18 @@ def blackbox_model(state_fn: Callable[[float], DensityMatrix],
     return ParametricModel(kind="blackbox", state_fn=state_fn, blackbox_dim=dim)
 
 
+def _apply_generator(generator: HermitianObservable, x: np.ndarray) -> np.ndarray:
+    """``G x`` for a ``d x k`` array ``x``: a row scaling when G is diagonal."""
+    g = generator.diagonal
+    return generator.matrix @ x if g is None else g[:, None] * x
+
+
+def _diagonal_gaps(generator: HermitianObservable) -> np.ndarray | None:
+    """``g_j - g_k`` of a diagonal generator ``g``, or ``None``."""
+    g = generator.diagonal
+    return None if g is None else g[:, None] - g[None, :]
+
+
 def _fd_step(phi: float, order: int) -> float:
     # standard optimal steps for 2nd-order central differences
     base = _EPS ** (1.0 / 3.0) if order == 1 else _EPS ** 0.25
@@ -161,13 +204,18 @@ def _state_derivatives(model: ParametricModel, phi: float | None,
                        rho: np.ndarray | None = None) -> np.ndarray:
     """``d rho_phi / d phi`` for stacked states ``rho`` ``(B, d, d)``, each
     checked Hermitian: ``-i[G, rho]`` for generator models (``rho`` is built
-    at ``phi`` when not given), a central difference at the single phase
-    ``phi`` for blackbox models."""
+    at ``phi`` when not given), entrywise ``-i (g_j - g_k) rho_jk`` for a
+    diagonal ``g`` and with the centred generator otherwise; a central
+    difference at the single phase ``phi`` for blackbox models."""
     if model.kind == "unitary_generator":
         if rho is None:
             rho = model.density(phi).matrix[None]
-        g = model.generator.matrix
-        deriv = -1j * (g @ rho - rho @ g)
+        gaps = _diagonal_gaps(model.generator)
+        if gaps is not None:
+            deriv = -1j * gaps * rho
+        else:
+            g = model._centred_generator
+            deriv = -1j * (g @ rho - rho @ g)
     else:
         h = _fd_step(phi, order=1)
         deriv = ((model.density(phi + h).matrix
@@ -186,8 +234,12 @@ def _second_state_derivatives(model: ParametricModel, phi: float | None,
     ``(B, d, d)`` of a generator model, or for ``rho = rho_phi`` stacked as
     ``(1, d, d)`` at the single phase ``phi`` of a blackbox model."""
     if model.kind == "unitary_generator":
-        g = model.generator.matrix
-        deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+        gaps = _diagonal_gaps(model.generator)
+        if gaps is not None:
+            deriv2 = -(gaps * gaps) * rho
+        else:
+            g = model._centred_generator
+            deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
     else:
         h = _fd_step(phi, order=2)
         deriv2 = (model.density(phi + h).matrix - 2.0 * rho
@@ -275,11 +327,12 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     """
     psi = model.pure_amplitudes(phi)
     if psi is not None:
-        dpsi = -1j * (model.generator.matrix @ psi)
-        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * psi)
+        carrier = psi[:, None]
+        dpsi = -1j * _apply_generator(model.generator, carrier)
+        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
         return SldResult(model=model, phi=phi, qfi=float(np.vdot(l_psi, l_psi).real),
-                         kernel_dim=model.dim - 1, carrier=psi[:, None],
-                         l_carrier=l_psi[:, None], dcarrier=dpsi[:, None])
+                         kernel_dim=model.dim - 1, carrier=carrier,
+                         l_carrier=l_psi, dcarrier=dpsi)
     rho = model.density(phi).matrix
     drho = _state_derivatives(model, phi, rho[None])[0]
     spectrum = psd_spectrum(rho)
@@ -327,8 +380,8 @@ def qfi_from_generator_variance(model: ParametricModel, phi: float = 0.0) -> flo
     if amps is None:
         raise VariantInapplicableError(
             "generator-variance QFI needs a pure initial state")
-    g = model.generator.matrix
-    g_amps = g @ amps
+    amps = amps[:, None]
+    g_amps = _apply_generator(model.generator, amps)
     mean = float(np.vdot(amps, g_amps).real)
     second = float(np.vdot(g_amps, g_amps).real)
     return 4.0 * max(second - mean * mean, 0.0)

@@ -28,7 +28,7 @@ from .errors import (
     SingularSensitivityError,
     VariantInapplicableError,
 )
-from .fisher import ParametricModel, SldResult, sld
+from .fisher import ParametricModel, SldResult, _apply_generator, sld
 
 __all__ = [
     "ErrorPropagationReport",
@@ -235,7 +235,7 @@ def _check_observable_optimality(model: ParametricModel,
                 f"state at phi={sld_result.phi!r} is mixed (purity {state.purity()!r})")
     lhs, rhs = o_carrier - mean * carrier, sld_result.l_carrier
     if variant == "pure_unitary":
-        g_carrier = model.generator.matrix @ carrier
+        g_carrier = _apply_generator(model.generator, carrier)
         rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
 
     lhs_norm = float(np.linalg.norm(lhs))

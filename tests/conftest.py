@@ -46,6 +46,21 @@ def support_carrier(rho):
     return eigenvectors[:, support] * np.sqrt(eigenvalues[support])
 
 
+def ref_diagonal(matrix):
+    """The real diagonal of ``matrix`` when it is exactly diagonal and real,
+    else ``None``."""
+    diag = np.diag(matrix)
+    if np.any(matrix - np.diag(diag)) or np.any(diag.imag):
+        return None
+    return diag.real
+
+
+def ref_apply_generator(generator, x):
+    """``G x`` for a ``d x k`` array: ``g[:, None] * x`` for a diagonal ``g``."""
+    g = ref_diagonal(generator.matrix)
+    return generator.matrix @ x if g is None else g[:, None] * x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)

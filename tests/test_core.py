@@ -131,6 +131,25 @@ class TestCollectiveSpin:
         assert collective_spin("z", n).matrix.tobytes() == (total / 2.0).tobytes()
 
 
+class TestDiagonal:
+    def test_collective_z_is_diagonal(self):
+        jz = collective_spin("z", 3)
+        assert jz.diagonal.tolist() == [1.5, 0.5, 0.5, -0.5, 0.5, -0.5, -0.5, -1.5]
+        assert jz.diagonal is jz.diagonal
+        with pytest.raises(ValueError):
+            jz.diagonal[0] = 0.0
+
+    @pytest.mark.parametrize("matrix", [
+        collective_spin("x", 2).matrix,
+        np.diag([1.0, 2.0]) + np.diag([1e-300], 1) + np.diag([1e-300], -1),
+        np.diag([1.0, 1j]),
+    ])
+    def test_anything_else_is_not(self, matrix):
+        """A nonzero off-diagonal entry, however small, or an imaginary
+        diagonal entry (accepted unchecked) gives ``None``."""
+        assert HermitianObservable(matrix, check=False).diagonal is None
+
+
 class TestMatrixSqrt:
     def test_projector_is_fixed_point(self):
         rho = ghz_state(3, 0.7).density().matrix

@@ -34,7 +34,7 @@ from qcrb_lab import (
     unitary_model,
 )
 from conftest import (degenerate_observable, random_density, random_hermitian, random_povm,
-                      support_carrier)
+                      ref_apply_generator, ref_diagonal, support_carrier)
 
 
 def computational_povm(dim):
@@ -126,6 +126,25 @@ class TestSld:
             result = sld(model, phi)
             bound = 1e-8 * max(1.0, np.linalg.norm(result.drho))
             assert result.residual <= bound
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_identity_offset_in_generator_is_solvable(self, seed):
+        """``G + 1e9 I`` evolves a state as G does. Formed with G itself,
+        ``-i[G, rho]`` carries rounding of ``eps ||G||`` onto the kernel of a
+        pure rho, beyond the 1e-8 solvability cut; with the centred
+        generator it does not. The dense solve then agrees with the
+        amplitude route within 1e-6: both move the state with phases
+        ``exp(-i lambda phi)`` of ``lambda ~ 1e9``, whose arguments are
+        rounded by ``eps 1e9 |phi| ~ 1e-7``."""
+        rng = np.random.default_rng(seed)
+        generator = HermitianObservable(random_hermitian(rng, 4).matrix + 1e9 * np.eye(4))
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = PureState(amps / np.linalg.norm(amps))
+        dense = sld(unitary_model(state.density(), generator), 0.3)
+        vector = sld(unitary_model(state, generator), 0.3)
+        assert dense.kernel_dim == vector.kernel_dim == 3
+        assert abs(dense.qfi - vector.qfi) <= 1e-6 * vector.qfi
 
     def test_unsolvable_derivative_raises(self):
         # support shrinks linearly: the derivative keeps weight on the kernel
@@ -299,7 +318,10 @@ class TestCfi:
 
 
 # --- scalar reference: the one-phase builders as they were before the
-# stacked builder became the single implementation ---------------------------
+# stacked builder became the single implementation, with a diagonal
+# generator applied entrywise, a state vector moved in the generator's
+# eigenbasis and the commutators of a non-diagonal G taken with the centred
+# generator G - (tr G / d) I ---------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
 
@@ -316,7 +338,16 @@ def _ref_unitary(model, phi):
 
 
 def _ref_amplitudes(model, phi):
-    return _ref_unitary(model, phi) @ model.initial_state.amplitudes
+    """``e * psi_0`` for a diagonal generator ``g`` with ``e = exp(-i g
+    phi)``, else ``V (e * V^dagger psi_0)`` with ``G = V diag(lambda)
+    V^dagger`` and ``e = exp(-i lambda phi)``."""
+    psi0 = model.initial_state.amplitudes
+    g = ref_diagonal(model.generator.matrix)
+    if g is not None:
+        return np.exp(-1j * g * phi) * psi0
+    eigenvalues, eigenvectors = np.linalg.eigh(model.generator.matrix)
+    coefficients = eigenvectors.conj().T @ psi0[:, None]
+    return (eigenvectors @ (np.exp(-1j * eigenvalues * phi)[:, None] * coefficients))[:, 0]
 
 
 def _ref_density(model, phi):
@@ -325,16 +356,30 @@ def _ref_density(model, phi):
     if isinstance(model.initial_state, PureState):
         amps = _ref_amplitudes(model, phi)
         return np.outer(amps, amps.conj())
-    u = _ref_unitary(model, phi)
-    rho = u @ model.initial_state.matrix @ u.conj().T
+    g = ref_diagonal(model.generator.matrix)
+    if g is not None:
+        phases = np.exp(-1j * g * phi)
+        rho = phases[:, None] * model.initial_state.matrix * phases.conj()[None, :]
+    else:
+        u = _ref_unitary(model, phi)
+        rho = u @ model.initial_state.matrix @ u.conj().T
     return (rho + rho.conj().T) / 2.0
+
+
+def _ref_centred_generator(model):
+    g = model.generator.matrix
+    return g - (np.trace(g).real / model.dim) * np.eye(model.dim)
 
 
 def _ref_state_derivative(model, phi):
     if model.kind == "unitary_generator":
-        g = model.generator.matrix
         rho = _ref_density(model, phi)
-        deriv = -1j * (g @ rho - rho @ g)
+        g = ref_diagonal(model.generator.matrix)
+        if g is not None:
+            deriv = -1j * (g[:, None] - g[None, :]) * rho
+        else:
+            g = _ref_centred_generator(model)
+            deriv = -1j * (g @ rho - rho @ g)
     else:
         h = _ref_fd_step(phi, order=1)
         deriv = (_ref_density(model, phi + h) - _ref_density(model, phi - h)) / (2.0 * h)
@@ -345,9 +390,14 @@ def _ref_state_derivative(model, phi):
 
 def _ref_second_state_derivative(model, phi):
     if model.kind == "unitary_generator":
-        g = model.generator.matrix
         rho = _ref_density(model, phi)
-        deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+        g = ref_diagonal(model.generator.matrix)
+        if g is not None:
+            gaps = g[:, None] - g[None, :]
+            deriv2 = -(gaps * gaps) * rho
+        else:
+            g = _ref_centred_generator(model)
+            deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
     else:
         h = _ref_fd_step(phi, order=2)
         deriv2 = (_ref_density(model, phi + h) - 2.0 * _ref_density(model, phi)
@@ -460,8 +510,9 @@ def _ref_carrier_sld(model, phi, l_matrix):
     and ``L C`` with the given ``l_matrix``."""
     psi = model.pure_amplitudes(phi)
     if psi is not None:
-        dpsi = -1j * (model.generator.matrix @ psi)
-        return psi[:, None], (2.0 * (dpsi + np.vdot(dpsi, psi) * psi))[:, None]
+        carrier = psi[:, None]
+        dpsi = -1j * ref_apply_generator(model.generator, carrier)
+        return carrier, 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
     carrier = support_carrier(model.density(phi).matrix)
     return carrier, l_matrix @ carrier
 
@@ -537,3 +588,179 @@ class TestInformationInvariants:
         result = sld(model, phi)
         value = cfi(outcome_distribution(model, phi, eigenprojector_povm(result.L)))
         assert abs(value - result.qfi) <= 1e-8 * result.qfi
+
+
+# --- the diagonal-generator route and the O(d^2) state vector against the
+# eigh-and-propagator formulas that built every generator model's state ------
+
+def _propagator_state(model, phi):
+    """``(psi or None, rho, drho, d2rho)`` as they were built from ``G = V
+    diag(lambda) V^dagger``: ``U = V diag(exp(-i lambda phi)) V^dagger``
+    applied to ``psi_0`` or ``rho_0``, and the commutators with G itself."""
+    u = _ref_unitary(model, phi)
+    psi = None
+    if isinstance(model.initial_state, PureState):
+        psi = u @ model.initial_state.amplitudes
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = u @ model.initial_state.matrix @ u.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+    g = model.generator.matrix
+    drho = -1j * (g @ rho - rho @ g)
+    d2rho = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+    return psi, rho, (drho + drho.conj().T) / 2.0, (d2rho + d2rho.conj().T) / 2.0
+
+
+def _propagator_sld(model, phi):
+    """``(L, QFI, kernel_dim, smallest support eigenvalue)`` as ``sld`` gave
+    them from the propagator state: ``L = 2 drho`` with ``QFI = ||L psi||^2``
+    and ``L psi`` from ``dpsi = -iG psi`` for a state vector, else the
+    eigenbasis solve of rho."""
+    psi, rho, drho, _ = _propagator_state(model, phi)
+    if psi is not None:
+        dpsi = -1j * (model.generator.matrix @ psi)
+        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * psi)
+        return 2.0 * drho, float(np.vdot(l_psi, l_psi).real), model.dim - 1, 1.0
+    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    cutoff = 1e-12 * float(np.sum(eigenvalues))
+    denom = eigenvalues[:, None] + eigenvalues[None, :]
+    solvable = denom > cutoff
+    drho_eig = eigenvectors.conj().T @ drho @ eigenvectors
+    l_eig = np.where(solvable, 2.0 * drho_eig / np.where(solvable, denom, 1.0), 0.0)
+    l_matrix = eigenvectors @ l_eig @ eigenvectors.conj().T
+    l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
+    carrier = support_carrier(rho)
+    l_carrier = l_matrix @ carrier
+    support = eigenvalues > cutoff
+    return (l_matrix, float(np.vdot(l_carrier, l_carrier).real),
+            int(np.count_nonzero(~support)), float(eigenvalues[support].min()))
+
+
+def diagonal_case(kind, seed):
+    """``(model, POVM)``: ``J_z`` of 1-3 qubits on every third seed, else a
+    diagonal generator of dimension 2-8 whose entries repeat, drawn from 1 to
+    d levels of scale 0.1-100; the state is pure, full rank or of a random
+    rank below d, measured with a random POVM."""
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 0:
+        generator = collective_spin("z", int(rng.integers(1, 4)))
+        dim = generator.dim
+    else:
+        dim = int(rng.integers(2, 9))
+        levels = rng.normal(size=int(rng.integers(1, dim + 1))) * 10.0 ** rng.uniform(-1, 2)
+        generator = HermitianObservable(np.diag(rng.choice(levels, size=dim)).astype(complex))
+    if kind == "pure":
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps))
+    else:
+        state = random_density(rng, dim, dim if kind == "full" else int(rng.integers(1, dim)))
+    return unitary_model(state, generator), random_povm(rng, dim, int(rng.integers(2, 6)))
+
+
+#: the routes may differ by this many units of rounding (see TestDiagonalRoute)
+ROUTE_NOISE = 4.0
+
+
+class TestDiagonalRoute:
+    """A diagonal generator's entrywise route agrees with the propagator
+    formulas within bounds derived here, with ``K = ROUTE_NOISE``, ``s =
+    max |g_j| = ||G||_2`` and the unit ``u = eps d (1 + |phi| s)``.
+
+    ``eigh`` of G returns ``V`` and ``lambda`` with ``V diag(lambda) V^dagger
+    = G + E``, ``||E|| <= c d eps s`` and V unitary to ``c d eps``, so the
+    propagator differs from ``exp(-iG phi)`` by ``c d eps (1 + |phi| s)``;
+    ``exp(-i g phi)`` carries ``eps |phi| s``, and each product adds ``c d
+    eps`` of the norm of ``rho_0 <= 1``. Then:
+
+    * ``rho`` moves by ``K u``;
+    * ``drho = -i[G, rho]`` by ``2 s`` times that plus its own rounding ``c d
+      eps s``: ``K s u``; ``d2rho`` by ``K s^2 u``;
+    * each ``Re Tr(A M_x)`` with ``0 <= M_x <= I`` by at most ``||dA||_1 <=
+      sqrt(d) ||dA||_F``, so the three outcome arrays by ``sqrt(d)`` times
+      the bounds above (clipping is 1-Lipschitz);
+    * a state vector's ``L = 2 drho`` by ``K s u`` and ``QFI = ||L psi||^2``,
+      with ``||L psi|| <= 2 s``, by ``K s^2 u``;
+    * a density's L solves ``(rho L + L rho) / 2 = drho`` on blocks with
+      ``p_j + p_k >= p``, the smallest support eigenvalue; perturbing rho and
+      drho moves it by ``dL = 2 (||d drho|| + ||L|| ||d rho||) / p``, that
+      is by ``K u (s + ||L||) / p``, and ``QFI = Tr(rho L^2)`` by ``||L||^2
+      ||d rho|| + (2 ||L|| + dL) dL``. The kernel is the same on both
+      routes.
+
+    A state vector of a non-diagonal G, ``V (e * V^dagger psi_0)``, and ``U
+    psi_0`` use the same ``V`` and ``e``, so they differ by the rounding of
+    the products alone: ``K eps d``.
+
+    Over 20,000 draws of each kind (pure, full rank, rank-deficient, and the
+    non-diagonal state vector), the largest ratio of a disagreement to its
+    bound with ``K = 1`` was 1.06, on the QFI of a state vector and on a
+    rank-deficient L; ``ROUTE_NOISE = 4`` leaves a factor of about 4 above
+    it."""
+
+    @given(kind=st.sampled_from(("pure", "full", "rank")),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_propagator(self, kind, seed, phi):
+        from qcrb_lab.fisher import _outcome_arrays
+
+        model, povm = diagonal_case(kind, seed)
+        dim = model.dim
+        s = float(np.abs(model.generator.diagonal).max())
+        unit = ROUTE_NOISE * _EPS * dim * (1.0 + abs(phi) * s)
+        psi, rho, drho, d2rho = _propagator_state(model, phi)
+        bounds = (unit, s * unit, s * s * unit)
+        for new, old, bound in zip(
+                (model.density(phi).matrix, state_derivative(model, phi),
+                 second_state_derivative(model, phi)),
+                (rho, drho, d2rho), bounds):
+            assert np.linalg.norm(new - old) <= bound
+        arrays = _outcome_arrays(model, [phi], povm, second_order=True)[:, 0]
+        old_arrays = (np.clip(_ref_factor_traces(rho, povm), 0.0, 1.0),
+                      _ref_factor_traces(drho, povm), _ref_factor_traces(d2rho, povm))
+        for new, old, bound in zip(arrays, old_arrays, bounds):
+            assert np.abs(new - old).max() <= math.sqrt(dim) * bound
+
+        result = sld(model, phi)
+        l_matrix, qfi_value, kernel_dim, p_min = _propagator_sld(model, phi)
+        assert result.kernel_dim == kernel_dim
+        l_norm = float(np.linalg.norm(l_matrix))
+        if psi is not None:
+            l_bound, qfi_bound = s * unit, s * s * unit
+        else:
+            l_bound = unit * (s + l_norm) / p_min
+            qfi_bound = l_norm * l_norm * unit + (2.0 * l_norm + l_bound) * l_bound
+        assert np.linalg.norm(result.L.matrix - l_matrix) <= l_bound
+        assert abs(result.qfi - qfi_value) <= qfi_bound
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_vector_of_dense_generator_agrees_with_propagator(self, seed, phi):
+        model, _ = reference_case("pure", seed)
+        assert model.generator.diagonal is None
+        psi = _propagator_state(model, phi)[0]
+        bound = ROUTE_NOISE * _EPS * model.dim
+        assert np.linalg.norm(model.pure_amplitudes(phi) - psi) <= bound
+
+    def test_no_generator_eigh(self, monkeypatch):
+        """Nothing diagonalises a diagonal generator: a pure GHZ family runs
+        no ``eigh`` at all, and its density form one per SLD, of rho."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix, *args, **kwargs):
+            calls.append(np.trace(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        model, povm = ghz_model(3), product_basis_povm("x", 3)
+        sld(model, 0.3)
+        outcome_distribution(model, 0.3, povm)
+        qfi_from_generator_variance(model, 0.3)
+        assert calls == []
+        dense = unitary_model(model.initial_state.density(), model.generator)
+        sld(dense, 0.3)
+        outcome_distribution(dense, 0.3, povm)
+        assert len(calls) == 1 and abs(calls[0] - 1.0) <= 1e-12

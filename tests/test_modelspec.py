@@ -69,6 +69,10 @@ class TestBuildModelSpec:
         # default parametrization is the collective z generator
         jz = np.diag([1.0, 0.0, 0.0, -1.0])
         assert np.allclose(spec.model.generator.matrix, jz, atol=1e-15)
+        assert spec.model.generator.diagonal.tolist() == [1.0, 0.0, 0.0, -1.0]
+        named = build_model_spec({"state": {"ghz": {"n": 2}},
+                                  "parametrization": {"generator": "half_sigma_z_sum"}})
+        assert named.model.generator.diagonal.tolist() == [1.0, 0.0, 0.0, -1.0]
 
     def test_phi_expression_and_range(self):
         spec = build_model_spec({"state": {"ghz": {"n": 1}}, "phi": "pi/8"})
@@ -120,6 +124,7 @@ class TestBuildModelSpec:
                 [0, 0], [0, 0], [-1, 0]]}}})
         assert spec.model.dim == 3
         assert spec.n_qubits is None
+        assert spec.model.generator.diagonal.tolist() == [1.0, 0.0, -1.0]
 
     def test_tolerance_overrides(self):
         spec = build_model_spec({"state": {"ghz": {"n": 1}},

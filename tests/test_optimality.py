@@ -46,7 +46,8 @@ from qcrb_lab.ghz import SeparableObservableCoeffs
 from qcrb_lab.modelspec import ModelSpec
 from qcrb_lab.optimality import EIGENSTATE, NO_INFORMATION, SLOPE_RTOL
 
-from conftest import random_density, random_hermitian, random_povm, support_carrier
+from conftest import (random_density, random_hermitian, random_povm, ref_apply_generator,
+                      support_carrier)
 
 
 def sx_family(n):
@@ -550,8 +551,9 @@ def _ref_check_observable_optimality(model, phi, obs, variant="mixed", *,
 
 
 # --- reference: the carrier formulas. C C^dagger = rho, with C = psi for a
-# pure unitary family (L|psi> = 2(|dpsi> + <dpsi|psi>|psi>), no dense solve)
-# and C = V sqrt(p) over the support of rho otherwise -------------------------
+# pure unitary family (L|psi> = 2(|dpsi> + <dpsi|psi>|psi>), no dense solve,
+# and G psi a row scaling for a diagonal G) and C = V sqrt(p) over the
+# support of rho otherwise ------------------------------------------------------
 
 def _ref_carrier_sld(model, phi):
     """``(C, dC or None, L C, QFI = ||L C||^2, drho or None)``: ``dC = -iG
@@ -559,10 +561,10 @@ def _ref_carrier_sld(model, phi):
     ``C`` and ``drho`` is returned for the slope."""
     psi = model.pure_amplitudes(phi)
     if psi is not None:
-        dpsi = -1j * (model.generator.matrix @ psi)
-        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * psi)
-        return (psi[:, None], dpsi[:, None], l_psi[:, None],
-                float(np.vdot(l_psi, l_psi).real), None)
+        carrier = psi[:, None]
+        dpsi = -1j * ref_apply_generator(model.generator, carrier)
+        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
+        return carrier, dpsi, l_psi, float(np.vdot(l_psi, l_psi).real), None
     sld_result = sld(model, phi)
     carrier = support_carrier(sld_result.rho)
     l_carrier = sld_result.L.matrix @ carrier
@@ -623,9 +625,8 @@ def _ref_carrier_check_observable_optimality(model, phi, obs, variant="mixed", *
     lhs = o_carrier - mean * carrier
     rhs = l_carrier
     if variant == "pure_unitary":
-        g = model.generator.matrix
-        rhs = -2.0j * ((g @ carrier) - float(np.vdot(carrier, g @ carrier).real)
-                       * carrier)
+        g_carrier = ref_apply_generator(model.generator, carrier)
+        rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
     lhs_norm = float(np.linalg.norm(lhs))
     rhs_norm = float(np.linalg.norm(rhs))
     eigenstate = lhs_norm <= 1e-12 * math.sqrt(max(second, 0.0))
@@ -991,9 +992,9 @@ class TestVectorRouteAgainstDenseReference:
                 1e-12 * max(1.0, ref.residual_rel), noise), (variant, new, ref)
 
 
-@pytest.fixture(scope="module", params=[10, 11])
+@pytest.fixture(scope="module", params=[10, 11, 12])
 def large_ghz(request):
-    """GHZ N=10 and N=11: sizes where a dense SLD solve takes seconds per
+    """GHZ N=10 to N=12: sizes where a dense SLD solve takes seconds per
     phase, so these run through the state-vector route only."""
     return request.param, ghz_model(request.param)
 
