@@ -39,7 +39,6 @@ __all__ = [
     "hermitian_eigendecomposition",
     "PsdSpectrum",
     "psd_spectrum",
-    "matrix_sqrt_psd",
     "collective_spin",
     "single_site_observable",
     "product_observable",
@@ -151,11 +150,6 @@ class PsdSpectrum(NamedTuple):
     def kernel(self) -> np.ndarray:
         return self.eigenvalues <= self.cutoff
 
-    def sqrt(self) -> np.ndarray:
-        """Hermitian PSD square root, with the kernel's eigenvalues zeroed."""
-        roots = np.sqrt(np.where(self.kernel, 0.0, self.eigenvalues))
-        return (self.eigenvectors * roots) @ self.eigenvectors.conj().T
-
     def carrier(self) -> np.ndarray:
         """``V sqrt(p)`` over the support: a ``d x r`` factor ``C`` with
         ``C C^dagger`` the matrix without its kernel part."""
@@ -169,8 +163,8 @@ def psd_spectrum(matrix) -> PsdSpectrum:
     Eigenvalues are ascending and clipped at zero: those in ``[-1e-8, 0)`` are
     rounding noise, anything more negative raises :class:`NotPositiveError`.
     Eigenvalues at or below ``cutoff``, ``SUPPORT_CUTOFF_REL`` times the
-    trace, span the kernel; zeroing them keeps O(eps) eigenvalue noise from
-    becoming O(sqrt(eps)) noise in the square root.
+    trace, span the kernel; leaving them out of the carrier keeps O(eps)
+    eigenvalue noise from becoming O(sqrt(eps)) noise in its columns.
     """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(matrix)
     if eigenvalues[0] < -1e-8:
@@ -185,16 +179,12 @@ def _support(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> PsdSpectrum:
     return PsdSpectrum(clipped, eigenvectors, SUPPORT_CUTOFF_REL * float(np.sum(clipped)))
 
 
-def matrix_sqrt_psd(matrix) -> np.ndarray:
-    """Hermitian PSD square root ``S`` with ``S @ S == matrix``."""
-    return psd_spectrum(matrix).sqrt()
-
-
 def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":
     """Collective spin component ``J_axis = (1/2) sum_i sigma_axis^(i)``.
 
     ``J_z`` is built as its diagonal ``(N - 2 popcount(k)) / 2``, bit for
-    bit the Kronecker sum that builds ``J_x`` and ``J_y``.
+    bit the Kronecker sum that builds ``J_x`` and ``J_y``, and carries it as
+    its ``diagonal`` without a scan of the matrix.
     """
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
@@ -204,8 +194,10 @@ def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":
     if axis == "z":
         index = np.arange(dim)
         ones = sum((index >> site) & 1 for site in range(n_qubits))
-        return HermitianObservable(np.diag(((n_qubits - 2.0 * ones) / 2.0).astype(complex)),
-                                   check=False)
+        values = (n_qubits - 2.0 * ones) / 2.0
+        spin = HermitianObservable(np.diag(values.astype(complex)), check=False)
+        spin.__dict__["diagonal"] = _freeze(values)
+        return spin
     sigma = PAULIS[axis]
     total = np.zeros((dim, dim), dtype=complex)
     for site in range(n_qubits):

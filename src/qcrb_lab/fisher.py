@@ -3,7 +3,12 @@
 A :class:`ParametricModel` maps a real phase (radians) to a density matrix,
 either through a fixed Hermitian generator (``rho_phi = e^{-iG phi} rho_in
 e^{iG phi}``) or through an arbitrary user-supplied function differentiated
-by central finite differences.
+by central finite differences. A generator model evolves and differentiates
+its state in the eigenframe of the centred generator ``G - (tr G / d) I =
+V diag(g) V^dagger``, where every phase derivative is an entrywise product;
+``V`` is never formed for a diagonal G. ``_rho_derivatives`` builds rho and
+its first two phase derivatives for every model kind, and
+``_outcome_arrays`` alone takes their POVM traces.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "SldResult",
     "OutcomeDistribution",
     "state_derivative",
-    "second_state_derivative",
     "sld",
     "qfi",
     "qfi_from_generator_variance",
@@ -94,64 +98,106 @@ class ParametricModel:
         return self._dim  # type: ignore[attr-defined]
 
     @cached_property
-    def _generator_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.generator.matrix)
-
-    @cached_property
-    def _initial_coefficients(self) -> np.ndarray:
-        """``V^dagger psi_0``: the pure initial state in the generator's
-        eigenbasis, as a ``(d, 1)`` column."""
-        return self._generator_basis[1].conj().T @ self.initial_state.amplitudes[:, None]
-
-    @cached_property
-    def _centred_generator(self) -> np.ndarray:
-        """``G - (tr G / d) I``, which has the commutators of G with
-        rounding that does not grow with a multiple of the identity in G."""
-        g = self.generator.matrix
-        return g - (np.trace(g).real / self.dim) * np.eye(self.dim)
-
-    def _states(self, phis: np.ndarray, *, vectors: bool = False) -> np.ndarray:
-        """``rho_phi`` of a generator model for each phase, shape ``(B, d, d)``;
-        with ``vectors``, the amplitudes ``(B, d)`` of a pure initial state.
-
-        A diagonal generator ``g`` multiplies by ``e_j = exp(-i g_j phi)``:
-        ``e * psi_0``, or ``e_j rho_jk e_k^*``. Otherwise, with ``G = V
-        diag(lambda) V^dagger``, a state vector is ``V (e * V^dagger psi_0)``,
-        O(d^2) per phase, and a density matrix is ``U rho U^dagger`` with the
-        propagator ``U = V diag(e) V^dagger``."""
-        pure = isinstance(self.initial_state, PureState)
+    def _frame(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """``(g, V, x0)`` with ``G - (tr G / d) I = V diag(g) V^dagger``, ``V``
+        ``None`` when G is diagonal, and the initial state in that basis:
+        ``x0 = V^dagger psi_0`` or ``V^dagger rho_0 V``. Centring keeps the
+        rounding of the phases and of every derivative from growing with a
+        multiple of the identity in G."""
+        state = self.initial_state
+        x0 = state.amplitudes if isinstance(state, PureState) else state.matrix
         g = self.generator.diagonal
         if g is not None:
-            phases = np.exp(-1j * g * phis[:, None])
-            if pure:
-                amps = phases * self.initial_state.amplitudes
+            return g - np.mean(g), None, x0
+        matrix = self.generator.matrix
+        centred = matrix - (np.trace(matrix).real / self.dim) * np.eye(self.dim)
+        g, basis = np.linalg.eigh(centred)
+        x0 = basis.conj().T @ x0
+        return g, basis, (x0 if x0.ndim == 1 else x0 @ basis)
+
+    def _generator_times(self, x: np.ndarray) -> np.ndarray:
+        """``(G - tr G / d) x`` for a ``d x k`` array: ``V (g * V^dagger x)``."""
+        g, basis, _ = self._frame
+        if basis is None:
+            return g[:, None] * x
+        return basis @ (g[:, None] * (basis.conj().T @ x))
+
+    def _rho_derivatives(self, phis: np.ndarray, order: int = 0,
+                         rho: np.ndarray | None = None) -> np.ndarray:
+        """The ``order``-th phase derivative of rho (order 0, 1 or 2) at each
+        phase, shape ``(B, d, d)``; order 1 is checked Hermitian and orders 1
+        and 2 are symmetrised.
+
+        A generator model works in its frame: ``rho'_jl = e_j x0_jl e_l^*``
+        (symmetrised), or ``psi'_j psi'_l^*`` with ``psi' = e * x0``, and the
+        k-th derivative is ``(-i (g_j - g_l))^k rho'_jl``, rotated back by V
+        when G is not diagonal. A state vector's rho is the outer product of
+        its amplitudes, O(d^2) per phase. A blackbox model takes central
+        differences of ``density``. ``rho``, the order-0 stack when the caller
+        has it, is reused where it is the state the derivative needs: as
+        ``rho'`` of a diagonal G, and as the middle point of a blackbox
+        model's second difference.
+        """
+        if self.kind != "unitary_generator":
+            def states(at: np.ndarray) -> np.ndarray:
+                return np.stack([self.density(p).matrix for p in at.tolist()])
+
+            if order == 0:
+                return states(phis)
+            step = ((_EPS ** (1.0 / 3.0) if order == 1 else _EPS ** 0.25)
+                    * np.maximum(1.0, np.abs(phis)))
+            h = step[:, None, None]
+            upper, lower = states(phis + step), states(phis - step)
+            if order == 1:
+                deriv = (upper - lower) / (2.0 * h)
             else:
-                rho = (phases[:, :, None] * self.initial_state.matrix
-                       * phases.conj()[:, None, :])
+                deriv = (upper - 2.0 * (states(phis) if rho is None else rho)
+                         + lower) / (h * h)
         else:
-            eigenvalues, eigenvectors = self._generator_basis
-            phases = np.exp(-1j * eigenvalues * phis[:, None])
-            if pure:
-                amps = (eigenvectors @ (phases[:, :, None] * self._initial_coefficients))[:, :, 0]
+            g, basis, x0 = self._frame
+            if rho is not None and basis is None:
+                deriv = rho
+            elif x0.ndim == 1:
+                amps = np.exp(-1j * g * phis[:, None]) * x0
+                if order == 0 and basis is not None:
+                    amps = amps @ basis.T
+                deriv = amps[:, :, None] * amps.conj()[:, None, :]
+                if order == 0:
+                    return deriv
             else:
-                u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
-                rho = u @ self.initial_state.matrix @ _dagger(u)
-        if pure:
-            return amps if vectors else amps[:, :, None] * amps.conj()[:, None, :]
-        return (rho + _dagger(rho)) / 2.0
+                phases = np.exp(-1j * g * phis[:, None])
+                deriv = phases[:, :, None] * x0 * phases.conj()[:, None, :]
+                deriv = (deriv + _dagger(deriv)) / 2.0
+                if order == 0 and basis is None:
+                    return deriv
+            if order:
+                gaps = g[:, None] - g[None, :]
+                deriv = (-1j * gaps if order == 1 else -(gaps * gaps)) * deriv
+            if basis is not None:
+                deriv = basis @ deriv @ basis.conj().T
+        if order == 1:
+            defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
+            bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
+            if bad.any():
+                raise EvaluationFailureError(
+                    f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
+        return (deriv + _dagger(deriv)) / 2.0
 
     def pure_amplitudes(self, phi: float) -> np.ndarray | None:
-        """Evolved state vector, or ``None`` if the model is not a pure
-        unitary family."""
+        """Evolved state vector ``e^{-i(G - tr G / d) phi} psi_0``, or ``None``
+        if the model is not a pure unitary family. It differs from
+        ``e^{-iG phi} psi_0`` by a global phase, which no quantity reads."""
         if self.kind != "unitary_generator" or not isinstance(self.initial_state,
                                                               PureState):
             return None
-        return self._states(np.array([phi], dtype=float), vectors=True)[0]
+        g, basis, x0 = self._frame
+        amps = np.exp(-1j * g * phi) * x0
+        return amps if basis is None else amps @ basis.T
 
     def density(self, phi: float) -> DensityMatrix:
         """Evaluate ``rho_phi``; a blackbox state must be Hermitian within 1e-8."""
         if self.kind == "unitary_generator":
-            return DensityMatrix(self._states(np.array([phi], dtype=float))[0],
+            return DensityMatrix(self._rho_derivatives(np.array([phi], dtype=float))[0],
                                  check=False)
         try:
             out = self.state_fn(float(phi))
@@ -182,83 +228,13 @@ def blackbox_model(state_fn: Callable[[float], DensityMatrix],
     return ParametricModel(kind="blackbox", state_fn=state_fn, blackbox_dim=dim)
 
 
-def _apply_generator(generator: HermitianObservable, x: np.ndarray) -> np.ndarray:
-    """``G x`` for a ``d x k`` array ``x``: a row scaling when G is diagonal."""
-    g = generator.diagonal
-    return generator.matrix @ x if g is None else g[:, None] * x
-
-
-def _diagonal_gaps(generator: HermitianObservable) -> np.ndarray | None:
-    """``g_j - g_k`` of a diagonal generator ``g``, or ``None``."""
-    g = generator.diagonal
-    return None if g is None else g[:, None] - g[None, :]
-
-
-def _fd_step(phi: float, order: int) -> float:
-    # standard optimal steps for 2nd-order central differences
-    base = _EPS ** (1.0 / 3.0) if order == 1 else _EPS ** 0.25
-    return base * max(1.0, abs(phi))
-
-
-def _state_derivatives(model: ParametricModel, phi: float | None,
-                       rho: np.ndarray | None = None) -> np.ndarray:
-    """``d rho_phi / d phi`` for stacked states ``rho`` ``(B, d, d)``, each
-    checked Hermitian: ``-i[G, rho]`` for generator models (``rho`` is built
-    at ``phi`` when not given), entrywise ``-i (g_j - g_k) rho_jk`` for a
-    diagonal ``g`` and with the centred generator otherwise; a central
-    difference at the single phase ``phi`` for blackbox models."""
-    if model.kind == "unitary_generator":
-        if rho is None:
-            rho = model.density(phi).matrix[None]
-        gaps = _diagonal_gaps(model.generator)
-        if gaps is not None:
-            deriv = -1j * gaps * rho
-        else:
-            g = model._centred_generator
-            deriv = -1j * (g @ rho - rho @ g)
-    else:
-        h = _fd_step(phi, order=1)
-        deriv = ((model.density(phi + h).matrix
-                  - model.density(phi - h).matrix) / (2.0 * h))[None]
-    defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
-    bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
-    if bad.any():
-        raise EvaluationFailureError(
-            f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
-    return (deriv + _dagger(deriv)) / 2.0
-
-
-def _second_state_derivatives(model: ParametricModel, phi: float | None,
-                              rho: np.ndarray) -> np.ndarray:
-    """``d^2 rho_phi / d phi^2`` (Hermitian part) for stacked states ``rho``
-    ``(B, d, d)`` of a generator model, or for ``rho = rho_phi`` stacked as
-    ``(1, d, d)`` at the single phase ``phi`` of a blackbox model."""
-    if model.kind == "unitary_generator":
-        gaps = _diagonal_gaps(model.generator)
-        if gaps is not None:
-            deriv2 = -(gaps * gaps) * rho
-        else:
-            g = model._centred_generator
-            deriv2 = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
-    else:
-        h = _fd_step(phi, order=2)
-        deriv2 = (model.density(phi + h).matrix - 2.0 * rho
-                  + model.density(phi - h).matrix) / (h * h)
-    return (deriv2 + _dagger(deriv2)) / 2.0
-
-
 def state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
     """Derivative ``d rho_phi / d phi`` as a Hermitian matrix.
 
-    Exact commutator ``-i[G, rho]`` for generator models, central finite
-    difference for blackbox models.
+    Exact for generator models, ``-i (g_j - g_l) rho_jl`` in the generator's
+    eigenframe; a central finite difference for blackbox models.
     """
-    return _state_derivatives(model, phi)[0]
-
-
-def second_state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
-    """Second derivative ``d^2 rho_phi / d phi^2`` (Hermitian)."""
-    return _second_state_derivatives(model, phi, model.density(phi).matrix[None])[0]
+    return model._rho_derivatives(np.array([phi], dtype=float), 1)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +250,8 @@ class SldResult:
     read. Any other family carries ``C = V sqrt(p)`` over the support of
     ``rho``'s eigendecomposition, and :func:`sld` stores the ``rho``,
     ``drho`` and ``L`` of its solve as their values. On either route
-    ``residual``, the Frobenius norm of ``drho - (rho L + L rho) / 2``, is
+    ``d2rho``, the second phase derivative a POVM's curvature needs, and
+    ``residual``, the Frobenius norm of ``drho - (rho L + L rho) / 2``, are
     computed on first read.
     """
 
@@ -288,12 +265,18 @@ class SldResult:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        # the elementwise outer product of _states, bit for bit
+        # the elementwise outer product of ParametricModel.density, bit for bit
         return self.carrier * self.carrier.conj().T
 
     @cached_property
     def drho(self) -> np.ndarray:
-        return _state_derivatives(self.model, self.phi, self.rho[None])[0]
+        return self.model._rho_derivatives(np.array([self.phi], dtype=float), 1,
+                                           self.rho[None])[0]
+
+    @cached_property
+    def d2rho(self) -> np.ndarray:
+        return self.model._rho_derivatives(np.array([self.phi], dtype=float), 2,
+                                           self.rho[None])[0]
 
     @cached_property
     def L(self) -> HermitianObservable:
@@ -328,13 +311,13 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     psi = model.pure_amplitudes(phi)
     if psi is not None:
         carrier = psi[:, None]
-        dpsi = -1j * _apply_generator(model.generator, carrier)
+        dpsi = -1j * model._generator_times(carrier)
         l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
         return SldResult(model=model, phi=phi, qfi=float(np.vdot(l_psi, l_psi).real),
                          kernel_dim=model.dim - 1, carrier=carrier,
                          l_carrier=l_psi, dcarrier=dpsi)
     rho = model.density(phi).matrix
-    drho = _state_derivatives(model, phi, rho[None])[0]
+    drho = model._rho_derivatives(np.array([phi], dtype=float), 1, rho[None])[0]
     spectrum = psd_spectrum(rho)
     eigenvalues, eigenvectors, cutoff = spectrum
     drho_eig = eigenvectors.conj().T @ drho @ eigenvectors
@@ -381,7 +364,7 @@ def qfi_from_generator_variance(model: ParametricModel, phi: float = 0.0) -> flo
         raise VariantInapplicableError(
             "generator-variance QFI needs a pure initial state")
     amps = amps[:, None]
-    g_amps = _apply_generator(model.generator, amps)
+    g_amps = model._generator_times(amps)
     mean = float(np.vdot(amps, g_amps).real)
     second = float(np.vdot(g_amps, g_amps).real)
     return 4.0 * max(second - mean * mean, 0.0)
@@ -442,79 +425,48 @@ def _traces(stack: np.ndarray, povm: Povm) -> np.ndarray:
     return np.add.reduceat(columns, povm.block_bounds[:-1], axis=1)
 
 
-def _probabilities(rho: np.ndarray, drho: np.ndarray, povm: Povm):
-    """Clipped ``Tr(rho M_x)`` and ``Tr(drho M_x)`` of stacked states."""
-    if povm.dim != rho.shape[-1]:
-        raise DimensionMismatchError(
-            f"POVM dimension {povm.dim} != model dimension {rho.shape[-1]}")
-    return np.clip(_traces(rho, povm), 0.0, 1.0), _traces(drho, povm)
-
-
 def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                          second_order: bool = True) -> OutcomeDistribution:
     """Outcome distribution ``p(x) = Tr(rho_phi M_x)`` with derivatives."""
-    rho = model.density(phi).matrix[None]
-    return _outcome_distribution(model, phi, povm, rho,
-                                 _state_derivatives(model, phi, rho), second_order)
-
-
-def _outcome_distribution(model: ParametricModel, phi: float, povm: Povm,
-                          rho: np.ndarray, drho: np.ndarray,
-                          second_order: bool = True) -> OutcomeDistribution:
-    """:func:`outcome_distribution` from ``rho_phi`` and its derivative,
-    each stacked as ``(1, d, d)``."""
-    probs, derivs = _probabilities(rho, drho, povm)
-    second = None
-    if second_order:
-        second = _traces(_second_state_derivatives(model, phi, rho), povm)[0]
-    return OutcomeDistribution(labels=povm.labels, probabilities=probs[0],
-                               derivatives=derivs[0], second_derivatives=second)
+    arrays = _outcome_arrays(model, [phi], povm, second_order=second_order)
+    return OutcomeDistribution(povm.labels, *arrays[:, 0])
 
 
 # complex entries per stacked array in one chunk of _outcome_arrays
 _BATCH_ENTRIES = 1 << 18
 
 
-def _outcome_probabilities(model: ParametricModel, phis, povm: Povm) -> np.ndarray:
-    """Outcome probabilities for a batch of phases, shape ``(len(phis), len(povm))``.
-
-    Row ``b`` equals ``outcome_distribution(model, phis[b], povm,
-    second_order=False).probabilities`` bit for bit.
-    """
-    return _outcome_arrays(model, phis, povm, second_order=False)[0]
-
-
 def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
-                    second_order: bool) -> np.ndarray:
-    """Probabilities, their derivatives and, with ``second_order``, their
-    second derivatives for a batch of phases, stacked as ``(2 or 3,
-    len(phis), len(povm))``; row ``b`` of each equals the field of
-    ``outcome_distribution(model, phis[b], povm, second_order=second_order)``
-    bit for bit.
+                    second_order: bool,
+                    states: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """Clipped probabilities, their derivatives and, with ``second_order``,
+    their second derivatives for a batch of phases, stacked as ``(2 or 3,
+    len(phis), len(povm))``; row ``b`` holds the fields of
+    ``outcome_distribution(model, phis[b], povm, second_order=second_order)``.
 
-    Generator models run through the same stacked builders and checks, in
-    chunks of at most ``_BATCH_ENTRIES / (d * max(d, R))`` phases for a
-    ``d x R`` POVM factor, so that memory does not grow with the batch;
-    blackbox models fall back to one ``outcome_distribution`` per phase.
+    The phases run in chunks of at most ``_BATCH_ENTRIES / (d * max(d, R))``
+    for a ``d x R`` POVM factor, so that memory does not grow with the
+    batch; each chunk's rows must sum to 1 and 0. ``states``, the stacks
+    ``(rho, drho, d2rho)`` at ``phis`` when the caller holds them (a scan
+    row's SLD solve), stand in for :meth:`ParametricModel._rho_derivatives`.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
+    if povm.dim != model.dim:
+        raise DimensionMismatchError(
+            f"POVM dimension {povm.dim} != model dimension {model.dim}")
     out = np.empty((3 if second_order else 2, phis.size, len(povm)))
-    if model.kind != "unitary_generator":
-        for b, phi in enumerate(phis.tolist()):
-            dist = outcome_distribution(model, phi, povm, second_order=second_order)
-            out[0, b], out[1, b] = dist.probabilities, dist.derivatives
-            if second_order:
-                out[2, b] = dist.second_derivatives
-        return out
     chunk = max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
     for start in range(0, phis.size, chunk):
         rows = slice(start, start + chunk)
-        rho = model._states(phis[rows])
-        out[0, rows], out[1, rows] = _probabilities(
-            rho, _state_derivatives(model, None, rho), povm)
+        rho = None
+        for order in range(out.shape[0]):
+            stack = (model._rho_derivatives(phis[rows], order, rho) if states is None
+                     else states[order][rows])
+            out[order, rows] = _traces(stack, povm)
+            if order == 0:
+                rho = stack
+        np.clip(out[0, rows], 0.0, 1.0, out=out[0, rows])
         _check_totals(out[0, rows], out[1, rows])
-        if second_order:
-            out[2, rows] = _traces(_second_state_derivatives(model, None, rho), povm)
     return out
 
 

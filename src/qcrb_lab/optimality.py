@@ -21,14 +21,14 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix, HermitianObservable, Povm
+from .core import ALGORITHMIC_ATOL, HermitianObservable, Povm
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
     SingularSensitivityError,
     VariantInapplicableError,
 )
-from .fisher import ParametricModel, SldResult, _apply_generator, sld
+from .fisher import ParametricModel, SldResult, sld
 
 __all__ = [
     "ErrorPropagationReport",
@@ -229,13 +229,15 @@ def _check_observable_optimality(model: ParametricModel,
 
     carrier = sld_result.carrier
     if variant != "mixed" and carrier.shape[1] > 1:
-        state = DensityMatrix(sld_result.rho, check=False)
-        if not state.is_pure():
+        # Tr(rho^2) = ||C^dagger C||_F^2, O(d r^2) with no d x d product
+        gram = carrier.conj().T @ carrier
+        purity = float(np.vdot(gram, gram).real)
+        if abs(purity - 1.0) > ALGORITHMIC_ATOL:
             raise VariantInapplicableError(
-                f"state at phi={sld_result.phi!r} is mixed (purity {state.purity()!r})")
+                f"state at phi={sld_result.phi!r} is mixed (purity {purity!r})")
     lhs, rhs = o_carrier - mean * carrier, sld_result.l_carrier
     if variant == "pure_unitary":
-        g_carrier = _apply_generator(model.generator, carrier)
+        g_carrier = model._generator_times(carrier)
         rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
 
     lhs_norm = float(np.linalg.norm(lhs))

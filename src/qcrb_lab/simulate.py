@@ -23,7 +23,6 @@ from .fisher import (
     OutcomeDistribution,
     ParametricModel,
     _outcome_arrays,
-    _outcome_probabilities,
     cfi,
     outcome_distribution,
     qfi,
@@ -307,7 +306,7 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     counts = np.array([record.counts for record in records], dtype=float)
 
     def log_probs(phis: np.ndarray) -> np.ndarray:
-        return _log_probabilities(_outcome_probabilities(model, phis, povm))
+        return _log_probabilities(_outcome_arrays(model, phis, povm, second_order=False)[0])
 
     def loglik(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _log_likelihoods(counts[rows], log_probs(phis))

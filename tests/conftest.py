@@ -55,10 +55,24 @@ def ref_diagonal(matrix):
     return diag.real
 
 
-def ref_apply_generator(generator, x):
-    """``G x`` for a ``d x k`` array: ``g[:, None] * x`` for a diagonal ``g``."""
+def ref_frame(generator):
+    """``(g, V)`` with ``G - (tr G / d) I = V diag(g) V^dagger``; ``V`` is
+    ``None`` and ``g`` the centred diagonal when G is diagonal."""
     g = ref_diagonal(generator.matrix)
-    return generator.matrix @ x if g is None else g[:, None] * x
+    if g is not None:
+        return g - np.mean(g), None
+    dim = generator.dim
+    return np.linalg.eigh(generator.matrix
+                          - (np.trace(generator.matrix).real / dim) * np.eye(dim))
+
+
+def ref_apply_generator(generator, x):
+    """``(G - tr G / d) x`` for a ``d x k`` array: ``g[:, None] * x`` for a
+    diagonal G, else ``V (g * V^dagger x)``."""
+    g, basis = ref_frame(generator)
+    if basis is None:
+        return g[:, None] * x
+    return basis @ (g[:, None] * (basis.conj().T @ x))
 
 
 @pytest.fixture

@@ -295,17 +295,17 @@ class TestScanCommand:
     @pytest.mark.parametrize("target,error,spec", [
         ("qcrb_lab.fisher.psd_spectrum",
          NotPositiveError("matrix has negative eigenvalue -1.0e-03"), "pure_density_spec"),
-        ("qcrb_lab.fisher._probabilities",
+        ("qcrb_lab.fisher._check_totals",
          ValueError("probabilities sum to 1.5, expected 1"), "pure_density_spec"),
-        ("qcrb_lab.fisher._probabilities",
+        ("qcrb_lab.fisher._check_totals",
          ValueError("probabilities sum to 1.5, expected 1"), "ghz2_spec"),
     ])
     def test_derived_matrix_errors_exit_four(self, runner, request, monkeypatch,
                                              target, error, spec):
         """Checks failing on computed matrices are runtime errors, not spec
         errors, even where the error type is a ValueError. Only a density
-        matrix state solves its SLD through ``psd_spectrum``; a state vector's
-        POVM row reaches ``_probabilities`` through the lazily built rho."""
+        matrix state solves its SLD through ``psd_spectrum``; either state's
+        POVM row reaches ``_check_totals`` through the stacks of its SLD."""
         def fail(*args, **kwargs):
             raise error
 
@@ -389,23 +389,27 @@ class TestOneEigendecompositionPerPhase:
         assert len(json.loads(result.output)["rows"]) == 5
         assert len(rho_eighs) == 5 * RHO_EIGHS_PER_PHASE[spec]
 
-    @pytest.mark.parametrize("spec,per_row", [("ghz2_spec", 0), ("pure_density_spec", 1)])
-    def test_one_density_per_povm_scan_row(self, runner, request, spec, per_row,
-                                           monkeypatch):
-        """A state vector's rho comes from its carrier, a density's from the
-        one ``density`` call of its SLD solve."""
-        phases = []
-        density = fisher.ParametricModel.density
+    @pytest.mark.parametrize("spec,per_order", [("ghz2_spec", [0, 1, 1]),
+                                                 ("pure_density_spec", [1, 1, 1])])
+    def test_one_state_per_povm_scan_row(self, runner, request, spec, per_order,
+                                         monkeypatch):
+        """A POVM row traces the rho and drho of its SLD solve and the d2rho
+        built from them, so the state builder runs once per order and row: a
+        state vector's rho comes from its carrier (no order 0), a density's
+        from the one ``density`` call of its solve."""
+        orders = []
+        build = fisher.ParametricModel._rho_derivatives
 
-        def counting_density(model, phi):
-            phases.append(float(phi))
-            return density(model, phi)
+        def counting_build(model, phis, order=0, rho=None):
+            orders.append(order)
+            return build(model, phis, order, rho)
 
-        monkeypatch.setattr(fisher.ParametricModel, "density", counting_density)
+        monkeypatch.setattr(fisher.ParametricModel, "_rho_derivatives", counting_build)
         payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
                                     "--phi-range", "0:pi:9"])
-        assert sorted(phases) == [row["phi"] for row in payload["rows"]
-                                  for _ in range(per_row)]
+        rows = len(payload["rows"])
+        assert sorted(orders) == [order for order, count in enumerate(per_order)
+                                  for _ in range(count * rows)]
 
 
 class TestCfiCommand:

@@ -20,12 +20,12 @@ from qcrb_lab import (
     eigenprojector_povm,
     ghz_state,
     hermitian_eigendecomposition,
-    matrix_sqrt_psd,
     product_basis_povm,
     product_observable,
     tensor_power,
     tensor_product,
 )
+from qcrb_lab.core import psd_spectrum
 
 from conftest import random_hermitian
 
@@ -150,34 +150,39 @@ class TestDiagonal:
         assert HermitianObservable(matrix, check=False).diagonal is None
 
 
-class TestMatrixSqrt:
-    def test_projector_is_fixed_point(self):
+class TestPsdCarrier:
+    """``psd_spectrum(rho).carrier()`` is a ``d x r`` factor ``C`` with ``C
+    C^dagger = rho`` over the support of ``rho``."""
+
+    def test_projector_has_one_column(self):
         rho = ghz_state(3, 0.7).density().matrix
-        assert np.allclose(matrix_sqrt_psd(rho), rho, atol=1e-9)
+        carrier = psd_spectrum(rho).carrier()
+        assert carrier.shape == (8, 1)
+        assert np.allclose(carrier @ carrier.conj().T, rho, atol=1e-12)
 
     def test_maximally_mixed(self):
         dim = 4
-        root = matrix_sqrt_psd(np.eye(dim) / dim)
-        assert np.allclose(root, np.eye(dim) / 2.0, atol=1e-12)
+        carrier = psd_spectrum(np.eye(dim) / dim).carrier()
+        assert np.allclose(carrier.conj().T @ carrier, np.eye(dim) / dim, atol=1e-12)
 
     def test_diagonal(self):
-        root = matrix_sqrt_psd(np.diag([0.75, 0.25]).astype(complex))
-        assert np.allclose(root, np.diag([np.sqrt(0.75), 0.5]), atol=1e-12)
+        carrier = psd_spectrum(np.diag([0.75, 0.25]).astype(complex)).carrier()
+        assert np.allclose(np.abs(carrier), [[0.0, np.sqrt(0.75)], [0.5, 0.0]], atol=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(NotPositiveError):
-            matrix_sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
+            psd_spectrum(np.diag([1.0, -0.5]).astype(complex))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_square_roundtrip(self, seed):
+    def test_factor_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
         w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = w @ w.conj().T
         rho = rho / np.trace(rho).real
-        root = matrix_sqrt_psd(rho)
-        assert np.linalg.norm(root @ root - rho) <= 1e-9
+        carrier = psd_spectrum(rho).carrier()
+        assert np.linalg.norm(carrier @ carrier.conj().T - rho) <= 1e-9
 
 
 class TestDomainTypes:

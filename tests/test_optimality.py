@@ -457,10 +457,11 @@ def _ref_pure_vector(model, phi, rho):
     amps = model.pure_amplitudes(phi)
     if amps is not None:
         return amps
-    state = DensityMatrix(rho, check=False)
-    if not state.is_pure():
+    gram = support_carrier(rho).conj().T @ support_carrier(rho)
+    purity = float(np.vdot(gram, gram).real)
+    if abs(purity - 1.0) > 1e-8:
         raise VariantInapplicableError(
-            f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
+            f"state at phi={phi!r} is mixed (purity {purity!r})")
     return np.linalg.eigh(rho)[1][:, -1]
 
 
@@ -618,10 +619,11 @@ def _ref_carrier_check_observable_optimality(model, phi, obs, variant="mixed", *
     carrier, o_carrier, l_carrier, qfi, mean, second, _, cross, _ = (
         _ref_carrier_moments(model, phi, obs))
     if variant != "mixed" and carrier.shape[1] > 1:
-        state = DensityMatrix(model.density(phi).matrix, check=False)
-        if not state.is_pure():
+        gram = carrier.conj().T @ carrier
+        purity = float(np.vdot(gram, gram).real)
+        if abs(purity - 1.0) > 1e-8:
             raise VariantInapplicableError(
-                f"state at phi={phi!r} is mixed (purity {state.purity()!r})")
+                f"state at phi={phi!r} is mixed (purity {purity!r})")
     lhs = o_carrier - mean * carrier
     rhs = l_carrier
     if variant == "pure_unitary":

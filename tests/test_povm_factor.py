@@ -24,7 +24,6 @@ from qcrb_lab import (
     outcome_distribution,
     product_basis_povm,
     product_basis_vectors,
-    second_state_derivative,
     state_derivative,
     unitary_model,
 )
@@ -108,7 +107,8 @@ class TestFactorTraces:
         dist = outcome_distribution(model, phi, povm)
         for value, a in ((dist.probabilities, model.density(phi).matrix),
                          (dist.derivatives, state_derivative(model, phi)),
-                         (dist.second_derivatives, second_state_derivative(model, phi))):
+                         (dist.second_derivatives,
+                          model._rho_derivatives(np.array([phi]), 2)[0])):
             expected = np.array([float(np.trace(a @ m).real) for m in dense])
             if value is dist.probabilities:
                 expected = np.clip(expected, 0.0, 1.0)

@@ -40,7 +40,7 @@ from qcrb_lab import (
     verify_clt_link,
 )
 from qcrb_lab import fisher, simulate
-from qcrb_lab.fisher import _outcome_probabilities
+from qcrb_lab.fisher import _outcome_arrays
 
 SX2 = product_observable([(0.0, 1.0, 0.0, 0.0)] * 2)
 PHI_RATIONAL = math.pi / 6  # eigenvalue probabilities (0.25, 0.75): exact counts
@@ -516,7 +516,7 @@ class TestBatchedEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_batched_probabilities_bitwise(self, name, phis):
         model, povm, _, _ = equivalence_case(name)
-        batch = _outcome_probabilities(model, phis, povm)
+        batch = _outcome_arrays(model, phis, povm, second_order=False)[0]
         assert batch.shape == (len(phis), len(povm))
         for phi, row in zip(phis, batch):
             single = outcome_distribution(model, phi, povm, second_order=False)
@@ -524,15 +524,16 @@ class TestBatchedEquivalence:
 
     def test_batched_probabilities_check_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            _outcome_probabilities(ghz_model(2), [0.1], product_basis_povm("x", 3))
+            _outcome_arrays(ghz_model(2), [0.1], product_basis_povm("x", 3),
+                            second_order=False)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     def test_chunked_probabilities_bitwise(self, name, monkeypatch):
         model, povm, _, _ = equivalence_case(name)
         phis = np.linspace(-3.0, 3.0, 11)
-        whole = _outcome_probabilities(model, phis, povm)
+        whole = _outcome_arrays(model, phis, povm, second_order=False)[0]
         monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * model.dim ** 2)
-        chunked = _outcome_probabilities(model, phis, povm)
+        chunked = _outcome_arrays(model, phis, povm, second_order=False)[0]
         assert chunked.tobytes() == whole.tobytes()
 
     def test_chunked_mle_run_unchanged(self, monkeypatch):

@@ -27,7 +27,11 @@ two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
 projectors onto ``(|01> +- |10>)/sqrt(2)`` and the zero matrix;
 ``qfi``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit rank-2 ``custom`` density spec and a pure ``custom`` density spec,
-whose SLD carriers have two columns and one; plus the ``scan-pure``,
+whose SLD carriers have two columns and one; ``qfi --show-sld``, ``sld``,
+``scan``, ``cfi`` and ``check-optimal`` (every variant) on a rank-2 and a
+full-rank ``custom`` density under the non-diagonal generator matrix of the
+amplitudes spec; the invocations of the GHZ specs on a GHZ N=2 spec whose
+diagonal ``generator.matrix`` has a non-zero trace; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -258,6 +262,28 @@ def invocations(workdir: Path) -> list[list[str]]:
         runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
                   "--variant", variant, "--output", "json"]
                  for variant in ("mixed", "pure", "pure_unitary")]
+    full_rank = sum(weight * np.outer(basis[:, k], basis[:, k].conj())
+                    for k, weight in enumerate((0.4, 0.3, 0.2, 0.1)))
+    for name, density in (("rank2", rank2), ("full-rank", full_rank)):
+        spec = _write(workdir / f"custom-generator-{name}-density.yaml", {
+            "state": {"custom": {"density": _pairs(density)}},
+            "parametrization": {"generator": {"matrix": _pairs((raw + raw.conj().T) / 2)}},
+            "observable": {"pauli_product": {"a1": 1.0}},
+            "povm": "x_basis_product", "phi": 0.4, "nu": 1000})
+        runs += [["qfi", "--model", spec, "--phi-range", "0:pi:5", "--show-sld",
+                  "--output", "json"],
+                 ["sld", "--model", spec, "--phi-range", "0:pi:5", "--output", "json"],
+                 ["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
+                 ["cfi", "--model", spec, "--phi-range", "0.1:3:5", "--output", "json"]]
+        runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
+                  "--variant", variant, "--output", "json"]
+                 for variant in ("mixed", "pure", "pure_unitary")]
+    offset = _write(workdir / "ghz2-diagonal-generator-with-trace.yaml", {
+        "state": {"ghz": {"n": 2}},
+        "parametrization": {"generator": {"matrix": _pairs(np.diag([1.5, 0.25, -0.5, 2.0]))}},
+        "observable": {"pauli_product": {"a1": 1.0}},
+        "povm": "x_basis_product", "phi": "pi/8", "nu": 1000})
+    runs += _spec_invocations(offset, pure=True)
     runs += _error_invocations(workdir)
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
