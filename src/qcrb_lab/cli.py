@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
-from .fisher import OutcomeDistribution, _outcome_arrays, outcome_distribution, sld
+from .fisher import outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
 from .modelspec import _RUN_MINIMUMS, _integer, _positive_float
@@ -283,10 +283,7 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
     singular = False
     if spec.povm is not None:
         try:
-            arrays = _outcome_arrays(spec.model, [phi], spec.povm, second_order=True,
-                                     states=(result.rho[None], result.drho[None],
-                                             result.d2rho[None]))
-            row["cfi"] = cfi_value(OutcomeDistribution(spec.povm.labels, *arrays[:, 0]))
+            row["cfi"] = cfi_value(outcome_distribution(spec.model, phi, spec.povm))
         except SingularOutcomeError:
             singular = True
     if spec.observable is not None:

@@ -3,19 +3,20 @@
 A :class:`ParametricModel` maps a real phase (radians) to a density matrix,
 either through a fixed Hermitian generator (``rho_phi = e^{-iG phi} rho_in
 e^{iG phi}``) or through an arbitrary user-supplied function differentiated
-by central finite differences. A generator model evolves and differentiates
-its state in the eigenframe of the centred generator ``G - (tr G / d) I =
-V diag(g) V^dagger``, where every phase derivative is an entrywise product;
-``V`` is never formed for a diagonal G. ``_rho_derivatives`` builds rho and
-its first two phase derivatives for every model kind, and
-``_outcome_arrays`` alone takes their POVM traces.
+by central finite differences. A generator model works in the eigenframe of
+``G - (tr G / d) I = V diag(g) V^dagger`` (no ``V`` for a diagonal G). Its
+SLD is covariant, ``L(phi) = U L_0 U^dagger``: it is solved once, at ``phi
+= 0``, for a carrier ``C_0'`` with ``C_0' C_0'^dagger = rho_0'`` and ``L_0'
+C_0'``, and every per-phase quantity is read from that pair moved by ``e =
+exp(-i g phi)`` and ``V``. A blackbox model solves dense ``rho`` and ``d
+rho`` per phase, the dense reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -53,10 +54,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _PROB_FLOOR, _DERIVATIVE_FLOOR, _CURVATURE_FLOOR = 1e-12, 1e-9, 1e-6
-
-
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +96,9 @@ class ParametricModel:
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """``(g, V, x0)`` with ``G - (tr G / d) I = V diag(g) V^dagger``, ``V``
-        ``None`` when G is diagonal, and the initial state in that basis:
-        ``x0 = V^dagger psi_0`` or ``V^dagger rho_0 V``. Centring keeps the
-        rounding of the phases and of every derivative from growing with a
-        multiple of the identity in G."""
+        """``(g, V, x0)`` with ``G - (tr G / d) I = V diag(g) V^dagger`` (``V``
+        ``None`` for a diagonal G; centring keeps an identity in G out of the
+        rounding) and ``x0 = V^dagger psi_0`` or ``V^dagger rho_0 V``."""
         state = self.initial_state
         x0 = state.amplitudes if isinstance(state, PureState) else state.matrix
         g = self.generator.diagonal
@@ -115,29 +110,30 @@ class ParametricModel:
         x0 = basis.conj().T @ x0
         return g, basis, (x0 if x0.ndim == 1 else x0 @ basis)
 
-    def _generator_times(self, x: np.ndarray) -> np.ndarray:
-        """``(G - tr G / d) x`` for a ``d x k`` array: ``V (g * V^dagger x)``."""
-        g, basis, _ = self._frame
-        if basis is None:
-            return g[:, None] * x
-        return basis @ (g[:, None] * (basis.conj().T @ x))
+    @cached_property
+    def _solution(self) -> _Solution:
+        """The SLD at ``phi = 0`` in the frame, solved on first use. A state
+        vector needs no solve: ``C_0' = psi_0'`` and ``L_0' C_0' = 2(dC +
+        <dC|C_0'> C_0')`` with ``dC = -i g * C_0'``; a density runs
+        :func:`_solve_sld` on ``rho_0'`` and ``-i (g_j - g_l) rho_0'_jl``."""
+        g, _, x0 = self._frame
+        if x0.ndim == 1:
+            carrier = x0[:, None]
+            dcarrier = -1j * g[:, None] * carrier
+            l_carrier = 2.0 * (dcarrier + np.vdot(dcarrier, carrier) * carrier)
+            return _Solution(carrier, l_carrier, float(np.vdot(l_carrier, l_carrier).real),
+                             self.dim - 1, None)
+        rho = (x0 + x0.conj().T) / 2.0
+        return _solve_sld(rho, -1j * (g[:, None] - g[None, :]) * rho)
 
-    def _rho_derivatives(self, phis: np.ndarray, order: int = 0,
-                         rho: np.ndarray | None = None) -> np.ndarray:
-        """The ``order``-th phase derivative of rho (order 0, 1 or 2) at each
-        phase, shape ``(B, d, d)``; order 1 is checked Hermitian and orders 1
-        and 2 are symmetrised.
-
-        A generator model works in its frame: ``rho'_jl = e_j x0_jl e_l^*``
-        (symmetrised), or ``psi'_j psi'_l^*`` with ``psi' = e * x0``, and the
-        k-th derivative is ``(-i (g_j - g_l))^k rho'_jl``, rotated back by V
-        when G is not diagonal. A state vector's rho is the outer product of
-        its amplitudes, O(d^2) per phase. A blackbox model takes central
-        differences of ``density``. ``rho``, the order-0 stack when the caller
-        has it, is reused where it is the state the derivative needs: as
-        ``rho'`` of a diagonal G, and as the middle point of a blackbox
-        model's second difference.
-        """
+    def _rho_derivatives(self, phis: np.ndarray, order: int = 0) -> np.ndarray:
+        """The dense rho (order 0) or its ``order``-th phase derivative at
+        each phase, shape ``(B, d, d)``; order 1 is checked Hermitian, and
+        every order but a blackbox rho is symmetrised. A generator model
+        (order 0 or 1) works in its frame: ``rho'_jl = e_j rho_0'_jl e_l^*``
+        and ``drho'_jl = -i (g_j - g_l) rho'_jl``, rotated back by V. A
+        blackbox model (order 0, 1 or 2) takes central differences of
+        ``density``."""
         if self.kind != "unitary_generator":
             def states(at: np.ndarray) -> np.ndarray:
                 return np.stack([self.density(p).matrix for p in at.tolist()])
@@ -151,48 +147,24 @@ class ParametricModel:
             if order == 1:
                 deriv = (upper - lower) / (2.0 * h)
             else:
-                deriv = (upper - 2.0 * (states(phis) if rho is None else rho)
-                         + lower) / (h * h)
+                deriv = (upper - 2.0 * states(phis) + lower) / (h * h)
         else:
             g, basis, x0 = self._frame
-            if rho is not None and basis is None:
-                deriv = rho
-            elif x0.ndim == 1:
-                amps = np.exp(-1j * g * phis[:, None]) * x0
-                if order == 0 and basis is not None:
-                    amps = amps @ basis.T
-                deriv = amps[:, :, None] * amps.conj()[:, None, :]
-                if order == 0:
-                    return deriv
-            else:
-                phases = np.exp(-1j * g * phis[:, None])
-                deriv = phases[:, :, None] * x0 * phases.conj()[:, None, :]
-                deriv = (deriv + _dagger(deriv)) / 2.0
-                if order == 0 and basis is None:
-                    return deriv
+            rho = np.outer(x0, x0.conj()) if x0.ndim == 1 else x0
+            phases = np.exp(-1j * g * phis[:, None])
+            deriv = phases[:, :, None] * rho * phases.conj()[:, None, :]
             if order:
-                gaps = g[:, None] - g[None, :]
-                deriv = (-1j * gaps if order == 1 else -(gaps * gaps)) * deriv
+                deriv = -1j * (g[:, None] - g[None, :]) * deriv
             if basis is not None:
                 deriv = basis @ deriv @ basis.conj().T
+        adjoint = deriv.conj().transpose(0, 2, 1)
         if order == 1:
-            defect = np.linalg.norm(deriv - _dagger(deriv), axis=(1, 2))
+            defect = np.linalg.norm(deriv - adjoint, axis=(1, 2))
             bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(deriv, axis=(1, 2)))
             if bad.any():
                 raise EvaluationFailureError(
                     f"state derivative is not Hermitian: defect {defect[bad][0]:.3e}")
-        return (deriv + _dagger(deriv)) / 2.0
-
-    def pure_amplitudes(self, phi: float) -> np.ndarray | None:
-        """Evolved state vector ``e^{-i(G - tr G / d) phi} psi_0``, or ``None``
-        if the model is not a pure unitary family. It differs from
-        ``e^{-iG phi} psi_0`` by a global phase, which no quantity reads."""
-        if self.kind != "unitary_generator" or not isinstance(self.initial_state,
-                                                              PureState):
-            return None
-        g, basis, x0 = self._frame
-        amps = np.exp(-1j * g * phi) * x0
-        return amps if basis is None else amps @ basis.T
+        return (deriv + adjoint) / 2.0
 
     def density(self, phi: float) -> DensityMatrix:
         """Evaluate ``rho_phi``; a blackbox state must be Hermitian within 1e-8."""
@@ -229,95 +201,27 @@ def blackbox_model(state_fn: Callable[[float], DensityMatrix],
 
 
 def state_derivative(model: ParametricModel, phi: float) -> np.ndarray:
-    """Derivative ``d rho_phi / d phi`` as a Hermitian matrix.
-
-    Exact for generator models, ``-i (g_j - g_l) rho_jl`` in the generator's
-    eigenframe; a central finite difference for blackbox models.
-    """
+    """Derivative ``d rho_phi / d phi`` as a Hermitian matrix: exact for
+    generator models, a central finite difference for blackbox models."""
     return model._rho_derivatives(np.array([phi], dtype=float), 1)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SldResult:
-    """SLD of ``model`` at ``phi`` with its quantum Fisher information.
+class _Solution(NamedTuple):
+    """An SLD solve: the carrier ``C`` with ``C C^dagger = rho``, ``L C``, the
+    QFI ``||L C||^2``, ``kernel_dim`` and L (``None`` where it is not formed)."""
 
-    ``carrier`` is a ``d x r`` factor ``C`` of ``rho = C C^dagger`` and
-    ``l_carrier = L C``, so that ``QFI = ||L C||^2``. ``kernel_dim`` counts
-    eigenvalues of ``rho`` at or below the support cutoff, where the
-    zero-block gauge was applied. A pure unitary family carries ``C = psi``
-    with ``dcarrier = -iG psi``; nothing dense is solved for it, and
-    ``rho = psi psi^dagger``, ``drho`` and ``L = 2 drho`` are built on first
-    read. Any other family carries ``C = V sqrt(p)`` over the support of
-    ``rho``'s eigendecomposition, and :func:`sld` stores the ``rho``,
-    ``drho`` and ``L`` of its solve as their values. On either route
-    ``d2rho``, the second phase derivative a POVM's curvature needs, and
-    ``residual``, the Frobenius norm of ``drho - (rho L + L rho) / 2``, are
-    computed on first read.
-    """
-
-    model: ParametricModel
-    phi: float
-    qfi: float
-    kernel_dim: int
     carrier: np.ndarray
     l_carrier: np.ndarray
-    dcarrier: np.ndarray | None = None
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        # the elementwise outer product of ParametricModel.density, bit for bit
-        return self.carrier * self.carrier.conj().T
-
-    @cached_property
-    def drho(self) -> np.ndarray:
-        return self.model._rho_derivatives(np.array([self.phi], dtype=float), 1,
-                                           self.rho[None])[0]
-
-    @cached_property
-    def d2rho(self) -> np.ndarray:
-        return self.model._rho_derivatives(np.array([self.phi], dtype=float), 2,
-                                           self.rho[None])[0]
-
-    @cached_property
-    def L(self) -> HermitianObservable:
-        return HermitianObservable(2.0 * self.drho, check=False)
-
-    @cached_property
-    def residual(self) -> float:
-        l_matrix = self.L.matrix
-        return float(np.linalg.norm(
-            self.drho - (self.rho @ l_matrix + l_matrix @ self.rho) / 2.0))
-
-    def slope(self, o: np.ndarray, o_carrier: np.ndarray) -> float:
-        """``d<O>/dphi`` from ``o_carrier = O C``: ``2 Re<dC|O C>`` with a
-        state vector, else ``Re Tr(drho O)``; independent of ``l_carrier``,
-        so it checks ``Re<O C|L C>``."""
-        if self.dcarrier is not None:
-            return 2.0 * float(np.vdot(self.dcarrier, o_carrier).real)
-        return float(np.vdot(o, self.drho).real)
+    qfi: float
+    kernel_dim: int
+    l_matrix: np.ndarray | None
 
 
-def sld(model: ParametricModel, phi: float) -> SldResult:
-    """Solve ``drho = (rho L + L rho) / 2`` for the Hermitian operator L.
-
-    A pure unitary family needs no solve: with ``dpsi = -iG psi``, ``L = 2
-    drho`` acts as ``L psi = 2(dpsi + <dpsi|psi> psi)``, and ``QFI = <psi|L^2
-    |psi> = ||L psi||^2``, which equals ``4(<dpsi|dpsi> - |<psi|dpsi>|^2)``
-    without its cancellation when ``<G>^2`` dwarfs ``Var(G)``. Otherwise
-    ``sld`` works in the eigenbasis of ``rho``: ``L_jk = 2 drho_jk / (p_j +
-    p_k)``. On the kernel-kernel block (``p_j + p_k`` below the cutoff) L is
-    gauged to zero, the minimal-norm choice among the valid solutions.
-    """
-    psi = model.pure_amplitudes(phi)
-    if psi is not None:
-        carrier = psi[:, None]
-        dpsi = -1j * model._generator_times(carrier)
-        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
-        return SldResult(model=model, phi=phi, qfi=float(np.vdot(l_psi, l_psi).real),
-                         kernel_dim=model.dim - 1, carrier=carrier,
-                         l_carrier=l_psi, dcarrier=dpsi)
-    rho = model.density(phi).matrix
-    drho = model._rho_derivatives(np.array([phi], dtype=float), 1, rho[None])[0]
+def _solve_sld(rho: np.ndarray, drho: np.ndarray) -> _Solution:
+    """Solve ``drho = (rho L + L rho) / 2`` in the eigenbasis of ``rho``:
+    ``L_jk = 2 drho_jk / (p_j + p_k)``. On the kernel-kernel block (``p_j +
+    p_k`` below the cutoff) L is gauged to zero, the minimal-norm choice
+    among the valid solutions; the carrier is ``V sqrt(p)`` over the support."""
     spectrum = psd_spectrum(rho)
     eigenvalues, eigenvectors, cutoff = spectrum
     drho_eig = eigenvectors.conj().T @ drho @ eigenvectors
@@ -335,13 +239,97 @@ def sld(model: ParametricModel, phi: float) -> SldResult:
     l_matrix = (l_matrix + l_matrix.conj().T) / 2.0
     carrier = spectrum.carrier()
     l_carrier = l_matrix @ carrier
-    result = SldResult(model=model, phi=phi,
-                       qfi=float(np.vdot(l_carrier, l_carrier).real),
-                       kernel_dim=int(np.count_nonzero(kernel)),
-                       carrier=carrier, l_carrier=l_carrier)
+    return _Solution(carrier, l_carrier, float(np.vdot(l_carrier, l_carrier).real),
+                     int(np.count_nonzero(kernel)), l_matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class SldResult:
+    """SLD of ``model`` at ``phi`` with its quantum Fisher information.
+
+    ``carrier`` is a ``d x r`` factor ``C`` of ``rho = C C^dagger`` and
+    ``l_carrier = L C``, so that ``QFI = ||L C||^2``. ``kernel_dim`` counts
+    eigenvalues of ``rho`` at or below the support cutoff, where the
+    zero-block gauge was applied. A generator model's pair is its ``phi =
+    0`` solve moved by ``U = e^{-i(G - tr G / d) phi}``, with ``dcarrier =
+    -iG C``; ``rho = C C^dagger``, ``drho = dC C^dagger + C dC^dagger``, ``L
+    = U L_0 U^dagger`` (``2 drho`` for a state vector) and ``residual`` of
+    the SLD equation are built on first read. A blackbox model has no
+    ``dcarrier``; :func:`sld` stores its dense ``rho``, ``drho`` and ``L``.
+    """
+
+    model: ParametricModel
+    phi: float
+    qfi: float
+    kernel_dim: int
+    carrier: np.ndarray
+    l_carrier: np.ndarray
+    dcarrier: np.ndarray | None = None
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        product = self.carrier @ self.carrier.conj().T
+        return (product + product.conj().T) / 2.0
+
+    @cached_property
+    def drho(self) -> np.ndarray:
+        product = self.dcarrier @ self.carrier.conj().T
+        return product + product.conj().T
+
+    @cached_property
+    def L(self) -> HermitianObservable:
+        l_matrix = self.model._solution.l_matrix
+        if l_matrix is None:  # a state vector's L = 2 drho
+            return HermitianObservable(2.0 * self.drho, check=False)
+        g, basis, _ = self.model._frame
+        e = np.exp(-1j * g * self.phi)
+        moved = e[:, None] * l_matrix * e.conj()[None, :]
+        if basis is not None:
+            moved = basis @ moved @ basis.conj().T
+        return HermitianObservable((moved + moved.conj().T) / 2.0, check=False)
+
+    @cached_property
+    def residual(self) -> float:
+        l_matrix = self.L.matrix
+        return float(np.linalg.norm(
+            self.drho - (self.rho @ l_matrix + l_matrix @ self.rho) / 2.0))
+
+    def slope(self, o: np.ndarray, o_carrier: np.ndarray) -> float:
+        """``d<O>/dphi`` from ``o_carrier = O C``: ``2 Re<dC|O C>`` on a
+        generator model, else ``Re Tr(drho O)``; independent of
+        ``l_carrier``, so it checks ``Re<O C|L C>``."""
+        if self.dcarrier is not None:
+            return 2.0 * float(np.vdot(self.dcarrier, o_carrier).real)
+        return float(np.vdot(o, self.drho).real)
+
+
+def sld(model: ParametricModel, phi: float) -> SldResult:
+    """Solve ``drho = (rho L + L rho) / 2`` for the Hermitian operator L.
+
+    A generator model moves its ``phi = 0`` solve, whose QFI and
+    ``kernel_dim`` hold at every phase: with ``e = exp(-i g phi)``, ``C = V
+    (e * C_0')``, ``L C = V (e * L_0' C_0')`` and ``dC = V (-i g * e *
+    C_0')``. A blackbox model runs :func:`_solve_sld` on its dense ``rho``
+    and ``drho`` at ``phi``.
+    """
+    if model.kind == "unitary_generator":
+        g, basis, _ = model._frame
+        solution = model._solution
+        e = np.exp(-1j * g * phi)[:, None]
+        carrier = e * solution.carrier
+        moved = [carrier, e * solution.l_carrier, -1j * g[:, None] * carrier]
+        if basis is not None:
+            moved = [basis @ x for x in moved]
+        return SldResult(model, phi, solution.qfi, solution.kernel_dim, *moved)
+    phis = np.array([phi], dtype=float)
+    rho, drho = (model._rho_derivatives(phis, order)[0] for order in (0, 1))
+    solution = _solve_sld(rho, drho)
+    result = SldResult(model=model, phi=phi, qfi=solution.qfi,
+                       kernel_dim=solution.kernel_dim, carrier=solution.carrier,
+                       l_carrier=solution.l_carrier)
     # the values of the cached properties, which read the instance dict first
     result.__dict__.update(rho=rho, drho=drho,
-                           L=HermitianObservable(l_matrix, check=False))
+                           L=HermitianObservable(solution.l_matrix, check=False))
     return result
 
 
@@ -351,23 +339,19 @@ def qfi(model: ParametricModel, phi: float) -> float:
 
 
 def qfi_from_generator_variance(model: ParametricModel, phi: float = 0.0) -> float:
-    """Independent QFI route for pure unitary families: ``4 Var(G)``.
-
-    Raises :class:`VariantInapplicableError` for mixed states or blackbox
-    models, where this closed form does not hold.
-    """
+    """Independent QFI route for pure unitary families: ``4 Var(G)`` in the
+    initial state, ``4 (sum g^2 w - (sum g w)^2)`` with ``w = |psi_0'|^2`` in
+    the generator's frame, whatever ``phi``. Raises
+    :class:`VariantInapplicableError` for mixed states or blackbox models."""
     if model.kind != "unitary_generator":
         raise VariantInapplicableError(
             "generator-variance QFI needs a unitary_generator model")
-    amps = model.pure_amplitudes(phi)
-    if amps is None:
+    if not isinstance(model.initial_state, PureState):
         raise VariantInapplicableError(
             "generator-variance QFI needs a pure initial state")
-    amps = amps[:, None]
-    g_amps = model._generator_times(amps)
-    mean = float(np.vdot(amps, g_amps).real)
-    second = float(np.vdot(g_amps, g_amps).real)
-    return 4.0 * max(second - mean * mean, 0.0)
+    g, _, amps = model._frame
+    weights = amps.real * amps.real + amps.imag * amps.imag
+    return 4.0 * max(float(weights @ (g * g)) - float(weights @ g) ** 2, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,12 +385,14 @@ class OutcomeDistribution:
                                np.asarray(self.second_derivatives, dtype=float))
 
 
-def _check_totals(probs: np.ndarray, derivs: np.ndarray) -> None:
+def _check_totals(probs: np.ndarray, derivs: np.ndarray | None = None) -> None:
     """Require each row of ``probs`` to sum to 1 and of ``derivs`` to 0."""
     totals = probs.sum(axis=1)
     bad = np.abs(totals - 1.0) > 1e-10
     if bad.any():
         raise ValueError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
+    if derivs is None:
+        return
     deriv_totals = derivs.sum(axis=1)
     bad = np.abs(deriv_totals) > 1e-8
     if bad.any():
@@ -414,21 +400,20 @@ def _check_totals(probs: np.ndarray, derivs: np.ndarray) -> None:
                          f"{float(deriv_totals[bad][0])!r}, expected 0")
 
 
-def _traces(stack: np.ndarray, povm: Povm) -> np.ndarray:
-    """``Re Tr(A_b M_x)``, shape ``(B, K)``: with ``M_x = F_x F_x^dagger`` it
-    is ``Re sum conj(F_x) * (A_b F_x)``, summed over the rows of the POVM
-    factor and then over each outcome's block of columns; one ``d x d @ d x
-    R`` product per stacked matrix."""
-    f = povm.factor
-    af = stack @ f
-    columns = (f.real * af.real + f.imag * af.imag).sum(axis=1)
+def _block_sums(columns: np.ndarray, povm: Povm) -> np.ndarray:
+    """Sum the ``(B, R)`` per-column values over each outcome's block."""
     return np.add.reduceat(columns, povm.block_bounds[:-1], axis=1)
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re sum_k conj(a) b`` over the last axis."""
+    return (a.real * b.real + a.imag * b.imag).sum(axis=-1)
 
 
 def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                          second_order: bool = True) -> OutcomeDistribution:
     """Outcome distribution ``p(x) = Tr(rho_phi M_x)`` with derivatives."""
-    arrays = _outcome_arrays(model, [phi], povm, second_order=second_order)
+    arrays = _outcome_arrays(model, [phi], povm, order=2 if second_order else 1)
     return OutcomeDistribution(povm.labels, *arrays[:, 0])
 
 
@@ -437,36 +422,53 @@ _BATCH_ENTRIES = 1 << 18
 
 
 def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
-                    second_order: bool,
-                    states: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Clipped probabilities, their derivatives and, with ``second_order``,
-    their second derivatives for a batch of phases, stacked as ``(2 or 3,
-    len(phis), len(povm))``; row ``b`` holds the fields of
-    ``outcome_distribution(model, phis[b], povm, second_order=second_order)``.
+                    order: int) -> np.ndarray:
+    """Clipped probabilities and their first ``order`` (0, 1 or 2) phase
+    derivatives for a batch of phases, shape ``(order + 1, len(phis), K)``.
 
-    The phases run in chunks of at most ``_BATCH_ENTRIES / (d * max(d, R))``
-    for a ``d x R`` POVM factor, so that memory does not grow with the
-    batch; each chunk's rows must sum to 1 and 0. ``states``, the stacks
-    ``(rho, drho, d2rho)`` at ``phis`` when the caller holds them (a scan
-    row's SLD solve), stand in for :meth:`ParametricModel._rho_derivatives`.
+    A generator model reads them from its moved carrier ``C``, with ``dC =
+    -iG C``, ``d^2 C = -G^2 C`` and ``F^dagger V`` formed once per call: ``p
+    = ||F_x^dagger C||^2``, ``p' = 2 Re<F_x^dagger C, F_x^dagger dC>`` and
+    ``p'' = 2 (||F_x^dagger dC||^2 + Re<F_x^dagger C, F_x^dagger d^2 C>)``. A
+    blackbox model traces its dense stacks. Phases run in chunks of at most
+    ``_BATCH_ENTRIES / (d * max(d, R))`` for a ``d x R`` factor; each chunk's
+    probabilities must sum to 1 and, if returned, their derivatives to 0.
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if povm.dim != model.dim:
         raise DimensionMismatchError(
             f"POVM dimension {povm.dim} != model dimension {model.dim}")
-    out = np.empty((3 if second_order else 2, phis.size, len(povm)))
+    out = np.empty((order + 1, phis.size, len(povm)))
     chunk = max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
+    generator = model.kind == "unitary_generator"
+    if generator:
+        g, basis, _ = model._frame
+        carrier = model._solution.carrier
+        f_dagger = (povm.factor if basis is None
+                    else basis.conj().T @ povm.factor).conj().T
+        # F^dagger V (-i g)^k, so that rows[k] @ C_0' moved is F^dagger d^k C
+        rows = [f_dagger]
+        for _ in range(order):
+            rows.append(rows[-1] * (-1j * g))
     for start in range(0, phis.size, chunk):
-        rows = slice(start, start + chunk)
-        rho = None
-        for order in range(out.shape[0]):
-            stack = (model._rho_derivatives(phis[rows], order, rho) if states is None
-                     else states[order][rows])
-            out[order, rows] = _traces(stack, povm)
-            if order == 0:
-                rho = stack
-        np.clip(out[0, rows], 0.0, 1.0, out=out[0, rows])
-        _check_totals(out[0, rows], out[1, rows])
+        at = slice(start, start + chunk)
+        if generator:
+            moved = np.exp(-1j * g * phis[at, None])[:, :, None] * carrier
+            a = [f @ moved for f in rows]
+            out[0, at] = _block_sums(_re_inner(a[0], a[0]), povm)
+            if order >= 1:
+                out[1, at] = 2.0 * _block_sums(_re_inner(a[0], a[1]), povm)
+            if order == 2:
+                out[2, at] = 2.0 * _block_sums(
+                    _re_inner(a[1], a[1]) + _re_inner(a[0], a[2]), povm)
+        else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
+            f = povm.factor
+            for k in range(order + 1):
+                af = model._rho_derivatives(phis[at], k) @ f
+                out[k, at] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1),
+                                         povm)
+        np.clip(out[0, at], 0.0, 1.0, out=out[0, at])
+        _check_totals(out[0, at], out[1, at] if order else None)
     return out
 
 

@@ -7,11 +7,13 @@ analogous per-outcome condition ``sqrt(M_x) sqrt(rho) = u_x sqrt(M_x) L
 sqrt(rho)`` certifies a POVM as attaining the quantum Fisher information.
 
 Both conditions are checked on the carrier ``C`` of :func:`~.fisher.sld`,
-any factor with ``C C^dagger = rho``: ``sqrt(rho)`` and ``C`` differ by a
+a factor with ``C C^dagger = rho``: ``sqrt(rho)`` and ``C`` differ by a
 partial isometry on the right, so ``(O - <O>) C = alpha L C`` has the same
-Frobenius residual and the same least-squares ``alpha``. Every moment is a
-product of ``O C`` with ``C`` or ``L C``: ``<O> = <C, O C>``, ``<O^2> =
-||O C||^2`` and ``Tr(rho O L) = <O C, L C>``.
+Frobenius residual and the same least-squares ``alpha``. For a generator
+model ``C`` and ``L C`` are its one ``phi = 0`` solve moved by
+``e^{-iG phi}``, and ``dC = -iG C``. Every moment is a product of ``O C``
+with ``C``, ``dC`` or ``L C``: ``<O> = <C, O C>``, ``<O^2> = ||O C||^2``,
+the slope ``2 Re<dC, O C>`` and ``Tr(rho O L) = <O C, L C>``.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def _check_observable_optimality(model: ParametricModel,
                 f"state at phi={sld_result.phi!r} is mixed (purity {purity!r})")
     lhs, rhs = o_carrier - mean * carrier, sld_result.l_carrier
     if variant == "pure_unitary":
-        g_carrier = model._generator_times(carrier)
+        g_carrier = 1j * sld_result.dcarrier  # (G - tr G / d) C
         rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
 
     lhs_norm = float(np.linalg.norm(lhs))

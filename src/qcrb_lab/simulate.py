@@ -26,14 +26,14 @@ from .fisher import (
     cfi,
     outcome_distribution,
     qfi,
-    state_derivative,
+    sld,
 )
 from .optimality import (
     ErrorDecomposition,
     ErrorPropagationReport,
     error_propagation,
+    _moments,
     estimator_error_decomposition,
-    observable_expectations,
 )
 
 __all__ = [
@@ -144,27 +144,24 @@ def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return brentq(f, lo, hi, xtol=1e-12)
 
 
-def _slope_at(model: ParametricModel, phi: float, obs: HermitianObservable) -> float:
-    return float(np.trace(state_derivative(model, phi) @ obs.matrix).real)
-
-
 def _branch_interval(model: ParametricModel, obs: HermitianObservable,
                      center: float, step: float) -> tuple[float, float]:
     """Monotone interval of the mean curve around ``center``: walk outward
     until the slope changes sign, then bisect for the stationary point."""
-    slope_center = _slope_at(model, center, obs)
-    sign_center = math.copysign(1.0, slope_center)
+    def slope(phi: float) -> float:
+        return _moments(model, obs, sld(model, phi)).slope
+
+    sign_center = math.copysign(1.0, slope(center))
 
     def boundary(direction: float) -> float:
         prev = center
         for k in range(1, int(2.0 * math.pi / step) + 2):
             here = center + direction * k * step
-            slope = _slope_at(model, here, obs)
-            if slope == 0.0:
+            value = slope(here)
+            if value == 0.0:
                 return here
-            if math.copysign(1.0, slope) != sign_center:
-                return _root(lambda x: _slope_at(model, x, obs), min(prev, here),
-                             max(prev, here))
+            if math.copysign(1.0, value) != sign_center:
+                return _root(slope, min(prev, here), max(prev, here))
             prev = here
         return prev
 
@@ -187,8 +184,7 @@ def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
     se_predicted = math.sqrt(report.delta_phi_sq)
     n_sites = max(1, math.ceil(math.log2(model.dim)))
     lo, hi = _branch_interval(model, obs, branch_center, math.pi / (8.0 * n_sites))
-    mean_lo = observable_expectations(model, lo, obs)[0]
-    mean_hi = observable_expectations(model, hi, obs)[0]
+    mean_lo, mean_hi = (_moments(model, obs, sld(model, x)).mean for x in (lo, hi))
     low_value, high_value = sorted((mean_lo, mean_hi))
 
     def invert(record: ShotRecord) -> EstimatorResult:
@@ -203,7 +199,7 @@ def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
             phi_hat = hi
         else:
             phi_hat = _root(
-                lambda x: observable_expectations(model, x, obs)[0] - empirical_mean,
+                lambda x: _moments(model, obs, sld(model, x)).mean - empirical_mean,
                 lo, hi)
         return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
                                se_predicted=se_predicted, out_of_branch=out_of_branch,
@@ -306,7 +302,7 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     counts = np.array([record.counts for record in records], dtype=float)
 
     def log_probs(phis: np.ndarray) -> np.ndarray:
-        return _log_probabilities(_outcome_arrays(model, phis, povm, second_order=False)[0])
+        return _log_probabilities(_outcome_arrays(model, phis, povm, order=0)[0])
 
     def loglik(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _log_likelihoods(counts[rows], log_probs(phis))
@@ -350,7 +346,7 @@ def _newton_step(model: ParametricModel, povm: Povm, counts: np.ndarray,
     step ``phi - s / c`` is finite, ``c < 0`` and the new point lies in its
     bracket ``[lo, hi]``. All records are evaluated in one stacked pass.
     """
-    probs, derivs, second = _outcome_arrays(model, phis, povm, second_order=True)
+    probs, derivs, second = _outcome_arrays(model, phis, povm, order=2)
     score = np.zeros(phis.size)
     curvature = np.zeros(phis.size)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -93,6 +93,27 @@ def pure_density_spec(tmp_path):
 
 
 @pytest.fixture
+def rank2_generator_spec(tmp_path):
+    """A rank-2 two-qubit density under a non-diagonal generator matrix."""
+    rng = np.random.default_rng(17)
+    basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rho = 0.7 * np.outer(basis[:, 0], basis[:, 0].conj()) + 0.3 * np.outer(
+        basis[:, 1], basis[:, 1].conj())
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+    def pairs(matrix):
+        return [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+
+    path = tmp_path / "rank2-generator.yaml"
+    path.write_text(
+        f"state:\n  custom: {{density: {json.dumps(pairs(rho))}}}\n"
+        f"parametrization:\n  generator: {{matrix: {json.dumps(pairs(raw + raw.conj().T))}}}\n"
+        "observable:\n  pauli_product: {a1: 1}\npovm: x_basis_product\n",
+        encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def rho_eighs(monkeypatch):
     """Every ``np.linalg.eigh`` call on a unit-trace matrix, i.e. on a state."""
     calls = []
@@ -305,7 +326,7 @@ class TestScanCommand:
         """Checks failing on computed matrices are runtime errors, not spec
         errors, even where the error type is a ValueError. Only a density
         matrix state solves its SLD through ``psd_spectrum``; either state's
-        POVM row reaches ``_check_totals`` through the stacks of its SLD."""
+        POVM row reaches ``_check_totals`` through its moved carrier."""
         def fail(*args, **kwargs):
             raise error
 
@@ -362,21 +383,23 @@ class TestOneSolvePerPhase:
         assert len({id(solve) for solve in solves}) == len(solves) == len(rows)
 
 
-# rho eigendecompositions per phase: none for state vectors, one for a density
-RHO_EIGHS_PER_PHASE = {"ghz2_spec": 0, "pure_density_spec": 1}
+# rho eigendecompositions per command: none for state vectors, one for a
+# density, whose SLD is solved once at phi = 0 and moved to every phase
+RHO_EIGHS_PER_COMMAND = {"ghz2_spec": 0, "pure_density_spec": 1}
 
 
-class TestOneEigendecompositionPerPhase:
-    """Each phase diagonalises rho at most once: L, sqrt(rho) and psi all
-    come from the ``SldResult``, a pure unitary family never diagonalises it,
-    and a scan row's outcome distribution reuses its rho."""
+class TestOneEigendecompositionPerCommand:
+    """Each command diagonalises rho at most once: L, the carrier and the
+    outcome arrays of every phase come from the model's ``phi = 0`` solve,
+    a pure unitary family never diagonalises it, and a scan row builds no
+    dense state."""
 
     @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
     def test_scan_row(self, runner, request, spec, rho_eighs):
         payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
                                     "--phi-range", "0:pi:9"])
         assert len(payload["rows"]) == 9
-        assert len(rho_eighs) == 9 * RHO_EIGHS_PER_PHASE[spec]
+        assert len(rho_eighs) == RHO_EIGHS_PER_COMMAND[spec]
 
     @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
     @pytest.mark.parametrize("variant", ["mixed", "pure", "pure_unitary"])
@@ -387,29 +410,36 @@ class TestOneEigendecompositionPerPhase:
                                       "--output", "json"])
         assert result.exit_code == 3, result.output
         assert len(json.loads(result.output)["rows"]) == 5
-        assert len(rho_eighs) == 5 * RHO_EIGHS_PER_PHASE[spec]
+        assert len(rho_eighs) == RHO_EIGHS_PER_COMMAND[spec]
 
-    @pytest.mark.parametrize("spec,per_order", [("ghz2_spec", [0, 1, 1]),
-                                                 ("pure_density_spec", [1, 1, 1])])
-    def test_one_state_per_povm_scan_row(self, runner, request, spec, per_order,
-                                         monkeypatch):
-        """A POVM row traces the rho and drho of its SLD solve and the d2rho
-        built from them, so the state builder runs once per order and row: a
-        state vector's rho comes from its carrier (no order 0), a density's
-        from the one ``density`` call of its solve."""
+    @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec",
+                                      "rank2_generator_spec"])
+    def test_qfi_and_kernel_dim_equal_across_rows(self, runner, request, spec):
+        """Every row reads the one solve, so the QFI of a ``scan`` and the
+        QFI and ``kernel_dim`` of an ``sld`` table are equal bit for bit."""
+        path = request.getfixturevalue(spec)
+        scan = run_json(runner, ["scan", "--model", path, "--phi-range", "0.1:3:7"])
+        solves = run_json(runner, ["sld", "--model", path, "--phi-range", "0.1:3:7"])
+        assert len(scan["rows"]) == len(solves["rows"]) == 7
+        assert len({repr(row["qfi"]) for row in scan["rows"]}) == 1
+        assert len({(repr(row["qfi"]), row["kernel_dim"]) for row in solves["rows"]}) == 1
+
+    @pytest.mark.parametrize("spec", ["ghz2_spec", "pure_density_spec"])
+    def test_no_dense_state_per_povm_scan_row(self, runner, request, spec, monkeypatch):
+        """A POVM row reads p, p' and p'' from the moved carrier its SLD
+        reads, so the dense state builder never runs."""
         orders = []
         build = fisher.ParametricModel._rho_derivatives
 
-        def counting_build(model, phis, order=0, rho=None):
+        def counting_build(model, phis, order=0):
             orders.append(order)
-            return build(model, phis, order, rho)
+            return build(model, phis, order)
 
         monkeypatch.setattr(fisher.ParametricModel, "_rho_derivatives", counting_build)
         payload = run_json(runner, ["scan", "--model", request.getfixturevalue(spec),
                                     "--phi-range", "0:pi:9"])
-        rows = len(payload["rows"])
-        assert sorted(orders) == [order for order, count in enumerate(per_order)
-                                  for _ in range(count * rows)]
+        assert len(payload["rows"]) == 9
+        assert orders == []
 
 
 class TestCfiCommand:

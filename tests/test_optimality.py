@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ from qcrb_lab.ghz import SeparableObservableCoeffs
 from qcrb_lab.modelspec import ModelSpec
 from qcrb_lab.optimality import EIGENSTATE, NO_INFORMATION, SLOPE_RTOL
 
-from conftest import (random_density, random_hermitian, random_povm, ref_apply_generator,
-                      support_carrier)
+from conftest import (random_density, random_hermitian, random_povm, ref_moved_sld_matrix,
+                      ref_moved_solution, support_carrier)
 
 
 def sx_family(n):
@@ -454,9 +455,6 @@ def _ref_matrix_sqrt_psd(matrix, *, negative_tol=1e-8, zero_cutoff=1e-12):
 
 
 def _ref_pure_vector(model, phi, rho):
-    amps = model.pure_amplitudes(phi)
-    if amps is not None:
-        return amps
     gram = support_carrier(rho).conj().T @ support_carrier(rho)
     purity = float(np.vdot(gram, gram).real)
     if abs(purity - 1.0) > 1e-8:
@@ -557,15 +555,13 @@ def _ref_check_observable_optimality(model, phi, obs, variant="mixed", *,
 # support of rho otherwise ------------------------------------------------------
 
 def _ref_carrier_sld(model, phi):
-    """``(C, dC or None, L C, QFI = ||L C||^2, drho or None)``: ``dC = -iG
-    psi`` for a pure unitary family; otherwise ``sld``'s L is applied to
-    ``C`` and ``drho`` is returned for the slope."""
-    psi = model.pure_amplitudes(phi)
-    if psi is not None:
-        carrier = psi[:, None]
-        dpsi = -1j * ref_apply_generator(model.generator, carrier)
-        l_psi = 2.0 * (dpsi + np.vdot(dpsi, psi) * carrier)
-        return carrier, dpsi, l_psi, float(np.vdot(l_psi, l_psi).real), None
+    """``(C, dC or None, L C, QFI = ||L C||^2, drho or None)``: the moved
+    frame solution of a generator model, with ``dC = -iG C``; for a blackbox
+    model ``sld``'s L is applied to the support carrier of rho and ``drho``
+    is returned for the slope."""
+    if model.kind == "unitary_generator":
+        carrier, dcarrier, l_carrier, qfi, _ = ref_moved_solution(model, phi)
+        return carrier, dcarrier, l_carrier, qfi, None
     sld_result = sld(model, phi)
     carrier = support_carrier(sld_result.rho)
     l_carrier = sld_result.L.matrix @ carrier
@@ -627,7 +623,7 @@ def _ref_carrier_check_observable_optimality(model, phi, obs, variant="mixed", *
     lhs = o_carrier - mean * carrier
     rhs = l_carrier
     if variant == "pure_unitary":
-        g_carrier = ref_apply_generator(model.generator, carrier)
+        g_carrier = 1j * _ref_carrier_sld(model, phi)[1]
         rhs = -2.0j * (g_carrier - float(np.vdot(carrier, g_carrier).real) * carrier)
     lhs_norm = float(np.linalg.norm(lhs))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -738,13 +734,21 @@ _EPS = float(np.finfo(float).eps)
 SLOPE_NOISE = 64.0
 
 
+_NUMBER = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
+
+
 def _assert_reports_close(new, ref):
     """Equal errors and non-float fields; floats within 1e-12 max(1, |ref|),
     and the two that divide by the squared slope also within ``SLOPE_NOISE
     eps sqrt(<O^2> QFI) / |slope|`` relative."""
     assert isinstance(new, tuple) == isinstance(ref, tuple), (new, ref)
     if isinstance(ref, tuple):
-        assert new == ref
+        # an error's type and text are equal, and the numbers in its text
+        # (the purity of a mixed state) within 1e-12 like the fields below
+        assert new[0] == ref[0]
+        assert _NUMBER.sub("#", new[1]) == _NUMBER.sub("#", ref[1]), (new, ref)
+        for value, expected in zip(_NUMBER.findall(new[1]), _NUMBER.findall(ref[1])):
+            _assert_close("message", float(value), float(expected))
         return
     for field in dataclasses.fields(ref):
         value, expected = getattr(new, field.name), getattr(ref, field.name)
@@ -772,7 +776,9 @@ class TestSharedSldReference:
     relative error of ``eps sqrt(<O^2> QFI) / |slope|``, up to ``1 /
     SLOPE_RTOL``. Over 22,000 draws, half of them bisected towards a zero of
     the slope, the largest ratio of the disagreement to that was 26, and
-    ``SLOPE_NOISE = 64`` leaves a factor of about 2.5 above it."""
+    ``SLOPE_NOISE = 64`` leaves a factor of about 2.5 above it. With the
+    mixed family's carrier moved from one ``phi = 0`` solve, 4,000 random
+    mixed draws all passed with ``SLOPE_NOISE = 4``."""
 
     @given(name=st.sampled_from(SHARED_SLD_CASES),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -790,13 +796,11 @@ class TestSharedSldReference:
         assert repr(result.qfi) == repr(qfi)
         assert result.carrier.tobytes() == carrier.tobytes()
         assert result.l_carrier.tobytes() == l_carrier.tobytes()
+        assert result.dcarrier.tobytes() == dcarrier.tobytes()
+        assert l_matrix.tobytes() == ref_moved_sld_matrix(model, phi).tobytes()
         if name == "mixed":
-            assert result.dcarrier is None
             _assert_close("qfi", result.qfi, max(float(
                 np.trace(result.rho @ l_matrix @ l_matrix).real), 0.0))
-        else:
-            assert result.dcarrier.tobytes() == dcarrier.tobytes()
-            assert l_matrix.tobytes() == (2.0 * result.drho).tobytes()
         assert result.residual == float(np.linalg.norm(
             result.drho - (result.rho @ l_matrix + l_matrix @ result.rho) / 2.0))
 
@@ -933,7 +937,10 @@ class TestVectorRouteAgainstDenseReference:
     ``G + c I`` (``|c|`` up to ``1e5 ||G||``) families, ``kappa`` up to 1e9,
     the largest ratio of a disagreement beyond ``1e-12 max(1, |value|)`` to
     its ``eps kappa`` term was 9.9 and to the ``RESIDUAL_NOISE`` term 17, and
-    ``KAPPA_NOISE = 32`` leaves a factor of about 3 above it.
+    ``KAPPA_NOISE = 32`` leaves a factor of about 3 above it. With the
+    density model's SLD moved from one ``phi = 0`` solve, 7,000 draws of
+    the families below all passed with ``KAPPA_NOISE = 4`` and
+    ``RESIDUAL_NOISE = 2``.
     """
 
     @given(name=st.sampled_from(VECTOR_CASES),
@@ -946,7 +953,7 @@ class TestVectorRouteAgainstDenseReference:
         if singular_k is not None and n is not None:
             phi = singular_k * math.pi / n
         vector_sld, dense_sld = sld(vector_model, phi), sld(dense_model, phi)
-        assert vector_sld.dcarrier is not None and dense_sld.dcarrier is None
+        assert vector_sld.dcarrier is not None and dense_sld.dcarrier is not None
         radius = float(np.abs(np.linalg.eigvalsh(vector_model.generator.matrix)).max())
         # K eps kappa sqrt(QFI): the absolute error of L C on either route
         lc_error = KAPPA_NOISE * _EPS * 2.0 * radius
@@ -954,7 +961,7 @@ class TestVectorRouteAgainstDenseReference:
         _assert_close("qfi", vector_sld.qfi, qfi, lc_error * math.sqrt(qfi))
         assert vector_sld.kernel_dim == dense_sld.kernel_dim
 
-        psi = vector_model.pure_amplitudes(phi)
+        psi = vector_sld.carrier[:, 0]
         o_psi = obs.matrix @ psi
         o_norm = float(np.linalg.norm(o_psi))
         spread = float(np.linalg.norm(o_psi - np.vdot(psi, o_psi).real * psi))

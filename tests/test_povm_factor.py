@@ -105,10 +105,12 @@ class TestFactorTraces:
         model, povm, dense = factor_case(name, seed)
         assert len(povm) == len(dense)
         dist = outcome_distribution(model, phi, povm)
-        for value, a in ((dist.probabilities, model.density(phi).matrix),
+        rho, g = model.density(phi).matrix, model.generator.matrix
+        # -[G, [G, rho]], the second phase derivative of a unitary family
+        d2rho = -(g @ g @ rho - 2.0 * (g @ rho @ g) + rho @ g @ g)
+        for value, a in ((dist.probabilities, rho),
                          (dist.derivatives, state_derivative(model, phi)),
-                         (dist.second_derivatives,
-                          model._rho_derivatives(np.array([phi]), 2)[0])):
+                         (dist.second_derivatives, (d2rho + d2rho.conj().T) / 2.0)):
             expected = np.array([float(np.trace(a @ m).real) for m in dense])
             if value is dist.probabilities:
                 expected = np.clip(expected, 0.0, 1.0)

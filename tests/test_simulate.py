@@ -29,18 +29,19 @@ from qcrb_lab import (
     estimate_phi_sample_mean,
     exact_record,
     ghz_model,
-    observable_expectations,
     outcome_distribution,
     product_basis_povm,
     product_observable,
     run_mle_trials,
     run_sample_mean_trials,
     sample_shots,
+    sld,
     unitary_model,
     verify_clt_link,
 )
 from qcrb_lab import fisher, simulate
 from qcrb_lab.fisher import _outcome_arrays
+from qcrb_lab.optimality import _moments
 
 SX2 = product_observable([(0.0, 1.0, 0.0, 0.0)] * 2)
 PHI_RATIONAL = math.pi / 6  # eigenvalue probabilities (0.25, 0.75): exact counts
@@ -382,8 +383,8 @@ def reference_sample_mean(record, obs, model, branch_center):
     n_sites = max(1, math.ceil(math.log2(model.dim)))
     lo, hi = simulate._branch_interval(model, obs, branch_center,
                                        math.pi / (8.0 * n_sites))
-    mean_lo = observable_expectations(model, lo, obs)[0]
-    mean_hi = observable_expectations(model, hi, obs)[0]
+    mean_lo = _moments(model, obs, sld(model, lo)).mean
+    mean_hi = _moments(model, obs, sld(model, hi)).mean
     low_value, high_value = sorted((mean_lo, mean_hi))
     if empirical_mean < low_value or empirical_mean > high_value:
         phi_hat = lo if abs(mean_lo - empirical_mean) <= abs(mean_hi - empirical_mean) else hi
@@ -396,7 +397,7 @@ def reference_sample_mean(record, obs, model, branch_center):
         phi_hat = hi
     else:
         phi_hat = brentq(
-            lambda x: observable_expectations(model, x, obs)[0] - empirical_mean,
+            lambda x: _moments(model, obs, sld(model, x)).mean - empirical_mean,
             lo, hi, xtol=1e-12)
     return simulate.EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
                                     se_predicted=se_predicted, branch=(lo, hi))
@@ -516,7 +517,7 @@ class TestBatchedEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_batched_probabilities_bitwise(self, name, phis):
         model, povm, _, _ = equivalence_case(name)
-        batch = _outcome_arrays(model, phis, povm, second_order=False)[0]
+        batch = _outcome_arrays(model, phis, povm, order=0)[0]
         assert batch.shape == (len(phis), len(povm))
         for phi, row in zip(phis, batch):
             single = outcome_distribution(model, phi, povm, second_order=False)
@@ -524,16 +525,15 @@ class TestBatchedEquivalence:
 
     def test_batched_probabilities_check_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            _outcome_arrays(ghz_model(2), [0.1], product_basis_povm("x", 3),
-                            second_order=False)
+            _outcome_arrays(ghz_model(2), [0.1], product_basis_povm("x", 3), order=0)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     def test_chunked_probabilities_bitwise(self, name, monkeypatch):
         model, povm, _, _ = equivalence_case(name)
         phis = np.linspace(-3.0, 3.0, 11)
-        whole = _outcome_arrays(model, phis, povm, second_order=False)[0]
+        whole = _outcome_arrays(model, phis, povm, order=0)[0]
         monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * model.dim ** 2)
-        chunked = _outcome_arrays(model, phis, povm, second_order=False)[0]
+        chunked = _outcome_arrays(model, phis, povm, order=0)[0]
         assert chunked.tobytes() == whole.tobytes()
 
     def test_chunked_mle_run_unchanged(self, monkeypatch):

@@ -28,10 +28,12 @@ projectors onto ``(|01> +- |10>)/sqrt(2)`` and the zero matrix;
 ``qfi``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit rank-2 ``custom`` density spec and a pure ``custom`` density spec,
 whose SLD carriers have two columns and one; ``qfi --show-sld``, ``sld``,
-``scan``, ``cfi`` and ``check-optimal`` (every variant) on a rank-2 and a
-full-rank ``custom`` density under the non-diagonal generator matrix of the
-amplitudes spec; the invocations of the GHZ specs on a GHZ N=2 spec whose
-diagonal ``generator.matrix`` has a non-zero trace; plus the ``scan-pure``,
+``scan``, ``cfi``, ``simulate`` (both estimators, over carriers of two and
+four columns moved through the generator's eigenbasis) and ``check-optimal``
+(every variant) on a rank-2 and a full-rank ``custom`` density under the
+non-diagonal generator matrix of the amplitudes spec; the invocations of
+the GHZ specs on a GHZ N=2 spec whose diagonal ``generator.matrix`` has a
+non-zero trace; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -274,7 +276,9 @@ def invocations(workdir: Path) -> list[list[str]]:
                   "--output", "json"],
                  ["sld", "--model", spec, "--phi-range", "0:pi:5", "--output", "json"],
                  ["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
-                 ["cfi", "--model", spec, "--phi-range", "0.1:3:5", "--output", "json"]]
+                 ["cfi", "--model", spec, "--phi-range", "0.1:3:5", "--output", "json"],
+                 ["simulate", "--model", spec, "--nu", "2000", "--trials", "20",
+                  "--seed", "3", "--output", "json"]]
         runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
                   "--variant", variant, "--output", "json"]
                  for variant in ("mixed", "pure", "pure_unitary")]
@@ -395,7 +399,9 @@ def describe(old: str, new: str) -> list[str]:
             a, b = moved[0]
             report.append(f"{name}: {len(moved)} values changed, e.g. {a!r} -> {b!r}")
             continue
-        gaps = [(abs(a - b), abs(a - b) / max(abs(a), abs(b))) for a, b in numbers]
+        # 0.0 and -0.0 differ in text but not in value
+        gaps = [(abs(a - b), abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0)
+                for a, b in numbers]
         report.append(f"{name}: {len(moved)} values changed, max abs diff "
                       f"{max(g[0] for g in gaps):.3g}, max rel diff "
                       f"{max(g[1] for g in gaps):.3g}")
