@@ -17,6 +17,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
+from . import __version__
 from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
 from .fisher import outcome_distribution, sld
@@ -191,6 +192,7 @@ def _required(spec: ModelSpec, section: str, command: str):
 
 
 @click.group()
+@click.version_option(__version__, prog_name="qcrb-lab")
 def main() -> None:
     """Quantum Fisher information and Cramér-Rao saturation toolkit."""
 

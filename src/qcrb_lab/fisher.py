@@ -7,9 +7,11 @@ by central finite differences. A generator model works in the eigenframe of
 ``G - (tr G / d) I = V diag(g) V^dagger`` (no ``V`` for a diagonal G). Its
 SLD is covariant, ``L(phi) = U L_0 U^dagger``: it is solved once, at ``phi
 = 0``, for a carrier ``C_0'`` with ``C_0' C_0'^dagger = rho_0'`` and ``L_0'
-C_0'``, and every per-phase quantity is read from that pair moved by ``e =
-exp(-i g phi)`` and ``V``. A blackbox model solves dense ``rho`` and ``d
-rho`` per phase, the dense reference.
+C_0'``. Every per-phase quantity of this module and of ``optimality`` is
+read from that pair moved by ``e = exp(-i g phi)`` and ``V``; the
+sample-mean estimator of ``simulate`` reads ``C_0'`` once per run, as the
+coefficients of its mean curve. A blackbox model solves dense ``rho`` and
+``d rho`` per phase, the dense reference.
 """
 
 from __future__ import annotations
@@ -126,14 +128,16 @@ class ParametricModel:
         rho = (x0 + x0.conj().T) / 2.0
         return _solve_sld(rho, -1j * (g[:, None] - g[None, :]) * rho)
 
-    def _rho_derivatives(self, phis: np.ndarray, order: int = 0) -> np.ndarray:
+    def _rho_derivatives(self, phis: np.ndarray, order: int = 0, *,
+                         rho: np.ndarray | None = None) -> np.ndarray:
         """The dense rho (order 0) or its ``order``-th phase derivative at
         each phase, shape ``(B, d, d)``; order 1 is checked Hermitian, and
         every order but a blackbox rho is symmetrised. A generator model
         (order 0 or 1) works in its frame: ``rho'_jl = e_j rho_0'_jl e_l^*``
         and ``drho'_jl = -i (g_j - g_l) rho'_jl``, rotated back by V. A
         blackbox model (order 0, 1 or 2) takes central differences of
-        ``density``."""
+        ``density``; its second difference reuses ``rho``, the order-0
+        stack at ``phis``, when given."""
         if self.kind != "unitary_generator":
             def states(at: np.ndarray) -> np.ndarray:
                 return np.stack([self.density(p).matrix for p in at.tolist()])
@@ -147,7 +151,8 @@ class ParametricModel:
             if order == 1:
                 deriv = (upper - lower) / (2.0 * h)
             else:
-                deriv = (upper - 2.0 * states(phis) + lower) / (h * h)
+                centre = states(phis) if rho is None else rho
+                deriv = (upper - 2.0 * centre + lower) / (h * h)
         else:
             g, basis, x0 = self._frame
             rho = np.outer(x0, x0.conj()) if x0.ndim == 1 else x0
@@ -463,8 +468,9 @@ def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
                     _re_inner(a[1], a[1]) + _re_inner(a[0], a[2]), povm)
         else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
             f = povm.factor
+            rho = model._rho_derivatives(phis[at])
             for k in range(order + 1):
-                af = model._rho_derivatives(phis[at], k) @ f
+                af = (rho if k == 0 else model._rho_derivatives(phis[at], k, rho=rho)) @ f
                 out[k, at] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1),
                                          povm)
         np.clip(out[0, at], 0.0, 1.0, out=out[0, at])

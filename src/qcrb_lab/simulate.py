@@ -3,10 +3,14 @@
 Shots are multinomial draws from a measurement's outcome distribution using
 numpy's PCG64 generator; per-trial streams are derived from ``(seed, trial
 index)`` via ``SeedSequence`` spawn keys, so trial results are reproducible
-and independent of execution order. Each run does its shared work once (the
-sample-mean branch, the likelihood grid) and estimates all maximum-likelihood
-trials in one batched pass that matches the single-record estimators bit for
-bit.
+and independent of execution order. Each run does its shared work once and
+then estimates all its trials in one batched pass that matches the
+single-record estimators bit for bit. The sample-mean estimator solves the
+mean curve once, as a trigonometric polynomial in the generator's gaps, and
+inverts every trial's sample mean on its monotone branch by one lockstep
+bisection; the maximum-likelihood estimator shares one likelihood grid
+between all trials and refines them by a lockstep golden-section search and
+one Newton step.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fisher
 from .core import HermitianObservable, Povm, eigenprojector_povm
 from .errors import FlatLikelihoodError, InsufficientTrialsError, SingularOutcomeError
 from .fisher import (
@@ -56,6 +61,10 @@ __all__ = [
 RNG_ALGORITHM = "numpy PCG64 (default_rng), per-trial SeedSequence spawn keys"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
+#: the mean curve may differ from the centre's moments by this many of its
+#: rounding bounds (see _MeanCurve.check)
+_CURVE_NOISE = 8.0
 _MLE_GRID_POINTS = 65
 _MIN_CLT_TRIALS = 100
 
@@ -137,35 +146,142 @@ class EstimatorResult:
     branch: tuple[float, float] | None = None
 
 
-def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` bracketed by ``[lo, hi]``, to 1e-12."""
-    # scipy.optimize costs most of the package's import time; only estimators need it
-    from scipy.optimize import brentq
-    return brentq(f, lo, hi, xtol=1e-12)
+class _MeanCurve:
+    """The mean ``<O>(phi)`` of an observable and its slope over arrays of
+    phases; a phase's value does not depend on the other phases of its batch.
+
+    A generator model's curve is a trigonometric polynomial in the gaps of
+    its centred generator. With ``M_jk = O'_jk rho_0'_kj`` in the frame (``O'
+    = V^dagger O V``, ``rho_0' = C_0' C_0'^dagger``), ``<O>(phi) = sum_jk M_jk
+    exp(i (g_j - g_k) phi) = a_0 + sum_w (c_w cos(w phi) + s_w sin(w phi))``
+    over the distinct positive gaps ``w`` (pairs grouped where ``g_j - g_k``
+    are exactly equal): ``a_0`` sums ``Re M`` over the zero gaps, ``c_w = 2
+    Re sum M_jk`` and ``s_w = -2 Im sum M_jk`` over the pairs of gap ``w``;
+    gaps whose two coefficients are zero are dropped. The coefficients are
+    formed once, so a phase costs O(#gaps); phases run in chunks of at most
+    ``_BATCH_ENTRIES / #gaps``. A blackbox model's curve reads
+    :func:`~.optimality._moments` of :func:`~.fisher.sld` at each phase, the
+    dense reference.
+    """
+
+    def __init__(self, model: ParametricModel, obs: HermitianObservable) -> None:
+        self._model, self._obs = model, obs
+        self.gaps: np.ndarray | None = None
+        if model.kind != "unitary_generator":
+            return
+        g, basis, _ = model._frame
+        o = obs.matrix if basis is None else basis.conj().T @ obs.matrix @ basis
+        carrier = model._solution.carrier
+        m = o * (carrier.conj() @ carrier.T)
+        gaps = g[:, None] - g[None, :]
+        constant = float(m.real[gaps == 0.0].sum())
+        positive = gaps > 0.0
+        gaps, index = np.unique(gaps[positive], return_inverse=True)
+        cos = 2.0 * np.bincount(index, m.real[positive], gaps.size)
+        sin = -2.0 * np.bincount(index, m.imag[positive], gaps.size)
+        keep = (cos != 0.0) | (sin != 0.0)
+        self.gaps, cos, sin = gaps[keep], cos[keep], sin[keep]
+        # (constant, cos, sin) coefficients of the mean and of its derivative
+        self._terms = ((constant, cos, sin), (0.0, self.gaps * sin, -self.gaps * cos))
+        self._spread = float(np.abs(g).max())
+
+    def _evaluate(self, phis, order: int) -> np.ndarray:
+        phis = np.asarray(phis, dtype=float).reshape(-1)
+        if self.gaps is None:
+            moments = [_moments(self._model, self._obs, sld(self._model, phi))
+                       for phi in phis.tolist()]
+            return np.array([m.slope if order else m.mean for m in moments])
+        constant, cos, sin = self._terms[order]
+        out = np.empty(phis.size)
+        chunk = max(1, fisher._BATCH_ENTRIES // max(1, self.gaps.size))
+        for start in range(0, phis.size, chunk):
+            angles = phis[start:start + chunk, None] * self.gaps
+            out[start:start + chunk] = constant + (np.cos(angles) * cos
+                                                   + np.sin(angles) * sin).sum(axis=1)
+        return out
+
+    def mean(self, phis) -> np.ndarray:
+        return self._evaluate(phis, 0)
+
+    def slope(self, phis) -> np.ndarray:
+        return self._evaluate(phis, 1)
+
+    def check(self, phi: float, report: ErrorPropagationReport) -> None:
+        """Raise :class:`ArithmeticError` where the curve's mean or slope at
+        ``phi`` is farther from ``report``'s than their rounding allows.
+
+        Both routes are exact functions of ``g``, ``V``, ``C_0'`` and O. A
+        phase factor ``exp(-i g phi)``, ``cos(w phi)`` or ``sin(w phi)``
+        carries ``eps |phi| s`` per entry, with ``s = max |g|``, and each
+        product or sum of d terms ``c d eps``; ``sum |M_jk| <= ||O||_F
+        ||rho_0'||_F <= ||O||_F``. So the means differ by at most ``u = K eps
+        d (1 + |phi| s) ||O||_F`` with ``K = _CURVE_NOISE``, and the slopes,
+        whose terms carry a gap of at most ``2 s``, by ``2 s u``. A
+        blackbox curve is the report's own route.
+        """
+        if self.gaps is None:
+            return
+        mean, slope = float(self.mean([phi])[0]), float(self.slope([phi])[0])
+        unit = (_CURVE_NOISE * _EPS * self._model.dim * (1.0 + abs(phi) * self._spread)
+                * float(np.linalg.norm(self._obs.matrix)))
+        if (abs(mean - report.mean) > unit
+                or abs(slope - report.slope) > 2.0 * self._spread * unit):
+            raise ArithmeticError(
+                f"mean curve disagrees with the moments at phi={phi!r}: mean "
+                f"{mean!r} vs {report.mean!r}, slope {slope!r} vs {report.slope!r}")
 
 
-def _branch_interval(model: ParametricModel, obs: HermitianObservable,
-                     center: float, step: float) -> tuple[float, float]:
-    """Monotone interval of the mean curve around ``center``: walk outward
-    until the slope changes sign, then bisect for the stationary point."""
-    def slope(phi: float) -> float:
-        return _moments(model, obs, sld(model, phi)).slope
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+            f_lo: np.ndarray, target: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
+    """Solve ``f(phi) = target[i]`` on each bracket ``[lo[i], hi[i]]``, where
+    ``f_lo[i] = f(lo[i])`` lies on the other side of the target from
+    ``f(hi[i])``, by bisecting every bracket in lockstep.
 
-    sign_center = math.copysign(1.0, slope(center))
+    Each iteration evaluates the midpoints of all open brackets in one call.
+    A bracket closes when it is at most ``xtol`` wide, when its midpoint
+    rounds to one of its ends, or when ``f`` there is exactly the target; its
+    root is then the middle of what is left of it.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    below = f_lo < target
+    active = np.flatnonzero(hi - lo > xtol)
+    while active.size:
+        left, right, goal = lo[active], hi[active], target[active]
+        mid = (left + right) / 2.0
+        value = f(mid)
+        hit = value == goal
+        raise_lo = ((value < goal) == below[active]) | hit
+        lo[active] = np.where(raise_lo, mid, left)
+        hi[active] = np.where(raise_lo & ~hit, right, mid)
+        active = active[(hi[active] - lo[active] > xtol) & (mid != left) & (mid != right)]
+    return (lo + hi) / 2.0
 
-    def boundary(direction: float) -> float:
-        prev = center
-        for k in range(1, int(2.0 * math.pi / step) + 2):
-            here = center + direction * k * step
-            value = slope(here)
-            if value == 0.0:
-                return here
-            if math.copysign(1.0, value) != sign_center:
-                return _root(slope, min(prev, here), max(prev, here))
-            prev = here
-        return prev
 
-    return boundary(-1.0), boundary(+1.0)
+def _branch_interval(curve: _MeanCurve, center: float, step: float) -> tuple[float, float]:
+    """Monotone interval of the mean curve around ``center``. Each side
+    walks outward in ``step``s up to ``2 pi``; its end is the first walk
+    phase where the slope is 0, the stationary point bisected between the
+    walk phases where the slope's sign changes, or the last walk phase."""
+    center_slope = float(curve.slope([center])[0])
+    sign_center = math.copysign(1.0, center_slope)
+    # row 0 walks down, row 1 up
+    walks = center + np.array([[-1.0], [1.0]]) * (np.arange(1, int(2.0 * math.pi / step) + 2)
+                                                 * step)
+    all_slopes = curve.slope(walks).reshape(walks.shape)
+    ends, lo, hi, f_lo = np.empty(2), np.empty(2), np.empty(2), np.empty(2)
+    stationary = np.zeros(2, dtype=bool)
+    for side, (phis, slopes) in enumerate(zip(walks, all_slopes)):
+        changed = (slopes == 0.0) | (np.copysign(1.0, slopes) != sign_center)
+        k = int(np.argmax(changed))
+        if not changed[k] or slopes[k] == 0.0:
+            ends[side] = phis[k] if changed[k] else phis[-1]
+            continue
+        stationary[side] = True
+        prev = (center, center_slope) if k == 0 else (phis[k - 1], slopes[k - 1])
+        (lo[side], f_lo[side]), (hi[side], _) = sorted((prev, (phis[k], slopes[k])))
+    ends[stationary] = _bisect(curve.slope, lo[stationary], hi[stationary],
+                               f_lo[stationary], np.zeros(int(stationary.sum())))
+    return float(ends[0]), float(ends[1])
 
 
 def _outcome_values(labels) -> np.ndarray:
@@ -177,33 +293,36 @@ def _outcome_values(labels) -> np.ndarray:
 
 def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
                    values: np.ndarray, report: ErrorPropagationReport,
-                   branch_center: float) -> Callable[[ShotRecord], EstimatorResult]:
+                   branch_center: float
+                   ) -> Callable[[list[ShotRecord]], list[EstimatorResult]]:
     """Set up the sample-mean inversion once per run: the predicted error,
-    the monotone branch around ``branch_center`` and its endpoint means.
-    Returns the per-record estimator."""
+    the mean curve (checked against ``report`` at ``branch_center``), the
+    monotone branch around ``branch_center`` and its endpoint means.
+    Returns the estimator of a list of records, which inverts every
+    in-branch sample mean in one lockstep bisection."""
     se_predicted = math.sqrt(report.delta_phi_sq)
+    curve = _MeanCurve(model, obs)
+    curve.check(branch_center, report)
     n_sites = max(1, math.ceil(math.log2(model.dim)))
-    lo, hi = _branch_interval(model, obs, branch_center, math.pi / (8.0 * n_sites))
-    mean_lo, mean_hi = (_moments(model, obs, sld(model, x)).mean for x in (lo, hi))
+    lo, hi = _branch_interval(curve, branch_center, math.pi / (8.0 * n_sites))
+    mean_lo, mean_hi = curve.mean([lo, hi]).tolist()
     low_value, high_value = sorted((mean_lo, mean_hi))
 
-    def invert(record: ShotRecord) -> EstimatorResult:
-        empirical_mean = float(values @ record.frequencies())
-        out_of_branch = not low_value <= empirical_mean <= high_value
-        if out_of_branch:
-            phi_hat = (lo if abs(mean_lo - empirical_mean) <= abs(mean_hi - empirical_mean)
-                       else hi)
-        elif empirical_mean == mean_lo:
-            phi_hat = lo
-        elif empirical_mean == mean_hi:
-            phi_hat = hi
-        else:
-            phi_hat = _root(
-                lambda x: _moments(model, obs, sld(model, x)).mean - empirical_mean,
-                lo, hi)
-        return EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
-                               se_predicted=se_predicted, out_of_branch=out_of_branch,
-                               branch=(lo, hi))
+    def invert(records: list[ShotRecord]) -> list[EstimatorResult]:
+        means = (np.array([record.frequencies() for record in records]) * values).sum(axis=1)
+        out_of_branch = ~((low_value <= means) & (means <= high_value))
+        # outside the branch, the end whose mean is nearer (lo on a tie)
+        phi_hat = np.where(np.abs(mean_lo - means) <= np.abs(mean_hi - means), lo, hi)
+        phi_hat[means == mean_hi] = hi
+        phi_hat[means == mean_lo] = lo
+        inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
+        count = int(inside.sum())
+        phi_hat[inside] = _bisect(curve.mean, np.full(count, lo), np.full(count, hi),
+                                  np.full(count, mean_lo), means[inside])
+        return [EstimatorResult(phi_hat=phi, method="sample_mean_inversion",
+                                se_predicted=se_predicted, out_of_branch=flag,
+                                branch=(lo, hi))
+                for phi, flag in zip(phi_hat.tolist(), out_of_branch.tolist())]
 
     return invert
 
@@ -221,13 +340,12 @@ def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
     values = _outcome_values(record.labels)
     # raises SingularSensitivityError when branch_center carries no slope
     report = error_propagation(model, branch_center, obs, record.nu)
-    return _mean_inverter(model, obs, values, report, branch_center)(record)
+    return _mean_inverter(model, obs, values, report, branch_center)([record])[0]
 
 
 def _log_probabilities(probs: np.ndarray, floor: float = 1e-300) -> np.ndarray:
-    """``math.log`` of each probability; ``-inf`` marks ``p <= floor``."""
-    logs = [math.log(p) if p > floor else -math.inf for p in probs.ravel().tolist()]
-    return np.array(logs).reshape(probs.shape)
+    """``np.log`` of each probability; ``-inf`` marks ``p <= floor``."""
+    return np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > floor)
 
 
 def _log_likelihoods(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
@@ -461,8 +579,8 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
     invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report, center)
-    results = [invert(sample_shots(dist, nu, seed, stream=index))
-               for index in range(trials)]
+    results = invert([sample_shots(dist, nu, seed, stream=index)
+                      for index in range(trials)])
     return _summarize("sample_mean_inversion", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=report.delta_phi_sq,
                       qcrb=report.qcrb)

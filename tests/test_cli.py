@@ -17,7 +17,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from qcrb_lab import cli, fisher, modelspec, optimality
+import qcrb_lab
+from qcrb_lab import cli, fisher, modelspec, optimality, simulate
 from qcrb_lab.cli import SCAN_COLUMNS, main
 from qcrb_lab.errors import NotPositiveError
 
@@ -71,7 +72,7 @@ def sld_phases(monkeypatch):
         phases.append(float(phi))
         return solve(model, phi, **kwargs)
 
-    for module in (fisher, optimality, cli):
+    for module in (fisher, optimality, cli, simulate):
         monkeypatch.setattr(module, "sld", counting_sld)
     return phases
 
@@ -359,6 +360,15 @@ class TestOneSolvePerPhase:
                                                           False, True]
         assert sorted(sld_phases) == [row["phi"] for row in rows]
 
+    def test_simulate_solves_at_the_true_phase_only(self, runner, ghz2_spec, sld_phases):
+        """The sample-mean estimator reads its mean curve from the ``phi = 0``
+        solve: a run of both estimators solves once for the error propagation
+        at the branch centre and once for the QFI of the MLE summary."""
+        result = runner.invoke(main, ["simulate", "--model", ghz2_spec,
+                                      "--output", "json"])
+        assert result.exit_code == 0, result.output
+        assert sld_phases == [math.pi / 8] * 2
+
     @pytest.mark.parametrize("args", [["scan"], ["check-optimal", "--variant", "pure"]])
     def test_one_moment_set_per_phase(self, runner, ghz2_spec, monkeypatch, args):
         """Every observable moment of a phase, and check-optimal's singular
@@ -532,6 +542,21 @@ class TestImports:
                 "from qcrb_lab.modelspec import load_model_spec\n"
                 f"load_model_spec({ghz2_spec!r})\n"
                 "assert 'scipy.optimize' not in sys.modules\n")
+        self._run(code)
+
+    def test_simulating_does_not_import_scipy_optimize(self, ghz2_spec):
+        """Both estimators run without scipy, which only the tests need."""
+        code = ("import json, sys\nfrom click.testing import CliRunner\n"
+                "from qcrb_lab.cli import main\n"
+                f"result = CliRunner().invoke(main, ['simulate', '--model', {ghz2_spec!r},"
+                " '--trials', '4', '--output', 'json'])\n"
+                "results = json.loads(result.output)['results']\n"
+                "assert len(results) == 2, result.output\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        self._run(code)
+
+    @staticmethod
+    def _run(code):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -706,6 +731,11 @@ class TestSpecValidation:
 
 
 class TestCliContract:
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"qcrb-lab, version {qcrb_lab.__version__}\n"
+
     def test_missing_model_is_spec_error(self, runner):
         result = runner.invoke(main, ["qfi"])
         assert result.exit_code == 2

@@ -500,6 +500,24 @@ class TestScalarReference:
         assert result.rho.tobytes() == rho.tobytes()
         assert result.drho.tobytes() == drho.tobytes()
 
+    @pytest.mark.parametrize("order, calls", [(0, 1), (1, 3), (2, 5)])
+    def test_blackbox_state_calls_per_phase(self, order, calls):
+        """A blackbox model's outcome arrays evaluate ``state_fn`` once at
+        each phase and twice per derivative order: the second difference
+        reuses the order-0 stack."""
+        from qcrb_lab.fisher import _outcome_arrays
+
+        phases = []
+        density = ghz_model(2).density
+
+        def state_fn(phi):
+            phases.append(phi)
+            return density(phi)
+
+        model = blackbox_model(state_fn, 4)
+        _outcome_arrays(model, [0.1, 0.4, 0.9], product_basis_povm("x", 2), order=order)
+        assert len(phases) == 3 * calls
+
 
 def _ref_sld(model, phi):
     """``(L, QFI, kernel_dim)`` as ``sld`` computed them when it ran its own

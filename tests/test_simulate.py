@@ -1,6 +1,7 @@
 """Tests for shot sampling, estimators, and Monte Carlo aggregation."""
 
 import math
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -13,9 +14,11 @@ from qcrb_lab import (
     DensityMatrix,
     DimensionMismatchError,
     FlatLikelihoodError,
+    HermitianObservable,
     InsufficientTrialsError,
     OutcomeDistribution,
     Povm,
+    PureState,
     ShotRecord,
     SingularOutcomeError,
     SingularSensitivityError,
@@ -42,6 +45,8 @@ from qcrb_lab import (
 from qcrb_lab import fisher, simulate
 from qcrb_lab.fisher import _outcome_arrays
 from qcrb_lab.optimality import _moments
+
+from conftest import random_density, random_hermitian, ref_frame, ref_frame_solution
 
 SX2 = product_observable([(0.0, 1.0, 0.0, 0.0)] * 2)
 PHI_RATIONAL = math.pi / 6  # eigenvalue probabilities (0.25, 0.75): exact counts
@@ -295,19 +300,25 @@ class TestEstimatorErrors:
             simulate._mle_estimates([impossible, flat], model, povm, interval)
 
 
-# --- reference: the per-trial estimators as they were before batching -------
+# --- reference: the per-trial estimators, one record and one phase at a time --
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _reference_log_probabilities(probs, floor=1e-300):
+    """``np.log`` of each probability; ``-inf`` marks ``p <= floor``."""
+    return np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > floor)
+
+
 def _reference_log_likelihood(record, dist, floor=1e-300):
+    logs = _reference_log_probabilities(dist.probabilities, floor)
     total = 0.0
-    for count, p in zip(record.counts, dist.probabilities):
+    for count, p, log_p in zip(record.counts, dist.probabilities, logs):
         if count == 0:
             continue
         if p <= floor:
             return -math.inf
-        total += float(count) * math.log(float(p))
+        total += float(count) * float(log_p)
     return total
 
 
@@ -375,16 +386,113 @@ def reference_mle(record, model, povm, search_interval, grid_points=65, xtol=1e-
                                     se_predicted=se_predicted, branch=(lo, hi))
 
 
-def reference_sample_mean(record, obs, model, branch_center):
+def moments_curve(model, obs):
+    """``phi -> (<O>, d<O>/dphi)`` from ``_moments`` of ``sld`` at ``phi``."""
+    def at(phi):
+        moments = _moments(model, obs, sld(model, phi))
+        return moments.mean, moments.slope
+    return at
+
+
+def harmonic_curve(model, obs):
+    """``phi -> (<O>, d<O>/dphi)`` of a generator model from the harmonic
+    sum over the gaps of its centred generator, one phase at a time: ``M_jk
+    = O'_jk rho_0'_kj`` in the frame, ``Re M`` summed over the zero gaps, and
+    ``c_w = 2 Re sum M_jk``, ``s_w = -2 Im sum M_jk`` accumulated in row-major
+    order over the pairs with ``g_j - g_k = w > 0``, sorted by ``w``; gaps
+    with ``c_w = s_w = 0`` are dropped. A blackbox model's curve is
+    ``moments_curve``."""
+    if model.kind != "unitary_generator":
+        return moments_curve(model, obs)
+    g, basis = ref_frame(model.generator)
+    o = obs.matrix if basis is None else basis.conj().T @ obs.matrix @ basis
+    carrier = ref_frame_solution(model)[0]
+    m = o * (carrier.conj() @ carrier.T)
+    constant, sums = [], {}
+    for j in range(model.dim):
+        for k in range(model.dim):
+            gap = g[j] - g[k]
+            if gap == 0.0:
+                constant.append(m[j, k].real)
+            if gap > 0.0:
+                re, im = sums.get(gap, (0.0, 0.0))
+                sums[gap] = (re + m[j, k].real, im + m[j, k].imag)
+    constant = float(np.sum(constant))
+    terms = [(gap, 2.0 * re, -2.0 * im) for gap, (re, im) in sorted(sums.items())
+             if re != 0.0 or im != 0.0]
+    gaps, cos, sin = (np.array([term[i] for term in terms]) for i in range(3))
+
+    def at(phi):
+        angles = phi * gaps
+        mean = constant + (np.cos(angles) * cos + np.sin(angles) * sin).sum()
+        slope = 0.0 + (np.cos(angles) * (gaps * sin) + np.sin(angles) * (-gaps * cos)).sum()
+        return float(mean), float(slope)
+    return at
+
+
+def reference_bisect(f, lo, hi, target, xtol=1e-12):
+    """Bisect ``f(phi) = target`` on ``[lo, hi]`` down to ``xtol``, stopping
+    early where the midpoint rounds to an end or hits the target exactly."""
+    below = f(lo) < target
+    while hi - lo > xtol:
+        mid = (lo + hi) / 2.0
+        value = f(mid)
+        if value == target:
+            return mid
+        if (value < target) == below:
+            lo, end = mid, mid == hi
+        else:
+            hi, end = mid, mid == lo
+        if end:
+            break
+    return (lo + hi) / 2.0
+
+
+def brentq_root(f, lo, hi, target):
+    """The root finder of the per-trial estimator: scipy's ``brentq``."""
+    return brentq(lambda x: f(x) - target, lo, hi, xtol=1e-12)
+
+
+def _reference_branch_interval(slope, center, step, root):
+    """Walk outward in ``step``s from ``center`` until the slope is 0 or
+    changes sign, then find the stationary point with ``root``."""
+    sign_center = math.copysign(1.0, slope(center))
+
+    def boundary(direction):
+        prev = center
+        for k in range(1, int(2.0 * math.pi / step) + 2):
+            here = center + direction * k * step
+            value = slope(here)
+            if value == 0.0:
+                return here
+            if math.copysign(1.0, value) != sign_center:
+                return root(slope, min(prev, here), max(prev, here), 0.0)
+            prev = here
+        return prev
+
+    return boundary(-1.0), boundary(+1.0)
+
+
+def reference_sample_mean(record, obs, model, branch_center, curve=harmonic_curve,
+                          root=reference_bisect):
+    """The sample-mean estimate of one record, evaluating the mean curve
+    ``curve(model, obs)`` one phase at a time and solving with ``root``."""
     values = np.array([float(label) for label in record.labels])
-    empirical_mean = float(values @ record.frequencies())
+    empirical_mean = float((record.frequencies() * values).sum())
     report = error_propagation(model, branch_center, obs, record.nu)
     se_predicted = math.sqrt(report.delta_phi_sq)
+    at = curve(model, obs)
+
+    def mean(x):
+        return at(x)[0]
+
+    def slope(x):
+        return at(x)[1]
+
     n_sites = max(1, math.ceil(math.log2(model.dim)))
-    lo, hi = simulate._branch_interval(model, obs, branch_center,
-                                       math.pi / (8.0 * n_sites))
-    mean_lo = _moments(model, obs, sld(model, lo)).mean
-    mean_hi = _moments(model, obs, sld(model, hi)).mean
+    lo, hi = _reference_branch_interval(slope, branch_center, math.pi / (8.0 * n_sites),
+                                        root)
+    mean_lo, mean_hi = mean(lo), mean(hi)
     low_value, high_value = sorted((mean_lo, mean_hi))
     if empirical_mean < low_value or empirical_mean > high_value:
         phi_hat = lo if abs(mean_lo - empirical_mean) <= abs(mean_hi - empirical_mean) else hi
@@ -396,9 +504,7 @@ def reference_sample_mean(record, obs, model, branch_center):
     elif empirical_mean == mean_hi:
         phi_hat = hi
     else:
-        phi_hat = brentq(
-            lambda x: _moments(model, obs, sld(model, x)).mean - empirical_mean,
-            lo, hi, xtol=1e-12)
+        phi_hat = root(mean, lo, hi, empirical_mean)
     return simulate.EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
                                     se_predicted=se_predicted, branch=(lo, hi))
 
@@ -499,7 +605,50 @@ class TestBatchedEquivalence:
         summary = run_sample_mean_trials(model, obs, phi, NU, TRIALS, SEED)
         assert trial_results[0] == expected
         assert summary.estimates.tolist() == [r.phi_hat for r in expected]
-        assert estimate_phi_sample_mean(records[0], obs, model, phi) == expected[0]
+        assert [estimate_phi_sample_mean(r, obs, model, phi) for r in records] == expected
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+    @pytest.mark.parametrize("nu, trials, shift", [(NU, TRIALS, 0.0), (20, 20, -0.7)])
+    def test_sample_mean_against_brentq(self, name, nu, trials, shift, trial_results):
+        """The lockstep bisection on the harmonic curve lands within ``2
+        xtol`` of scipy's ``brentq`` on the per-phase moments, plus the
+        curves' difference (``curve_bounds``; for a blackbox model the noise
+        of the one curve both read) divided by the slope at an estimate, or
+        the slopes' difference divided by the curvature at a branch end."""
+        model, _, obs, phi = equivalence_case(name)
+        phi = phi * (1.0 + shift)
+        records = reference_records(model, eigenprojector_povm(obs), phi, nu, trials,
+                                    SEED)
+        old = [reference_sample_mean(r, obs, model, phi, curve=moments_curve,
+                                     root=brentq_root) for r in records]
+        run_sample_mean_trials(model, obs, phi, nu, trials, SEED)
+        curve = simulate._MeanCurve(model, obs)
+
+        def noise(x):
+            if model.kind == "unitary_generator":
+                return curve_bounds(model, obs, x)
+            # one curve sampled at other points: the mean's rounding, and the
+            # slope's central difference with step eps^(1/3) of that rounding
+            unit = CURVE_NOISE * _EPS * model.dim * float(np.linalg.norm(obs.matrix))
+            return unit, unit * _EPS ** (-1.0 / 3.0)
+
+        def end_tolerance(x):
+            h = 1e-6
+            curvature = (curve.slope([x + h])[0] - curve.slope([x - h])[0]) / (2.0 * h)
+            return 2e-12 + noise(x)[1] / abs(curvature)
+
+        new = trial_results[0]
+        ends = new[0].branch
+        for end, old_end in zip(ends, old[0].branch):
+            assert abs(end - old_end) <= end_tolerance(end)
+        for result, reference in zip(new, old):
+            assert result.out_of_branch == reference.out_of_branch
+            if result.phi_hat in ends:
+                tolerance = end_tolerance(result.phi_hat)
+            else:
+                tolerance = (2e-12 + noise(result.phi_hat)[0]
+                             / abs(curve.slope([result.phi_hat])[0]))
+            assert abs(result.phi_hat - reference.phi_hat) <= tolerance
 
     def test_sample_mean_low_nu_clips(self, trial_results):
         model, _, obs, _ = equivalence_case("ghz2-x")
@@ -546,3 +695,167 @@ class TestBatchedEquivalence:
     def test_log_likelihoods_reject_mismatched_outcomes(self):
         with pytest.raises(ValueError, match="3 outcome counts but 4"):
             simulate._log_likelihoods(np.ones((2, 3)), np.zeros((2, 4)))
+
+
+_EPS = float(np.finfo(float).eps)
+
+#: the curve and the moments may differ by this many of their rounding
+#: bounds (see TestMeanCurve)
+CURVE_NOISE = 8.0
+
+CURVE_STATES = ("pure", "rank", "full")
+CURVE_GENERATORS = ("diagonal", "offset", "dense")
+
+
+def curve_case(state_kind, generator_kind, seed):
+    """``(model, observable)`` of dimension 2-6 whose generator eigenvalues
+    are a scale of 0.1-10 times integers in [-3, 3], so that gaps repeat: a
+    pure, rank-deficient or full-rank state under a diagonal G, a diagonal
+    (even seeds) or dense (odd seeds) G plus ``c I`` with ``|c|`` 1e2-1e4
+    times the scale, or a dense G with a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    levels = rng.integers(-3, 4, size=dim) * 10.0 ** rng.uniform(-1.0, 1.0)
+    if generator_kind == "dense" or (generator_kind == "offset" and seed % 2):
+        basis = np.linalg.qr(rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim)))[0]
+        matrix = (basis * levels) @ basis.conj().T
+        matrix = (matrix + matrix.conj().T) / 2.0
+    else:
+        matrix = np.diag(levels).astype(complex)
+    if generator_kind == "offset":
+        scale = max(float(np.abs(levels).max()), 0.1)
+        matrix = matrix + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(2.0, 4.0) * scale \
+            * np.eye(dim)
+    if state_kind == "pure":
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps))
+    else:
+        rank = dim if state_kind == "full" else int(rng.integers(1, dim))
+        state = random_density(rng, dim, rank)
+    return unitary_model(state, HermitianObservable(matrix)), random_hermitian(rng, dim)
+
+
+def curve_bounds(model, obs, phi):
+    """``(mean bound, slope bound)`` of ``TestMeanCurve`` at ``phi``."""
+    spread = float(np.abs(model._frame[0]).max())
+    unit = (CURVE_NOISE * _EPS * model.dim * (1.0 + abs(phi) * spread)
+            * float(np.linalg.norm(obs.matrix)))
+    return unit, 2.0 * spread * unit
+
+
+class TestMeanCurve:
+    """The mean curve of a generator model, ``a_0 + sum_w (c_w cos(w phi) +
+    s_w sin(w phi))`` over the gaps of its centred generator, agrees with
+    ``_moments`` of ``sld`` at every phase.
+
+    The bounds, with ``s = max |g|`` over the centred eigenvalues and ``K =
+    CURVE_NOISE``. Both routes are exact functions of ``g``, ``V``, ``C_0'``
+    and O: the curve forms ``O' = V^dagger O V`` and ``M_jk = O'_jk
+    rho_0'_kj`` once and sums ``cos(w phi)`` and ``sin(w phi)`` over the
+    gaps, ``_moments`` moves ``C_0'`` by ``exp(-i g phi)`` and V and takes
+    ``<C, O C>`` and ``2 Re<dC, O C>``. Each phase factor carries ``eps
+    |phi| s`` per entry and each product or sum of d terms ``c d eps``, and
+    ``sum |M_jk| <= ||O||_F ||rho_0'||_F <= ||O||_F``, so the means differ by
+    at most ``u = K eps d (1 + |phi| s) ||O||_F``; each term of the slope
+    carries a gap of at most ``2 s``, so the slopes differ by ``2 s u``. An
+    offset in G changes nothing, since both routes read the same centred
+    frame. Over 20,000 draws of three phases each, the largest ratio of a
+    gap to its bound with ``K = 1`` was 1.22 on the mean (under a dense G)
+    and 0.70 on the slope; ``K = 8`` leaves a factor of about 6.5 above it.
+    """
+
+    @given(state_kind=st.sampled_from(CURVE_STATES),
+           generator_kind=st.sampled_from(CURVE_GENERATORS),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phis=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1,
+                         max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_moments_of_sld(self, state_kind, generator_kind, seed, phis):
+        model, obs = curve_case(state_kind, generator_kind, seed)
+        curve = simulate._MeanCurve(model, obs)
+        for phi, mean, slope in zip(phis, curve.mean(phis), curve.slope(phis)):
+            moments = _moments(model, obs, sld(model, phi))
+            mean_bound, slope_bound = curve_bounds(model, obs, phi)
+            assert abs(mean - moments.mean) <= mean_bound, (phi, mean, moments.mean)
+            assert abs(slope - moments.slope) <= slope_bound, (phi, slope, moments.slope)
+
+    @given(state_kind=st.sampled_from(CURVE_STATES),
+           generator_kind=st.sampled_from(CURVE_GENERATORS),
+           seed=st.integers(0, 2 ** 32 - 1),
+           phis=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1,
+                         max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_and_chunks_do_not_change_a_value(self, state_kind, generator_kind,
+                                                    seed, phis):
+        """Each phase's mean and slope are bitwise those of the one-phase
+        test-local ``harmonic_curve``, evaluated alone, in a batch, or in
+        chunks of one phase."""
+        model, obs = curve_case(state_kind, generator_kind, seed)
+        curve = simulate._MeanCurve(model, obs)
+        at = harmonic_curve(model, obs)
+        whole = curve.mean(phis), curve.slope(phis)
+        assert whole[0].tolist() == [at(phi)[0] for phi in phis]
+        assert whole[1].tolist() == [at(phi)[1] for phi in phis]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fisher, "_BATCH_ENTRIES", 1)
+            assert curve.mean(phis).tobytes() == whole[0].tobytes()
+            assert curve.slope(phis).tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ghz_parity_curve_is_one_harmonic(self, n):
+        """The x-product mean of GHZ N is ``cos(N phi)``: the pairs of the
+        N + 1 distinct J_z levels fall into N gaps, and only the gap N between
+        |0...0> and |1...1> carries a coefficient."""
+        curve = simulate._MeanCurve(ghz_model(n), _pauli_product("x", n))
+        assert curve.gaps.tolist() == [float(n)]
+        phis = np.linspace(-3.0, 3.0, 13)
+        assert np.allclose(curve.mean(phis), np.cos(n * phis), rtol=0.0, atol=1e-14)
+        assert np.allclose(curve.slope(phis), -n * np.sin(n * phis), rtol=0.0, atol=1e-14)
+
+    def test_blackbox_curve_is_the_moments(self):
+        model, _, obs, _ = equivalence_case("blackbox")
+        curve = simulate._MeanCurve(model, obs)
+        phis = [0.1, 0.7]
+        expected = [moments_curve(model, obs)(phi) for phi in phis]
+        assert curve.mean(phis).tolist() == [e[0] for e in expected]
+        assert curve.slope(phis).tolist() == [e[1] for e in expected]
+
+    def test_disagreement_with_the_centre_is_an_arithmetic_error(self):
+        model, _, obs, phi = equivalence_case("ghz2-x")
+        report = error_propagation(model, phi, obs)
+        curve = simulate._MeanCurve(model, obs)
+        curve.check(phi, report)
+        mean_bound, slope_bound = (bound / CURVE_NOISE * simulate._CURVE_NOISE
+                                   for bound in curve_bounds(model, obs, phi))
+        for field, bound in (("mean", mean_bound), ("slope", slope_bound)):
+            moved = replace(report, **{field: getattr(report, field) + 2.0 * bound})
+            with pytest.raises(ArithmeticError, match="mean curve disagrees"):
+                curve.check(phi, moved)
+
+
+
+class TestBisect:
+    @staticmethod
+    def hill(phis):
+        """``x (2 - x)``: rising on [0, 1], falling on [1, 2]."""
+        return phis * (2.0 - phis)
+
+    def test_rising_and_falling_brackets_in_lockstep(self):
+        """Each bracket closes within ``xtol / 2`` of its root, on either
+        side of the hill; a midpoint that hits its target exactly is the
+        root."""
+        lo, hi = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 1.0])
+        roots = simulate._bisect(self.hill, lo, hi, self.hill(lo),
+                                 np.array([0.19, 0.36, 0.75]))
+        assert abs(roots[0] - 0.1) <= 0.5e-12
+        assert abs(roots[1] - 1.8) <= 0.5e-12
+        assert roots[2] == 0.5
+
+    def test_a_bracket_of_adjacent_floats_closes(self):
+        """With ``xtol = 0`` only a midpoint that rounds to an end stops
+        the bracket ``[1, 1 + ulp]``."""
+        lo, hi = np.array([1.0]), np.array([np.nextafter(1.0, 2.0)])
+        root = simulate._bisect(lambda x: x - 1.0, lo, hi, np.zeros(1),
+                                np.array([1e-17]), xtol=0.0)
+        assert root[0] in (lo[0], hi[0])

@@ -31,7 +31,9 @@ whose SLD carriers have two columns and one; ``qfi --show-sld``, ``sld``,
 ``scan``, ``cfi``, ``simulate`` (both estimators, over carriers of two and
 four columns moved through the generator's eigenbasis) and ``check-optimal``
 (every variant) on a rank-2 and a full-rank ``custom`` density under the
-non-diagonal generator matrix of the amplitudes spec; the invocations of
+non-diagonal generator matrix of the amplitudes spec, and ``simulate`` at
+nu=20 on the full-rank one, where most sample-mean trials clip at the
+branch ends; the invocations of
 the GHZ specs on a GHZ N=2 spec whose diagonal ``generator.matrix`` has a
 non-zero trace; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
@@ -282,6 +284,8 @@ def invocations(workdir: Path) -> list[list[str]]:
         runs += [["check-optimal", "--model", spec, "--phi-range", "0:pi:9",
                   "--variant", variant, "--output", "json"]
                  for variant in ("mixed", "pure", "pure_unitary")]
+    runs.append(["simulate", "--model", spec, "--nu", "20", "--trials", "20",
+                 "--seed", "3", "--output", "json"])
     offset = _write(workdir / "ghz2-diagonal-generator-with-trace.yaml", {
         "state": {"ghz": {"n": 2}},
         "parametrization": {"generator": {"matrix": _pairs(np.diag([1.5, 0.25, -0.5, 2.0]))}},
