@@ -3,6 +3,10 @@
 Reads a model specification file, runs the requested analysis, and emits
 text, JSON, or CSV. Exit codes: 0 success, 2 specification or usage error,
 3 not-optimal verdict (``check-optimal`` only), 4 runtime or numeric error.
+Exit code 2 also refuses, before anything is allocated, ``sld``, ``qfi
+--show-sld`` and ``simulate`` with an observable where one dense ``d x d``
+matrix would exceed physical memory; the other commands run a pure state
+on its vectors (see :func:`~.modelspec._require_dense`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .fisher import cfi as cfi_value
 from .fisher import outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
-from .modelspec import _RUN_MINIMUMS, _integer, _positive_float
+from .modelspec import _RUN_MINIMUMS, _integer, _positive_float, _require_dense
 from .optimality import (
     OPTIMALITY_RTOL,
     _check_observable_optimality,
@@ -201,6 +205,8 @@ def main() -> None:
 def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_path):
     """Quantum Fisher information at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
+    if show_sld:
+        _require_dense(spec.model.dim, "qfi --show-sld", fieldname="state")
 
     def row(phi):
         result = sld(spec.model, phi)
@@ -216,6 +222,7 @@ def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_p
 def cmd_sld(model_path, phi_text, phi_range_text, output_format, out_path):
     """SLD operator, residual, and kernel dimension at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
+    _require_dense(spec.model.dim, "sld", fieldname="state")
 
     def row(phi):
         result = sld(spec.model, phi)
@@ -380,6 +387,8 @@ def cmd_simulate(model_path, phi_text, nu, seed, trials, output_format, out_path
                             field="observable")
     if spec.phi_is_range:
         raise SpecFileError("simulate takes a single phase", field="phi")
+    if spec.observable is not None:
+        _require_dense(spec.model.dim, "simulate with an observable", fieldname="state")
     phi = float(spec.phis[0])
     results = []
     if spec.observable is not None:

@@ -1,8 +1,11 @@
-"""Dense complex linear algebra and quantum state/observable primitives.
+"""Complex linear algebra and quantum state/observable primitives.
 
 Conventions used throughout the package:
 
-* operators are dense complex ``numpy`` arrays;
+* states, density matrices and POVM factors are dense complex ``numpy``
+  arrays; an observable keeps the form it was built from (a real diagonal,
+  per-qubit product coefficients or a dense matrix), acts on vectors
+  through that form and builds its dense matrix only when one is read;
 * qubit site 0 is the leftmost (most significant) Kronecker factor, so the
   computational-basis index of ``|b_0 b_1 ... b_{N-1}>`` is the integer with
   binary digits ``b_0 b_1 ... b_{N-1}``;
@@ -182,9 +185,10 @@ def _support(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> PsdSpectrum:
 def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":
     """Collective spin component ``J_axis = (1/2) sum_i sigma_axis^(i)``.
 
-    ``J_z`` is built as its diagonal ``(N - 2 popcount(k)) / 2``, bit for
-    bit the Kronecker sum that builds ``J_x`` and ``J_y``, and carries it as
-    its ``diagonal`` without a scan of the matrix.
+    ``J_z`` is its diagonal ``(N - 2 popcount(k)) / 2``, whose dense matrix
+    is bit for bit the Kronecker sum that builds ``J_x`` and ``J_y``. The
+    popcounts of ``0 .. 2^N - 1`` are built by doubling: those of the upper
+    half are the lower half's plus one.
     """
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
@@ -192,12 +196,10 @@ def collective_spin(axis: str, n_qubits: int) -> "HermitianObservable":
         raise ValueError("n_qubits must be >= 1")
     dim = 2 ** n_qubits
     if axis == "z":
-        index = np.arange(dim)
-        ones = sum((index >> site) & 1 for site in range(n_qubits))
-        values = (n_qubits - 2.0 * ones) / 2.0
-        spin = HermitianObservable(np.diag(values.astype(complex)), check=False)
-        spin.__dict__["diagonal"] = _freeze(values)
-        return spin
+        ones = np.zeros(1, dtype=int)
+        for _ in range(n_qubits):
+            ones = np.concatenate([ones, ones + 1])
+        return HermitianObservable(diagonal=(n_qubits - 2.0 * ones) / 2.0)
     sigma = PAULIS[axis]
     total = np.zeros((dim, dim), dtype=complex)
     for site in range(n_qubits):
@@ -214,19 +216,41 @@ def single_site_observable(coeffs: Sequence[float]) -> np.ndarray:
 
 
 def product_observable(site_coeffs: Sequence[Sequence[float]]) -> "HermitianObservable":
-    """Tensor product of per-site ``a0*I + a.sigma`` factors.
+    """Tensor product of per-site ``a0*I + a.sigma`` factors, kept as its
+    ``product_form`` of coefficient quadruples."""
+    return HermitianObservable(product_form=site_coeffs)
 
-    The coefficient quadruples are recorded on the result as its
-    ``product_form``.
-    """
-    sites = [tuple(float(c) for c in quad) for quad in site_coeffs]
+
+def _product_form(site_coeffs) -> tuple[tuple[float, float, float, float], ...]:
+    """``site_coeffs`` as a non-empty tuple of finite float quadruples."""
+    sites = tuple(tuple(float(c) for c in quad) for quad in site_coeffs)
     if not sites:
         raise ValueError("product_observable requires at least one site")
     for k, quad in enumerate(sites):
         if len(quad) != 4:
             raise ValueError(f"site {k} must have 4 coefficients, got {len(quad)}")
-    matrix = tensor_product([single_site_observable(quad) for quad in sites])
-    return HermitianObservable(matrix, product_form=tuple(sites), check=False)
+        if not all(map(np.isfinite, quad)):
+            raise ValueError(f"site {k} coefficients are not finite: {quad}")
+    return sites
+
+
+def _apply_product(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``(F_0 kron ... kron F_{N-1}) x`` for a ``2^N x k`` array ``x``, one
+    2x2 factor at a time.
+
+    The array is viewed as ``(2, rest)`` with the leading axis the site
+    being contracted; each step multiplies that axis by its factor and
+    rotates it to the end, so after N steps the axes are back in order
+    behind the column axis: N products of a 2x2 by a ``2 x 2^(N-1) k``
+    array and N transposed copies, O(N 2^N k) in all. The result is
+    C-contiguous, so that reductions over it sum in the order they sum a
+    matrix product's.
+    """
+    dim, columns = x.shape
+    y = x.reshape(2, -1)
+    for factor in factors:
+        y = (factor @ y).T.reshape(2, -1)
+    return np.ascontiguousarray(y.reshape(columns, dim).T)
 
 
 # ---------------------------------------------------------------------------
@@ -293,51 +317,103 @@ class DensityMatrix:
         return abs(self.purity() - 1.0) <= ALGORITHMIC_ATOL
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HermitianObservable:
-    """Measurement observable (dense Hermitian matrix).
+    """Measurement observable, kept in the form it was built from.
 
-    ``product_form``, when present, is a tuple of per-site coefficient
-    quadruples ``(a0, a1, a2, a3)`` such that the matrix equals the tensor
-    product of the corresponding single-qubit factors.
+    Exactly one form is given: ``diagonal``, a real vector ``g`` (the
+    operator ``diag(g)``); ``product_form``, a tuple of per-site coefficient
+    quadruples ``(a0, a1, a2, a3)`` (the tensor product of the single-qubit
+    factors ``a0 I + a1 sx + a2 sy + a3 sz``, site 0 leftmost); or
+    ``matrix``, a dense Hermitian matrix (validated under ``check``). A
+    matrix may come with a ``product_form`` as well, which ``check`` then
+    requires it to match within 1e-12; the matrix is then its form.
+    :meth:`apply` acts through the form, and a diagonal or product form
+    builds ``matrix`` only when it is first read.
     """
 
-    matrix: np.ndarray
-    product_form: tuple[tuple[float, float, float, float], ...] | None = None
-    check: InitVar[bool] = True
+    product_form: tuple[tuple[float, float, float, float], ...] | None
+    dim: int
+    _form: str
 
-    def __post_init__(self, check: bool) -> None:
-        if check:
-            arr = require_hermitian(self.matrix, atol=VALIDATION_ATOL,
-                                    name="observable")
-            if self.product_form is not None:
-                rebuilt = tensor_product(
-                    [single_site_observable(q) for q in self.product_form])
-                gap = float(np.linalg.norm(arr - rebuilt))
-                if gap > 1e-12:
-                    raise ValueError(
-                        f"matrix does not match product_form: gap {gap:.3e}")
-        else:
-            arr = as_complex_matrix(self.matrix, name="observable")
-            _require_square(arr, name="observable")
-        object.__setattr__(self, "matrix", _freeze(arr))
+    def __init__(self, matrix=None, product_form=None, check: bool = True, *,
+                 diagonal=None) -> None:
+        if product_form is not None:
+            product_form = _product_form(product_form)
+            form, dim = "product", 2 ** len(product_form)
+        if diagonal is not None:
+            if matrix is not None or product_form is not None:
+                raise ValueError("a diagonal observable takes no matrix or product_form")
+            values = np.array(diagonal, dtype=float)
+            if values.ndim != 1 or not np.all(np.isfinite(values)):
+                raise ValueError("diagonal must be a finite real vector")
+            self.__dict__["diagonal"] = _freeze(values)
+            form, dim = "diagonal", values.shape[0]
+        elif matrix is not None:
+            if check:
+                arr = require_hermitian(matrix, atol=VALIDATION_ATOL, name="observable")
+                if product_form is not None:
+                    gap = float(np.linalg.norm(arr - _product_matrix(product_form)))
+                    if gap > 1e-12:
+                        raise ValueError(
+                            f"matrix does not match product_form: gap {gap:.3e}")
+            else:
+                arr = as_complex_matrix(matrix, name="observable")
+                _require_square(arr, name="observable")
+            self.__dict__["matrix"] = _freeze(arr)
+            form, dim = "matrix", arr.shape[0]
+        elif product_form is None:
+            raise ValueError("an observable needs a matrix, a product_form or a diagonal")
+        object.__setattr__(self, "product_form", product_form)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_form", form)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: the given one, or built from the form
+        on first read (``diag(g)``, or the Kronecker product of the factors)."""
         if self.product_form is not None:
-            object.__setattr__(
-                self, "product_form",
-                tuple(tuple(float(c) for c in q) for q in self.product_form))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+            return _freeze(_product_matrix(self.product_form))
+        return _freeze(np.diag(self.diagonal.astype(complex)))
 
     @cached_property
     def diagonal(self) -> np.ndarray | None:
-        """The real diagonal, read-only, when every off-diagonal entry is
-        exactly zero and the diagonal is real; ``None`` otherwise."""
+        """The real diagonal, read-only, when the operator is diagonal;
+        ``None`` otherwise. A given matrix is diagonal when every
+        off-diagonal entry is exactly zero and the diagonal is real; a
+        product form when every site has ``a1 = a2 = 0``, its diagonal then
+        the Kronecker product of the sites' ``(a0 + a3, a0 - a3)``."""
+        if self._form == "product":
+            if any(a1 or a2 for _, a1, a2, _ in self.product_form):
+                return None
+            diag = np.ones(1)
+            for a0, _, _, a3 in self.product_form:
+                diag = np.kron(diag, [a0 + a3, a0 - a3])
+            return _freeze(diag)
         diag = np.diagonal(self.matrix)
         if np.count_nonzero(self.matrix) != np.count_nonzero(diag) or np.any(diag.imag):
             return None
         return _freeze(diag.real.copy())
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """The 2x2 factor of each site of the product form."""
+        return tuple(single_site_observable(quad) for quad in self.product_form)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``O x`` for a ``d x k`` array ``x``, through the stored form:
+        ``g[:, None] * x`` for a diagonal, one 2x2 contraction per site for
+        a product form (O(N 2^N k)), ``matrix @ x`` for a matrix."""
+        if self._form == "diagonal":
+            return self.diagonal[:, None] * x
+        if self._form == "product":
+            return _apply_product(self._factors, x)
+        return self.matrix @ x
+
+
+def _product_matrix(product_form) -> np.ndarray:
+    """The dense Kronecker product of a product form's factors."""
+    return tensor_product([single_site_observable(quad) for quad in product_form])
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -299,13 +299,14 @@ class SldResult:
         return float(np.linalg.norm(
             self.drho - (self.rho @ l_matrix + l_matrix @ self.rho) / 2.0))
 
-    def slope(self, o: np.ndarray, o_carrier: np.ndarray) -> float:
+    def slope(self, obs: HermitianObservable, o_carrier: np.ndarray) -> float:
         """``d<O>/dphi`` from ``o_carrier = O C``: ``2 Re<dC|O C>`` on a
-        generator model, else ``Re Tr(drho O)``; independent of
-        ``l_carrier``, so it checks ``Re<O C|L C>``."""
+        generator model, else ``Re Tr(drho O)``, the one read of
+        ``obs.matrix``; independent of ``l_carrier``, so it checks ``Re<O
+        C|L C>``."""
         if self.dcarrier is not None:
             return 2.0 * float(np.vdot(self.dcarrier, o_carrier).real)
-        return float(np.vdot(o, self.drho).real)
+        return float(np.vdot(obs.matrix, self.drho).real)
 
 
 def sld(model: ParametricModel, phi: float) -> SldResult:

@@ -204,10 +204,9 @@ def parity_from_collective_spin(n_qubits: int) -> HermitianObservable:
     ``J_z`` is diagonal with half-integer entries, so ``j - J_z`` is a
     nonnegative integer per basis state and the sign is exact.
     """
-    jz_diag = np.diag(collective_spin("z", n_qubits).matrix).real
+    jz_diag = collective_spin("z", n_qubits).diagonal
     exponents = np.rint(n_qubits / 2.0 - jz_diag).astype(int)
-    signs = np.where(exponents % 2 == 0, 1.0, -1.0)
-    return HermitianObservable(np.diag(signs.astype(complex)), check=False)
+    return HermitianObservable(diagonal=np.where(exponents % 2 == 0, 1.0, -1.0))
 
 
 @dataclass(frozen=True)

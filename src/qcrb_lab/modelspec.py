@@ -45,6 +45,9 @@ __all__ = [
 KNOWN_TOLERANCES = ("optimality",)
 # least value of each integer run parameter, as a spec key and as a flag
 _RUN_MINIMUMS = {"nu": 1, "seed": 0, "trials": 2}
+# d-vectors a command on a pure state holds at once: the carrier, L C, dC,
+# O C, the residual and the per-qubit contraction's temporaries
+_LIVE_VECTORS = 16
 # libyaml's parser when PyYAML was built with it; it builds the same data
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -154,6 +157,25 @@ def _require_physical_memory(log2_bytes: float, what: str, *, fieldname: str) ->
                             field=fieldname)
 
 
+def _require_dense(dim: int, what: str, *, fieldname: str) -> None:
+    """Reject ``what``, before it allocates, when one dense ``dim x dim``
+    complex matrix (``16 dim^2 = 2^(2 log2(dim) + 4)`` bytes) exceeds
+    physical memory.
+
+    Loading a spec allocates no such matrix for a ``ghz`` state (bounded by
+    ``_LIVE_VECTORS`` vectors of ``2^(N+4)`` bytes) under its diagonal
+    collective generator with a ``pauli_product`` or ``parity`` observable,
+    so ``qfi``, ``errprop``, ``check-optimal`` and ``scan`` run it on
+    vectors. What reads a dense operator checks this first: the
+    ``eigenprojectors_of_observable`` POVM at load, and the CLI's ``sld``,
+    ``qfi --show-sld`` and ``simulate`` with an observable on the state's
+    dimension.
+    """
+    _require_physical_memory(2.0 * math.log2(dim) + 4.0,
+                             f"{what} needs a dense {dim} x {dim} matrix, which",
+                             fieldname=fieldname)
+
+
 def _phase_grid(start: float, stop: float, steps: int, *,
                 fieldname: str) -> np.ndarray:
     """``np.linspace(start, stop, steps)``, after rejecting a grid whose
@@ -238,9 +260,12 @@ def _build_state(data, *, fieldname: str = "state"):
         body = _require_mapping(body, fieldname=fieldname)
         _require_known_keys(body, ("n",), fieldname=fieldname)
         n = _integer(body.get("n"), 1, fieldname=f"{fieldname}.n")
-        # one dense 2^n x 2^n complex matrix takes 16 * 4^n = 2^(2n+4) bytes
-        _require_physical_memory(2 * n + 4, f"a dense 2^{n} x 2^{n} matrix",
-                                 fieldname=f"{fieldname}.n")
+        # _LIVE_VECTORS vectors of 2^n amplitudes, 2^(n+4) bytes each; what
+        # builds a dense 2^n x 2^n operator checks _require_dense as well
+        _require_physical_memory(
+            n + 4 + math.log2(_LIVE_VECTORS),
+            f"holding {_LIVE_VECTORS} state vectors of 2^{n} amplitudes",
+            fieldname=f"{fieldname}.n")
         return ghz_state(n, 0.0), n
     form, entries = _one_of(body, ("amplitudes", "density"), fieldname=fieldname)
     fieldname = f"{fieldname}.{form}"
@@ -329,6 +354,7 @@ def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
                 raise SpecFileError(
                     "eigenprojectors_of_observable needs an observable",
                     field=fieldname)
+            _require_dense(observable.dim, data, fieldname=fieldname)
             return eigenprojector_povm(observable)
         raise SpecFileError(f"unknown POVM name {data!r}", field=fieldname)
     _, custom = _one_of(data, ("custom",), fieldname=fieldname)

@@ -13,7 +13,9 @@ Frobenius residual and the same least-squares ``alpha``. For a generator
 model ``C`` and ``L C`` are its one ``phi = 0`` solve moved by
 ``e^{-iG phi}``, and ``dC = -iG C``. Every moment is a product of ``O C``
 with ``C``, ``dC`` or ``L C``: ``<O> = <C, O C>``, ``<O^2> = ||O C||^2``,
-the slope ``2 Re<dC, O C>`` and ``Tr(rho O L) = <O C, L C>``.
+the slope ``2 Re<dC, O C>`` and ``Tr(rho O L) = <O C, L C>``. ``O C`` is
+``obs.apply(C)``, so a diagonal or product-form observable is never formed
+as a matrix here.
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ def _moments(model: ParametricModel, obs: HermitianObservable,
     :class:`ArithmeticError` if the slope is not ``<[O,L]+>/2``."""
     _require_same_dim(model, obs.dim)
     carrier = sld_result.carrier
-    o_carrier = obs.matrix @ carrier
+    o_carrier = obs.apply(carrier)
     mean, second = _real_moments(complex(np.vdot(carrier, o_carrier)),
                                  complex(np.vdot(o_carrier, o_carrier)))
-    slope = sld_result.slope(obs.matrix, o_carrier)
+    slope = sld_result.slope(obs, o_carrier)
     cross = complex(np.vdot(o_carrier, sld_result.l_carrier))
     slope_scale = float(np.sqrt(max(second, 0.0) * sld_result.qfi))
     if abs(slope - cross.real) > 1e-7 * max(1.0, abs(slope), slope_scale):

@@ -107,13 +107,24 @@ def _rng(seed: int, stream: int | None) -> np.random.Generator:
 def sample_shots(dist: OutcomeDistribution, nu: int, seed: int, *,
                  stream: int | None = None) -> ShotRecord:
     """Multinomial draw of ``nu`` shots from an outcome distribution."""
+    return _shot_sampler(dist, nu, seed)(stream)
+
+
+def _shot_sampler(dist: OutcomeDistribution, nu: int,
+                  seed: int) -> Callable[[int | None], ShotRecord]:
+    """The draw of :func:`sample_shots` as a function of ``stream``, with the
+    probabilities clipped at zero and renormalised once for every stream."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
     probs = np.clip(dist.probabilities, 0.0, None)
     probs = probs / probs.sum()
-    counts = _rng(seed, stream).multinomial(nu, probs)
-    return ShotRecord(labels=dist.labels, counts=counts, nu=nu, seed=seed,
-                      stream=stream)
+
+    def draw(stream: int | None) -> ShotRecord:
+        counts = _rng(seed, stream).multinomial(nu, probs)
+        return ShotRecord(labels=dist.labels, counts=counts, nu=nu, seed=seed,
+                          stream=stream)
+
+    return draw
 
 
 def exact_record(dist: OutcomeDistribution, nu: int) -> ShotRecord:
@@ -579,8 +590,8 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
     invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report, center)
-    results = invert([sample_shots(dist, nu, seed, stream=index)
-                      for index in range(trials)])
+    draw = _shot_sampler(dist, nu, seed)
+    results = invert([draw(index) for index in range(trials)])
     return _summarize("sample_mean_inversion", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=report.delta_phi_sq,
                       qcrb=report.qcrb)
@@ -600,7 +611,8 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
     info = _positive_cfi(dist)
     predicted = None if info is None else 1.0 / (nu * info)
     qcrb = 1.0 / (nu * qfi(model, phi_true))
-    records = [sample_shots(dist, nu, seed, stream=index) for index in range(trials)]
+    draw = _shot_sampler(dist, nu, seed)
+    records = [draw(index) for index in range(trials)]
     results = _mle_estimates(records, model, povm, interval)
     return _summarize("maximum_likelihood", phi_true, nu, seed, results,
                       predicted_delta_phi_sq=predicted, qcrb=qcrb)

@@ -452,6 +452,53 @@ class TestOneEigendecompositionPerCommand:
         assert orders == []
 
 
+@pytest.fixture
+def ghz20_spec(tmp_path):
+    """GHZ N=20 with the saturating family 0.6 sx + 0.8 sy on every site: one
+    dense 2^20 x 2^20 complex matrix takes 16 TiB, its state vector 16 MiB."""
+    path = tmp_path / "ghz20.yaml"
+    path.write_text("state:\n  ghz: {n: 20}\n"
+                    "observable:\n  pauli_product: {a1: 0.6, a2: 0.8}\n"
+                    "phi: {start: 0.01, stop: 0.1, steps: 3}\n", encoding="utf-8")
+    return str(path)
+
+
+class TestOperatorsOnDemand:
+    """A pure GHZ spec loads as vectors: its generator is a diagonal and its
+    observable a product form, so the commands that read only ``O C`` run at
+    sizes where one dense operator would exceed physical memory, and the
+    commands that read dense operators are refused (exit 2) before they
+    allocate."""
+
+    def test_ghz20_scan_reaches_the_heisenberg_limit(self, runner, ghz20_spec):
+        payload = run_json(runner, ["scan", "--model", ghz20_spec])
+        assert len(payload["rows"]) == 3
+        for row in payload["rows"]:
+            assert abs(row["qfi"] - 400.0) <= 1e-9 * 400.0
+            assert abs(row["delta_phi_ep"] * 400.0 - 1.0) <= 1e-8
+            assert row["is_optimal"] is True and row["singular_flag"] is False
+
+    @pytest.mark.parametrize("args", [["sld", "--phi", "0.1"],
+                                      ["qfi", "--phi", "0.1", "--show-sld"],
+                                      ["simulate", "--phi", "0.1"]])
+    def test_dense_commands_refused_before_allocation(self, runner, ghz20_spec,
+                                                      monkeypatch, args):
+        def allocate(*args, **kwargs):
+            raise AssertionError("no phase may be evaluated")
+
+        for name in ("sld", "run_sample_mean_trials", "run_mle_trials"):
+            monkeypatch.setattr(cli, name, allocate)
+        result = runner.invoke(main, [args[0], "--model", ghz20_spec, *args[1:]])
+        assert result.exit_code == cli.EXIT_SPEC_ERROR == 2
+        assert "state:" in result.output
+        assert "1048576 x 1048576 matrix" in result.output
+        assert "physical memory" in result.output
+
+    def test_qfi_without_the_sld_runs_on_vectors(self, runner, ghz20_spec):
+        payload = run_json(runner, ["qfi", "--model", ghz20_spec, "--phi", "0.1"])
+        assert abs(payload["rows"][0]["qfi"] - 400.0) <= 1e-9 * 400.0
+
+
 class TestCfiCommand:
     def test_value(self, runner, ghz2_spec):
         payload = run_json(runner, ["cfi", "--model", ghz2_spec])

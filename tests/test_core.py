@@ -22,6 +22,7 @@ from qcrb_lab import (
     hermitian_eigendecomposition,
     product_basis_povm,
     product_observable,
+    single_site_observable,
     tensor_power,
     tensor_product,
 )
@@ -148,6 +149,101 @@ class TestDiagonal:
         """A nonzero off-diagonal entry, however small, or an imaginary
         diagonal entry (accepted unchecked) gives ``None``."""
         assert HermitianObservable(matrix, check=False).diagonal is None
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+class TestObservableForms:
+    """An observable acts through the form it was built from and builds its
+    dense matrix only when ``matrix`` is read."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_product_form_matches_kronecker_product(self, seed, n, columns):
+        """``apply`` of a random product form, ``a0`` and ``a3`` non-zero
+        included, against ``K x`` with ``K = F_0 kron ... kron F_{N-1}``.
+
+        Bound, first order in the unit roundoff ``u = eps / 2``, for each
+        entry, with ``|K| = |F_0| kron ... kron |F_{N-1}|`` (entrywise
+        moduli): a complex product is exact to ``sqrt(5) u`` and a complex
+        sum to ``u`` relative to the moduli of its terms. ``apply`` builds
+        each of the ``2^N`` path terms ``f_{N-1} ... f_0 x_j`` of an entry
+        with N products and adds two terms per site, ``(sqrt(5) + 1) N u <=
+        1.7 N eps`` of ``(|K| |x|)_i``. The dense route forms an entry of
+        ``K`` with ``N - 1`` products and ``K x`` with one more product and
+        a sum of ``d = 2^N`` terms, ``(1.2 N + d / 2) eps``. Their
+        difference is within ``(3 N + d) eps (|K| |x|)_i``.
+        """
+        rng = np.random.default_rng(seed)
+        sites = [tuple(rng.normal(size=4)) for _ in range(n)]
+        obs = product_observable(sites)
+        dim = 2 ** n
+        x = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+        applied = obs.apply(x)
+        assert "matrix" not in obs.__dict__
+        dense = tensor_product([single_site_observable(q) for q in sites])
+        moduli = tensor_product([np.abs(single_site_observable(q)) for q in sites]).real
+        bound = (3 * n + dim) * _EPS * (moduli @ np.abs(x))
+        assert applied.shape == (dim, columns)
+        assert np.all(np.abs(applied - dense @ x) <= bound)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_diagonal_matches_dense_diagonal(self, seed, n, columns):
+        """``apply`` of a random real diagonal ``g`` against ``np.diag(g) @
+        x``: each entry of ``g x`` is one real product per component, exact
+        to ``u``; the dense route adds ``d - 1`` exact zeros to the same
+        products, so the two agree to ``eps |g_i| |x_ij|``."""
+        rng = np.random.default_rng(seed)
+        dim = 2 ** n
+        g = rng.normal(size=dim)
+        obs = HermitianObservable(diagonal=g)
+        x = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+        applied = obs.apply(x)
+        assert "matrix" not in obs.__dict__
+        bound = _EPS * np.abs(g)[:, None] * np.abs(x)
+        assert np.all(np.abs(applied - np.diag(g) @ x) <= bound)
+
+    def test_matrix_is_built_on_first_read(self):
+        obs = product_observable([(0.5, 0.6, 0.8, -0.25)] * 3)
+        assert obs.dim == 8 and "matrix" not in obs.__dict__
+        assert obs.matrix is obs.matrix
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 0.0
+        assert np.array_equal(obs.matrix, tensor_power(
+            single_site_observable((0.5, 0.6, 0.8, -0.25)), 3))
+
+    def test_given_matrix_is_applied_densely(self):
+        rng = np.random.default_rng(3)
+        obs = random_hermitian(rng, 4)
+        x = rng.normal(size=(4, 2)) + 0j
+        assert obs.apply(x).tobytes() == (obs.matrix @ x).tobytes()
+
+    def test_diagonal_of_a_product_form(self):
+        """A product form with ``a1 = a2 = 0`` on every site reads its
+        diagonal without the matrix, bit for bit the dense one's."""
+        sites = [(0.3, 0.0, 0.0, 1.1), (-0.7, 0.0, 0.0, 0.2), (0.0, 0.0, 0.0, 1.0)]
+        obs = product_observable(sites)
+        diagonal = obs.diagonal
+        assert "matrix" not in obs.__dict__
+        assert diagonal.tobytes() == np.diag(obs.matrix).real.tobytes()
+        assert product_observable([(0.0, 1.0, 0.0, 0.0)] * 2).diagonal is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            product_observable([(0.0, 1.0, 0.0, 0.0), (0.0, bad, 0.0, 0.0)])
+
+    def test_non_finite_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianObservable(diagonal=[1.0, np.nan])
+
+    def test_a_form_is_required(self):
+        with pytest.raises(ValueError):
+            HermitianObservable()
+        with pytest.raises(ValueError):
+            HermitianObservable(np.eye(2), diagonal=[1.0, 1.0])
 
 
 class TestPsdCarrier:

@@ -244,6 +244,38 @@ class TestSpecErrors:
             build_model_spec({"state": state, "povm": "x_basis_product"})
         assert excinfo.value.field == "povm"
 
+    def test_eigenprojector_povm_rejected_before_allocation(self, monkeypatch):
+        """A GHZ N=8 state needs 2^12 bytes and its product observable none,
+        but the eigenprojector POVM diagonalises the dense 2^8 x 2^8
+        observable (2^20 bytes); on a machine with 2^19 bytes only the POVM
+        is refused."""
+        def allocate(*args):
+            raise AssertionError("eigenprojector_povm must not be called")
+
+        sysconf = os.sysconf
+        memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 7}
+        monkeypatch.setattr(modelspec, "eigenprojector_povm", allocate)
+        monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+        data = {"state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a1": 1.0}}}
+        spec = build_model_spec(data)
+        assert "matrix" not in spec.observable.__dict__
+        with pytest.raises(SpecFileError, match="physical memory") as excinfo:
+            build_model_spec({**data, "povm": "eigenprojectors_of_observable"})
+        assert excinfo.value.field == "povm"
+        with pytest.raises(SpecFileError, match="physical memory") as excinfo:
+            modelspec._require_dense(spec.model.dim, "sld", fieldname="state")
+        assert excinfo.value.field == "state"
+
+    def test_ghz_bound_is_the_state_vectors(self):
+        """GHZ N=20 loads: 16 vectors of 2^24 bytes, a diagonal generator and
+        a product-form observable, where one dense operator takes 2^44."""
+        spec = build_model_spec({"state": {"ghz": {"n": 20}},
+                                 "observable": {"parity": True}})
+        assert spec.model.dim == 2 ** 20
+        assert spec.model.generator.diagonal.shape == (2 ** 20,)
+        assert "matrix" not in spec.model.generator.__dict__
+        assert "matrix" not in spec.observable.__dict__
+
     def test_generator_dimension_is_checked_before_the_observable(self):
         error = _field_error({"state": {"ghz": {"n": 2}}, "parametrization": QUTRIT_Z,
                               "observable": {"pauli_product": "not a quadruple"}})

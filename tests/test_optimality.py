@@ -1001,10 +1001,12 @@ class TestVectorRouteAgainstDenseReference:
                 1e-12 * max(1.0, ref.residual_rel), noise), (variant, new, ref)
 
 
-@pytest.fixture(scope="module", params=[10, 11, 12])
+@pytest.fixture(scope="module", params=[10, 11, 12, 16, 20])
 def large_ghz(request):
-    """GHZ N=10 to N=12: sizes where a dense SLD solve takes seconds per
-    phase, so these run through the state-vector route only."""
+    """GHZ N=10 to N=20: sizes where a dense SLD solve takes seconds per
+    phase (N=10 to 12) or a dense operator does not fit in memory (N=16
+    takes 64 GiB, N=20 16 TiB), so these run on state vectors, a diagonal
+    generator and product-form observables only."""
     return request.param, ghz_model(request.param)
 
 

@@ -35,7 +35,11 @@ non-diagonal generator matrix of the amplitudes spec, and ``simulate`` at
 nu=20 on the full-rank one, where most sample-mean trials clip at the
 branch ends; the invocations of
 the GHZ specs on a GHZ N=2 spec whose diagonal ``generator.matrix`` has a
-non-zero trace; plus the ``scan-pure``,
+non-zero trace; ``scan``, ``errprop`` and ``check-optimal`` (every variant)
+on GHZ N=9 specs whose observable is a per-site ``pauli_product`` list of
+``0.6 sx + 0.8 sy`` (once with its last site ``0.3 I + 0.6 sx + 0.8 sy -
+0.4 sz``) or ``parity: true``, where a product observable acts one site at
+a time and its rounding differs from a Kronecker product's; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -292,6 +296,20 @@ def invocations(workdir: Path) -> list[list[str]]:
         "observable": {"pauli_product": {"a1": 1.0}},
         "povm": "x_basis_product", "phi": "pi/8", "nu": 1000})
     runs += _spec_invocations(offset, pure=True)
+    sites = [{"a1": 0.6, "a2": 0.8} for _ in range(9)]
+    for name, observable in (
+            ("general", {"pauli_product": sites[:8] + [{"a0": 0.3, "a1": 0.6,
+                                                        "a2": 0.8, "a3": -0.4}]}),
+            ("saturating", {"pauli_product": sites}),
+            ("parity", {"parity": True})):
+        spec = _write(workdir / f"ghz9-{name}.yaml", {
+            "state": {"ghz": {"n": 9}}, "observable": observable, "nu": 1000})
+        runs += [["scan", "--model", spec, "--phi-range", "0:pi:9", "--output", "json"],
+                 ["errprop", "--model", spec, "--phi-range", "0.1:3:5",
+                  "--output", "json"]]
+        runs += [["check-optimal", "--model", spec, "--phi-range", "0.1:3:5",
+                  "--variant", variant, "--output", "json"]
+                 for variant in ("mixed", "pure", "pure_unitary")]
     runs += _error_invocations(workdir)
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
