@@ -325,9 +325,7 @@ class HermitianObservable:
     operator ``diag(g)``); ``product_form``, a tuple of per-site coefficient
     quadruples ``(a0, a1, a2, a3)`` (the tensor product of the single-qubit
     factors ``a0 I + a1 sx + a2 sy + a3 sz``, site 0 leftmost); or
-    ``matrix``, a dense Hermitian matrix (validated under ``check``). A
-    matrix may come with a ``product_form`` as well, which ``check`` then
-    requires it to match within 1e-12; the matrix is then its form.
+    ``matrix``, a dense Hermitian matrix (validated under ``check``).
     :meth:`apply` acts through the form, and a diagonal or product form
     builds ``matrix`` only when it is first read.
     """
@@ -338,32 +336,26 @@ class HermitianObservable:
 
     def __init__(self, matrix=None, product_form=None, check: bool = True, *,
                  diagonal=None) -> None:
+        if sum(given is not None for given in (matrix, product_form, diagonal)) != 1:
+            raise ValueError(
+                "an observable needs exactly one of a matrix, a product_form or a diagonal")
         if product_form is not None:
             product_form = _product_form(product_form)
             form, dim = "product", 2 ** len(product_form)
-        if diagonal is not None:
-            if matrix is not None or product_form is not None:
-                raise ValueError("a diagonal observable takes no matrix or product_form")
+        elif diagonal is not None:
             values = np.array(diagonal, dtype=float)
             if values.ndim != 1 or not np.all(np.isfinite(values)):
                 raise ValueError("diagonal must be a finite real vector")
             self.__dict__["diagonal"] = _freeze(values)
             form, dim = "diagonal", values.shape[0]
-        elif matrix is not None:
+        else:
             if check:
                 arr = require_hermitian(matrix, atol=VALIDATION_ATOL, name="observable")
-                if product_form is not None:
-                    gap = float(np.linalg.norm(arr - _product_matrix(product_form)))
-                    if gap > 1e-12:
-                        raise ValueError(
-                            f"matrix does not match product_form: gap {gap:.3e}")
             else:
                 arr = as_complex_matrix(matrix, name="observable")
                 _require_square(arr, name="observable")
             self.__dict__["matrix"] = _freeze(arr)
             form, dim = "matrix", arr.shape[0]
-        elif product_form is None:
-            raise ValueError("an observable needs a matrix, a product_form or a diagonal")
         object.__setattr__(self, "product_form", product_form)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_form", form)
@@ -373,7 +365,7 @@ class HermitianObservable:
         """The dense matrix, read-only: the given one, or built from the form
         on first read (``diag(g)``, or the Kronecker product of the factors)."""
         if self.product_form is not None:
-            return _freeze(_product_matrix(self.product_form))
+            return _freeze(tensor_product(self._factors))
         return _freeze(np.diag(self.diagonal.astype(complex)))
 
     @cached_property
@@ -409,11 +401,6 @@ class HermitianObservable:
         if self._form == "product":
             return _apply_product(self._factors, x)
         return self.matrix @ x
-
-
-def _product_matrix(product_form) -> np.ndarray:
-    """The dense Kronecker product of a product form's factors."""
-    return tensor_product([single_site_observable(quad) for quad in product_form])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -461,7 +448,7 @@ class Povm:
             if check:
                 _require_identity(factor @ factor.conj().T,
                                   "POVM factor F does not give F F^dagger = I")
-        labels = tuple(labels) if labels else tuple(range(len(block_sizes)))
+        labels = tuple(labels) or tuple(range(len(block_sizes)))
         if len(labels) != len(block_sizes):
             raise ValueError(
                 f"{len(labels)} labels for {len(block_sizes)} POVM elements")

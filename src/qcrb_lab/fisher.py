@@ -484,9 +484,10 @@ def cfi(dist: OutcomeDistribution) -> float:
 
     Outcomes with ``p <= 1e-12`` are skipped only when both their first
     derivative (``|dp| <= 1e-9``) and, when available, second derivative
-    (``|d2p| <= 1e-6``) vanish, i.e. when the outcome never fires near this phase. A vanishing probability with a
-    nonzero derivative means a divergent or limit-only Fisher information
-    and raises :class:`SingularOutcomeError` instead of being dropped.
+    (``|d2p| <= 1e-6``) vanish, i.e. when the outcome never fires near this
+    phase. A vanishing probability with a nonzero derivative means a
+    divergent or limit-only Fisher information and raises
+    :class:`SingularOutcomeError` instead of being dropped.
     """
     second = dist.second_derivatives
     total = 0.0

@@ -177,18 +177,19 @@ def ramsey_rotate(obs: HermitianObservable, n_qubits: int) -> HermitianObservabl
     With the convention ``R = exp(-i (pi/2) J_y)`` the map on product forms
     is ``(a0, a1, a2, a3) -> (a0, -a3, a2, a1)`` per site, so the saturating
     family ``(a1 sx + a2 sy)^{tensor N}`` becomes ``(a1 sz + a2 sy)^{tensor
-    N}``, the generalized parity readout.
+    N}``, the generalized parity readout. A product form is rotated by that
+    map alone; any other observable is conjugated densely by
+    :func:`rotation_about_y`.
     """
     if obs.dim != 2 ** n_qubits:
         raise DimensionMismatchError(
             f"observable dimension {obs.dim} != 2^{n_qubits}")
+    if obs.product_form is not None:
+        return HermitianObservable(product_form=[(a0, -a3, a2, a1)
+                                                 for a0, a1, a2, a3 in obs.product_form])
     r = rotation_about_y(n_qubits)
     rotated = r.conj().T @ obs.matrix @ r
-    rotated = (rotated + rotated.conj().T) / 2.0
-    form = None
-    if obs.product_form is not None:
-        form = tuple((a0, -a3, a2, a1) for a0, a1, a2, a3 in obs.product_form)
-    return HermitianObservable(rotated, product_form=form, check=False)
+    return HermitianObservable((rotated + rotated.conj().T) / 2.0, check=False)
 
 
 def parity_observable(n_qubits: int) -> HermitianObservable:

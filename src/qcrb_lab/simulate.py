@@ -9,8 +9,8 @@ single-record estimators bit for bit. The sample-mean estimator solves the
 mean curve once, as a trigonometric polynomial in the generator's gaps, and
 inverts every trial's sample mean on its monotone branch by one lockstep
 bisection; the maximum-likelihood estimator shares one likelihood grid
-between all trials and refines them by a lockstep golden-section search and
-one Newton step.
+between all trials and refines each trial's best cell by bisecting its
+score in the same lockstep.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
 #: algorithm behind every random draw in this module
 RNG_ALGORITHM = "numpy PCG64 (default_rng), per-trial SeedSequence spawn keys"
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 #: the mean curve may differ from the centre's moments by this many of its
 #: rounding bounds (see _MeanCurve.check)
@@ -242,16 +241,18 @@ class _MeanCurve:
                 f"{mean!r} vs {report.mean!r}, slope {slope!r} vs {report.slope!r}")
 
 
-def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-            f_lo: np.ndarray, target: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
-    """Solve ``f(phi) = target[i]`` on each bracket ``[lo[i], hi[i]]``, where
-    ``f_lo[i] = f(lo[i])`` lies on the other side of the target from
-    ``f(hi[i])``, by bisecting every bracket in lockstep.
+def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, f_lo: np.ndarray, target: np.ndarray,
+            xtol: float = 1e-12) -> np.ndarray:
+    """Solve ``f_i(phi) = target[i]`` on each bracket ``[lo[i], hi[i]]``,
+    where ``f_lo[i] = f_i(lo[i])`` lies on the other side of the target from
+    ``f_i(hi[i])``, by bisecting every bracket in lockstep.
 
-    Each iteration evaluates the midpoints of all open brackets in one call.
-    A bracket closes when it is at most ``xtol`` wide, when its midpoint
-    rounds to one of its ends, or when ``f`` there is exactly the target; its
-    root is then the middle of what is left of it.
+    ``f(phis, rows)`` evaluates ``f_{rows[j]}`` at ``phis[j]``; each
+    iteration calls it once, on the midpoints of the open brackets and their
+    indices. A bracket closes when it is at most ``xtol`` wide, when its
+    midpoint rounds to one of its ends, or when ``f`` there is exactly the
+    target; its root is then the middle of what is left of it.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     below = f_lo < target
@@ -259,7 +260,7 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarra
     while active.size:
         left, right, goal = lo[active], hi[active], target[active]
         mid = (left + right) / 2.0
-        value = f(mid)
+        value = f(mid, active)
         hit = value == goal
         raise_lo = ((value < goal) == below[active]) | hit
         lo[active] = np.where(raise_lo, mid, left)
@@ -290,8 +291,9 @@ def _branch_interval(curve: _MeanCurve, center: float, step: float) -> tuple[flo
         stationary[side] = True
         prev = (center, center_slope) if k == 0 else (phis[k - 1], slopes[k - 1])
         (lo[side], f_lo[side]), (hi[side], _) = sorted((prev, (phis[k], slopes[k])))
-    ends[stationary] = _bisect(curve.slope, lo[stationary], hi[stationary],
-                               f_lo[stationary], np.zeros(int(stationary.sum())))
+    ends[stationary] = _bisect(lambda phis, _: curve.slope(phis), lo[stationary],
+                               hi[stationary], f_lo[stationary],
+                               np.zeros(int(stationary.sum())))
     return float(ends[0]), float(ends[1])
 
 
@@ -328,8 +330,9 @@ def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
         phi_hat[means == mean_lo] = lo
         inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
         count = int(inside.sum())
-        phi_hat[inside] = _bisect(curve.mean, np.full(count, lo), np.full(count, hi),
-                                  np.full(count, mean_lo), means[inside])
+        phi_hat[inside] = _bisect(lambda phis, _: curve.mean(phis), np.full(count, lo),
+                                  np.full(count, hi), np.full(count, mean_lo),
+                                  means[inside])
         return [EstimatorResult(phi_hat=phi, method="sample_mean_inversion",
                                 se_predicted=se_predicted, out_of_branch=flag,
                                 branch=(lo, hi))
@@ -378,34 +381,6 @@ def _log_likelihoods(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     return total
 
 
-def _golden_max(loglik: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Golden-section maximisation of many brackets in lockstep.
-
-    ``loglik(phis, rows)`` evaluates the objective of trial ``rows[i]`` at
-    ``phis[i]``. Each bracket keeps its own state and stop condition; each
-    iteration evaluates the new point of every still-active bracket in one
-    call.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    rows = np.arange(lo.size)
-    fc, fd = np.split(loglik(np.concatenate([c, d]), np.concatenate([rows, rows])), 2)
-    active = rows[hi - lo > xtol]
-    while active.size:
-        left = fc[active] >= fd[active]
-        lower, upper = active[left], active[~left]
-        hi[lower], d[lower], fd[lower] = d[lower], c[lower], fc[lower]
-        c[lower] = hi[lower] - _GOLDEN * (hi[lower] - lo[lower])
-        lo[upper], c[upper], fc[upper] = c[upper], d[upper], fd[upper]
-        d[upper] = lo[upper] + _GOLDEN * (hi[upper] - lo[upper])
-        values = loglik(np.where(left, c[active], d[active]), active)
-        fc[lower], fd[upper] = values[left], values[~left]
-        active = active[hi[active] - lo[active] > xtol]
-    return (lo + hi) / 2.0
-
-
 def _positive_cfi(dist: OutcomeDistribution) -> float | None:
     """Classical Fisher information of ``dist``; ``None`` where it is zero or
     singular, so that no pointwise error prediction exists."""
@@ -421,23 +396,27 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     """Maximum-likelihood estimates of many records in one batched pass.
 
     The grid's outcome probabilities are computed once and shared by every
-    record; each record's best grid cell is then refined by a lockstep
-    golden-section search and one Newton step on its score. ``se_predicted``
-    is left ``None``.
+    record. Where a record's score ``sum_x n_x p'_x / p_x`` (zero counts
+    skipped) falls through zero across the bracket ``[grid[b - 1], grid[b +
+    1]]`` of its best grid index ``b``, its estimate is the root, bisected
+    in lockstep with the other records' by :func:`_bisect`, which reads only
+    the score's sign; otherwise the maximum sits at a bracket end, the one
+    with the larger grid log-likelihood. ``se_predicted`` is left ``None``.
     """
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not hi > lo:
         raise ValueError("search interval must have positive length")
     counts = np.array([record.counts for record in records], dtype=float)
 
-    def log_probs(phis: np.ndarray) -> np.ndarray:
-        return _log_probabilities(_outcome_arrays(model, phis, povm, order=0)[0])
-
-    def loglik(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _log_likelihoods(counts[rows], log_probs(phis))
+    def score(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        probs, derivs = _outcome_arrays(model, phis, povm, order=1)
+        n = counts[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero counts are skipped
+            return np.where(n > 0, n * derivs / probs, 0.0).sum(axis=1)
 
     grid = np.linspace(lo, hi, _MLE_GRID_POINTS)
-    values = _log_likelihoods(counts[:, None, :], log_probs(grid)[None, :, :])
+    log_p = _log_probabilities(_outcome_arrays(model, grid, povm, order=0)[0])
+    values = _log_likelihoods(counts[:, None, :], log_p[None, :, :])
     finite = np.isfinite(values)
     best = np.where(finite, values, -np.inf).max(axis=1)
     spread = best - np.where(finite, values, np.inf).min(axis=1)
@@ -454,51 +433,29 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     tie_tol = 1e-9 * np.maximum(1.0, np.abs(best))
     candidates = finite & (values >= (best - tie_tol)[:, None])
     best_idx = np.where(candidates, np.abs(grid - center), np.inf).argmin(axis=1)
-    bracket_lo = grid[np.maximum(best_idx - 1, 0)]
-    bracket_hi = grid[np.minimum(best_idx + 1, _MLE_GRID_POINTS - 1)]
-    phi_hat = _golden_max(loglik, bracket_lo, bracket_hi, 1e-10)
+    ends = np.stack([np.maximum(best_idx - 1, 0),
+                     np.minimum(best_idx + 1, _MLE_GRID_POINTS - 1)])
+    rows = np.arange(len(records))
+    s_lo, s_hi = score(grid[ends].ravel(), np.tile(rows, 2)).reshape(2, -1)
+    # the bracket end with the larger grid value, the lower end on a tie
+    phi_hat = grid[ends[values[rows, ends].argmax(axis=0), rows]]
+    falls = np.flatnonzero((s_lo > 0.0) & (s_hi < 0.0))
+    phi_hat[falls] = _bisect(lambda phis, open_rows: score(phis, falls[open_rows]),
+                             *grid[ends[:, falls]], s_lo[falls], np.zeros(falls.size))
     return [EstimatorResult(phi_hat=phi, method="maximum_likelihood",
                             se_predicted=None, branch=(lo, hi))
-            for phi in _newton_step(model, povm, counts, phi_hat,
-                                    bracket_lo, bracket_hi).tolist()]
-
-
-def _newton_step(model: ParametricModel, povm: Povm, counts: np.ndarray,
-                 phis: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One Newton step on each record's score from ``phis``.
-
-    A golden-section search compares log-likelihood values, so it cannot
-    resolve the maximum beyond about ``sqrt(eps |l| / I)``. The score ``s =
-    sum_x n_x p'_x / p_x`` and curvature ``c = sum_x n_x (p''_x / p_x -
-    (p'_x / p_x)^2)`` (terms added left to right over outcomes, skipping
-    zero counts) resolve it to rounding. A record keeps ``phis`` unless its
-    step ``phi - s / c`` is finite, ``c < 0`` and the new point lies in its
-    bracket ``[lo, hi]``. All records are evaluated in one stacked pass.
-    """
-    probs, derivs, second = _outcome_arrays(model, phis, povm, order=2)
-    score = np.zeros(phis.size)
-    curvature = np.zeros(phis.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(counts.shape[1]):
-            count, ratio = counts[:, k], derivs[:, k] / probs[:, k]
-            fired = count > 0
-            score = score + np.where(fired, count * ratio, 0.0)
-            curvature = curvature + np.where(
-                fired, count * (second[:, k] / probs[:, k] - ratio * ratio), 0.0)
-        stepped = phis - score / curvature
-    accept = np.isfinite(stepped) & (curvature < 0.0) & (lo <= stepped) & (stepped <= hi)
-    return np.where(accept, stepped, phis)
+            for phi in phi_hat.tolist()]
 
 
 def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
                      search_interval: tuple[float, float]) -> EstimatorResult:
     """Maximum-likelihood phase estimate over a search interval.
 
-    Coarse scan of a 65-point grid, golden-section search of the best cell
-    down to a 1e-10 bracket, then one Newton step on the score, which
-    resolves the maximum below the rounding floor of the likelihood values
-    (about 1e-8 for a thousand shots); grid ties are broken toward the
-    interval center. Raises :class:`FlatLikelihoodError` when the
+    Coarse scan of a 65-point grid, whose ties are broken toward the
+    interval center, then a bisection of the score ``sum_x n_x p'_x / p_x``
+    down to a 1e-12 bracket where it falls through zero across the best
+    cell's neighbours, or else the neighbour with the larger grid
+    log-likelihood. Raises :class:`FlatLikelihoodError` when the
     likelihood carries no phase dependence over the interval.
     """
     result = _mle_estimates([record], model, povm, search_interval)[0]

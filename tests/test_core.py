@@ -301,16 +301,30 @@ class TestDomainTypes:
             DensityMatrix(bad)
 
     def test_observable_product_form_checked(self):
-        with pytest.raises(ValueError, match="product_form"):
+        """An observable takes exactly one form; a matrix cannot come with a
+        product_form or a diagonal."""
+        with pytest.raises(ValueError, match="exactly one"):
             HermitianObservable(np.eye(4, dtype=complex),
                                 product_form=((0.0, 1.0, 0.0, 0.0),) * 2)
+        with pytest.raises(ValueError, match="exactly one"):
+            HermitianObservable(np.eye(2, dtype=complex), diagonal=[1.0, 1.0])
+        with pytest.raises(ValueError, match="exactly one"):
+            HermitianObservable()
 
     def test_product_observable_records_form(self):
         obs = product_observable([(0.0, 1.0, 0.0, 0.0)] * 2)
         assert obs.product_form == ((0.0, 1.0, 0.0, 0.0),) * 2
         assert np.array_equal(obs.matrix, np.kron(SIGMA_X, SIGMA_X))
-        # re-validating the recorded form must pass
-        HermitianObservable(obs.matrix, product_form=obs.product_form)
+        # a matrix cannot carry the recorded form as well
+        with pytest.raises(ValueError, match="exactly one"):
+            HermitianObservable(obs.matrix, product_form=obs.product_form)
+
+    def test_povm_takes_array_labels(self):
+        projectors = (np.diag([1.0, 0.0]).astype(complex),
+                      np.diag([0.0, 1.0]).astype(complex))
+        povm = Povm(projectors, labels=np.array([1.0, -1.0]))
+        assert povm.labels == (1.0, -1.0)
+        assert Povm(projectors).labels == (0, 1)
 
     def test_povm_completeness_checked(self):
         half = np.eye(2, dtype=complex) / 2.0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qcrb_lab import (
@@ -24,6 +26,7 @@ from qcrb_lab import (
     product_observable,
     ramsey_rotate,
     rotation_about_y,
+    single_site_observable,
     singular_points,
     tensor_power,
     two_qubit_lambda_solution,
@@ -211,6 +214,41 @@ class TestRamseyRotation:
         before = np.linalg.eigvalsh(obs.matrix)
         after = np.linalg.eigvalsh(rotated.matrix)
         assert np.allclose(before, after, atol=1e-10)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_product_form_matches_dense_conjugation(self, seed, n):
+        """The rotated product form's matrix against ``R^dagger O R`` with
+        ``R = rotation_about_y(n)``, for random sites with ``a0, a3 != 0``.
+
+        Bound, first order in ``eps``, per entry, with ``m_s`` the sum of the
+        moduli of site s's 2x2 factor and ``M = 2^-N prod_s m_s``. Every entry
+        of R is ``+-2^(-N/2)`` and ``|O| = kron_s |F_s|``, so ``(|R^dagger|
+        |O| |R|)_ij = M``; an entry of the rotated factor ``r^dagger F_s r``
+        is at most ``m_s / 2``, so the form's Kronecker product is at most M
+        per entry too. The dense route carries R's ``N`` roundings (kron
+        products and ``cos``, ``sin`` of ``pi / 4``), O's ``(sqrt(5) + 1)
+        N`` and two products summing ``d = 2^N`` terms each, ``(2 d + 6 N)
+        u`` of M with ``u = eps / 2``; the form's matrix carries ``(sqrt(5)
+        + 1) N u`` of M. Their difference is within ``(d + 5 N) eps M``.
+        """
+        rng = np.random.default_rng(seed)
+        sites = []
+        for _ in range(n):
+            a0, a3 = rng.choice((-1.0, 1.0), 2) * rng.uniform(0.1, 2.0, 2)
+            a1, a2 = rng.normal(size=2)
+            sites.append((float(a0), float(a1), float(a2), float(a3)))
+        obs = product_observable(sites)
+        rotated = ramsey_rotate(obs, n)
+        assert rotated.product_form == tuple((a0, -a3, a2, a1)
+                                             for a0, a1, a2, a3 in sites)
+        assert "matrix" not in obs.__dict__
+        r = rotation_about_y(n)
+        dense = r.conj().T @ obs.matrix @ r
+        scale = 2.0 ** -n * math.prod(float(np.abs(single_site_observable(q)).sum())
+                                      for q in sites)
+        bound = (2 ** n + 5 * n) * np.finfo(float).eps * scale
+        assert np.abs(rotated.matrix - dense).max() <= bound
 
     def test_rotation_matches_expm_oracle(self):
         for n in (1, 2, 3):

@@ -357,15 +357,13 @@ def _reference_newton_step(record, model, povm, phi, lo, hi):
     return phi
 
 
-def reference_mle(record, model, povm, search_interval, grid_points=65, xtol=1e-10):
+def _reference_bracket(record, model, povm, search_interval, grid_points=65):
+    """The grid, its log-likelihoods and the grid indices of the bracket
+    ``[grid[b - 1], grid[b + 1]]`` around the best index ``b`` (ties broken
+    toward the interval centre, then the lower index), one phase at a time."""
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
-
-    def loglik(phi):
-        return _reference_log_likelihood(
-            record, outcome_distribution(model, phi, povm, second_order=False))
-
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([loglik(p) for p in grid])
+    values = np.array([reference_log_likelihood(record, model, povm, p) for p in grid])
     finite = np.isfinite(values)
     best = float(values[finite].max())
     center = (lo + hi) / 2.0
@@ -373,17 +371,61 @@ def reference_mle(record, model, povm, search_interval, grid_points=65, xtol=1e-
     candidates = [i for i in range(grid_points)
                   if finite[i] and values[i] >= best - tie_tol]
     best_idx = min(candidates, key=lambda i: (abs(grid[i] - center), i))
-    bracket = (float(grid[max(best_idx - 1, 0)]),
-               float(grid[min(best_idx + 1, grid_points - 1)]))
-    phi_hat = _reference_newton_step(
-        record, model, povm, _reference_golden_max(loglik, *bracket, xtol), *bracket)
+    return grid, values, max(best_idx - 1, 0), min(best_idx + 1, grid_points - 1)
+
+
+def reference_log_likelihood(record, model, povm, phi):
+    return _reference_log_likelihood(
+        record, outcome_distribution(model, phi, povm, second_order=False))
+
+
+def reference_score(record, model, povm, phi):
+    """``sum_x n_x p'_x / p_x`` over the counted outcomes of one record."""
+    dist = outcome_distribution(model, phi, povm, second_order=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(record.counts > 0, record.counts * dist.derivatives
+                              / dist.probabilities, 0.0).sum())
+
+
+def _mle_result(record, model, povm, search_interval, phi_hat):
     try:
         info = cfi(outcome_distribution(model, phi_hat, povm))
         se_predicted = 1.0 / math.sqrt(record.nu * info) if info > 0.0 else None
     except SingularOutcomeError:
         se_predicted = None
-    return simulate.EstimatorResult(phi_hat=float(phi_hat), method="maximum_likelihood",
-                                    se_predicted=se_predicted, branch=(lo, hi))
+    return simulate.EstimatorResult(
+        phi_hat=float(phi_hat), method="maximum_likelihood", se_predicted=se_predicted,
+        branch=tuple(float(end) for end in search_interval))
+
+
+def reference_mle(record, model, povm, search_interval):
+    """Grid, bracket, then a scalar bisection of the record's score where it
+    falls through zero across the bracket; else the bracket end with the
+    larger grid log-likelihood, the lower end on a tie."""
+    grid, values, lo_i, hi_i = _reference_bracket(record, model, povm, search_interval)
+
+    def score(phi):
+        return reference_score(record, model, povm, phi)
+
+    if score(grid[lo_i]) > 0.0 > score(grid[hi_i]):
+        phi_hat = reference_bisect(score, float(grid[lo_i]), float(grid[hi_i]), 0.0)
+    else:
+        phi_hat = grid[hi_i] if values[hi_i] > values[lo_i] else grid[lo_i]
+    return _mle_result(record, model, povm, search_interval, phi_hat)
+
+
+def golden_newton_mle(record, model, povm, search_interval):
+    """The earlier refinement, kept as an independent cross-check: a
+    golden-section search of the bracket on log-likelihood values down to
+    1e-10, then one Newton step on the score."""
+    grid, _, lo_i, hi_i = _reference_bracket(record, model, povm, search_interval)
+    bracket = (float(grid[lo_i]), float(grid[hi_i]))
+    phi_hat = _reference_newton_step(
+        record, model, povm,
+        _reference_golden_max(lambda phi: reference_log_likelihood(record, model, povm, phi),
+                              *bracket, 1e-10),
+        *bracket)
+    return _mle_result(record, model, povm, search_interval, phi_hat)
 
 
 def moments_curve(model, obs):
@@ -697,6 +739,61 @@ class TestBatchedEquivalence:
             simulate._log_likelihoods(np.ones((2, 3)), np.zeros((2, 4)))
 
 
+class TestMleRefinement:
+    """Each trial's best grid cell is refined by bisecting its score."""
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+    def test_close_to_golden_section_and_newton(self, name, trial_results):
+        """Within ``1e-10 + 0.5e-12`` of a golden-section search of the same
+        bracket on log-likelihood values followed by one Newton step on the
+        score. Where the score falls through zero, bisection stops within
+        ``0.5e-12`` of its root, and a Newton step from golden's point lands
+        on the root to rounding (its error is quadratic in golden's, about
+        1e-16); where the maximum sits at a bracket end, bisection returns
+        the end, and golden's last bracket, at most ``1e-10`` wide, still
+        holds it, the Newton step being refused for leaving the bracket."""
+        model, povm, _, phi = equivalence_case(name)
+        interval = default_mle_interval(model, phi)
+        records = reference_records(model, povm, phi, NU, TRIALS, SEED)
+        run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
+        for result, record in zip(trial_results[0], records):
+            old = golden_newton_mle(record, model, povm, interval)
+            assert abs(result.phi_hat - old.phi_hat) <= 1e-10 + 0.5e-12
+
+    @pytest.mark.parametrize("name", [n for n in EQUIVALENCE_CASES if n != "blackbox"])
+    def test_score_changes_sign_across_interior_estimates(self, name, trial_results):
+        """An estimate off the grid is a root of its record's score: the score
+        is positive ``1e-12`` below it and negative ``1e-12`` above it.
+
+        A blackbox model is left out: its ``p'`` is a central difference with
+        step ``eps^(1/3)``, whose rounding of about ``eps^(2/3)`` puts some
+        1e-8 on a score of ``nu = 2000`` shots, more than the score's change
+        of about ``nu I 1e-12`` over the width."""
+        model, povm, _, phi = equivalence_case(name)
+        grid = np.linspace(*default_mle_interval(model, phi), 65)
+        records = reference_records(model, povm, phi, NU, TRIALS, SEED)
+        run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
+        interior = [(result.phi_hat, record)
+                    for result, record in zip(trial_results[0], records)
+                    if result.phi_hat not in grid]
+        assert interior
+        for phi_hat, record in interior:
+            assert reference_score(record, model, povm, phi_hat - 1e-12) > 0.0
+            assert reference_score(record, model, povm, phi_hat + 1e-12) < 0.0
+
+    @pytest.mark.parametrize("phi, interval, end", [(0.15, (0.3, 0.7), 0.3),
+                                                    (0.5, (0.1, 0.35), 0.35)])
+    def test_interval_excluding_the_truth_returns_its_end(self, phi, interval, end):
+        """The GHZ N=2 x-product likelihood depends on ``cos 2 phi``, so it
+        falls monotonically away from a maximum near the truth on ``[0, pi /
+        2]``: over an interval on one side of the truth, every estimate is
+        the interval end nearer the truth, exactly."""
+        model, povm, _, _ = equivalence_case("ghz2-x")
+        summary = run_mle_trials(model, povm, phi, NU, TRIALS, SEED,
+                                 search_interval=interval)
+        assert summary.estimates.tolist() == [end] * TRIALS
+
+
 _EPS = float(np.finfo(float).eps)
 
 #: the curve and the moments may differ by this many of their rounding
@@ -846,7 +943,7 @@ class TestBisect:
         side of the hill; a midpoint that hits its target exactly is the
         root."""
         lo, hi = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 1.0])
-        roots = simulate._bisect(self.hill, lo, hi, self.hill(lo),
+        roots = simulate._bisect(lambda phis, _: self.hill(phis), lo, hi, self.hill(lo),
                                  np.array([0.19, 0.36, 0.75]))
         assert abs(roots[0] - 0.1) <= 0.5e-12
         assert abs(roots[1] - 1.8) <= 0.5e-12
@@ -856,6 +953,22 @@ class TestBisect:
         """With ``xtol = 0`` only a midpoint that rounds to an end stops
         the bracket ``[1, 1 + ulp]``."""
         lo, hi = np.array([1.0]), np.array([np.nextafter(1.0, 2.0)])
-        root = simulate._bisect(lambda x: x - 1.0, lo, hi, np.zeros(1),
+        root = simulate._bisect(lambda x, _: x - 1.0, lo, hi, np.zeros(1),
                                 np.array([1e-17]), xtol=0.0)
         assert root[0] in (lo[0], hi[0])
+
+    def test_rows_index_the_open_brackets(self):
+        """``f`` receives the indices of the brackets still open, so that a
+        bracket's function may depend on its row: row ``i`` solves ``x =
+        i``; the bracket of row 1 is closed from the start."""
+        seen = []
+
+        def f(phis, rows):
+            seen.append(rows.tolist())
+            return phis - rows
+
+        lo, hi = np.array([-1.0, 1.0, 1.0]), np.array([1.0, 1.0, 3.0])
+        roots = simulate._bisect(f, lo, hi, lo - np.arange(3), np.zeros(3))
+        assert seen[0] == [0, 2]
+        assert abs(roots[0]) <= 0.5e-12 and abs(roots[2] - 2.0) <= 0.5e-12
+        assert roots[1] == 1.0
