@@ -3,10 +3,8 @@
 Reads a model specification file, runs the requested analysis, and emits
 text, JSON, or CSV. Exit codes: 0 success, 2 specification or usage error,
 3 not-optimal verdict (``check-optimal`` only), 4 runtime or numeric error.
-Exit code 2 also refuses, before anything is allocated, ``sld``, ``qfi
---show-sld`` and ``simulate`` with an observable where one dense ``d x d``
-matrix would exceed physical memory; the other commands run a pure state
-on its vectors (see :func:`~.modelspec._require_dense`).
+Exit code 2 also refuses a command, before its first phase, whose
+:func:`~.modelspec.footprint` exceeds physical memory.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
 from .fisher import outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
-from .modelspec import ModelSpec, _phase_grid, load_model_spec, parse_angle
-from .modelspec import _RUN_MINIMUMS, _integer, _positive_float, _require_dense
+from .modelspec import ModelSpec, _phase_grid, footprint, load_model_spec, parse_angle
+from .modelspec import _RUN_BOUNDS, _admit, _integer, _positive_float
 from .optimality import (
     OPTIMALITY_RTOL,
     _check_observable_optimality,
@@ -103,7 +101,7 @@ def _command(name, *flags, formats=("text", "json")):
 
 def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
                seed=None, trials=None, tol=None) -> ModelSpec:
-    """The spec file with the command-line overrides its command takes."""
+    """The spec file with its command's overrides, once its footprint is admitted."""
     if model_path is None:
         raise SpecFileError("a --model specification file is required")
     spec = load_model_spec(model_path)
@@ -127,11 +125,15 @@ def _load_spec(model_path, *, phi_text=None, phi_range_text=None, nu=None,
             steps, fieldname="phi-range"), phi_is_range=True)
     for key, value in (("nu", nu), ("trials", trials), ("seed", seed)):
         if value is not None:
-            changes[key] = _integer(value, _RUN_MINIMUMS[key], fieldname=f"--{key}")
+            changes[key] = _integer(value, *_RUN_BOUNDS[key], fieldname=f"--{key}")
     if tol is not None:
         changes["tolerances"] = {**spec.tolerances,
                                  "optimality": _positive_float(tol, fieldname="--tol")}
-    return replace(spec, **changes)
+    spec = replace(spec, **changes)
+    context = click.get_current_context()
+    _admit(footprint(spec, context.info_name, show_sld=context.params.get("show_sld", False),
+                     output=context.params["output_format"]), context.info_name)
+    return spec
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -205,8 +207,6 @@ def main() -> None:
 def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_path):
     """Quantum Fisher information at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-    if show_sld:
-        _require_dense(spec.model.dim, "qfi --show-sld", fieldname="state")
 
     def row(phi):
         result = sld(spec.model, phi)
@@ -222,7 +222,6 @@ def cmd_qfi(model_path, phi_text, phi_range_text, show_sld, output_format, out_p
 def cmd_sld(model_path, phi_text, phi_range_text, output_format, out_path):
     """SLD operator, residual, and kernel dimension at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-    _require_dense(spec.model.dim, "sld", fieldname="state")
 
     def row(phi):
         result = sld(spec.model, phi)
@@ -387,8 +386,6 @@ def cmd_simulate(model_path, phi_text, nu, seed, trials, output_format, out_path
                             field="observable")
     if spec.phi_is_range:
         raise SpecFileError("simulate takes a single phase", field="phi")
-    if spec.observable is not None:
-        _require_dense(spec.model.dim, "simulate with an observable", fieldname="state")
     phi = float(spec.phis[0])
     results = []
     if spec.observable is not None:

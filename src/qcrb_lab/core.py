@@ -533,41 +533,19 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
                 block_sizes=[len(group) for group in groups])
 
 
-_XY_BASIS_VECTORS = {
-    "x": {
-        "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-        "-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    },
-    "y": {
-        "+": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-        "-": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
-    },
-}
-
-
-def _basis_vectors(axis: str, n_qubits: int) -> dict[str, np.ndarray]:
-    """The single-qubit ``axis`` eigenvectors, after checking the arguments."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    return _XY_BASIS_VECTORS[axis]
+# columns: the single-qubit + and - eigenvectors of sigma_x and of sigma_y
+_XY_BASES = {"x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+             "y": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)}
 
 
 def product_basis_vectors(axis: str, n_qubits: int) -> tuple[tuple[str, np.ndarray], ...]:
     """Per-outcome product vectors of the single-qubit ``axis`` eigenbasis.
 
     Outcomes are ordered ``++..+, ++..-, ..., --..-`` and labelled by their
-    sign strings.
+    sign strings; each is a copied column of the :func:`product_basis_povm` factor.
     """
-    single = _basis_vectors(axis, n_qubits)
-    out = []
-    for signs in itertools.product("+-", repeat=n_qubits):
-        vec = np.array([1.0], dtype=complex)
-        for sign in signs:
-            vec = np.kron(vec, single[sign])
-        out.append(("".join(signs), vec))
-    return tuple(out)
+    povm = product_basis_povm(axis, n_qubits)
+    return tuple((label, povm.factor[:, k].copy()) for k, label in enumerate(povm.labels))
 
 
 def product_basis_povm(axis: str, n_qubits: int) -> Povm:
@@ -577,11 +555,8 @@ def product_basis_povm(axis: str, n_qubits: int) -> Povm:
     single-qubit ``+`` and ``-`` vectors; each column is one outcome, in the
     order and with the labels of :func:`product_basis_vectors`.
     """
-    single = _basis_vectors(axis, n_qubits)
-    basis = np.stack([single["+"], single["-"]], axis=1)
-    factor = basis
-    for _ in range(n_qubits - 1):
-        factor = np.kron(factor, basis)
+    if axis not in _XY_BASES:
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     labels = tuple("".join(signs) for signs in itertools.product("+-", repeat=n_qubits))
-    return Povm(labels=labels, check=False, factor=factor,
+    return Povm(labels=labels, check=False, factor=tensor_power(_XY_BASES[axis], n_qubits),
                 block_sizes=[1] * len(labels))

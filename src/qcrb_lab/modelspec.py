@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,9 @@ from .core import (
     product_observable,
 )
 from .errors import SpecFileError
-from .fisher import ParametricModel, unitary_model
+from .fisher import _BATCH_ENTRIES, ParametricModel, unitary_model
 from .ghz import ghz_state, parity_observable
+from .simulate import _MLE_GRID_POINTS
 
 __all__ = [
     "ModelSpec",
@@ -39,15 +41,14 @@ __all__ = [
     "parse_vector",
     "load_model_spec",
     "build_model_spec",
+    "footprint",
+    "Sizes",
     "KNOWN_TOLERANCES",
 ]
 
 KNOWN_TOLERANCES = ("optimality",)
-# least value of each integer run parameter, as a spec key and as a flag
-_RUN_MINIMUMS = {"nu": 1, "seed": 0, "trials": 2}
-# d-vectors a command on a pure state holds at once: the carrier, L C, dC,
-# O C, the residual and the per-qubit contraction's temporaries
-_LIVE_VECTORS = 16
+# least and greatest value of each integer run parameter (nu is an int64 shot count)
+_RUN_BOUNDS = {"nu": (1, 2 ** 63 - 1), "seed": (0, math.inf), "trials": (2, math.inf)}
 # libyaml's parser when PyYAML was built with it; it builds the same data
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -147,41 +148,72 @@ class ModelSpec:
     tolerances: dict[str, float] = field(default_factory=dict)
 
 
-def _require_physical_memory(log2_bytes: float, what: str, *, fieldname: str) -> None:
-    """Reject ``2**log2_bytes`` bytes that exceed physical memory, before any
-    allocation; the size comes as a base-2 logarithm so that a huge spec value
-    is never expanded into a huge integer."""
+#: the sizes :func:`footprint` reads; rank is the carrier's columns (1, or d for a density)
+Sizes = namedtuple("Sizes", "dim rank columns outcomes phases trials file observable",
+                   defaults=(1, 1, 0, 0, 1, 0, 0, False))
+# Bytes held per unit of size, fitted to tracemalloc peaks (tests/test_footprint.py)
+_BYTES = {"base": 1 << 16,  # the smallest spec
+          "file": 72,       # spec file byte, while YAML parses it
+          "carrier": 176,   # d x r carrier entry: the state, its moved copies, O C, L C
+          "factor": 84,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
+          "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
+          "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
+          "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
+          "batch": 96}      # entry of a phase chunk of _outcome_arrays
+# per output row, cell and SLD entry of a row by format; cells per row ("load" has none)
+_ROW_BYTES = {"text": (300, 110, 200), "csv": (300, 110, 200), "json": (450, 240, 450)}
+_CELLS = {"load": 0, "qfi": 2, "sld": 4, "errprop": 10, "check-optimal": 9, "scan": 11,
+          "cfi": 2, "lambda": 8, "simulate": 0}
+
+
+def footprint(spec, command: str, *, show_sld: bool = False,
+              output: str = "text") -> dict[tuple[str | None, str], float]:
+    """The bytes ``command`` (a CLI command, or ``"load"``) holds at once on ``spec``
+    (a :class:`ModelSpec`, or the :class:`Sizes` of forms about to be built), keyed
+    by field and content; sizes are capped at 2^64, so that every term is finite."""
+    cells, (row, cell, entry) = _CELLS[command], _ROW_BYTES[output]
+    if not isinstance(spec, Sizes):  # a ModelSpec: the sizes of its stored forms
+        dim, povm = spec.model.dim, spec.povm
+        spec = Sizes(dim, 1 if isinstance(spec.model.initial_state, PureState) else dim,
+                     *((0, 0) if povm is None else (povm.factor.shape[1], len(povm))),
+                     len(spec.phis), spec.trials, 0, spec.observable is not None)
+    *sizes, observable = spec
+    dim, rank, columns, outcomes, phases, trials, file = (
+        float(min(size, 2 ** 64)) for size in sizes)
+    sld_rows, simulate = command == "sld" or show_sld, command == "simulate"
+    dense, mle = sld_rows or simulate and observable, float(columns > 0)
+    matrix = f"{dim:.0f} x {dim:.0f} matrix"
+    width = max(dim, columns)
+    chunk = min(2.0 * trials + _MLE_GRID_POINTS, max(1.0, _BATCH_ENTRIES / (dim * width)))
+    return {(None, "the YAML parse"): _BYTES["file"] * file,
+            ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
+                _BYTES["base"] + _BYTES["carrier"] * dim * rank,
+            ("povm", f"the {dim:.0f} x {columns:.0f} factor"):
+                _BYTES["factor"] * dim * columns,
+            ("phi", f"{phases:.0f} phases"): phases * (8 + (cells and row + cells * cell)),
+            ("state", f"{matrix} work"): _BYTES["matrix"] * dim * dim * dense,
+            ("state", f"the {matrix} of each row"): entry * dim * dim * phases * sld_rows,
+            ("trials", f"{trials:.0f} trials"): simulate * trials * (
+                _BYTES["mean_trial"] * observable
+                + mle * (_BYTES["mle_trial"] + _BYTES["outcome"] * outcomes)),
+            ("povm", "likelihood phase chunks"):
+                simulate * mle * _BYTES["batch"] * chunk * rank * width}
+
+
+def _admit(terms: dict, what: str, field: str | None = None) -> None:
+    """Reject ``what`` before it allocates when its :func:`footprint` ``terms``
+    exceed physical memory, naming ``field`` or else the largest term's."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if log2_bytes > math.log2(memory):
-        raise SpecFileError(f"{what} exceeds the {memory} bytes of physical memory",
-                            field=fieldname)
+    if (need := sum(terms.values())) > memory:
+        (name, part), largest = max(terms.items(), key=lambda item: item[1])
+        raise SpecFileError(f"{what} needs {need:.4g} bytes, {largest:.4g} of them for "
+                            f"{part}, which exceeds the {memory} bytes of physical memory",
+                            field=field or name)
 
 
-def _require_dense(dim: int, what: str, *, fieldname: str) -> None:
-    """Reject ``what``, before it allocates, when one dense ``dim x dim``
-    complex matrix (``16 dim^2 = 2^(2 log2(dim) + 4)`` bytes) exceeds
-    physical memory.
-
-    Loading a spec allocates no such matrix for a ``ghz`` state (bounded by
-    ``_LIVE_VECTORS`` vectors of ``2^(N+4)`` bytes) under its diagonal
-    collective generator with a ``pauli_product`` or ``parity`` observable,
-    so ``qfi``, ``errprop``, ``check-optimal`` and ``scan`` run it on
-    vectors. What reads a dense operator checks this first: the
-    ``eigenprojectors_of_observable`` POVM at load, and the CLI's ``sld``,
-    ``qfi --show-sld`` and ``simulate`` with an observable on the state's
-    dimension.
-    """
-    _require_physical_memory(2.0 * math.log2(dim) + 4.0,
-                             f"{what} needs a dense {dim} x {dim} matrix, which",
-                             fieldname=fieldname)
-
-
-def _phase_grid(start: float, stop: float, steps: int, *,
-                fieldname: str) -> np.ndarray:
-    """``np.linspace(start, stop, steps)``, after rejecting a grid whose
-    ``8 * steps`` bytes exceed physical memory."""
-    _require_physical_memory(math.log2(8 * steps), f"a grid of {steps} phases",
-                             fieldname=fieldname)
+def _phase_grid(start: float, stop: float, steps: int, *, fieldname: str) -> np.ndarray:
+    """``np.linspace(start, stop, steps)``, once :func:`footprint` admits it."""
+    _admit(footprint(Sizes(phases=steps), "load"), f"a grid of {steps} phases", fieldname)
     return np.linspace(start, stop, steps)
 
 
@@ -202,11 +234,13 @@ def _require_known_keys(data: dict, known, *, fieldname: str) -> None:
                             field=f"{fieldname}.{unknown[0]}" if fieldname else unknown[0])
 
 
-def _integer(value, minimum: int, *, fieldname: str) -> int:
-    """``value`` if it is an integer (not a bool) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise SpecFileError(f"must be an integer >= {minimum}, got {value!r}",
-                            field=fieldname)
+def _integer(value, minimum: int, maximum: float = math.inf, *, fieldname: str) -> int:
+    """``value`` if it is an integer (not a bool) from ``minimum`` to ``maximum``;
+    the error names the bound it breaks."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not integer or not minimum <= value <= maximum:
+        bound = f"<= {maximum}" if integer and value > maximum else f">= {minimum}"
+        raise SpecFileError(f"must be an integer {bound}, got {value!r}", field=fieldname)
     return value
 
 
@@ -260,12 +294,8 @@ def _build_state(data, *, fieldname: str = "state"):
         body = _require_mapping(body, fieldname=fieldname)
         _require_known_keys(body, ("n",), fieldname=fieldname)
         n = _integer(body.get("n"), 1, fieldname=f"{fieldname}.n")
-        # _LIVE_VECTORS vectors of 2^n amplitudes, 2^(n+4) bytes each; what
-        # builds a dense 2^n x 2^n operator checks _require_dense as well
-        _require_physical_memory(
-            n + 4 + math.log2(_LIVE_VECTORS),
-            f"holding {_LIVE_VECTORS} state vectors of 2^{n} amplitudes",
-            fieldname=f"{fieldname}.n")
+        _admit(footprint(Sizes(dim=2 ** min(n, 64)), "load"),
+               f"a GHZ state of {n} qubits", f"{fieldname}.n")
         return ghz_state(n, 0.0), n
     form, entries = _one_of(body, ("amplitudes", "density"), fieldname=fieldname)
     fieldname = f"{fieldname}.{form}"
@@ -338,23 +368,19 @@ def _build_observable(data, n_qubits, *, fieldname: str = "observable"):
         [_coefficient_quadruple(entry, fieldname=fieldname)] * n_qubits)
 
 
-def _build_povm(data, n_qubits, observable, *, fieldname: str = "povm"):
+def _build_povm(data, n_qubits, observable, dim, *, fieldname: str = "povm"):
     if data is None:
         return None
     if isinstance(data, str):
+        # a named POVM builds a dim x dim factor, by Kronecker products or eigh
+        _admit(footprint(Sizes(dim, columns=dim), "load"), data, fieldname)
         if data in ("x_basis_product", "y_basis_product"):
-            n_qubits = _qubits(n_qubits, data, fieldname=fieldname)
-            # 2^n product vectors of 2^n complex amplitudes take 2^(2n+4) bytes
-            _require_physical_memory(2 * n_qubits + 4,
-                                     f"{2 ** n_qubits} product-basis POVM vectors",
-                                     fieldname=fieldname)
-            return product_basis_povm(data[0], n_qubits)
+            return product_basis_povm(data[0], _qubits(n_qubits, data, fieldname=fieldname))
         if data == "eigenprojectors_of_observable":
             if observable is None:
                 raise SpecFileError(
                     "eigenprojectors_of_observable needs an observable",
                     field=fieldname)
-            _require_dense(observable.dim, data, fieldname=fieldname)
             return eigenprojector_povm(observable)
         raise SpecFileError(f"unknown POVM name {data!r}", field=fieldname)
     _, custom = _one_of(data, ("custom",), fieldname=fieldname)
@@ -423,7 +449,7 @@ def build_model_spec(data: dict) -> ModelSpec:
     observable = _same_dim("observable", _build_observable(data.get("observable"),
                                                            n_qubits),
                            state, fieldname="observable")
-    povm = _same_dim("POVM", _build_povm(data.get("povm"), n_qubits, observable),
+    povm = _same_dim("POVM", _build_povm(data.get("povm"), n_qubits, observable, state.dim),
                      state, fieldname="povm")
     phis, phi_is_range = _build_phis(data.get("phi"))
     # a null nu or trials takes the default, as a missing one does
@@ -431,10 +457,10 @@ def build_model_spec(data: dict) -> ModelSpec:
     return ModelSpec(
         model=unitary_model(state, generator), observable=observable, povm=povm,
         phis=phis, phi_is_range=phi_is_range,
-        nu=1 if nu is None else _integer(nu, _RUN_MINIMUMS["nu"], fieldname="nu"),
-        seed=_integer(data.get("seed", 0), _RUN_MINIMUMS["seed"], fieldname="seed"),
+        nu=1 if nu is None else _integer(nu, *_RUN_BOUNDS["nu"], fieldname="nu"),
+        seed=_integer(data.get("seed", 0), *_RUN_BOUNDS["seed"], fieldname="seed"),
         trials=(100 if trials is None
-                else _integer(trials, _RUN_MINIMUMS["trials"], fieldname="trials")),
+                else _integer(trials, *_RUN_BOUNDS["trials"], fieldname="trials")),
         n_qubits=n_qubits,
         tolerances=_build_tolerances(data.get("tolerances")))
 
@@ -443,6 +469,8 @@ def load_model_spec(path: str) -> ModelSpec:
     """Parse a model specification file (YAML)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            _admit(footprint(Sizes(file=os.fstat(handle.fileno()).st_size), "load"),
+                   f"parsing {path!r}")
             data = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}") from exc

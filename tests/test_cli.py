@@ -739,6 +739,14 @@ class TestSpecValidation:
         assert result.exit_code == 2, result.output
         assert result.output == f"specification error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "errprop"])
+    def test_nu_flag_beyond_int64_is_exit_two(self, runner, ghz2_spec, command):
+        result = runner.invoke(main, [command, "--model", ghz2_spec,
+                                      "--nu", "100000000000000000000"])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("specification error: --nu: must be an integer "
+                                 f"<= {2 ** 63 - 1}, got 100000000000000000000\n")
+
     def test_tolerance_read_as_a_string_takes_effect(self, runner, tmp_path):
         """YAML reads ``9e-1`` as a string; it is the number 0.9, which
         certifies the a1 + a3/2 product (``residual_rel`` 0.46-0.50)."""

@@ -228,9 +228,9 @@ class TestSpecErrors:
         assert "phi.steps" in str(excinfo.value)
 
     def test_oversized_product_povm_rejected_before_allocation(self, monkeypatch):
-        """A custom 8-qubit amplitude state needs 2^12 bytes, its x-basis
-        product POVM (2^8 vectors of 2^8 amplitudes) 2^20; on a machine with
-        2^19 bytes the POVM, not the state, is refused."""
+        """A custom 8-qubit amplitude state loads on a machine with 2^19
+        bytes, but the footprint of its x-basis product POVM's 2^8 x 2^8
+        factor (about 2^22.4 bytes) is refused."""
         def allocate(*args):
             raise AssertionError("product_basis_povm must not be called")
 
@@ -245,10 +245,11 @@ class TestSpecErrors:
         assert excinfo.value.field == "povm"
 
     def test_eigenprojector_povm_rejected_before_allocation(self, monkeypatch):
-        """A GHZ N=8 state needs 2^12 bytes and its product observable none,
-        but the eigenprojector POVM diagonalises the dense 2^8 x 2^8
-        observable (2^20 bytes); on a machine with 2^19 bytes only the POVM
-        is refused."""
+        """A GHZ N=8 state's footprint is about 2^17 bytes and its product
+        observable stores none, but the eigenprojector POVM diagonalises the
+        dense 2^8 x 2^8 observable into a 2^8 x 2^8 factor (about 2^22.4
+        bytes); on a machine with 2^19 bytes only the POVM is refused, and
+        so is ``sld``, whose footprint holds the dense SLD."""
         def allocate(*args):
             raise AssertionError("eigenprojector_povm must not be called")
 
@@ -263,12 +264,13 @@ class TestSpecErrors:
             build_model_spec({**data, "povm": "eigenprojectors_of_observable"})
         assert excinfo.value.field == "povm"
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
-            modelspec._require_dense(spec.model.dim, "sld", fieldname="state")
+            modelspec._admit(modelspec.footprint(spec, "sld"), "sld")
         assert excinfo.value.field == "state"
 
     def test_ghz_bound_is_the_state_vectors(self):
-        """GHZ N=20 loads: 16 vectors of 2^24 bytes, a diagonal generator and
-        a product-form observable, where one dense operator takes 2^44."""
+        """GHZ N=20 loads: a footprint of 176 bytes per amplitude (about 2^27.5
+        bytes), a diagonal generator and a product-form observable, where one
+        dense operator takes 2^44."""
         spec = build_model_spec({"state": {"ghz": {"n": 20}},
                                  "observable": {"parity": True}})
         assert spec.model.dim == 2 ** 20
@@ -315,6 +317,14 @@ class TestIntegerFields:
             error = _field_error(place(bad))
             assert error.field == field
             assert str(error) == f"{field}: must be an integer >= {minimum}, got {bad!r}"
+
+    def test_nu_beyond_int64_is_a_spec_error(self):
+        """The multinomial draw takes nu as an int64: 2^63 - 1 loads, one
+        more is refused by name instead of failing inside numpy."""
+        assert build_model_spec({**GHZ2, "nu": 2 ** 63 - 1}).nu == 2 ** 63 - 1
+        error = _field_error({**GHZ2, "nu": 2 ** 63})
+        assert error.field == "nu"
+        assert str(error) == f"nu: must be an integer <= {2 ** 63 - 1}, got {2 ** 63}"
 
     def test_null_nu_and_trials_take_the_default(self):
         spec = build_model_spec({**GHZ2, "nu": None, "trials": None})

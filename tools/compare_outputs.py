@@ -60,7 +60,8 @@ dimension, and a ``custom`` density whose entries are strings such as
 Each differing invocation is listed with every output field that moved and,
 for numeric fields, the largest absolute and relative difference over the
 field's values. Fields are the keys of JSON output, the columns of CSV and
-text tables, and the ``key: value`` lines of other text output. Where either
+text tables, and the ``key: value`` lines of other text output; a
+``simulate`` result's fields are keyed ``<method>.<field>`` in both forms. Where either
 side exits 2 or 4, both outputs are printed whole instead (``-`` lines the
 base's, ``+`` lines this tree's).
 
@@ -371,8 +372,10 @@ def _fields(output: str) -> dict[str, list]:
 
     def walk(node, key: str) -> None:
         if isinstance(node, dict):
+            # a simulate result's fields are keyed by its method, as in text
+            prefix = f"{node['method']}." if "method" in node else ""
             for name, value in node.items():
-                walk(value, name)
+                walk(value, prefix + name)
         elif isinstance(node, list):
             for value in node:
                 walk(value, key)
