@@ -46,7 +46,7 @@ EXIT_RUNTIME_ERROR = 4
 def _matrix_pairs(matrix: np.ndarray) -> list[list[float]]:
     """Row-major flat list of [re, im] pairs (the model-file matrix format)."""
     flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
 # One definition per flag; each command attaches the ones it reads, so a flag

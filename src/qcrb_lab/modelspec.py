@@ -9,6 +9,7 @@ are row-major flat lists of ``[re, im]`` pairs.
 from __future__ import annotations
 
 import ast
+import io
 import math
 import numbers
 import operator
@@ -148,12 +149,16 @@ class ModelSpec:
     tolerances: dict[str, float] = field(default_factory=dict)
 
 
-#: the sizes :func:`footprint` reads; rank is the carrier's columns (1, or d for a density)
-Sizes = namedtuple("Sizes", "dim rank columns outcomes phases trials file observable",
-                   defaults=(1, 1, 0, 0, 1, 0, 0, False))
+#: the sizes :func:`footprint` reads; rank is the carrier's columns (1, or d for a
+#: density), file and marks a spec file's characters and its :data:`_YAML_MARKS`
+Sizes = namedtuple("Sizes", "dim rank columns outcomes phases trials file marks observable",
+                   defaults=(1, 1, 0, 0, 1, 0, 0, 0, False))
+#: the spec file characters that open or separate YAML nodes
+_YAML_MARKS = "[{,-:\n"
 # Bytes held per unit of size, fitted to tracemalloc peaks (tests/test_footprint.py)
 _BYTES = {"base": 1 << 16,  # the smallest spec
-          "file": 72,       # spec file byte, while YAML parses it
+          "char": 32,       # spec file character (up to 4 UTF-8 bytes), read and parsed
+          "mark": 540,      # spec file mark: YAML nodes it opens or separates, while parsed
           "carrier": 176,   # d x r carrier entry: the state, its moved copies, O C, L C
           "factor": 84,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
           "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
@@ -176,16 +181,16 @@ def footprint(spec, command: str, *, show_sld: bool = False,
         dim, povm = spec.model.dim, spec.povm
         spec = Sizes(dim, 1 if isinstance(spec.model.initial_state, PureState) else dim,
                      *((0, 0) if povm is None else (povm.factor.shape[1], len(povm))),
-                     len(spec.phis), spec.trials, 0, spec.observable is not None)
+                     len(spec.phis), spec.trials, 0, 0, spec.observable is not None)
     *sizes, observable = spec
-    dim, rank, columns, outcomes, phases, trials, file = (
+    dim, rank, columns, outcomes, phases, trials, file, marks = (
         float(min(size, 2 ** 64)) for size in sizes)
     sld_rows, simulate = command == "sld" or show_sld, command == "simulate"
     dense, mle = sld_rows or simulate and observable, float(columns > 0)
     matrix = f"{dim:.0f} x {dim:.0f} matrix"
     width = max(dim, columns)
     chunk = min(2.0 * trials + _MLE_GRID_POINTS, max(1.0, _BATCH_ENTRIES / (dim * width)))
-    return {(None, "the YAML parse"): _BYTES["file"] * file,
+    return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,
             ("povm", f"the {dim:.0f} x {columns:.0f} factor"):
@@ -466,12 +471,18 @@ def build_model_spec(data: dict) -> ModelSpec:
 
 
 def load_model_spec(path: str) -> ModelSpec:
-    """Parse a model specification file (YAML)."""
+    """Parse a model specification file (YAML), once :func:`footprint` admits
+    its size in bytes (before it is read) and its characters and marks."""
+    what = f"parsing {path!r}"
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            _admit(footprint(Sizes(file=os.fstat(handle.fileno()).st_size), "load"),
-                   f"parsing {path!r}")
-            data = yaml.load(handle, Loader=_Loader)
+            _admit(footprint(Sizes(file=os.fstat(handle.fileno()).st_size), "load"), what)
+            text = handle.read()
+        marks = sum(map(text.count, _YAML_MARKS))
+        _admit(footprint(Sizes(file=len(text), marks=marks), "load"), what)
+        stream = io.StringIO(text)
+        stream.name = path  # YAML's error marks name the file, as when parsing the handle
+        data = yaml.load(stream, Loader=_Loader)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

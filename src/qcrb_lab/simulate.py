@@ -3,21 +3,21 @@
 Shots are multinomial draws from a measurement's outcome distribution using
 numpy's PCG64 generator; per-trial streams are derived from ``(seed, trial
 index)`` via ``SeedSequence`` spawn keys, so trial results are reproducible
-and independent of execution order. Each run does its shared work once and
-then estimates all its trials in one batched pass that matches the
-single-record estimators bit for bit. The sample-mean estimator solves the
-mean curve once, as a trigonometric polynomial in the generator's gaps, and
-inverts every trial's sample mean on its monotone branch by one lockstep
-bisection; the maximum-likelihood estimator shares one likelihood grid
-between all trials and refines each trial's best cell by bisecting its
-score in the same lockstep.
+and independent of execution order. A run does its shared work once, draws
+one ``(trials, outcomes)`` count array and estimates on arrays; the
+single-record estimators run the same functions on one row, bit for bit.
+The sample-mean estimator solves the mean curve once, as a trigonometric
+polynomial in the generator's gaps, and inverts every trial's sample mean on
+its monotone branch by one lockstep bisection; the maximum-likelihood
+estimator shares one likelihood grid between all trials and refines each
+trial's best cell by bisecting its score in the same lockstep.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,27 +103,22 @@ def _rng(seed: int, stream: int | None) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def sample_shots(dist: OutcomeDistribution, nu: int, seed: int, *,
-                 stream: int | None = None) -> ShotRecord:
-    """Multinomial draw of ``nu`` shots from an outcome distribution."""
-    return _shot_sampler(dist, nu, seed)(stream)
-
-
-def _shot_sampler(dist: OutcomeDistribution, nu: int,
-                  seed: int) -> Callable[[int | None], ShotRecord]:
-    """The draw of :func:`sample_shots` as a function of ``stream``, with the
-    probabilities clipped at zero and renormalised once for every stream."""
+def _draw_counts(dist: OutcomeDistribution, nu: int, seed: int,
+                 streams: Iterable[int | None]) -> np.ndarray:
+    """Counts of ``nu`` shots drawn from ``dist``, one row per stream in turn;
+    the probabilities are clipped at zero and renormalised once for all."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
     probs = np.clip(dist.probabilities, 0.0, None)
     probs = probs / probs.sum()
+    return np.array([_rng(seed, stream).multinomial(nu, probs) for stream in streams])
 
-    def draw(stream: int | None) -> ShotRecord:
-        counts = _rng(seed, stream).multinomial(nu, probs)
-        return ShotRecord(labels=dist.labels, counts=counts, nu=nu, seed=seed,
-                          stream=stream)
 
-    return draw
+def sample_shots(dist: OutcomeDistribution, nu: int, seed: int, *,
+                 stream: int | None = None) -> ShotRecord:
+    """Multinomial draw of ``nu`` shots from an outcome distribution."""
+    return ShotRecord(labels=dist.labels, counts=_draw_counts(dist, nu, seed, [stream])[0],
+                      nu=nu, seed=seed, stream=stream)
 
 
 def exact_record(dist: OutcomeDistribution, nu: int) -> ShotRecord:
@@ -304,41 +299,33 @@ def _outcome_values(labels) -> np.ndarray:
         raise ValueError("record labels must be numeric outcome values") from exc
 
 
-def _mean_inverter(model: ParametricModel, obs: HermitianObservable,
-                   values: np.ndarray, report: ErrorPropagationReport,
-                   branch_center: float
-                   ) -> Callable[[list[ShotRecord]], list[EstimatorResult]]:
-    """Set up the sample-mean inversion once per run: the predicted error,
-    the mean curve (checked against ``report`` at ``branch_center``), the
-    monotone branch around ``branch_center`` and its endpoint means.
-    Returns the estimator of a list of records, which inverts every
-    in-branch sample mean in one lockstep bisection."""
-    se_predicted = math.sqrt(report.delta_phi_sq)
+def _sample_mean_estimates(counts: np.ndarray, model: ParametricModel,
+                           obs: HermitianObservable, values: np.ndarray,
+                           report: ErrorPropagationReport, branch_center: float
+                           ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Sample-mean estimates of count rows of ``report.nu`` shots whose
+    outcomes have the numeric ``values``: the mean curve (checked against
+    ``report`` at ``branch_center``), the monotone branch around it and its
+    end means are set up once, then every in-branch sample mean is inverted
+    in one lockstep bisection. Returns the estimates, the mask of the means
+    outside the branch image (estimated by the nearer end) and the branch."""
     curve = _MeanCurve(model, obs)
     curve.check(branch_center, report)
     n_sites = max(1, math.ceil(math.log2(model.dim)))
     lo, hi = _branch_interval(curve, branch_center, math.pi / (8.0 * n_sites))
     mean_lo, mean_hi = curve.mean([lo, hi]).tolist()
     low_value, high_value = sorted((mean_lo, mean_hi))
-
-    def invert(records: list[ShotRecord]) -> list[EstimatorResult]:
-        means = (np.array([record.frequencies() for record in records]) * values).sum(axis=1)
-        out_of_branch = ~((low_value <= means) & (means <= high_value))
-        # outside the branch, the end whose mean is nearer (lo on a tie)
-        phi_hat = np.where(np.abs(mean_lo - means) <= np.abs(mean_hi - means), lo, hi)
-        phi_hat[means == mean_hi] = hi
-        phi_hat[means == mean_lo] = lo
-        inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
-        count = int(inside.sum())
-        phi_hat[inside] = _bisect(lambda phis, _: curve.mean(phis), np.full(count, lo),
-                                  np.full(count, hi), np.full(count, mean_lo),
-                                  means[inside])
-        return [EstimatorResult(phi_hat=phi, method="sample_mean_inversion",
-                                se_predicted=se_predicted, out_of_branch=flag,
-                                branch=(lo, hi))
-                for phi, flag in zip(phi_hat.tolist(), out_of_branch.tolist())]
-
-    return invert
+    means = (counts / report.nu * values).sum(axis=1)
+    out_of_branch = ~((low_value <= means) & (means <= high_value))
+    # outside the branch, the end whose mean is nearer (lo on a tie)
+    phi_hat = np.where(np.abs(mean_lo - means) <= np.abs(mean_hi - means), lo, hi)
+    phi_hat[means == mean_hi] = hi
+    phi_hat[means == mean_lo] = lo
+    inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
+    count = int(inside.sum())
+    phi_hat[inside] = _bisect(lambda phis, _: curve.mean(phis), np.full(count, lo),
+                              np.full(count, hi), np.full(count, mean_lo), means[inside])
+    return phi_hat, out_of_branch, (lo, hi)
 
 
 def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
@@ -354,7 +341,11 @@ def estimate_phi_sample_mean(record: ShotRecord, obs: HermitianObservable,
     values = _outcome_values(record.labels)
     # raises SingularSensitivityError when branch_center carries no slope
     report = error_propagation(model, branch_center, obs, record.nu)
-    return _mean_inverter(model, obs, values, report, branch_center)([record])[0]
+    phi_hat, out_of_branch, branch = _sample_mean_estimates(
+        record.counts[None], model, obs, values, report, branch_center)
+    return EstimatorResult(phi_hat=float(phi_hat[0]), method="sample_mean_inversion",
+                           se_predicted=math.sqrt(report.delta_phi_sq),
+                           out_of_branch=bool(out_of_branch[0]), branch=branch)
 
 
 def _log_probabilities(probs: np.ndarray, floor: float = 1e-300) -> np.ndarray:
@@ -391,22 +382,24 @@ def _positive_cfi(dist: OutcomeDistribution) -> float | None:
     return info if info > 0.0 else None
 
 
-def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm,
-                   search_interval: tuple[float, float]) -> list[EstimatorResult]:
-    """Maximum-likelihood estimates of many records in one batched pass.
+def _mle_estimates(counts: np.ndarray, model: ParametricModel, povm: Povm,
+                   search_interval: tuple[float, float]
+                   ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Maximum-likelihood estimates of the count rows ``counts`` in one pass.
 
     The grid's outcome probabilities are computed once and shared by every
-    record. Where a record's score ``sum_x n_x p'_x / p_x`` (zero counts
+    row. Where a row's score ``sum_x n_x p'_x / p_x`` (zero counts
     skipped) falls through zero across the bracket ``[grid[b - 1], grid[b +
     1]]`` of its best grid index ``b``, its estimate is the root, bisected
-    in lockstep with the other records' by :func:`_bisect`, which reads only
+    in lockstep with the other rows' by :func:`_bisect`, which reads only
     the score's sign; otherwise the maximum sits at a bracket end, the one
-    with the larger grid log-likelihood. ``se_predicted`` is left ``None``.
+    with the larger grid log-likelihood. Returns the estimates, an all-false
+    clipped mask and the search interval, the estimates' branch.
     """
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not hi > lo:
         raise ValueError("search interval must have positive length")
-    counts = np.array([record.counts for record in records], dtype=float)
+    counts = counts.astype(float)
 
     def score(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         probs, derivs = _outcome_arrays(model, phis, povm, order=1)
@@ -435,16 +428,14 @@ def _mle_estimates(records: list[ShotRecord], model: ParametricModel, povm: Povm
     best_idx = np.where(candidates, np.abs(grid - center), np.inf).argmin(axis=1)
     ends = np.stack([np.maximum(best_idx - 1, 0),
                      np.minimum(best_idx + 1, _MLE_GRID_POINTS - 1)])
-    rows = np.arange(len(records))
+    rows = np.arange(len(counts))
     s_lo, s_hi = score(grid[ends].ravel(), np.tile(rows, 2)).reshape(2, -1)
     # the bracket end with the larger grid value, the lower end on a tie
     phi_hat = grid[ends[values[rows, ends].argmax(axis=0), rows]]
     falls = np.flatnonzero((s_lo > 0.0) & (s_hi < 0.0))
     phi_hat[falls] = _bisect(lambda phis, open_rows: score(phis, falls[open_rows]),
                              *grid[ends[:, falls]], s_lo[falls], np.zeros(falls.size))
-    return [EstimatorResult(phi_hat=phi, method="maximum_likelihood",
-                            se_predicted=None, branch=(lo, hi))
-            for phi in phi_hat.tolist()]
+    return phi_hat, np.zeros(len(counts), dtype=bool), (lo, hi)
 
 
 def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
@@ -458,10 +449,11 @@ def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
     log-likelihood. Raises :class:`FlatLikelihoodError` when the
     likelihood carries no phase dependence over the interval.
     """
-    result = _mle_estimates([record], model, povm, search_interval)[0]
-    info = _positive_cfi(outcome_distribution(model, result.phi_hat, povm))
-    return replace(result, se_predicted=(None if info is None
-                                         else 1.0 / math.sqrt(record.nu * info)))
+    phi_hat, _, branch = _mle_estimates(record.counts[None], model, povm, search_interval)
+    info = _positive_cfi(outcome_distribution(model, float(phi_hat[0]), povm))
+    se_predicted = None if info is None else 1.0 / math.sqrt(record.nu * info)
+    return EstimatorResult(phi_hat=float(phi_hat[0]), method="maximum_likelihood",
+                           se_predicted=se_predicted, branch=branch)
 
 
 @dataclass(frozen=True)
@@ -522,17 +514,14 @@ class SimulationSummary:
 
 
 def _summarize(method: str, phi_true: float, nu: int, seed: int,
-               results: list[EstimatorResult],
-               predicted_delta_phi_sq: float | None,
-               qcrb: float) -> SimulationSummary:
-    estimates = np.array([r.phi_hat for r in results])
+               estimates: np.ndarray, n_clipped: int,
+               predicted_delta_phi_sq: float | None, qcrb: float) -> SimulationSummary:
     decomposition = estimator_error_decomposition(estimates, phi_true)
     return SimulationSummary(
-        method=method, phi_true=phi_true, nu=nu, trials=len(results), seed=seed,
+        method=method, phi_true=phi_true, nu=nu, trials=estimates.size, seed=seed,
         estimates=estimates, mse=decomposition.total, decomposition=decomposition,
         se_empirical=float(np.std(estimates, ddof=1)),
-        predicted_delta_phi_sq=predicted_delta_phi_sq, qcrb=qcrb,
-        n_clipped=sum(1 for r in results if r.out_of_branch))
+        predicted_delta_phi_sq=predicted_delta_phi_sq, qcrb=qcrb, n_clipped=n_clipped)
 
 
 def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
@@ -546,11 +535,11 @@ def run_sample_mean_trials(model: ParametricModel, obs: HermitianObservable,
     report = error_propagation(model, center, obs, nu)
     povm = eigenprojector_povm(obs)
     dist = outcome_distribution(model, phi_true, povm, second_order=False)
-    invert = _mean_inverter(model, obs, _outcome_values(povm.labels), report, center)
-    draw = _shot_sampler(dist, nu, seed)
-    results = invert([draw(index) for index in range(trials)])
-    return _summarize("sample_mean_inversion", phi_true, nu, seed, results,
-                      predicted_delta_phi_sq=report.delta_phi_sq,
+    estimates, clipped, _ = _sample_mean_estimates(
+        _draw_counts(dist, nu, seed, range(trials)), model, obs,
+        _outcome_values(povm.labels), report, center)
+    return _summarize("sample_mean_inversion", phi_true, nu, seed, estimates,
+                      int(clipped.sum()), predicted_delta_phi_sq=report.delta_phi_sq,
                       qcrb=report.qcrb)
 
 
@@ -568,8 +557,7 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
     info = _positive_cfi(dist)
     predicted = None if info is None else 1.0 / (nu * info)
     qcrb = 1.0 / (nu * qfi(model, phi_true))
-    draw = _shot_sampler(dist, nu, seed)
-    records = [draw(index) for index in range(trials)]
-    results = _mle_estimates(records, model, povm, interval)
-    return _summarize("maximum_likelihood", phi_true, nu, seed, results,
-                      predicted_delta_phi_sq=predicted, qcrb=qcrb)
+    estimates, clipped, _ = _mle_estimates(_draw_counts(dist, nu, seed, range(trials)),
+                                           model, povm, interval)
+    return _summarize("maximum_likelihood", phi_true, nu, seed, estimates,
+                      int(clipped.sum()), predicted_delta_phi_sq=predicted, qcrb=qcrb)

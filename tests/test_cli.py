@@ -175,6 +175,16 @@ class TestSldCommand:
         assert row["residual"] <= 1e-9
         assert row["kernel_dim"] == 3
 
+    def test_matrix_pairs_are_the_entries_floats(self):
+        """Row-major ``[re, im]`` pairs whose floats print exactly as each
+        entry's own parts, signed zeros and subnormals included."""
+        matrix = np.random.default_rng(3).normal(size=(8, 8, 2)) @ [1.0, 1j]
+        matrix[0, :3] = [complex(-0.0, 5e-324), complex(2.2e-310, -0.0), -1e308j]
+        expected = [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+        pairs = cli._matrix_pairs(matrix)
+        assert json.dumps(pairs) == json.dumps(expected)
+        assert repr(pairs) == repr(expected)
+
 
 class TestErrpropCommand:
     def test_report_fields(self, runner, ghz2_spec):

@@ -131,11 +131,14 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
     upper bound. It overshoots where one constant covers routes of
     different cost: a POVM factor entry costs 84 B, the peak of ``cfi``
     with the eigenprojector POVM, while a command that only stores the
-    product-basis factor holds 33 B of it (2.6x); a spec file byte costs
-    72 B, the densest ``safe_dump`` layout, while full-precision floats
-    parse to 34 B (2.1x); the other terms (carrier, rows, trials) stay
-    within 1.6x of their peaks. The largest of these with the fixed 64 KiB
-    base on top stays below K = 4; the cases below measure 1.05-1.8.
+    product-basis factor holds 33 B of it (2.6x); a spec file costs 32 B
+    per character, a long string of 4-byte characters, and 540 B per mark
+    (``modelspec._YAML_MARKS``), a compact flow list ``[[0],[0],...]``,
+    while full-precision floats in ``safe_dump``'s block layout parse to
+    2.6x less; the other terms (carrier, rows, trials) stay within 1.8x of
+    their peaks. The largest of these with the fixed 64 KiB base on top
+    stays below K = 4; the cases below measure 1.05-3.3, the most for
+    ``lambda``, whose peak of some 24 KB lies under the base.
     """
     admitted = []
 
@@ -231,8 +234,8 @@ def test_runs_that_passed_every_old_guard_are_refused(tmp_path, monkeypatch, dat
 
 
 def test_spec_file_is_refused_before_it_is_parsed(tmp_path, monkeypatch):
-    """A custom density file larger than physical memory / 52 is refused by
-    its size alone, before YAML parses it."""
+    """A custom density file larger than physical memory / 52 is refused
+    before YAML parses it."""
     def parse(*args, **kwargs):
         raise AssertionError("yaml.load must not be called")
 
@@ -244,6 +247,35 @@ def test_spec_file_is_refused_before_it_is_parsed(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["qfi", "--model", path])
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"specification error: parsing {path!r} needs ")
+    assert "physical memory" in result.output
+
+
+def test_compact_flow_file_is_refused_by_its_marks(tmp_path, monkeypatch):
+    """A 32 x 32 density of compact ``[0,0]`` pairs parses to some 240 B per
+    byte, past the 72 B per byte by which a rule of the file size alone
+    admitted it: where its parse exceeds physical memory, its marks refuse
+    it before YAML parses it."""
+    path = tmp_path / "compact.yaml"
+    path.write_text("state: {custom: {density: [" + ",".join(["[0,0]"] * 1024) + "]}}\n",
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yaml.load(handle, Loader=modelspec._Loader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    memory = peak * 3 // 4
+    assert 72 * os.path.getsize(path) + (1 << 16) < memory
+    _memory(monkeypatch, memory)
+
+    def parse(*args, **kwargs):
+        raise AssertionError("yaml.load must not be called")
+
+    monkeypatch.setattr(modelspec.yaml, "load", parse)
+    result = CliRunner().invoke(main, ["qfi", "--model", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"specification error: parsing {str(path)!r} needs ")
     assert "physical memory" in result.output
 
 

@@ -95,6 +95,15 @@ class TestSampleShots:
         sigma = math.sqrt(nu / 4.0)
         assert abs(record.counts[0] - nu / 2.0) <= 5.0 * sigma
 
+    def test_single_draws_are_rows_of_the_count_array(self):
+        dist = outcome_distribution(ghz_model(2), 0.4, product_basis_povm("x", 2))
+        counts = simulate._draw_counts(dist, 1000, 42, range(8))
+        assert counts.shape == (8, 4) and counts.dtype == np.int64
+        for k, row in enumerate(counts):
+            assert np.array_equal(sample_shots(dist, 1000, 42, stream=k).counts, row)
+        unstreamed = simulate._draw_counts(dist, 1000, 42, [None])[0]
+        assert np.array_equal(sample_shots(dist, 1000, 42).counts, unstreamed)
+
     def test_counts_must_sum_to_nu(self):
         with pytest.raises(ValueError, match="sum"):
             ShotRecord(labels=(0, 1), counts=np.array([3, 3]), nu=7, seed=0)
@@ -290,14 +299,11 @@ class TestEstimatorErrors:
         povm = computational_povm(4)
         interval = default_mle_interval(model, 0.4)
         # outcomes |01>, |10> never fire; |00>, |11> fire with phase-free odds
-        flat = ShotRecord(labels=povm.labels, counts=np.array([5, 0, 0, 5]),
-                          nu=10, seed=-1)
-        impossible = ShotRecord(labels=povm.labels, counts=np.array([5, 5, 0, 0]),
-                                nu=10, seed=-1)
+        flat, impossible = [5, 0, 0, 5], [5, 5, 0, 0]
         with pytest.raises(FlatLikelihoodError, match="does not depend"):
-            simulate._mle_estimates([flat, impossible], model, povm, interval)
+            simulate._mle_estimates(np.array([flat, impossible]), model, povm, interval)
         with pytest.raises(FlatLikelihoodError, match="-inf over the whole"):
-            simulate._mle_estimates([impossible, flat], model, povm, interval)
+            simulate._mle_estimates(np.array([impossible, flat]), model, povm, interval)
 
 
 # --- reference: the per-trial estimators, one record and one phase at a time --
@@ -597,15 +603,29 @@ NU, TRIALS, SEED = 2000, 6, 13
 
 @pytest.fixture
 def trial_results(monkeypatch):
-    """Per-trial estimator results of every run made during the test."""
+    """Per-trial results of every batched estimate made during the test, in
+    the form of the single-record estimators: a sample-mean trial's
+    ``se_predicted`` is that of the report its run inverts with, and an MLE
+    trial's is ``None`` (only ``estimate_phi_mle`` computes one)."""
     captured = []
-    summarize = simulate._summarize
 
-    def spy(method, phi_true, nu, seed, results, **kwargs):
-        captured.append(list(results))
-        return summarize(method, phi_true, nu, seed, results, **kwargs)
+    def spy(name, method, se_predicted):
+        estimate = getattr(simulate, name)
 
-    monkeypatch.setattr(simulate, "_summarize", spy)
+        def wrapped(counts, *args):
+            phi_hat, clipped, branch = estimate(counts, *args)
+            captured.append([
+                simulate.EstimatorResult(phi_hat=phi, method=method,
+                                         se_predicted=se_predicted(*args),
+                                         out_of_branch=flag, branch=branch)
+                for phi, flag in zip(phi_hat.tolist(), clipped.tolist())])
+            return phi_hat, clipped, branch
+
+        monkeypatch.setattr(simulate, name, wrapped)
+
+    spy("_sample_mean_estimates", "sample_mean_inversion",
+        lambda model, obs, values, report, center: math.sqrt(report.delta_phi_sq))
+    spy("_mle_estimates", "maximum_likelihood", lambda *args: None)
     return captured
 
 
@@ -737,6 +757,28 @@ class TestBatchedEquivalence:
     def test_log_likelihoods_reject_mismatched_outcomes(self):
         with pytest.raises(ValueError, match="3 outcome counts but 4"):
             simulate._log_likelihoods(np.ones((2, 3)), np.zeros((2, 4)))
+
+
+class TestRunsOnCountArrays:
+    """A multi-trial run builds no per-trial record or result object."""
+
+    @pytest.fixture(autouse=True)
+    def no_trial_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built a per-trial object")
+
+        monkeypatch.setattr(simulate, "ShotRecord", refuse)
+        monkeypatch.setattr(simulate, "EstimatorResult", refuse)
+
+    def test_sample_mean(self):
+        model, _, obs, phi = equivalence_case("ghz2-x")
+        summary = run_sample_mean_trials(model, obs, phi, NU, TRIALS, SEED)
+        assert summary.estimates.shape == (TRIALS,)
+
+    def test_mle(self):
+        model, povm, _, phi = equivalence_case("ghz2-x")
+        summary = run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
+        assert summary.estimates.shape == (TRIALS,)
 
 
 class TestMleRefinement:

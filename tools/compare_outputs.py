@@ -39,7 +39,9 @@ non-zero trace; ``scan``, ``errprop`` and ``check-optimal`` (every variant)
 on GHZ N=9 specs whose observable is a per-site ``pauli_product`` list of
 ``0.6 sx + 0.8 sy`` (once with its last site ``0.3 I + 0.6 sx + 0.8 sy -
 0.4 sz``) or ``parity: true``, where a product observable acts one site at
-a time and its rounding differs from a Kronecker product's; plus the ``scan-pure``,
+a time and its rounding differs from a Kronecker product's; ``sld --output
+json`` and ``qfi --show-sld`` on a GHZ N=6 spec, whose 64 x 64 SLD renders
+4,096 ``[re, im]`` pairs; plus the ``scan-pure``,
 ``cfi-povm`` and ``simulate-mle`` benchmark specs at seeds 1-5. Because
 BLAS switches kernels with the matrix size, it also runs ``check-optimal``
 (every variant) and ``errprop`` on the N=9 ``scan-pure`` spec of seed 1 and
@@ -311,6 +313,9 @@ def invocations(workdir: Path) -> list[list[str]]:
         runs += [["check-optimal", "--model", spec, "--phi-range", "0.1:3:5",
                   "--variant", variant, "--output", "json"]
                  for variant in ("mixed", "pure", "pure_unitary")]
+    ghz6 = _write(workdir / "ghz6.yaml", {"state": {"ghz": {"n": 6}}, "phi": "pi/8"})
+    runs += [["sld", "--model", ghz6, "--output", "json"],
+             ["qfi", "--model", ghz6, "--show-sld"]]
     runs += _error_invocations(workdir)
     low_nu = _write(workdir / "low-nu.yaml", {
         "state": {"ghz": {"n": 2}},
