@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import MetrologyError, SingularOutcomeError, SpecFileError
 from .fisher import cfi as cfi_value
-from .fisher import outcome_distribution, sld
+from .fisher import _outcome_distributions, outcome_distribution, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, footprint, load_model_spec, parse_angle
 from .modelspec import _RUN_BOUNDS, _admit, _integer, _positive_float
@@ -180,10 +180,17 @@ def _render_rows(command: str, rows: list[dict], columns, output_format: str) ->
 
 
 def _table(command: str, spec: ModelSpec, row, output_format: str,
-           out_path: str | None) -> list[dict]:
+           out_path: str | None, povm=None) -> list[dict]:
     """Emit ``row(phi)`` for each phase of ``spec`` as one table whose
-    columns are the first row's keys; returns the rows."""
-    rows = [row(float(phi)) for phi in spec.phis]
+    columns are the first row's keys; returns the rows. With ``povm``, each
+    row is ``row(phi, dist)``, its outcome distribution read from one pass
+    over the grid."""
+    phis = spec.phis.tolist()
+    if povm is None:
+        rows = [row(phi) for phi in phis]
+    else:
+        rows = [row(phi, dist) for phi, dist in
+                zip(phis, _outcome_distributions(spec.model, phis, povm))]
     _emit(_render_rows(command, rows, tuple(rows[0]), output_format), out_path)
     return rows
 
@@ -282,7 +289,9 @@ def _check_optimal_row(spec: ModelSpec, phi: float, variant: str,
             "singular_flag": singular, "diagnostic": report.diagnostic}
 
 
-def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
+def _scan_row(spec: ModelSpec, phi: float, opt_tol: float, dist=None) -> dict:
+    """One ``scan`` row; ``dist`` is the phase's outcome distribution of
+    the spec's POVM, evaluated here when not given."""
     row: dict = {c: None for c in SCAN_COLUMNS}
     row["phi"] = phi
     result = sld(spec.model, phi)
@@ -291,7 +300,7 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float) -> dict:
     singular = False
     if spec.povm is not None:
         try:
-            row["cfi"] = cfi_value(outcome_distribution(spec.model, phi, spec.povm))
+            row["cfi"] = cfi_value(dist or outcome_distribution(spec.model, phi, spec.povm))
         except SingularOutcomeError:
             singular = True
     if spec.observable is not None:
@@ -321,8 +330,8 @@ def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
     if not spec.phi_is_range:
         raise SpecFileError("scan requires a phi range with steps >= 2", field="phi")
     opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
-    _table("scan", spec, lambda phi: _scan_row(spec, phi, opt_tol), output_format,
-           out_path)
+    _table("scan", spec, lambda phi, dist=None: _scan_row(spec, phi, opt_tol, dist),
+           output_format, out_path, spec.povm)
 
 
 @_command("cfi", "--model", "--phi", "--phi-range")
@@ -330,10 +339,8 @@ def cmd_cfi(model_path, phi_text, phi_range_text, output_format, out_path):
     """Classical Fisher information of the POVM at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
     povm = _required(spec, "povm", "cfi")
-    _table("cfi", spec,
-           lambda phi: {"phi": phi,
-                        "cfi": cfi_value(outcome_distribution(spec.model, phi, povm))},
-           output_format, out_path)
+    _table("cfi", spec, lambda phi, dist: {"phi": phi, "cfi": cfi_value(dist)},
+           output_format, out_path, povm)
 
 
 def _require_two_qubit_ghz(model) -> None:

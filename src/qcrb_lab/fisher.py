@@ -34,6 +34,7 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     EvaluationFailureError,
+    MetrologyError,
     SingularOutcomeError,
     SldUnsolvableError,
     VariantInapplicableError,
@@ -427,6 +428,30 @@ def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
 _BATCH_ENTRIES = 1 << 18
 
 
+def _phase_chunk(model: ParametricModel, povm: Povm) -> int:
+    """Phases per chunk of :func:`_outcome_arrays` for a ``d x R`` factor."""
+    return max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
+
+
+def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
+    """Yield :func:`outcome_distribution` at each phase of ``phis``, bit for
+    bit, from one :func:`_outcome_arrays` call per chunk of phases, made
+    when the chunk's first phase is read. A chunk that raises a package,
+    value or arithmetic error is evaluated phase by phase, so the error is
+    the first offending phase's, raised when that phase is read."""
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    chunk = _phase_chunk(model, povm)
+    for start in range(0, phis.size, chunk):
+        at = phis[start:start + chunk]
+        try:
+            arrays = _outcome_arrays(model, at, povm, order=2)
+        except (MetrologyError, ValueError, ArithmeticError):  # raised again by its phase
+            arrays = None
+        for k, phi in enumerate(at.tolist()):
+            yield (outcome_distribution(model, phi, povm) if arrays is None
+                   else OutcomeDistribution(povm.labels, *arrays[:, k]))
+
+
 def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
                     order: int) -> np.ndarray:
     """Clipped probabilities and their first ``order`` (0, 1 or 2) phase
@@ -445,7 +470,7 @@ def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
         raise DimensionMismatchError(
             f"POVM dimension {povm.dim} != model dimension {model.dim}")
     out = np.empty((order + 1, phis.size, len(povm)))
-    chunk = max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
+    chunk = _phase_chunk(model, povm)
     generator = model.kind == "unitary_generator"
     if generator:
         g, basis, _ = model._frame
@@ -487,23 +512,26 @@ def cfi(dist: OutcomeDistribution) -> float:
     (``|d2p| <= 1e-6``) vanish, i.e. when the outcome never fires near this
     phase. A vanishing probability with a nonzero derivative means a
     divergent or limit-only Fisher information and raises
-    :class:`SingularOutcomeError` instead of being dropped.
+    :class:`SingularOutcomeError` instead of being dropped; the first such
+    outcome in POVM order is named. The terms are summed left to right.
     """
-    second = dist.second_derivatives
-    total = 0.0
-    for idx, label in enumerate(dist.labels):
-        p = float(dist.probabilities[idx])
-        dp = float(dist.derivatives[idx])
-        if p > _PROB_FLOOR:
-            total += dp * dp / p
-            continue
+    probs, derivs, second = dist.probabilities, dist.derivatives, dist.second_derivatives
+    regular = probs > _PROB_FLOOR
+    moving = np.abs(derivs) > _DERIVATIVE_FLOOR
+    if second is not None:
+        moving |= np.abs(second) > _CURVATURE_FLOOR
+    offending = ~regular & moving
+    if offending.any():
+        idx = int(np.argmax(offending))
+        label, dp = dist.labels[idx], float(derivs[idx])
         if abs(dp) > _DERIVATIVE_FLOOR:
             raise SingularOutcomeError(
                 f"outcome {label!r} has p <= {_PROB_FLOOR:.1e} but dp = {dp:.3e}: "
                 "classical Fisher information diverges at this phase")
-        if second is not None and abs(float(second[idx])) > _CURVATURE_FLOOR:
-            raise SingularOutcomeError(
-                f"outcome {label!r} has p and dp ~ 0 but d2p = "
-                f"{float(second[idx]):.3e}: classical Fisher information is "
-                "defined only as a limit at this phase")
-    return total
+        raise SingularOutcomeError(
+            f"outcome {label!r} has p and dp ~ 0 but d2p = "
+            f"{float(second[idx]):.3e}: classical Fisher information is "
+            "defined only as a limit at this phase")
+    terms = np.where(regular, derivs * derivs / np.where(regular, probs, 1.0), 0.0)
+    # a cumulative sum adds in order, as a scalar loop does; np.sum pairs terms
+    return float(np.cumsum(terms)[-1])

@@ -9,6 +9,7 @@ are row-major flat lists of ``[re, im]`` pairs.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import math
 import numbers
@@ -52,6 +53,27 @@ KNOWN_TOLERANCES = ("optimality",)
 _RUN_BOUNDS = {"nu": (1, 2 ** 63 - 1), "seed": (0, math.inf), "trials": (2, math.inf)}
 # libyaml's parser when PyYAML was built with it; it builds the same data
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _ConstructOnce:
+    """A loader mixin that refuses to construct a node twice: every alias,
+    and so every merge key ``<<: *anchor``, which copies the anchored
+    mapping into each mapping that merges it, is refused at its first reuse,
+    before any merged entry is constructed."""
+
+    def construct_object(self, node, deep=False):
+        if node in self.constructed_objects:
+            raise yaml.constructor.ConstructorError(
+                None, None, "an alias or merge key reuses the anchored node",
+                node.start_mark)
+        return super().construct_object(node, deep)
+
+
+@functools.cache
+def _constructing_once(loader: type) -> type:
+    """``loader`` with :class:`_ConstructOnce` mixed in."""
+    return type(loader.__name__, (_ConstructOnce, loader), {})
+
 
 _ANGLE_CONSTANTS = {"pi": math.pi, "tau": math.tau, "e": math.e}
 _BIN_OPS = {
@@ -189,7 +211,10 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     dense, mle = sld_rows or simulate and observable, float(columns > 0)
     matrix = f"{dim:.0f} x {dim:.0f} matrix"
     width = max(dim, columns)
-    chunk = min(2.0 * trials + _MLE_GRID_POINTS, max(1.0, _BATCH_ENTRIES / (dim * width)))
+    # phases per chunk of _outcome_arrays: the likelihood's, or a grid pass's
+    chunk = min(2.0 * trials + _MLE_GRID_POINTS if simulate
+                else phases * (command in ("cfi", "scan")),
+                max(1.0, _BATCH_ENTRIES / (dim * width)))
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,
@@ -201,8 +226,7 @@ def footprint(spec, command: str, *, show_sld: bool = False,
             ("trials", f"{trials:.0f} trials"): simulate * trials * (
                 _BYTES["mean_trial"] * observable
                 + mle * (_BYTES["mle_trial"] + _BYTES["outcome"] * outcomes)),
-            ("povm", "likelihood phase chunks"):
-                simulate * mle * _BYTES["batch"] * chunk * rank * width}
+            ("povm", "outcome phase chunks"): mle * _BYTES["batch"] * chunk * rank * width}
 
 
 def _admit(terms: dict, what: str, field: str | None = None) -> None:
@@ -482,7 +506,7 @@ def load_model_spec(path: str) -> ModelSpec:
         _admit(footprint(Sizes(file=len(text), marks=marks), "load"), what)
         stream = io.StringIO(text)
         stream.name = path  # YAML's error marks name the file, as when parsing the handle
-        data = yaml.load(stream, Loader=_Loader)
+        data = yaml.load(stream, Loader=_constructing_once(_Loader))
     except OSError as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -16,7 +16,8 @@ trial's best cell by bisecting its score in the same lockstep.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+import operator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +97,94 @@ class ShotRecord:
         return self.counts / self.nu
 
 
-def _rng(seed: int, stream: int | None) -> np.random.Generator:
-    if stream is None:
-        return np.random.default_rng(seed)
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+# numpy's SeedSequence: its hash and mix constants on a pool of 4 words of 32 bits
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _spawned_states(seed: int, streams: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4,
+    np.uint64)`` for every ``k`` of the sequence ``streams`` (each from 0 to
+    2^64 - 1), shape ``(len(streams), 4)``.
+
+    numpy's mixing is run on Python ints for the seed's words, which every
+    stream shares, and on uint64 arrays holding 32-bit values for the
+    stream's one or two words: a product of two such values fits in 64
+    bits, and its low 32 bits are the uint32 product. The hash constant
+    advances by one fixed step per call, whatever the words."""
+    seed = operator.index(seed)
+    if seed < 0 or min(streams, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = words + [0] * (4 - len(words))  # a spawned sequence pads its seed to 4 words
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(value, hashmix(word)) for value in pool]
+    keys = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    for shift in (0, 32):  # the stream's words; a key below 2^32 has one
+        high = keys >> shift
+        present = high > 0 if shift else True
+        pool = [np.where(present, mix(value, hashmix(high & _MASK32)), value)
+                for value in pool]
+    const, state = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = (value * const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return np.stack([state[k] | (state[k + 1] << 32) for k in range(0, 8, 2)], axis=1)
+
+
+class _SpawnedState:
+    """A seed sequence that hands ``PCG64`` its one precomputed state row."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+        return self.words
 
 
 def _draw_counts(dist: OutcomeDistribution, nu: int, seed: int,
                  streams: Iterable[int | None]) -> np.ndarray:
-    """Counts of ``nu`` shots drawn from ``dist``, one row per stream in turn;
-    the probabilities are clipped at zero and renormalised once for all."""
+    """Counts of ``nu`` shots drawn from ``dist``, one row per stream in turn,
+    each from ``default_rng(SeedSequence(entropy=seed, spawn_key=(stream,)))``
+    bit for bit, or from ``default_rng(seed)`` for a ``None`` stream; the
+    probabilities are clipped at zero and renormalised once for all."""
     if nu < 1:
         raise ValueError("nu must be a positive integer")
+    # numpy.random loads here, so that importing the package does not load it
+    from numpy.random import PCG64, Generator, default_rng
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SpawnedState)
     probs = np.clip(dist.probabilities, 0.0, None)
     probs = probs / probs.sum()
-    return np.array([_rng(seed, stream).multinomial(nu, probs) for stream in streams])
+    streams = list(streams)
+    states = iter(_spawned_states(seed, [k for k in streams if k is not None]))
+    return np.array([(default_rng(seed) if k is None
+                      else Generator(PCG64(_SpawnedState(next(states))))).multinomial(nu, probs)
+                     for k in streams])
 
 
 def sample_shots(dist: OutcomeDistribution, nu: int, seed: int, *,

@@ -518,6 +518,38 @@ class TestCfiCommand:
         result = runner.invoke(main, ["cfi", "--model", ghz2_spec, "--phi", "0"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("command", ["cfi", "scan"])
+    def test_one_outcome_call_per_chunk(self, runner, ghz2_spec, monkeypatch, command):
+        """A grid's outcome arrays come from one call per chunk of phases:
+        one call for 9 phases, four once a chunk holds 3, with the same
+        output."""
+        calls = []
+        arrays = fisher._outcome_arrays
+
+        def counting(model, phis, povm, *, order):
+            calls.append(len(phis))
+            return arrays(model, phis, povm, order=order)
+
+        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        args = [command, "--model", ghz2_spec, "--phi-range", "0.1:3:9", "--output", "json"]
+        whole = runner.invoke(main, args)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * 4 * 4)
+        chunked = runner.invoke(main, args)
+        assert whole.exit_code == 0, whole.output
+        assert calls == [9, 3, 3, 3]
+        assert chunked.output == whole.output
+
+    def test_singular_middle_row_names_its_outcome(self, runner, ghz2_spec):
+        """The middle phase pi/2 of the grid is singular: the command exits 4
+        with that phase's own error."""
+        result = runner.invoke(main, ["cfi", "--model", ghz2_spec,
+                                      "--phi-range", "pi/4:3*pi/4:3"])
+        assert result.exit_code == 4
+        with pytest.raises(qcrb_lab.SingularOutcomeError) as expected:
+            qcrb_lab.cfi(qcrb_lab.outcome_distribution(
+                qcrb_lab.ghz_model(2), math.pi / 2, qcrb_lab.product_basis_povm("x", 2)))
+        assert result.output == f"error: {expected.value}\n"
+
 
 class TestLambdaCommand:
     def test_quarter_pi_values(self, runner):
@@ -611,6 +643,12 @@ class TestImports:
                 "assert len(results) == 2, result.output\n"
                 "assert 'scipy.optimize' not in sys.modules\n")
         self._run(code)
+
+    def test_importing_the_cli_does_not_import_numpy_random(self):
+        """``numpy.random`` loads on the first draw only, so that it costs
+        no command but ``simulate``."""
+        self._run("import sys\nimport qcrb_lab.cli\n"
+                  "assert 'numpy.random' not in sys.modules\n")
 
     @staticmethod
     def _run(code):

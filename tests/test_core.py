@@ -68,6 +68,27 @@ class TestTensorProduct:
         flat = tensor_product(mats)
         assert np.array_equal(left, flat)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_kron_chain(self, seed):
+        """The broadcast build is bit for bit ``np.kron`` applied left to
+        right, over chains of square factors of sizes 1-3, and so is a
+        diagonal product form's diagonal over its sites' ``(a0 + a3, a0 -
+        a3)``."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 4, size=int(rng.integers(1, 6)))
+        mats = [rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for m in sizes]
+        chain = mats[0]
+        for mat in mats[1:]:
+            chain = np.kron(chain, mat)
+        assert tensor_product(mats).tobytes() == chain.tobytes()
+        quads = rng.normal(size=(int(rng.integers(1, 9)), 4))
+        quads[:, 1:3] = 0.0
+        diagonal = np.ones(1)
+        for a0, _, _, a3 in quads:
+            diagonal = np.kron(diagonal, [a0 + a3, a0 - a3])
+        assert product_observable(quads).diagonal.tobytes() == diagonal.tobytes()
+
 
 class TestEigendecomposition:
     def test_sigma_z_spectrum(self):

@@ -824,3 +824,167 @@ class TestFrameRoute:
         sld(dense, 0.3)
         outcome_distribution(dense, 0.3, povm)
         assert len(calls) == 1 and abs(calls[0] - 1.0) <= 1e-12
+
+
+# --- one pass over a phase grid ----------------------------------------------
+
+def _grid_cases():
+    """``(name, model, povm)``: GHZ N=1-8 with the x- and y-product bases, a
+    state vector under a non-diagonal generator matrix, a rank-2 and a
+    full-rank density under it, and a custom POVM with a rank-2 and a zero
+    element."""
+    rng = np.random.default_rng(2025)
+    cases = [(f"ghz{n}-{axis}", ghz_model(n), product_basis_povm(axis, n))
+             for n in range(1, 9) for axis in "xy"]
+    generator = random_hermitian(rng, 4)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    pure = unitary_model(PureState(amps / np.linalg.norm(amps)), generator)
+    psi_plus, psi_minus = (np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2.0)
+                           for sign in (1.0, -1.0))
+    custom = Povm((np.diag([1.0, 0.0, 0.0, 1.0]), np.outer(psi_plus, psi_plus),
+                   np.outer(psi_minus, psi_minus), np.zeros((4, 4))))
+    cases += [("matrix-generator", pure, product_basis_povm("x", 2)),
+              ("custom-povm", pure, custom),
+              ("rank2", unitary_model(random_density(rng, 4, 2), generator), custom),
+              ("full-rank", unitary_model(random_density(rng, 8), random_hermitian(rng, 8)),
+               random_povm(rng, 8, 3))]
+    return cases
+
+
+GRID_CASES = _grid_cases()
+
+
+def _assert_same_distributions(got, model, phis, povm):
+    got = list(got)
+    assert len(got) == len(phis)
+    for dist, phi in zip(got, phis):
+        ref = outcome_distribution(model, float(phi), povm)
+        assert dist.labels == ref.labels
+        for name in ("probabilities", "derivatives", "second_derivatives"):
+            assert getattr(dist, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+class TestGridPass:
+    """``_outcome_distributions`` reads a grid's outcome distributions from
+    one ``_outcome_arrays`` call per chunk, bit for bit the per-phase
+    :func:`outcome_distribution` of every phase."""
+
+    @pytest.mark.parametrize("name,model,povm", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+    def test_equals_per_phase(self, name, model, povm):
+        from qcrb_lab.fisher import _outcome_distributions
+
+        phis = np.linspace(-3.0, 3.0, 17)
+        _assert_same_distributions(_outcome_distributions(model, phis, povm),
+                                   model, phis, povm)
+
+    @pytest.mark.parametrize("name,model,povm", GRID_CASES[:16:5] + GRID_CASES[16:],
+                             ids=[c[0] for c in GRID_CASES[:16:5] + GRID_CASES[16:]])
+    def test_chunks(self, name, model, povm, monkeypatch):
+        """A grid longer than one chunk makes one call per chunk, and the
+        chunk boundaries change no bit."""
+        from qcrb_lab import fisher
+
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES",
+                            3 * model.dim * max(model.dim, povm.factor.shape[1]))
+        calls = []
+        arrays = fisher._outcome_arrays
+
+        def counting(model, phis, povm, *, order):
+            calls.append(len(phis))
+            return arrays(model, phis, povm, order=order)
+
+        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        phis = np.linspace(0.1, 3.0, 11)
+        got = list(fisher._outcome_distributions(model, phis, povm))
+        assert calls == [3, 3, 3, 2]
+        monkeypatch.setattr(fisher, "_outcome_arrays", arrays)
+        _assert_same_distributions(got, model, phis, povm)
+
+    def test_a_failing_phase_raises_its_own_error_when_read(self):
+        """Where a phase of a chunk fails, the phases before it are still
+        yielded, and reading the failing one raises its per-phase error."""
+        from qcrb_lab.errors import EvaluationFailureError
+        from qcrb_lab.fisher import _outcome_distributions
+
+        def state_fn(phi):
+            if phi > 1.0:
+                raise RuntimeError("no state past 1")
+            c, s = math.cos(phi), math.sin(phi)
+            return DensityMatrix(np.array([[0.6, 0.3 * (c - 1j * s)],
+                                           [0.3 * (c + 1j * s), 0.4]]))
+
+        model, povm = blackbox_model(state_fn, 2), product_basis_povm("x", 1)
+        phis = [0.1, 0.4, 0.7, 1.3, 0.2]
+        dists = _outcome_distributions(model, phis, povm)
+        _assert_same_distributions([next(dists) for _ in range(3)], model, phis[:3], povm)
+        with pytest.raises(EvaluationFailureError) as raised:
+            next(dists)
+        with pytest.raises(EvaluationFailureError) as expected:
+            outcome_distribution(model, 1.3, povm)
+        assert str(raised.value) == str(expected.value)
+
+
+def _ref_loop_cfi(dist):
+    """The per-outcome loop that computed the CFI before it ran on arrays."""
+    second = dist.second_derivatives
+    total = 0.0
+    for idx, label in enumerate(dist.labels):
+        p = float(dist.probabilities[idx])
+        dp = float(dist.derivatives[idx])
+        if p > 1e-12:
+            total += dp * dp / p
+            continue
+        if abs(dp) > 1e-9:
+            raise SingularOutcomeError(
+                f"outcome {label!r} has p <= {1e-12:.1e} but dp = {dp:.3e}: "
+                "classical Fisher information diverges at this phase")
+        if second is not None and abs(float(second[idx])) > 1e-6:
+            raise SingularOutcomeError(
+                f"outcome {label!r} has p and dp ~ 0 but d2p = "
+                f"{float(second[idx]):.3e}: classical Fisher information is "
+                "defined only as a limit at this phase")
+    return total
+
+
+def _outcome_of(f, dist):
+    try:
+        return "value", repr(f(dist))
+    except SingularOutcomeError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayCfi:
+    """The array CFI gives the loop's float, bit for bit, and its error
+    type, message and first offending label in POVM order."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
+           planted=st.integers(0, 4), second=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_loop(self, seed, size, planted, second):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(size)
+        probs /= probs.sum()
+        derivs = rng.normal(size=size)
+        derivs -= derivs.mean()
+        seconds = rng.normal(size=size) if second else None
+        # outcomes at or below the probability floor, each with a derivative
+        # and a curvature on either side of their floors
+        for idx in rng.choice(size, size=min(planted, size), replace=False):
+            probs[idx] = rng.choice([0.0, 1e-13, 1e-12])
+            derivs[idx] = rng.choice([0.0, 1e-10, -1e-9, 2e-9, -1e-3])
+            if seconds is not None:
+                seconds[idx] = rng.choice([0.0, 1e-7, 1e-6, -2e-6, 0.5])
+        dist = OutcomeDistribution.__new__(OutcomeDistribution)  # no sum checks
+        for name, value in (("labels", tuple(f"o{k}" for k in range(size))),
+                            ("probabilities", probs), ("derivatives", derivs),
+                            ("second_derivatives", seconds)):
+            object.__setattr__(dist, name, value)
+        assert _outcome_of(cfi, dist) == _outcome_of(_ref_loop_cfi, dist)
+
+    @pytest.mark.parametrize("name,model,povm", GRID_CASES[:16:3],
+                             ids=[c[0] for c in GRID_CASES[:16:3]])
+    def test_equals_the_loop_on_a_grid(self, name, model, povm):
+        """Over a grid through the singular GHZ phases k pi / N."""
+        for phi in np.linspace(0.0, math.pi, 13).tolist():
+            dist = outcome_distribution(model, phi, povm)
+            assert _outcome_of(cfi, dist) == _outcome_of(_ref_loop_cfi, dist)

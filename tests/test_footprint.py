@@ -50,6 +50,11 @@ def _mixed_ghz(n, epsilon=0.1):
             "observable": {"pauli_product": {"a1": 1.0}}, "phi": 0.1}
 
 
+def _mixed_ghz_povm(n):
+    """The mixed GHZ density measured in the x-product basis."""
+    return {**_mixed_ghz(n), "povm": X_PRODUCT}
+
+
 def _spec(tmp_path, data) -> str:
     path = tmp_path / "spec.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -62,7 +67,8 @@ def _forbid(monkeypatch, data) -> None:
     def allocate(*args, **kwargs):
         raise AssertionError("no phase may be evaluated")
 
-    for name in ("sld", "outcome_distribution", "error_propagation", "_scan_row",
+    for name in ("sld", "outcome_distribution", "_outcome_distributions",
+                 "error_propagation", "_scan_row",
                  "_check_optimal_row", "run_sample_mean_trials", "run_mle_trials"):
         monkeypatch.setattr(cli, name, allocate)
     if data["state"]["ghz"]["n"] > 2:
@@ -118,6 +124,11 @@ BRACKETED = [
     ("lambda", _ghz(2), JSON),
     # the YAML parse of a 32 x 32 custom density
     ("qfi", _mixed_ghz(5), []),
+    # the phase chunks of a grid pass over the outcomes: a full 1024-phase
+    # chunk of a 16 x 16 carrier, and of a state vector
+    ("cfi", _mixed_ghz_povm(4), ["--phi-range", "0.1:1:2000"]),
+    ("scan", _mixed_ghz_povm(4), ["--phi-range", "0.1:1:1100", *JSON]),
+    ("cfi", _ghz(4, povm=X_PRODUCT), ["--phi-range", "0.1:1:3000", *JSON]),
 ]
 
 

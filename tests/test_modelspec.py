@@ -451,3 +451,68 @@ class TestLoadFromFile:
                                "phi": "pi/8", "nu": 1000, "povm": "x_basis_product"})
         assert (yaml.load(text, Loader=modelspec._Loader)
                 == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def _merge_key_file(path, entries=300, merges=300):
+    """An anchored mapping of ``entries`` keys merged into ``merges`` mappings:
+    a file of some 25 KB at 1,000 of each, whose merged copies held 36 MB
+    while they were constructed."""
+    lines = ["a: &a {" + ", ".join(f"k{i}: {i}" for i in range(entries)) + "}"]
+    lines += [f"b{i}: {{<<: *a}}" for i in range(merges)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestAliases:
+    """A spec writes every node out: an alias, and so a merge key that
+    copies an anchored mapping, is refused at its first reuse (exit 2)."""
+
+    @pytest.fixture(params=["libyaml", "python"])
+    def loader(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(modelspec, "_Loader", yaml.SafeLoader)
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """The nodes each loader construction builds."""
+        nodes = []
+        construct = yaml.constructor.BaseConstructor.construct_object
+
+        def counting(self, node, deep=False):
+            nodes.append(node)
+            return construct(self, node, deep)
+
+        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", counting)
+        return nodes
+
+    def test_merge_keys_are_refused_before_their_copies(self, tmp_path, loader,
+                                                         constructed):
+        path = _merge_key_file(tmp_path / "merge.yaml")
+        with pytest.raises(SpecFileError, match="invalid YAML.*alias or merge key"):
+            load_model_spec(path)
+        # the document, its 301 keys and values and the anchored mapping's 300
+        # pairs: not one merged copy, which would add 600 nodes per mapping
+        assert len(constructed) == 1 + 2 * 301 + 2 * 300
+
+    def test_plain_alias_is_refused(self, tmp_path, loader):
+        path = tmp_path / "alias.yaml"
+        path.write_text("state: {ghz: {n: 2}}\nphi: &p 0.3\nnu: *p\n", encoding="utf-8")
+        with pytest.raises(SpecFileError, match="alias or merge key"):
+            load_model_spec(str(path))
+
+    def test_exit_two(self, tmp_path):
+        from click.testing import CliRunner
+
+        from qcrb_lab.cli import main
+
+        path = _merge_key_file(tmp_path / "merge.yaml", 1000, 1000)
+        result = CliRunner().invoke(main, ["qfi", "--model", path])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"specification error: invalid YAML in {path!r}")
+
+    def test_unused_anchor_and_inline_merge_load(self, tmp_path, loader):
+        path = tmp_path / "inline.yaml"
+        path.write_text("state: &s {ghz: {n: 2}}\n"
+                        "phi: {<<: {start: 0, stop: 1}, steps: 3}\n", encoding="utf-8")
+        spec = load_model_spec(str(path))
+        assert spec.model.dim == 4 and spec.phis.tolist() == [0.0, 0.5, 1.0]

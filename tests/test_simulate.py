@@ -109,6 +109,50 @@ class TestSampleShots:
             ShotRecord(labels=(0, 1), counts=np.array([3, 3]), nu=7, seed=0)
 
 
+SPAWN_SEEDS = (0, 1, 5, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 17, 2 ** 64 + 3, 2 ** 127 + 99)
+
+
+class TestSpawnedStreams:
+    """All trial streams are seeded at once, with numpy's bits."""
+
+    @pytest.mark.parametrize("seed", SPAWN_SEEDS)
+    def test_states_are_numpys(self, seed):
+        """Seeds of one to five 32-bit words, streams 0-299 and streams of
+        two words."""
+        streams = [*range(300), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 50 + 3, 2 ** 64 - 1]
+        expected = np.stack([
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)
+            for k in streams])
+        got = simulate._spawned_states(seed, streams)
+        assert got.dtype == np.uint64 and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 40 + 17])
+    def test_draws_are_the_per_trial_generators(self, seed):
+        """Each row is the draw of ``default_rng(SeedSequence(entropy=seed,
+        spawn_key=(k,)))``, the per-trial construction the streams replace."""
+        dist = outcome_distribution(ghz_model(3), 0.3, product_basis_povm("x", 3))
+        probs = np.clip(dist.probabilities, 0.0, None)
+        probs = probs / probs.sum()
+        expected = [np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(k,))).multinomial(700, probs) for k in range(50)]
+        assert np.array_equal(simulate._draw_counts(dist, 700, seed, range(50)), expected)
+
+    def test_only_pcg64s_request_is_answered(self):
+        state = simulate._SpawnedState(simulate._spawned_states(1, [0])[0])
+        assert np.array_equal(state.generate_state(4, np.uint64),
+                              np.random.SeedSequence(1, spawn_key=(0,)).generate_state(
+                                  4, np.uint64))
+        for args in ((4, np.uint32), (2, np.uint64), (8,)):
+            with pytest.raises(ValueError, match="precomputed"):
+                state.generate_state(*args)
+
+    @pytest.mark.parametrize("seed,streams", [(-1, [0]), (3, [0, -2])])
+    def test_negative_seed_or_stream_is_refused(self, seed, streams):
+        """As ``SeedSequence`` refuses them, with its message."""
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            simulate._spawned_states(seed, streams)
+
+
 class TestSampleMeanEstimator:
     def test_exact_record_inverts_to_truth(self):
         dist = sx2_distribution(PHI_RATIONAL)

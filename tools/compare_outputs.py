@@ -18,7 +18,10 @@ sample-mean estimates clip at the branch ends; ``check-optimal`` also runs on
 the grid 0:pi:9, whose phases k*pi/N are singular for the GHZ specs, in every
 variant and with ``--tol 1e-3``; ``cfi``, ``scan`` and ``simulate`` on GHZ
 N=2 and N=3 specs measured with the eigenprojectors of the x-parity
-observable; ``lambda`` at pi/4 in both
+observable; ``cfi`` on the GHZ N=3 x spec over ``pi/12:pi:4``, which
+exits 4 at its singular last phase naming ``'+++'``, and a text ``scan`` of
+it over ``0:pi:9``; ``cfi`` on a GHZ N=8 x-product spec over 9 phases, which
+its outcome pass reads in chunks of 4; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
 ``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
@@ -56,8 +59,9 @@ range key, a coefficient ``a4``, a ``true`` coefficient and the tolerance
 unknown ``state``, ``observable`` or ``povm`` form, an empty ``povm``
 mapping, a qutrit without a ``parametrization``, a generator of the wrong
 dimension, and a ``custom`` density whose entries are strings such as
-``1e-1``; ``errprop`` without an observable, ``cfi`` without a POVM, and
-``errprop`` at a singular phase.
+``1e-1``; ``errprop`` without an observable, ``cfi`` without a POVM,
+``errprop`` at a singular phase, and a spec whose per-site ``pauli_product``
+list reuses its first site through a YAML alias.
 
 Each differing invocation is listed with every output field that moved and,
 for numeric fields, the largest absolute and relative difference over the
@@ -189,6 +193,11 @@ def _error_invocations(workdir: Path) -> list[list[str]]:
                                               {**base, "observable": None})])
     runs.append(["cfi", "--model", _write(workdir / "error-no-povm.yaml",
                                           {**base, "povm": None})])
+    alias = workdir / "error-alias.yaml"
+    alias.write_text("state: {ghz: {n: 2}}\n"
+                     "observable: {pauli_product: [&site {a1: 1.0}, *site]}\n"
+                     "povm: x_basis_product\nphi: 0.3\n", encoding="utf-8")
+    runs.append(["check-optimal", "--model", str(alias)])
     return runs
 
 
@@ -202,6 +211,12 @@ def invocations(workdir: Path) -> list[list[str]]:
                 "observable": {"pauli_product": {coefficient: 1.0}},
                 "povm": f"{axis}_basis_product", "phi": "pi/8", "nu": 1000})
             runs += _spec_invocations(spec, pure=True)
+    ghz3 = str(workdir / "ghz3-x.yaml")
+    runs += [["cfi", "--model", ghz3, "--phi-range", "pi/12:pi:4", "--output", "json"],
+             ["scan", "--model", ghz3, "--phi-range", "0:pi:9"]]
+    ghz8 = _write(workdir / "ghz8-x.yaml", {
+        "state": {"ghz": {"n": 8}}, "povm": "x_basis_product", "phi": "pi/8"})
+    runs.append(["cfi", "--model", ghz8, "--phi-range", "0.1:3:9", "--output", "json"])
     for n in (2, 3):
         spec = _write(workdir / f"ghz{n}-x-eigenprojectors.yaml", {
             "state": {"ghz": {"n": n}},
