@@ -436,9 +436,10 @@ class Povm:
     ``SUPPORT_CUTOFF_REL`` times its trace (an element with none keeps one
     zero column); ``check`` validates each element and the sum to identity
     on the given matrices. ``Povm(labels=..., factor=F, block_sizes=...)``
-    takes the factor itself, and ``check`` then validates ``F F^dagger =
-    I``. ``elements`` are the given matrices, or ``F_x F_x^dagger`` built on
-    first read.
+    takes a copy of the factor itself, and ``check`` then validates ``F
+    F^dagger = I``; the package's builders hand over the factor they have
+    just built, without a copy (``Povm._adopt``). ``elements`` are the given
+    matrices, or ``F_x F_x^dagger`` built on first read.
     """
 
     factor: np.ndarray
@@ -457,15 +458,29 @@ class Povm:
             factor = np.concatenate(blocks, axis=1)
             block_sizes = [block.shape[1] for block in blocks]
             self.__dict__["elements"] = tuple(_freeze(e) for e in given)
+            check = False  # the elements were checked, not their factor
         else:
             factor = as_complex_matrix(factor, name="POVM factor")
-            block_sizes = [int(size) for size in block_sizes]
-            if min(block_sizes, default=0) < 1 or sum(block_sizes) != factor.shape[1]:
-                raise ValueError(f"block sizes {block_sizes} do not split the "
-                                 f"{factor.shape[1]} columns of the POVM factor")
-            if check:
-                _require_identity(factor @ factor.conj().T,
-                                  "POVM factor F does not give F F^dagger = I")
+        self._store(factor, block_sizes, labels, check)
+
+    @classmethod
+    def _adopt(cls, factor: np.ndarray, block_sizes: Sequence[int],
+               labels: Sequence) -> Povm:
+        """A POVM that owns ``factor``, a complex array its caller has just
+        built and hands over: it is frozen in place, not copied or checked."""
+        povm = cls.__new__(cls)
+        povm._store(factor, block_sizes, labels, False)
+        return povm
+
+    def _store(self, factor: np.ndarray, block_sizes: Sequence[int], labels: Sequence,
+               check: bool) -> None:
+        block_sizes = [int(size) for size in block_sizes]
+        if min(block_sizes, default=0) < 1 or sum(block_sizes) != factor.shape[1]:
+            raise ValueError(f"block sizes {block_sizes} do not split the "
+                             f"{factor.shape[1]} columns of the POVM factor")
+        if check:
+            _require_identity(factor @ factor.conj().T,
+                              "POVM factor F does not give F F^dagger = I")
         labels = tuple(labels) or tuple(range(len(block_sizes)))
         if len(labels) != len(block_sizes):
             raise ValueError(
@@ -547,8 +562,7 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
         else:
             groups.append([idx])
     labels = tuple(float(np.mean(eigenvalues[group])) for group in groups)
-    return Povm(labels=labels, check=False, factor=eigenvectors,
-                block_sizes=[len(group) for group in groups])
+    return Povm._adopt(eigenvectors, [len(group) for group in groups], labels)
 
 
 # columns: the single-qubit + and - eigenvectors of sigma_x and of sigma_y
@@ -576,5 +590,4 @@ def product_basis_povm(axis: str, n_qubits: int) -> Povm:
     if axis not in _XY_BASES:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     labels = tuple("".join(signs) for signs in itertools.product("+-", repeat=n_qubits))
-    return Povm(labels=labels, check=False, factor=tensor_power(_XY_BASES[axis], n_qubits),
-                block_sizes=[1] * len(labels))
+    return Povm._adopt(tensor_power(_XY_BASES[axis], n_qubits), [1] * len(labels), labels)

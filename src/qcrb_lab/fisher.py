@@ -10,8 +10,12 @@ SLD is covariant, ``L(phi) = U L_0 U^dagger``: it is solved once, at ``phi
 C_0'``. Every per-phase quantity of this module and of ``optimality`` is
 read from that pair moved by ``e = exp(-i g phi)`` and ``V``; the
 sample-mean estimator of ``simulate`` reads ``C_0'`` once per run, as the
-coefficients of its mean curve. A blackbox model solves dense ``rho`` and
-``d rho`` per phase, the dense reference.
+coefficients of its mean curve. POVM outcome probabilities are read from a
+setup (``_OutcomeRows``) made once per model, POVM and derivative order,
+which keeps ``F^dagger V`` only on the support rows of ``C_0'`` (two rows
+of ``2^N`` for GHZ); ``cfi``, ``scan`` and ``simulate`` share it. A
+blackbox model solves dense ``rho`` and ``d rho`` per phase, the dense
+reference.
 """
 
 from __future__ import annotations
@@ -128,6 +132,16 @@ class ParametricModel:
                              self.dim - 1, None)
         rho = (x0 + x0.conj().T) / 2.0
         return _solve_sld(rho, -1j * (g[:, None] - g[None, :]) * rho)
+
+    @cached_property
+    def _support(self) -> np.ndarray | None:
+        """The frame rows where the carrier ``C_0'`` is nonzero, or ``None``
+        (every row) where they are more than a quarter of them: there the
+        products would shrink less than 4 times, and their rounding would
+        change (at d = 4, GHZ's two rows round otherwise than the matrix
+        product over all four)."""
+        support = np.flatnonzero(self._solution.carrier.any(axis=1))
+        return support if 4 * support.size <= self.dim else None
 
     def _rho_derivatives(self, phis: np.ndarray, order: int = 0, *,
                          rho: np.ndarray | None = None) -> np.ndarray:
@@ -428,9 +442,22 @@ def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
 _BATCH_ENTRIES = 1 << 18
 
 
+def _phase_entries(model: ParametricModel, povm: Povm) -> int:
+    """Complex entries a phase adds to the largest stacked array of a chunk
+    of :func:`_outcome_arrays`: ``r max(R, |S|)`` for a generator model's
+    ``|S| x r`` carrier rows and ``R`` factor columns, ``d max(d, R)`` for a
+    blackbox model's dense stacks."""
+    columns = povm.factor.shape[1]
+    if model.kind == "unitary_generator":
+        support, carrier = model._support, model._solution.carrier
+        rows = model.dim if support is None else support.size
+        return carrier.shape[1] * max(columns, rows)
+    return model.dim * max(model.dim, columns)
+
+
 def _phase_chunk(model: ParametricModel, povm: Povm) -> int:
-    """Phases per chunk of :func:`_outcome_arrays` for a ``d x R`` factor."""
-    return max(1, _BATCH_ENTRIES // (model.dim * max(model.dim, povm.factor.shape[1])))
+    """Phases per chunk of :func:`_outcome_arrays`."""
+    return max(1, _BATCH_ENTRIES // _phase_entries(model, povm))
 
 
 def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
@@ -455,53 +482,91 @@ def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
 def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
                     order: int) -> np.ndarray:
     """Clipped probabilities and their first ``order`` (0, 1 or 2) phase
-    derivatives for a batch of phases, shape ``(order + 1, len(phis), K)``.
+    derivatives for a batch of phases, shape ``(order + 1, len(phis), K)``:
+    one call of a fresh :class:`_OutcomeRows`."""
+    return _OutcomeRows(model, povm, order)(phis)
+
+
+class _OutcomeRows:
+    """The outcome arrays of one model and POVM up to a derivative ``order``
+    (0, 1 or 2), set up once and evaluated on any batch of phases.
 
     A generator model reads them from its moved carrier ``C``, with ``dC =
-    -iG C``, ``d^2 C = -G^2 C`` and ``F^dagger V`` formed once per call: ``p
-    = ||F_x^dagger C||^2``, ``p' = 2 Re<F_x^dagger C, F_x^dagger dC>`` and
-    ``p'' = 2 (||F_x^dagger dC||^2 + Re<F_x^dagger C, F_x^dagger d^2 C>)``. A
-    blackbox model traces its dense stacks. Phases run in chunks of at most
-    ``_BATCH_ENTRIES / (d * max(d, R))`` for a ``d x R`` factor; each chunk's
-    probabilities must sum to 1 and, if returned, their derivatives to 0.
+    -iG C`` and ``d^2 C = -G^2 C``: ``p = ||F_x^dagger C||^2``, ``p' = 2
+    Re<F_x^dagger C, F_x^dagger dC>`` and ``p'' = 2 (||F_x^dagger dC||^2 +
+    Re<F_x^dagger C, F_x^dagger d^2 C>)``. A moved carrier ``e^{-i g phi}
+    C_0'`` is zero wherever ``C_0'`` is, so the setup keeps only the rows
+    ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= order``) on the support S of
+    ``C_0'`` (``model._support``), and the products sum over S: they cost
+    ``O(R |S| r)`` a phase, and the terms left out are exact zeros. The
+    carrier is moved on every row, ``O(d r)`` with ``d <= R``, as the
+    full-row route moves it: a vectorised complex product can round
+    otherwise than a lone one. Where ``|S| <= 2``, ``F^dagger d^k C`` is
+    one product or a sum of two, formed elementwise, so it is the
+    left-to-right sum over every row bit for bit; a larger support is one
+    matrix product. A blackbox model traces its dense stacks. Phases run in
+    chunks of :func:`_phase_chunk`; each chunk's probabilities must sum to
+    1 and, if returned, their derivatives to 0.
     """
-    phis = np.asarray(phis, dtype=float).reshape(-1)
-    if povm.dim != model.dim:
-        raise DimensionMismatchError(
-            f"POVM dimension {povm.dim} != model dimension {model.dim}")
-    out = np.empty((order + 1, phis.size, len(povm)))
-    chunk = _phase_chunk(model, povm)
-    generator = model.kind == "unitary_generator"
-    if generator:
+
+    def __init__(self, model: ParametricModel, povm: Povm, order: int) -> None:
+        if povm.dim != model.dim:
+            raise DimensionMismatchError(
+                f"POVM dimension {povm.dim} != model dimension {model.dim}")
+        self.model, self.povm, self.order = model, povm, order
+        if model.kind != "unitary_generator":
+            return
         g, basis, _ = model._frame
-        carrier = model._solution.carrier
-        f_dagger = (povm.factor if basis is None
-                    else basis.conj().T @ povm.factor).conj().T
-        # F^dagger V (-i g)^k, so that rows[k] @ C_0' moved is F^dagger d^k C
-        rows = [f_dagger]
+        self.g, self.carrier, self.support = g, model._solution.carrier, model._support
+        frame = povm.factor if basis is None else basis.conj().T @ povm.factor
+        g_s = g if self.support is None else g[self.support]
+        # (F^dagger V)[:, S] (-i g_S)^k, so that rows[k] @ C_0'[S] moved is F^dagger d^k C
+        self.rows = [(frame if self.support is None else frame[self.support]).conj().T]
         for _ in range(order):
-            rows.append(rows[-1] * (-1j * g))
-    for start in range(0, phis.size, chunk):
-        at = slice(start, start + chunk)
-        if generator:
-            moved = np.exp(-1j * g * phis[at, None])[:, :, None] * carrier
-            a = [f @ moved for f in rows]
-            out[0, at] = _block_sums(_re_inner(a[0], a[0]), povm)
-            if order >= 1:
-                out[1, at] = 2.0 * _block_sums(_re_inner(a[0], a[1]), povm)
-            if order == 2:
-                out[2, at] = 2.0 * _block_sums(
-                    _re_inner(a[1], a[1]) + _re_inner(a[0], a[2]), povm)
-        else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
-            f = povm.factor
-            rho = model._rho_derivatives(phis[at])
-            for k in range(order + 1):
-                af = (rho if k == 0 else model._rho_derivatives(phis[at], k, rho=rho)) @ f
-                out[k, at] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1),
-                                         povm)
-        np.clip(out[0, at], 0.0, 1.0, out=out[0, at])
-        _check_totals(out[0, at], out[1, at] if order else None)
-    return out
+            self.rows.append(self.rows[-1] * (-1j * g_s))
+
+    def _products(self, moved: np.ndarray, order: int) -> list[np.ndarray]:
+        """``F^dagger d^k C`` for ``k <= order`` from the moved carrier rows."""
+        rows = self.rows[:order + 1]
+        if self.support is None or self.support.size > 2:
+            return [f @ moved for f in rows]
+        products = []
+        for f in rows:
+            a = f[None, :, 0, None] * moved[:, None, 0, :]
+            if self.support.size == 2:
+                a += f[None, :, 1, None] * moved[:, None, 1, :]
+            products.append(a)
+        return products
+
+    def __call__(self, phis, order: int | None = None) -> np.ndarray:
+        """The arrays at ``phis`` up to ``order``, at most the setup's."""
+        order = self.order if order is None else order
+        model, povm = self.model, self.povm
+        phis = np.asarray(phis, dtype=float).reshape(-1)
+        out = np.empty((order + 1, phis.size, len(povm)))
+        chunk = _phase_chunk(model, povm)
+        for start in range(0, phis.size, chunk):
+            at = slice(start, start + chunk)
+            if model.kind == "unitary_generator":
+                moved = np.exp(-1j * self.g * phis[at, None])[:, :, None] * self.carrier
+                a = self._products(moved if self.support is None else moved[:, self.support],
+                                   order)
+                out[0, at] = _block_sums(_re_inner(a[0], a[0]), povm)
+                if order >= 1:
+                    out[1, at] = 2.0 * _block_sums(_re_inner(a[0], a[1]), povm)
+                if order == 2:
+                    out[2, at] = 2.0 * _block_sums(
+                        _re_inner(a[1], a[1]) + _re_inner(a[0], a[2]), povm)
+            else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
+                f = povm.factor
+                rho = model._rho_derivatives(phis[at])
+                for k in range(order + 1):
+                    af = (rho if k == 0 else model._rho_derivatives(phis[at], k, rho=rho)) @ f
+                    out[k, at] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1),
+                                             povm)
+            np.clip(out[0, at], 0.0, 1.0, out=out[0, at])
+            _check_totals(out[0, at], out[1, at] if order else None)
+        return out
 
 
 def cfi(dist: OutcomeDistribution) -> float:

@@ -124,23 +124,37 @@ def parse_angle(value, *, fieldname: str = "phi") -> float:
     return float(result)
 
 
+_PAIR_TYPES, _PLAIN_NUMBERS = (list, tuple), (int, float)
+
+
 def parse_vector(entries, *, fieldname: str) -> np.ndarray:
     """Complex vector from a list of ``[re, im]`` pairs, each component a
-    number by the rule of every number field."""
+    number by the rule of every number field. One pass checks the pairs,
+    converting only those that are not two plain ints or floats, and one
+    ``np.array`` builds the vector."""
     if not isinstance(entries, (list, tuple)) or not entries:
         raise SpecFileError("expected a non-empty list of [re, im] pairs",
                             field=fieldname)
-    values = []
+    pairs = entries
     for k, pair in enumerate(entries):
-        if isinstance(pair, (list, tuple)) and len(pair) == 2:
-            try:
-                values.append(complex(*(_number(x, fieldname=fieldname) for x in pair)))
-                continue
-            except SpecFileError:
-                pass
-        raise SpecFileError(f"entry {k} is not an [re, im] pair: {pair!r}",
-                            field=fieldname)
-    return np.array(values, dtype=complex)
+        if (type(pair) in _PAIR_TYPES and len(pair) == 2
+                and type(pair[0]) in _PLAIN_NUMBERS and type(pair[1]) in _PLAIN_NUMBERS):
+            continue
+        if pairs is entries:
+            pairs = list(entries)
+        pairs[k] = _pair(pair, k, fieldname=fieldname)
+    # rows of (re, im) float64 are complex128 values, read in place
+    return np.array(pairs, dtype=float).view(complex).reshape(-1)
+
+
+def _pair(pair, k: int, *, fieldname: str) -> list[float]:
+    """``pair`` as ``[re, im]`` floats, or the error naming entry ``k``."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            return [_number(x, fieldname=fieldname) for x in pair]
+        except SpecFileError:
+            pass
+    raise SpecFileError(f"entry {k} is not an [re, im] pair: {pair!r}", field=fieldname)
 
 
 def parse_matrix(entries, *, fieldname: str) -> np.ndarray:
@@ -182,7 +196,7 @@ _BYTES = {"base": 1 << 16,  # the smallest spec
           "char": 32,       # spec file character (up to 4 UTF-8 bytes), read and parsed
           "mark": 540,      # spec file mark: YAML nodes it opens or separates, while parsed
           "carrier": 176,   # d x r carrier entry: the state, its moved copies, O C, L C
-          "factor": 84,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
+          "factor": 70,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
           "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
           "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
           "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
@@ -214,7 +228,7 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     # phases per chunk of _outcome_arrays: the likelihood's, or a grid pass's
     chunk = min(2.0 * trials + _MLE_GRID_POINTS if simulate
                 else phases * (command in ("cfi", "scan")),
-                max(1.0, _BATCH_ENTRIES / (dim * width)))
+                max(1.0, _BATCH_ENTRIES / (rank * width)))
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,

@@ -533,7 +533,7 @@ class TestCfiCommand:
         monkeypatch.setattr(fisher, "_outcome_arrays", counting)
         args = [command, "--model", ghz2_spec, "--phi-range", "0.1:3:9", "--output", "json"]
         whole = runner.invoke(main, args)
-        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * 4 * 4)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * 4)
         chunked = runner.invoke(main, args)
         assert whole.exit_code == 0, whole.output
         assert calls == [9, 3, 3, 3]

@@ -96,7 +96,7 @@ JSON = ["--output", "json"]
 # its size terms dominate
 BRACKETED = [
     # the POVM factor and the dense work of d = 1024, and of d = 512 where a
-    # d = 1024 run takes 0.5-1.3 s (an eigh, or the likelihood bisection)
+    # d = 1024 run takes 0.5-1.3 s (an eigh, or the likelihood solve)
     ("cfi", _ghz(9, povm="eigenprojectors_of_observable"), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), JSON),
@@ -140,16 +140,17 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
     Each constant of ``modelspec._BYTES`` and ``_ROW_BYTES`` is at least the
     largest per-unit peak of the routes it covers, so the footprint is an
     upper bound. It overshoots where one constant covers routes of
-    different cost: a POVM factor entry costs 84 B, the peak of ``cfi``
-    with the eigenprojector POVM, while a command that only stores the
-    product-basis factor holds 33 B of it (2.6x); a spec file costs 32 B
+    different cost: a POVM factor entry costs 70 B, above the 65 B peak of
+    ``cfi`` with the eigenprojector POVM, while a command that only stores
+    the product-basis factor holds 20 B of it (3.5x); a spec file costs 32 B
     per character, a long string of 4-byte characters, and 540 B per mark
     (``modelspec._YAML_MARKS``), a compact flow list ``[[0],[0],...]``,
     while full-precision floats in ``safe_dump``'s block layout parse to
     2.6x less; the other terms (carrier, rows, trials) stay within 1.8x of
     their peaks. The largest of these with the fixed 64 KiB base on top
-    stays below K = 4; the cases below measure 1.05-3.3, the most for
-    ``lambda``, whose peak of some 24 KB lies under the base.
+    stays below K = 4; the cases below measure 1.05-3.5, the most for
+    ``cfi`` on the N=10 product basis and for ``lambda``, whose peak of
+    some 24 KB lies under the base.
     """
     admitted = []
 

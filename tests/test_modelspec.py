@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb_lab import SpecFileError, modelspec
 from qcrb_lab.modelspec import (
@@ -57,6 +59,56 @@ class TestMatrixParsing:
     def test_bad_pair_rejected(self):
         with pytest.raises(SpecFileError, match="pair"):
             parse_matrix([[1, 0], [2], [0, 0], [1, 0]], fieldname="m")
+
+    @staticmethod
+    def per_pair_vector(entries, fieldname):
+        """The earlier build: one ``complex`` per pair, each component read
+        by ``modelspec._number``, the first bad pair named by index."""
+        if not isinstance(entries, (list, tuple)) or not entries:
+            raise SpecFileError("expected a non-empty list of [re, im] pairs",
+                                field=fieldname)
+        values = []
+        for k, pair in enumerate(entries):
+            if isinstance(pair, (list, tuple)) and len(pair) == 2:
+                try:
+                    values.append(complex(*(modelspec._number(x, fieldname=fieldname)
+                                            for x in pair)))
+                    continue
+                except SpecFileError:
+                    pass
+            raise SpecFileError(f"entry {k} is not an [re, im] pair: {pair!r}",
+                                field=fieldname)
+        return np.array(values, dtype=complex)
+
+    @staticmethod
+    def outcome(parse, entries):
+        try:
+            return parse(entries, fieldname="m").tobytes()
+        except SpecFileError as exc:
+            return str(exc), exc.field
+
+    def test_large_density_matches_the_per_pair_build(self):
+        """A 128 x 128 density's 16,384 pairs, with YAML's string floats
+        and ints among them."""
+        rng = np.random.default_rng(7)
+        entries = [[float(re), float(im)] for re, im in rng.normal(size=(16384, 2))]
+        entries[3], entries[40], entries[16383] = ["1e-1", 2], (0, "-3.5E2"), [1, -0.0]
+        expected = self.per_pair_vector(entries, "m").reshape(128, 128)
+        assert parse_matrix(entries, fieldname="m").tobytes() == expected.tobytes()
+
+    components = st.one_of(
+        st.floats(allow_nan=False), st.integers(-10 ** 6, 10 ** 6), st.booleans(),
+        st.sampled_from(["1e-1", "-2.5", "nan", "inf", " 3 ", "x", "", "1,5"]), st.none())
+    pairs = st.one_of(st.lists(components, min_size=2, max_size=2),
+                      st.tuples(components, components),
+                      st.lists(components, min_size=0, max_size=3), components)
+
+    @given(entries=st.one_of(st.lists(pairs, min_size=0, max_size=8),
+                             st.tuples(pairs, pairs), components))
+    @settings(max_examples=500, deadline=None)
+    def test_same_values_and_errors_as_the_per_pair_build(self, entries):
+        assert (self.outcome(parse_vector, entries)
+                == self.outcome(self.per_pair_vector, entries))
 
 
 class TestBuildModelSpec:

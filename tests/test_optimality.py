@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcrb_lab import (
@@ -45,7 +45,7 @@ from qcrb_lab.cli import SCAN_COLUMNS, _check_optimal_row, _scan_row
 from qcrb_lab.core import require_hermitian
 from qcrb_lab.ghz import SeparableObservableCoeffs
 from qcrb_lab.modelspec import ModelSpec
-from qcrb_lab.optimality import EIGENSTATE, NO_INFORMATION, SLOPE_RTOL
+from qcrb_lab.optimality import EIGENSTATE, NO_INFORMATION, OPTIMALITY_RTOL, SLOPE_RTOL
 
 from conftest import (random_density, random_hermitian, random_povm, ref_moved_sld_matrix,
                       ref_moved_solution, support_carrier)
@@ -898,7 +898,10 @@ class TestVectorRouteAgainstDenseReference:
     """The state-vector route agrees with the dense eigen-solve within
     ``1e-12 max(1, |value|)``, widened by a bound in ``kappa = ||G|| /
     sqrt(Var G)`` derived below, on every reported quantity, and exactly on
-    every verdict, diagnostic and error.
+    every diagnostic and error, and on every verdict whose ``residual_rel``
+    lies farther from the tolerance than its bound below: within it the
+    verdict is rounding's (next to GHZ's singular phase 0, the two routes
+    gave 5.7e-9 and 2.1e-8 around the tolerance 1e-8).
 
     Both routes subtract ``<G>`` from terms of size ``||G||`` (``-iG psi``
     and its projection, or the commutator ``-i[G, rho]``), so ``L C``, whose
@@ -947,6 +950,8 @@ class TestVectorRouteAgainstDenseReference:
            seed=st.integers(0, 2 ** 32 - 1),
            phi=st.floats(-2.0 * math.pi, 2.0 * math.pi),
            singular_k=st.one_of(st.none(), st.integers(-8, 8)))
+    @example(name="ghz", seed=561, phi=1e-8, singular_k=None)
+    @example(name="ghz", seed=54534465, phi=1e-8, singular_k=None)
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_dense_solve(self, name, seed, phi, singular_k):
         vector_model, dense_model, obs, n = vector_and_dense_case(name, seed)
@@ -986,19 +991,23 @@ class TestVectorRouteAgainstDenseReference:
             if isinstance(ref, tuple):
                 assert new == ref
                 continue
-            assert (new.is_optimal, new.diagnostic) == (ref.is_optimal, ref.diagnostic)
+            assert new.diagnostic == ref.diagnostic
             for field in ("im_part", "anticommutator_mean"):
                 _assert_close(f"{variant}.{field}", getattr(new, field),
                               getattr(ref, field), lc_error * o_norm)
             if ref.diagnostic is not None:
-                assert (new.alpha, new.residual_rel) == (ref.alpha, ref.residual_rel)
+                assert ((new.is_optimal, new.alpha, new.residual_rel)
+                        == (ref.is_optimal, ref.alpha, ref.residual_rel))
                 continue
             _assert_close(f"{variant}.alpha", new.alpha, ref.alpha,
                           lc_error * spread / qfi)
-            noise = (RESIDUAL_NOISE * _EPS * o_norm / spread
-                     + lc_error / math.sqrt(qfi))
-            assert abs(new.residual_rel - ref.residual_rel) <= max(
-                1e-12 * max(1.0, ref.residual_rel), noise), (variant, new, ref)
+            noise = max(1e-12 * max(1.0, ref.residual_rel),
+                        RESIDUAL_NOISE * _EPS * o_norm / spread + lc_error / math.sqrt(qfi))
+            assert abs(new.residual_rel - ref.residual_rel) <= noise, (variant, new, ref)
+            # within the noise of the tolerance the verdict is rounding's: near
+            # the singular phase 0 of GHZ the two routes straddle it
+            if abs(ref.residual_rel - OPTIMALITY_RTOL) > noise:
+                assert new.is_optimal == ref.is_optimal, (variant, new, ref)
 
 
 @pytest.fixture(scope="module", params=[10, 11, 12, 16, 20])

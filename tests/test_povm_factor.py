@@ -169,3 +169,35 @@ def test_ghz9_x_product_reaches_heisenberg_limit():
     n = 9
     dist = outcome_distribution(ghz_model(n), math.pi / (4 * n), product_basis_povm("x", n))
     assert abs(cfi(dist) - n * n) <= 1e-9
+
+
+class TestFactorOwnership:
+    """The builders hand their freshly built factor to the POVM; a factor
+    given to ``Povm`` is still copied and validated."""
+
+    def test_x_product_load_peaks_near_one_factor(self):
+        """An N=10 ``x_basis_product`` build peaks at 1.26 factors: its last
+        Kronecker step holds its 512 x 512 input, a quarter of the factor,
+        next to the output, and the labels add some 60 KB. A copy into the
+        POVM made it 2.07."""
+        import tracemalloc
+
+        product_basis_povm("x", 2)  # no first-call import in the peak
+        tracemalloc.start()
+        try:
+            povm = product_basis_povm("x", 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * povm.factor.nbytes
+
+    def test_builders_freeze_their_factor(self):
+        for povm in (product_basis_povm("y", 3), eigenprojector_povm(collective_spin("x", 2))):
+            assert not povm.factor.flags.writeable
+
+    def test_given_factor_is_copied_and_checked(self):
+        factor = np.eye(2, dtype=complex)
+        povm = Povm(labels=("a", "b"), factor=factor, block_sizes=[1, 1])
+        assert not np.shares_memory(povm.factor, factor) and factor.flags.writeable
+        with pytest.raises(ValueError, match="F F\\^dagger = I"):
+            Povm(labels=("a",), factor=2.0 * factor, block_sizes=[2])

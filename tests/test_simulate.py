@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -449,7 +450,7 @@ def _mle_result(record, model, povm, search_interval, phi_hat):
 
 
 def reference_mle(record, model, povm, search_interval):
-    """Grid, bracket, then a scalar bisection of the record's score where it
+    """Grid, bracket, then a scalar ITP solve of the record's score where it
     falls through zero across the bracket; else the bracket end with the
     larger grid log-likelihood, the lower end on a tie."""
     grid, values, lo_i, hi_i = _reference_bracket(record, model, povm, search_interval)
@@ -458,7 +459,7 @@ def reference_mle(record, model, povm, search_interval):
         return reference_score(record, model, povm, phi)
 
     if score(grid[lo_i]) > 0.0 > score(grid[hi_i]):
-        phi_hat = reference_bisect(score, float(grid[lo_i]), float(grid[hi_i]), 0.0)
+        phi_hat = reference_itp(score, float(grid[lo_i]), float(grid[hi_i]), 0.0)
     else:
         phi_hat = grid[hi_i] if values[hi_i] > values[lo_i] else grid[lo_i]
     return _mle_result(record, model, povm, search_interval, phi_hat)
@@ -522,22 +523,50 @@ def harmonic_curve(model, obs):
     return at
 
 
-def reference_bisect(f, lo, hi, target, xtol=1e-12):
-    """Bisect ``f(phi) = target`` on ``[lo, hi]`` down to ``xtol``, stopping
-    early where the midpoint rounds to an end or hits the target exactly."""
-    below = f(lo) < target
-    while hi - lo > xtol:
+def _sign(x):
+    """``np.sign`` of one float: -1, 0 or 1, and nan for nan."""
+    return x if x != x else float((x > 0.0) - (x < 0.0))
+
+
+def reference_itp(f, lo, hi, target, xtol=1e-12):
+    """Solve ``f(phi) = target`` on ``[lo, hi]`` by ITP steps, one scalar
+    step at a time: the regula falsi point of the end values, moved ``0.1
+    w^2 / w_0`` toward the midpoint (not past it), projected into ``r_j =
+    eps 2^(n_max - j) - w / 2`` of the midpoint with ``n_max = ceil(log2(w_0
+    / xtol)) + 1`` and ``2 eps = xtol - 8 eps_64 max(|lo|, |hi|)``, moved
+    one float inward where it rounds to an end, else the midpoint where it
+    is not strictly inside. Stops where the bracket is at most ``xtol``
+    wide, where the point is an end, or where it hits the target."""
+    y_lo, y_hi = f(lo) - target, f(hi) - target
+    width = hi - lo
+    if not width > xtol:
+        return (lo + hi) / 2.0
+    kappa = 0.1 / width
+    steps = math.ceil(math.log2(width / xtol))
+    steps += math.ldexp(xtol, steps) < width
+    steps -= math.ldexp(xtol, steps - 1) >= width
+    plan = math.ldexp(max(xtol / 2.0 - 4.0 * _EPS * max(abs(lo), abs(hi)), 0.0), steps + 1)
+    while True:
         mid = (lo + hi) / 2.0
-        value = f(mid)
-        if value == target:
-            return mid
-        if (value < target) == below:
-            lo, end = mid, mid == hi
+        interpolated = lo - y_lo * (width / (y_hi - y_lo))
+        sigma = _sign(mid - interpolated)
+        projected = mid - sigma * (plan - width / 2.0)
+        point = interpolated + sigma * (kappa * width * width)
+        x = float(np.minimum(np.maximum(point, np.minimum(mid, projected)),
+                             np.maximum(mid, projected)))
+        x = float(np.minimum(np.maximum(x, math.nextafter(lo, hi)), math.nextafter(hi, lo)))
+        if not lo < x < hi:
+            x = mid
+        y, edge = f(x) - target, x in (lo, hi)
+        if y == 0.0:
+            return x
+        if (y < 0.0) == (y_lo < 0.0):
+            lo, y_lo = x, y
         else:
-            hi, end = mid, mid == lo
-        if end:
-            break
-    return (lo + hi) / 2.0
+            hi, y_hi = x, y
+        width, plan = hi - lo, plan / 2.0
+        if width <= xtol or edge:
+            return (lo + hi) / 2.0
 
 
 def brentq_root(f, lo, hi, target):
@@ -566,7 +595,7 @@ def _reference_branch_interval(slope, center, step, root):
 
 
 def reference_sample_mean(record, obs, model, branch_center, curve=harmonic_curve,
-                          root=reference_bisect):
+                          root=reference_itp):
     """The sample-mean estimate of one record, evaluating the mean curve
     ``curve(model, obs)`` one phase at a time and solving with ``root``."""
     values = np.array([float(label) for label in record.labels])
@@ -716,7 +745,7 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     @pytest.mark.parametrize("nu, trials, shift", [(NU, TRIALS, 0.0), (20, 20, -0.7)])
     def test_sample_mean_against_brentq(self, name, nu, trials, shift, trial_results):
-        """The lockstep bisection on the harmonic curve lands within ``2
+        """The lockstep ITP solve on the harmonic curve lands within ``2
         xtol`` of scipy's ``brentq`` on the per-phase moments, plus the
         curves' difference (``curve_bounds``; for a blackbox model the noise
         of the one curve both read) divided by the slope at an estimate, or
@@ -826,16 +855,16 @@ class TestRunsOnCountArrays:
 
 
 class TestMleRefinement:
-    """Each trial's best grid cell is refined by bisecting its score."""
+    """Each trial's best grid cell is refined by an ITP solve of its score."""
 
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     def test_close_to_golden_section_and_newton(self, name, trial_results):
         """Within ``1e-10 + 0.5e-12`` of a golden-section search of the same
         bracket on log-likelihood values followed by one Newton step on the
-        score. Where the score falls through zero, bisection stops within
+        score. Where the score falls through zero, the solve stops within
         ``0.5e-12`` of its root, and a Newton step from golden's point lands
         on the root to rounding (its error is quadratic in golden's, about
-        1e-16); where the maximum sits at a bracket end, bisection returns
+        1e-16); where the maximum sits at a bracket end, the solve returns
         the end, and golden's last bracket, at most ``1e-10`` wide, still
         holds it, the Newton step being refused for leaving the bracket."""
         model, povm, _, phi = equivalence_case(name)
@@ -1019,6 +1048,8 @@ class TestMeanCurve:
 
 
 class TestBisect:
+    """The lockstep ITP solver ``simulate._itp``."""
+
     @staticmethod
     def hill(phis):
         """``x (2 - x)``: rising on [0, 1], falling on [1, 2]."""
@@ -1026,21 +1057,21 @@ class TestBisect:
 
     def test_rising_and_falling_brackets_in_lockstep(self):
         """Each bracket closes within ``xtol / 2`` of its root, on either
-        side of the hill; a midpoint that hits its target exactly is the
+        side of the hill; a point that hits its target exactly is the
         root."""
         lo, hi = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 1.0])
-        roots = simulate._bisect(lambda phis, _: self.hill(phis), lo, hi, self.hill(lo),
-                                 np.array([0.19, 0.36, 0.75]))
+        roots = simulate._itp(lambda phis, _: self.hill(phis), lo, hi, self.hill(lo),
+                              self.hill(hi), np.array([0.19, 0.36, 0.75]))
         assert abs(roots[0] - 0.1) <= 0.5e-12
         assert abs(roots[1] - 1.8) <= 0.5e-12
         assert roots[2] == 0.5
 
     def test_a_bracket_of_adjacent_floats_closes(self):
-        """With ``xtol = 0`` only a midpoint that rounds to an end stops
-        the bracket ``[1, 1 + ulp]``."""
+        """With ``xtol = 0`` only a point that rounds to an end stops the
+        bracket ``[1, 1 + ulp]``."""
         lo, hi = np.array([1.0]), np.array([np.nextafter(1.0, 2.0)])
-        root = simulate._bisect(lambda x, _: x - 1.0, lo, hi, np.zeros(1),
-                                np.array([1e-17]), xtol=0.0)
+        root = simulate._itp(lambda x, _: x - 1.0, lo, hi, lo - 1.0, hi - 1.0,
+                             np.array([1e-17]), xtol=0.0)
         assert root[0] in (lo[0], hi[0])
 
     def test_rows_index_the_open_brackets(self):
@@ -1054,7 +1085,81 @@ class TestBisect:
             return phis - rows
 
         lo, hi = np.array([-1.0, 1.0, 1.0]), np.array([1.0, 1.0, 3.0])
-        roots = simulate._bisect(f, lo, hi, lo - np.arange(3), np.zeros(3))
+        roots = simulate._itp(f, lo, hi, lo - np.arange(3), hi - np.arange(3), np.zeros(3))
         assert seen[0] == [0, 2]
         assert abs(roots[0]) <= 0.5e-12 and abs(roots[2] - 2.0) <= 0.5e-12
         assert roots[1] == 1.0
+
+    FAMILIES = {
+        "linear": lambda x, c: x - c,
+        "flat": lambda x, c: (x - c) * np.abs(x - c) ** 14,
+        "convex": lambda x, c: np.expm1(50.0 * (x - c)),
+        "step": lambda x, c: np.where(x < c, -1.0, 1.0),
+        "cliff": lambda x, c: np.where(x < c, -1.0, 1e300),
+        "infinite": lambda x, c: np.where(x < c, -1.0, np.inf),
+    }
+    brackets = st.tuples(st.sampled_from(sorted(FAMILIES)), st.floats(-8.0, 8.0),
+                         st.floats(-10.0, 1.0), st.floats(1e-3, 1.0 - 1e-3), st.booleans())
+
+    @staticmethod
+    def worst_steps(width, xtol):
+        """``ceil(log2(width / xtol)) + 1``, in exact arithmetic."""
+        ratio, steps = Fraction(width) / Fraction(xtol), 0
+        while 2 ** steps < ratio:
+            steps += 1
+        return steps + simulate._ITP_SLACK
+
+    @given(cases=st.lists(brackets, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_steps_stay_within_bisection_plus_slack(self, cases):
+        """On functions that defeat interpolation (steep, flat, convex,
+        discontinuous, ``1e300`` or infinite on one side, rising or
+        falling) every bracket closes around its root within
+        ``ceil(log2(w_0 / xtol)) + n_0`` steps, and every point it evaluates
+        lies strictly inside its bracket of the moment."""
+        xtol = 1e-12
+        lo = np.array([start for _, start, _, _, _ in cases])
+        hi = lo + np.array([10.0 ** scale for _, _, scale, _, _ in cases])
+        roots = lo + np.array([frac for *_, frac, _ in cases]) * (hi - lo)
+        signs = np.array([-1.0 if flip else 1.0 for *_, flip in cases])
+
+        def value(x, i):
+            return signs[i] * self.FAMILIES[cases[i][0]](x, roots[i])
+
+        a, b = lo.copy(), hi.copy()
+        steps = np.zeros(len(cases), dtype=int)
+
+        def f(phis, rows):
+            out = np.array([value(x, i) for x, i in zip(phis.tolist(), rows.tolist())])
+            for x, i, y in zip(phis.tolist(), rows.tolist(), out.tolist()):
+                assert a[i] < x < b[i], (cases[i], x, a[i], b[i])
+                steps[i] += 1
+                if (y < 0.0) == (value(a[i], i) < 0.0):
+                    a[i] = x
+                else:
+                    b[i] = x
+            return out
+
+        f_lo = np.array([value(x, i) for i, x in enumerate(lo.tolist())])
+        f_hi = np.array([value(x, i) for i, x in enumerate(hi.tolist())])
+        found = simulate._itp(f, lo, hi, f_lo, f_hi, np.zeros(len(cases)), xtol)
+        for i, case in enumerate(cases):
+            assert steps[i] <= self.worst_steps(hi[i] - lo[i], xtol), (case, steps[i])
+            assert abs(found[i] - roots[i]) <= xtol, (case, found[i], roots[i])
+
+    def test_a_point_rounding_to_an_end_moves_inward(self):
+        """Where regula falsi rounds onto an end (a ``1e300`` cliff just past
+        the lower end), the solver evaluates the next float inward, not the
+        end: a solver that took the end as its point would close the
+        bracket there, ``1e-3`` from the root."""
+        lo, hi, root = 0.0, 1e-3, 1e-3 - 1e-9
+        seen = []
+
+        def f(phis, _):
+            seen.extend(phis.tolist())
+            return np.where(phis < root, -1.0, 1e300)
+
+        found = simulate._itp(f, np.array([lo]), np.array([hi]), np.array([-1.0]),
+                              np.array([1e300]), np.zeros(1))
+        assert lo not in seen and hi not in seen
+        assert abs(found[0] - root) <= 1e-12

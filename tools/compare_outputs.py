@@ -20,8 +20,10 @@ variant and with ``--tol 1e-3``; ``cfi``, ``scan`` and ``simulate`` on GHZ
 N=2 and N=3 specs measured with the eigenprojectors of the x-parity
 observable; ``cfi`` on the GHZ N=3 x spec over ``pi/12:pi:4``, which
 exits 4 at its singular last phase naming ``'+++'``, and a text ``scan`` of
-it over ``0:pi:9``; ``cfi`` on a GHZ N=8 x-product spec over 9 phases, which
-its outcome pass reads in chunks of 4; ``lambda`` at pi/4 in both
+it over ``0:pi:9``; ``cfi`` on a GHZ N=8 x-product spec over 9 phases,
+``simulate`` (both estimators) on a GHZ N=8 x-product spec and ``cfi`` on a
+GHZ N=10 x-product spec over 3 phases, which read the outcome rows on the
+carrier's two support rows at d = 256 and 1024; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
 ``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
@@ -217,6 +219,14 @@ def invocations(workdir: Path) -> list[list[str]]:
     ghz8 = _write(workdir / "ghz8-x.yaml", {
         "state": {"ghz": {"n": 8}}, "povm": "x_basis_product", "phi": "pi/8"})
     runs.append(["cfi", "--model", ghz8, "--phi-range", "0.1:3:9", "--output", "json"])
+    ghz8_simulate = _write(workdir / "ghz8-x-simulate.yaml", {
+        "state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a1": 1.0}},
+        "povm": "x_basis_product", "phi": "pi/32", "nu": 1000})
+    runs.append(["simulate", "--model", ghz8_simulate, "--trials", "20", "--seed", "3",
+                 "--output", "json"])
+    ghz10 = _write(workdir / "ghz10-x.yaml", {
+        "state": {"ghz": {"n": 10}}, "povm": "x_basis_product", "phi": "pi/8"})
+    runs.append(["cfi", "--model", ghz10, "--phi-range", "0.1:3:3", "--output", "json"])
     for n in (2, 3):
         spec = _write(workdir / f"ghz{n}-x-eigenprojectors.yaml", {
             "state": {"ghz": {"n": n}},
