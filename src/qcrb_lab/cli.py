@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MetrologyError, SingularOutcomeError, SpecFileError
-from .fisher import cfi as cfi_value
-from .fisher import _outcome_distributions, outcome_distribution, sld
+from .fisher import _cfi_values, sld
 from .ghz import X_BASIS, Y_BASIS, ghz_model, two_qubit_lambda_solution
 from .modelspec import ModelSpec, _phase_grid, footprint, load_model_spec, parse_angle
 from .modelspec import _RUN_BOUNDS, _admit, _integer, _positive_float
@@ -183,14 +182,15 @@ def _table(command: str, spec: ModelSpec, row, output_format: str,
            out_path: str | None, povm=None) -> list[dict]:
     """Emit ``row(phi)`` for each phase of ``spec`` as one table whose
     columns are the first row's keys; returns the rows. With ``povm``, each
-    row is ``row(phi, dist)``, its outcome distribution read from one pass
-    over the grid."""
+    row is ``row(phi, info)``, ``info`` the phase's classical Fisher
+    information of ``povm`` or the :class:`SingularOutcomeError` it has
+    there, read from one pass over the grid."""
     phis = spec.phis.tolist()
     if povm is None:
         rows = [row(phi) for phi in phis]
     else:
-        rows = [row(phi, dist) for phi, dist in
-                zip(phis, _outcome_distributions(spec.model, phis, povm))]
+        rows = [row(phi, info) for phi, info in
+                zip(phis, _cfi_values(spec.model, phis, povm))]
     _emit(_render_rows(command, rows, tuple(rows[0]), output_format), out_path)
     return rows
 
@@ -289,9 +289,10 @@ def _check_optimal_row(spec: ModelSpec, phi: float, variant: str,
             "singular_flag": singular, "diagnostic": report.diagnostic}
 
 
-def _scan_row(spec: ModelSpec, phi: float, opt_tol: float, dist=None) -> dict:
-    """One ``scan`` row; ``dist`` is the phase's outcome distribution of
-    the spec's POVM, evaluated here when not given."""
+def _scan_row(spec: ModelSpec, phi: float, opt_tol: float, info=None) -> dict:
+    """One ``scan`` row; ``info`` is the phase's classical Fisher
+    information of the spec's POVM, or its :class:`SingularOutcomeError`,
+    evaluated here when not given."""
     row: dict = {c: None for c in SCAN_COLUMNS}
     row["phi"] = phi
     result = sld(spec.model, phi)
@@ -299,10 +300,12 @@ def _scan_row(spec: ModelSpec, phi: float, opt_tol: float, dist=None) -> dict:
     row["qcrb"] = 1.0 / (spec.nu * result.qfi) if result.qfi > 0.0 else None
     singular = False
     if spec.povm is not None:
-        try:
-            row["cfi"] = cfi_value(dist or outcome_distribution(spec.model, phi, spec.povm))
-        except SingularOutcomeError:
+        if info is None:
+            info = next(_cfi_values(spec.model, [phi], spec.povm))
+        if isinstance(info, SingularOutcomeError):
             singular = True
+        else:
+            row["cfi"] = info
     if spec.observable is not None:
         moments = _moments(spec.model, spec.observable, result)
         if moments.singular:
@@ -330,7 +333,7 @@ def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
     if not spec.phi_is_range:
         raise SpecFileError("scan requires a phi range with steps >= 2", field="phi")
     opt_tol = spec.tolerances.get("optimality", OPTIMALITY_RTOL)
-    _table("scan", spec, lambda phi, dist=None: _scan_row(spec, phi, opt_tol, dist),
+    _table("scan", spec, lambda phi, info=None: _scan_row(spec, phi, opt_tol, info),
            output_format, out_path, spec.povm)
 
 
@@ -338,9 +341,14 @@ def cmd_scan(model_path, phi_range_text, nu, tol, output_format, out_path):
 def cmd_cfi(model_path, phi_text, phi_range_text, output_format, out_path):
     """Classical Fisher information of the POVM at each phase."""
     spec = _load_spec(model_path, phi_text=phi_text, phi_range_text=phi_range_text)
-    povm = _required(spec, "povm", "cfi")
-    _table("cfi", spec, lambda phi, dist: {"phi": phi, "cfi": cfi_value(dist)},
-           output_format, out_path, povm)
+    _table("cfi", spec, _cfi_row, output_format, out_path, _required(spec, "povm", "cfi"))
+
+
+def _cfi_row(phi: float, info) -> dict:
+    """One ``cfi`` row, or the phase's :class:`SingularOutcomeError` raised."""
+    if isinstance(info, SingularOutcomeError):
+        raise info
+    return {"phi": phi, "cfi": info}
 
 
 def _require_two_qubit_ghz(model) -> None:

@@ -2,8 +2,11 @@
 
 Conventions used throughout the package:
 
-* states, density matrices and POVM factors are dense complex ``numpy``
-  arrays; an observable keeps the form it was built from (a real diagonal,
+* states and density matrices are dense complex ``numpy`` arrays, and so
+  is a POVM's column factor, except that a product basis keeps its 2x2
+  site basis, forms the rows of its factor that a computation reads site by
+  site and builds the dense factor and its labels only when they are read;
+  an observable keeps the form it was built from (a real diagonal,
   per-qubit product coefficients or a dense matrix), acts on vectors
   through that form and builds its dense matrix only when one is read;
 * qubit site 0 is the leftmost (most significant) Kronecker factor, so the
@@ -425,8 +428,8 @@ class HermitianObservable:
 class Povm:
     """Positive-operator-valued measure: PSD elements summing to identity.
 
-    Every POVM is stored as one ``d x R`` column factor ``F``: outcome ``x``
-    owns the contiguous, non-empty block of columns ``F_x = F[:,
+    A POVM is a ``d x R`` column factor ``F``: outcome ``x`` owns the
+    contiguous, non-empty block of columns ``F_x = F[:,
     block_bounds[x]:block_bounds[x + 1]]``, and its element is ``M_x = F_x
     F_x^dagger``. A probability ``Re Tr(A M_x)`` is then ``Re sum conj(F_x) *
     (A F_x)``, so no element needs to exist as a ``d x d`` matrix.
@@ -438,13 +441,18 @@ class Povm:
     on the given matrices. ``Povm(labels=..., factor=F, block_sizes=...)``
     takes a copy of the factor itself, and ``check`` then validates ``F
     F^dagger = I``; the package's builders hand over the factor they have
-    just built, without a copy (``Povm._adopt``). ``elements`` are the given
-    matrices, or ``F_x F_x^dagger`` built on first read.
+    just built, without a copy (``Povm._adopt``). A product basis
+    (:func:`product_basis_povm`) keeps only its ``2 x 2`` site basis
+    ``_site_basis`` and one column per outcome: ``block_bounds``, ``dim``
+    and ``len`` need no build, ``factor`` (``B^{tensor N}``) and its sign
+    ``labels`` are built on first read, and :meth:`_factor_rows` forms any
+    rows of the factor site by site. ``elements`` are the given matrices,
+    or ``F_x F_x^dagger`` built on first read.
     """
 
-    factor: np.ndarray
     block_bounds: np.ndarray
-    labels: tuple
+    dim: int
+    _site_basis: np.ndarray | None
 
     def __init__(self, elements: Sequence = (), labels: Sequence = (),
                  check: bool = True, *, factor: np.ndarray | None = None,
@@ -485,10 +493,43 @@ class Povm:
         if len(labels) != len(block_sizes):
             raise ValueError(
                 f"{len(labels)} labels for {len(block_sizes)} POVM elements")
-        object.__setattr__(self, "factor", _freeze(factor))
-        object.__setattr__(self, "block_bounds",
-                           _freeze(np.cumsum([0, *block_sizes])))
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(factor=_freeze(factor), labels=labels)
+        self._set(np.cumsum([0, *block_sizes]), factor.shape[0], None)
+
+    def _set(self, block_bounds: np.ndarray, dim: int, site_basis: np.ndarray | None) -> None:
+        """Store the fields every POVM has."""
+        object.__setattr__(self, "block_bounds", _freeze(block_bounds))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_site_basis", site_basis)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The ``d x R`` factor, read-only: the given one, or a product
+        basis's ``B^{tensor N}``, built on first read."""
+        return _freeze(tensor_power(self._site_basis, self.dim.bit_length() - 1))
+
+    @cached_property
+    def labels(self) -> tuple:
+        """One label per outcome: the given ones, or a product basis's sign
+        strings ``++..+, ++..-, ..., --..-``, built on first read."""
+        return tuple("".join(signs) for signs in
+                     itertools.product("+-", repeat=self.dim.bit_length() - 1))
+
+    def _factor_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``factor[rows]`` for an integer array ``rows``. A product basis
+        forms each row as successive outer products of its per-site rows
+        ``B[b_k, :]``, ``b_k`` the row's binary digits from site 0: each
+        entry is the same left-to-right product that ``B^{tensor N}`` holds,
+        in ``O(|rows| R)`` and with no ``d x d`` factor."""
+        if self._site_basis is None:
+            return self.factor[rows]
+        sites = self.dim.bit_length() - 1
+        # (|rows|, N, 2): the per-site row B[b_k, :] of each row
+        site_rows = self._site_basis[rows[:, None] >> np.arange(sites - 1, -1, -1) & 1]
+        out = site_rows[:, 0]
+        for k in range(1, sites):
+            out = (out[:, :, None] * site_rows[:, k, None, :]).reshape(rows.size, -1)
+        return out
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
@@ -498,12 +539,8 @@ class Povm:
                      for block in (self.factor[:, lo:hi]
                                    for lo, hi in zip(bounds, bounds[1:])))
 
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.block_bounds.size - 1
 
 
 def _dense_elements(elements: Sequence) -> tuple[np.ndarray, ...]:
@@ -568,6 +605,8 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
 # columns: the single-qubit + and - eigenvectors of sigma_x and of sigma_y
 _XY_BASES = {"x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
              "y": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)}
+for _m in _XY_BASES.values():
+    _m.setflags(write=False)
 
 
 def product_basis_vectors(axis: str, n_qubits: int) -> tuple[tuple[str, np.ndarray], ...]:
@@ -585,9 +624,13 @@ def product_basis_povm(axis: str, n_qubits: int) -> Povm:
 
     Its factor is ``B^{tensor N}``, where the columns of ``B`` are the
     single-qubit ``+`` and ``-`` vectors; each column is one outcome, in the
-    order and with the labels of :func:`product_basis_vectors`.
+    order and with the labels of :func:`product_basis_vectors`. The POVM
+    keeps ``B`` and builds the factor and the labels only when they are read.
     """
     if axis not in _XY_BASES:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    labels = tuple("".join(signs) for signs in itertools.product("+-", repeat=n_qubits))
-    return Povm._adopt(tensor_power(_XY_BASES[axis], n_qubits), [1] * len(labels), labels)
+    if n_qubits < 1:
+        raise ValueError("tensor_power requires n >= 1")
+    povm = Povm.__new__(Povm)
+    povm._set(np.arange(2 ** n_qubits + 1), 2 ** n_qubits, _XY_BASES[axis])
+    return povm

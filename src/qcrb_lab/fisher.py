@@ -13,7 +13,9 @@ sample-mean estimator of ``simulate`` reads ``C_0'`` once per run, as the
 coefficients of its mean curve. POVM outcome probabilities are read from a
 setup (``_OutcomeRows``) made once per model, POVM and derivative order,
 which keeps ``F^dagger V`` only on the support rows of ``C_0'`` (two rows
-of ``2^N`` for GHZ); ``cfi``, ``scan`` and ``simulate`` share it. A
+of ``2^N`` for GHZ), those of a product basis formed site by site with no
+``2^N x 2^N`` factor; ``cfi``, ``scan`` and ``simulate`` share it, and a
+grid's CFI (``_cfi_values``) is read from its arrays. A
 blackbox model solves dense ``rho`` and ``d rho`` per phase, the dense
 reference.
 """
@@ -422,7 +424,10 @@ def _check_totals(probs: np.ndarray, derivs: np.ndarray | None = None) -> None:
 
 
 def _block_sums(columns: np.ndarray, povm: Povm) -> np.ndarray:
-    """Sum the ``(B, R)`` per-column values over each outcome's block."""
+    """Sum the ``(B, R)`` per-column values over each outcome's block: the
+    values themselves where every outcome owns one column."""
+    if len(povm) == povm.block_bounds[-1]:
+        return columns
     return np.add.reduceat(columns, povm.block_bounds[:-1], axis=1)
 
 
@@ -447,7 +452,7 @@ def _phase_entries(model: ParametricModel, povm: Povm) -> int:
     of :func:`_outcome_arrays`: ``r max(R, |S|)`` for a generator model's
     ``|S| x r`` carrier rows and ``R`` factor columns, ``d max(d, R)`` for a
     blackbox model's dense stacks."""
-    columns = povm.factor.shape[1]
+    columns = int(povm.block_bounds[-1])
     if model.kind == "unitary_generator":
         support, carrier = model._support, model._solution.carrier
         rows = model.dim if support is None else support.size
@@ -460,11 +465,11 @@ def _phase_chunk(model: ParametricModel, povm: Povm) -> int:
     return max(1, _BATCH_ENTRIES // _phase_entries(model, povm))
 
 
-def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
-    """Yield :func:`outcome_distribution` at each phase of ``phis``, bit for
-    bit, from one :func:`_outcome_arrays` call per chunk of phases, made
-    when the chunk's first phase is read. A chunk that raises a package,
-    value or arithmetic error is evaluated phase by phase, so the error is
+def _outcome_chunks(model: ParametricModel, phis, povm: Povm):
+    """Yield each chunk of phases of ``phis`` with its
+    :func:`_outcome_arrays` up to order 2, called when the chunk is read,
+    or with ``None`` where that call raised a package, value or arithmetic
+    error: each of its phases is then evaluated alone, so that the error is
     the first offending phase's, raised when that phase is read."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
     chunk = _phase_chunk(model, povm)
@@ -474,9 +479,36 @@ def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
             arrays = _outcome_arrays(model, at, povm, order=2)
         except (MetrologyError, ValueError, ArithmeticError):  # raised again by its phase
             arrays = None
+        yield at, arrays
+
+
+def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
+    """Yield :func:`outcome_distribution` at each phase of ``phis``, bit for
+    bit, from one :func:`_outcome_arrays` call per chunk of phases."""
+    for at, arrays in _outcome_chunks(model, phis, povm):
         for k, phi in enumerate(at.tolist()):
             yield (outcome_distribution(model, phi, povm) if arrays is None
                    else OutcomeDistribution(povm.labels, *arrays[:, k]))
+
+
+def _cfi_values(model: ParametricModel, phis, povm: Povm):
+    """Yield ``cfi(outcome_distribution(model, phi, povm))`` at each phase of
+    ``phis``, bit for bit, or the :class:`SingularOutcomeError` it raises
+    there, from one :func:`_outcome_arrays` call per chunk of phases: the
+    chunk's rows are read once, as arrays, with no distribution formed."""
+    for at, arrays in _outcome_chunks(model, phis, povm):
+        if arrays is None:
+            for phi in at.tolist():
+                try:
+                    yield cfi(outcome_distribution(model, phi, povm))
+                except SingularOutcomeError as exc:
+                    yield exc
+            continue
+        totals, offending = _fisher_sums(*arrays)
+        singular = offending.any(axis=1)
+        for k, total in enumerate(totals.tolist()):
+            yield (_singular_outcome(povm.labels, offending[k], *arrays[1:, k])
+                   if singular[k] else total)
 
 
 def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
@@ -498,7 +530,11 @@ class _OutcomeRows:
     C_0'`` is zero wherever ``C_0'`` is, so the setup keeps only the rows
     ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= order``) on the support S of
     ``C_0'`` (``model._support``), and the products sum over S: they cost
-    ``O(R |S| r)`` a phase, and the terms left out are exact zeros. The
+    ``O(R |S| r)`` a phase, and the terms left out are exact zeros. Under a
+    diagonal generator (no ``V``) the rows ``F[S]`` come from
+    ``Povm._factor_rows``, which forms those of a product basis site by
+    site, so that no ``d x R`` factor is built; a non-diagonal frame, or a
+    support of every row, reads the dense ``factor``. The
     carrier is moved on every row, ``O(d r)`` with ``d <= R``, as the
     full-row route moves it: a vectorised complex product can round
     otherwise than a lone one. Where ``|S| <= 2``, ``F^dagger d^k C`` is
@@ -518,10 +554,14 @@ class _OutcomeRows:
             return
         g, basis, _ = model._frame
         self.g, self.carrier, self.support = g, model._solution.carrier, model._support
-        frame = povm.factor if basis is None else basis.conj().T @ povm.factor
+        if basis is not None:
+            frame = basis.conj().T @ povm.factor
+            frame = frame if self.support is None else frame[self.support]
+        else:
+            frame = povm.factor if self.support is None else povm._factor_rows(self.support)
         g_s = g if self.support is None else g[self.support]
         # (F^dagger V)[:, S] (-i g_S)^k, so that rows[k] @ C_0'[S] moved is F^dagger d^k C
-        self.rows = [(frame if self.support is None else frame[self.support]).conj().T]
+        self.rows = [frame.conj().T]
         for _ in range(order):
             self.rows.append(self.rows[-1] * (-1j * g_s))
 
@@ -580,23 +620,38 @@ def cfi(dist: OutcomeDistribution) -> float:
     :class:`SingularOutcomeError` instead of being dropped; the first such
     outcome in POVM order is named. The terms are summed left to right.
     """
-    probs, derivs, second = dist.probabilities, dist.derivatives, dist.second_derivatives
+    second = dist.second_derivatives
+    total, offending = _fisher_sums(dist.probabilities, dist.derivatives, second)
+    if offending.any():
+        raise _singular_outcome(dist.labels, offending, dist.derivatives, second)
+    return float(total)
+
+
+def _fisher_sums(probs: np.ndarray, derivs: np.ndarray,
+                 second: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_x (dp)^2 / p`` over the last axis of the arrays, summed left to
+    right over the outcomes above the probability floor, and the mask of
+    the outcomes :func:`cfi` rejects: at or below the floor, with a first
+    or second derivative above its own."""
     regular = probs > _PROB_FLOOR
     moving = np.abs(derivs) > _DERIVATIVE_FLOOR
     if second is not None:
         moving |= np.abs(second) > _CURVATURE_FLOOR
-    offending = ~regular & moving
-    if offending.any():
-        idx = int(np.argmax(offending))
-        label, dp = dist.labels[idx], float(derivs[idx])
-        if abs(dp) > _DERIVATIVE_FLOOR:
-            raise SingularOutcomeError(
-                f"outcome {label!r} has p <= {_PROB_FLOOR:.1e} but dp = {dp:.3e}: "
-                "classical Fisher information diverges at this phase")
-        raise SingularOutcomeError(
-            f"outcome {label!r} has p and dp ~ 0 but d2p = "
-            f"{float(second[idx]):.3e}: classical Fisher information is "
-            "defined only as a limit at this phase")
     terms = np.where(regular, derivs * derivs / np.where(regular, probs, 1.0), 0.0)
     # a cumulative sum adds in order, as a scalar loop does; np.sum pairs terms
-    return float(np.cumsum(terms)[-1])
+    return np.cumsum(terms, axis=-1)[..., -1], ~regular & moving
+
+
+def _singular_outcome(labels, offending: np.ndarray, derivs: np.ndarray,
+                      second: np.ndarray | None) -> SingularOutcomeError:
+    """The error that names the first ``offending`` outcome of a distribution."""
+    idx = int(np.argmax(offending))
+    label, dp = labels[idx], float(derivs[idx])
+    if abs(dp) > _DERIVATIVE_FLOOR:
+        return SingularOutcomeError(
+            f"outcome {label!r} has p <= {_PROB_FLOOR:.1e} but dp = {dp:.3e}: "
+            "classical Fisher information diverges at this phase")
+    return SingularOutcomeError(
+        f"outcome {label!r} has p and dp ~ 0 but d2p = "
+        f"{float(second[idx]):.3e}: classical Fisher information is "
+        "defined only as a limit at this phase")

@@ -186,9 +186,13 @@ class ModelSpec:
 
 
 #: the sizes :func:`footprint` reads; rank is the carrier's columns (1, or d for a
-#: density), file and marks a spec file's characters and its :data:`_YAML_MARKS`
-Sizes = namedtuple("Sizes", "dim rank columns outcomes phases trials file marks observable",
-                   defaults=(1, 1, 0, 0, 1, 0, 0, 0, False))
+#: density), file and marks a spec file's characters and its :data:`_YAML_MARKS`,
+#: rows the frame rows of the POVM's ``columns`` held: ``None`` (the default) for
+#: a d x R factor, ``|S|`` for a product basis's support rows, 0 where a product
+#: basis is not read
+Sizes = namedtuple("Sizes",
+                   "dim rank columns outcomes phases trials file marks observable rows",
+                   defaults=(1, 1, 0, 0, 1, 0, 0, 0, False, None))
 #: the spec file characters that open or separate YAML nodes
 _YAML_MARKS = "[{,-:\n"
 # Bytes held per unit of size, fitted to tracemalloc peaks (tests/test_footprint.py)
@@ -197,10 +201,12 @@ _BYTES = {"base": 1 << 16,  # the smallest spec
           "mark": 540,      # spec file mark: YAML nodes it opens or separates, while parsed
           "carrier": 176,   # d x r carrier entry: the state, its moved copies, O C, L C
           "factor": 70,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
+          "rows": 24,       # |S| x R support-row entry per derivative order 0-2 (all three
+                            # are stacked): its per-site build, conjugate, (-i g)^k multiples
           "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
           "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
           "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
-          "batch": 96}      # entry of a phase chunk of _outcome_arrays
+          "batch": 112}     # entry of a phase chunk of _outcome_arrays
 # per output row, cell and SLD entry of a row by format; cells per row ("load" has none)
 _ROW_BYTES = {"text": (300, 110, 200), "csv": (300, 110, 200), "json": (450, 240, 450)}
 _CELLS = {"load": 0, "qfi": 2, "sld": 4, "errprop": 10, "check-optimal": 9, "scan": 11,
@@ -214,11 +220,14 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     by field and content; sizes are capped at 2^64, so that every term is finite."""
     cells, (row, cell, entry) = _CELLS[command], _ROW_BYTES[output]
     if not isinstance(spec, Sizes):  # a ModelSpec: the sizes of its stored forms
-        dim, povm = spec.model.dim, spec.povm
-        spec = Sizes(dim, 1 if isinstance(spec.model.initial_state, PureState) else dim,
-                     *((0, 0) if povm is None else (povm.factor.shape[1], len(povm))),
-                     len(spec.phis), spec.trials, 0, 0, spec.observable is not None)
-    *sizes, observable = spec
+        model, povm = spec.model, spec.povm
+        rows = None
+        if povm is not None and povm._site_basis is not None:  # no factor until read
+            rows = _support_rows(model) if command in ("cfi", "scan", "simulate") else 0
+        spec = Sizes(model.dim, 1 if isinstance(model.initial_state, PureState) else model.dim,
+                     *((0, 0) if povm is None else (int(povm.block_bounds[-1]), len(povm))),
+                     len(spec.phis), spec.trials, 0, 0, spec.observable is not None, rows)
+    *sizes, observable, rows = spec
     dim, rank, columns, outcomes, phases, trials, file, marks = (
         float(min(size, 2 ** 64)) for size in sizes)
     sld_rows, simulate = command == "sld" or show_sld, command == "simulate"
@@ -232,8 +241,10 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,
-            ("povm", f"the {dim:.0f} x {columns:.0f} factor"):
-                _BYTES["factor"] * dim * columns,
+            **({("povm", f"the {dim:.0f} x {columns:.0f} factor"):
+                _BYTES["factor"] * dim * columns} if rows is None or rows == dim else
+               {("povm", f"the {rows:.0f} x {columns:.0f} support rows"):
+                _BYTES["rows"] * 3 * rows * columns}),
             ("phi", f"{phases:.0f} phases"): phases * (8 + (cells and row + cells * cell)),
             ("state", f"{matrix} work"): _BYTES["matrix"] * dim * dim * dense,
             ("state", f"the {matrix} of each row"): entry * dim * dim * phases * sld_rows,
@@ -241,6 +252,18 @@ def footprint(spec, command: str, *, show_sld: bool = False,
                 _BYTES["mean_trial"] * observable
                 + mle * (_BYTES["mle_trial"] + _BYTES["outcome"] * outcomes)),
             ("povm", "outcome phase chunks"): mle * _BYTES["batch"] * chunk * rank * width}
+
+
+def _support_rows(model: ParametricModel) -> int:
+    """The frame rows a product basis's outcome rows are formed on, as
+    ``fisher._OutcomeRows`` forms them: the support ``|S|`` of a state
+    vector under a diagonal generator, where ``model._support`` takes it,
+    else every row, read from the dense factor (a density's support is
+    known only once its SLD is solved, so it counts the factor)."""
+    if (isinstance(model.initial_state, PureState) and model.generator.diagonal is not None
+            and model._support is not None):
+        return model._support.size
+    return model.dim
 
 
 def _admit(terms: dict, what: str, field: str | None = None) -> None:
@@ -415,15 +438,15 @@ def _build_povm(data, n_qubits, observable, dim, *, fieldname: str = "povm"):
     if data is None:
         return None
     if isinstance(data, str):
-        # a named POVM builds a dim x dim factor, by Kronecker products or eigh
-        _admit(footprint(Sizes(dim, columns=dim), "load"), data, fieldname)
-        if data in ("x_basis_product", "y_basis_product"):
+        if data in ("x_basis_product", "y_basis_product"):  # builds no factor here
             return product_basis_povm(data[0], _qubits(n_qubits, data, fieldname=fieldname))
         if data == "eigenprojectors_of_observable":
             if observable is None:
                 raise SpecFileError(
                     "eigenprojectors_of_observable needs an observable",
                     field=fieldname)
+            # eigh of the dense observable into a dim x dim factor
+            _admit(footprint(Sizes(dim, columns=dim), "load"), data, fieldname)
             return eigenprojector_povm(observable)
         raise SpecFileError(f"unknown POVM name {data!r}", field=fieldname)
     _, custom = _one_of(data, ("custom",), fieldname=fieldname)

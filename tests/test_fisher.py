@@ -923,6 +923,59 @@ class TestGridPass:
         assert str(raised.value) == str(expected.value)
 
 
+def _cfi_outcomes(values):
+    """Each yielded CFI as ``_outcome_of`` reports it."""
+    return [(type(v), str(v)) if isinstance(v, SingularOutcomeError) else ("value", repr(v))
+            for v in values]
+
+
+class TestGridCfi:
+    """``_cfi_values`` reads a grid's CFI from the chunk's arrays, bit for
+    bit ``cfi`` of each distribution ``_outcome_distributions`` yields, and
+    at a singular phase the error ``cfi`` raises there, message included."""
+
+    @pytest.mark.parametrize("name,model,povm", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+    def test_equals_cfi_of_each_distribution(self, name, model, povm):
+        from qcrb_lab.fisher import _cfi_values, _outcome_distributions
+
+        # through the singular GHZ phases k pi / N
+        phis = np.linspace(0.0, math.pi, 25)
+        expected = [_outcome_of(cfi, d) for d in _outcome_distributions(model, phis, povm)]
+        assert _cfi_outcomes(_cfi_values(model, phis, povm)) == expected
+
+    def test_first_singular_phase_names_its_outcome(self):
+        """GHZ N=3 on the x-product basis over ``pi/12:pi:4``: the last phase,
+        pi, is singular and names ``'+++'``."""
+        from qcrb_lab.fisher import _cfi_values, _outcome_distributions
+
+        model, povm = ghz_model(3), product_basis_povm("x", 3)
+        phis = np.linspace(math.pi / 12, math.pi, 4)
+        got = _cfi_outcomes(_cfi_values(model, phis, povm))
+        assert got == [_outcome_of(cfi, d) for d in _outcome_distributions(model, phis, povm)]
+        assert [kind for kind, _ in got] == ["value"] * 3 + [SingularOutcomeError]
+        assert got[-1][1].startswith("outcome '+++' has p and dp ~ 0 but d2p = ")
+
+    def test_chunks(self, monkeypatch):
+        """A grid longer than one chunk gives the same values, one
+        ``_outcome_arrays`` call per chunk."""
+        from qcrb_lab import fisher
+
+        model, povm = ghz_model(6), product_basis_povm("y", 6)
+        phis = np.linspace(0.0, math.pi, 11)
+        whole = _cfi_outcomes(fisher._cfi_values(model, phis, povm))
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * fisher._phase_entries(model, povm))
+        calls = []
+        arrays = fisher._outcome_arrays
+
+        def counting(model, phis, povm, *, order):
+            calls.append(len(phis))
+            return arrays(model, phis, povm, order=order)
+
+        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        assert _cfi_outcomes(fisher._cfi_values(model, phis, povm)) == whole
+        assert calls == [3, 3, 3, 2]
+
+
 def _ref_loop_cfi(dist):
     """The per-outcome loop that computed the CFI before it ran on arrays."""
     second = dist.second_derivatives

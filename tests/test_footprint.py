@@ -67,8 +67,7 @@ def _forbid(monkeypatch, data) -> None:
     def allocate(*args, **kwargs):
         raise AssertionError("no phase may be evaluated")
 
-    for name in ("sld", "outcome_distribution", "_outcome_distributions",
-                 "error_propagation", "_scan_row",
+    for name in ("sld", "_cfi_values", "error_propagation", "_scan_row",
                  "_check_optimal_row", "run_sample_mean_trials", "run_mle_trials"):
         monkeypatch.setattr(cli, name, allocate)
     if data["state"]["ghz"]["n"] > 2:
@@ -95,8 +94,9 @@ JSON = ["--output", "json"]
 # (command, spec, arguments): every command and output format at a size where
 # its size terms dominate
 BRACKETED = [
-    # the POVM factor and the dense work of d = 1024, and of d = 512 where a
-    # d = 1024 run takes 0.5-1.3 s (an eigh, or the likelihood solve)
+    # the POVM factor and the dense work of d = 512, where a d = 1024 run
+    # takes 0.5-1.3 s (an eigh, or the likelihood solve), and the two support
+    # rows of the product basis at d = 1024 (and d = 16384, below)
     ("cfi", _ghz(9, povm="eigenprojectors_of_observable"), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), JSON),
@@ -129,6 +129,10 @@ BRACKETED = [
     ("cfi", _mixed_ghz_povm(4), ["--phi-range", "0.1:1:2000"]),
     ("scan", _mixed_ghz_povm(4), ["--phi-range", "0.1:1:1100", *JSON]),
     ("cfi", _ghz(4, povm=X_PRODUCT), ["--phi-range", "0.1:1:3000", *JSON]),
+    # ... and of 40 phases over the support rows at d = 4096, which no
+    # larger term covers
+    ("cfi", _ghz(12, povm=X_PRODUCT, observable=False), ["--phi-range", "0.1:1:40"]),
+    ("cfi", _ghz(14, povm=X_PRODUCT, observable=False), []),
 ]
 
 
@@ -141,16 +145,19 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
     largest per-unit peak of the routes it covers, so the footprint is an
     upper bound. It overshoots where one constant covers routes of
     different cost: a POVM factor entry costs 70 B, above the 65 B peak of
-    ``cfi`` with the eigenprojector POVM, while a command that only stores
-    the product-basis factor holds 20 B of it (3.5x); a spec file costs 32 B
-    per character, a long string of 4-byte characters, and 540 B per mark
-    (``modelspec._YAML_MARKS``), a compact flow list ``[[0],[0],...]``,
-    while full-precision floats in ``safe_dump``'s block layout parse to
-    2.6x less; the other terms (carrier, rows, trials) stay within 1.8x of
-    their peaks. The largest of these with the fixed 64 KiB base on top
-    stays below K = 4; the cases below measure 1.05-3.5, the most for
-    ``cfi`` on the N=10 product basis and for ``lambda``, whose peak of
-    some 24 KB lies under the base.
+    ``cfi`` with the eigenprojector POVM; a support-row entry of a product
+    basis costs 24 B per derivative order, the peak of the order-1 rows of
+    ``simulate``, while ``cfi`` builds three orders in 21.3 B each; a phase
+    chunk entry costs 112 B, the peak of ``_outcome_arrays`` at order 2; a
+    spec file costs 32 B per character, a long string of 4-byte
+    characters, and 540 B per mark (``modelspec._YAML_MARKS``), a compact
+    flow list ``[[0],[0],...]``, while full-precision floats in
+    ``safe_dump``'s block layout parse to 2.6x less; the other terms
+    (carrier, rows, trials) stay within 1.9x of their peaks. The largest
+    of these with the fixed 64 KiB base on top stays below K = 4; the cases
+    below measure 1.04-3.0, the most for ``lambda``, whose peak of some 24
+    KB lies under the base, and the least for 40 phases over the support
+    rows.
     """
     admitted = []
 
@@ -175,26 +182,28 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
     assert peak <= estimate <= K * peak, (peak, estimate)
 
 
+EIGENPROJECTORS = "eigenprojectors_of_observable"
 # per command: a GHZ N=10 route that reads a dense d x d operator or factor,
 # and the field it is refused for
 DENSE_ROUTES = {
     "qfi": (_ghz(10), ["--show-sld"], "state"),
     "sld": (_ghz(10), [], "state"),
     "simulate": (_ghz(10), [], "state"),
-    "cfi": (_ghz(10, povm=X_PRODUCT), [], "povm"),
-    "scan": (_ghz(10, povm=X_PRODUCT), ["--phi-range", "0:1:3"], "povm"),
+    "cfi": (_ghz(10, povm=EIGENPROJECTORS), [], "povm"),
+    "scan": (_ghz(10, povm=EIGENPROJECTORS), ["--phi-range", "0:1:3"], "povm"),
     "errprop": None,
     "check-optimal": None,
     "lambda": None,
 }
-# per command: a route that runs on state vectors or a small factor
+# per command: a route that runs on state vectors, a small factor or the
+# support rows of a product basis
 VECTOR_ROUTES = {
     "qfi": (_ghz(10), []),
     "errprop": (_ghz(10), []),
     "check-optimal": (_ghz(10), []),
-    "scan": (_ghz(10), ["--phi-range", "0.1:1:3"]),
+    "scan": (_ghz(10, povm=X_PRODUCT), ["--phi-range", "0.1:1:3"]),
     "sld": (_ghz(2), []),
-    "cfi": (_ghz(2, povm=X_PRODUCT), []),
+    "cfi": (_ghz(10, povm=X_PRODUCT), []),
     "simulate": (_ghz(2, povm=X_PRODUCT), ["--trials", "4"]),
     "lambda": (_ghz(2), []),
 }
@@ -202,9 +211,10 @@ VECTOR_ROUTES = {
 
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_no_command_escapes_the_rule(tmp_path, monkeypatch, command):
-    """On a machine of 4 MiB, every vector route runs and every dense route
-    on GHZ N=10 exits 2 naming its field before any phase runs. A command
-    added without a footprint entry fails here."""
+    """On a machine of 4 MiB, every vector route runs (GHZ N=10 ``cfi`` and
+    ``scan`` on the x-product basis's two support rows) and every dense
+    route on GHZ N=10 exits 2 naming its field before any phase runs. A
+    command added without a footprint entry fails here."""
     footprint(Sizes(), command)
     _memory(monkeypatch, 1 << 22)
     runner = CliRunner()
@@ -227,7 +237,7 @@ BOX = int(7.84 * 2 ** 30)
 
 @pytest.mark.parametrize("data,args,field", [
     (_ghz(13), ["sld"], "state"),
-    (_ghz(14, povm=X_PRODUCT), ["cfi"], "povm"),
+    (_ghz(14, povm=EIGENPROJECTORS), ["cfi"], "povm"),
     (_ghz(2, povm=X_PRODUCT), ["scan", "--phi-range", "0:1:3000000", *JSON], "phi"),
     (_ghz(2, povm=X_PRODUCT), ["simulate", "--trials", "5000000"], "trials"),
 ])
@@ -243,6 +253,27 @@ def test_runs_that_passed_every_old_guard_are_refused(tmp_path, monkeypatch, dat
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"specification error: {field}: ")
     assert f"the {BOX // PAGE * PAGE} bytes of physical memory" in result.output
+
+
+@pytest.mark.parametrize("data,args", [
+    (_ghz(14, povm=X_PRODUCT, observable=False), ["cfi"]),
+    (_ghz(14, povm="y_basis_product"), ["scan", "--phi-range", "0.1:1:3"]),
+])
+def test_support_rows_admit_what_the_factor_could_not(tmp_path, monkeypatch, data, args):
+    """On a 7.84 GiB machine, GHZ N=14 on a product basis, whose dense
+    16384 x 16384 factor would need 1.9e10 bytes, runs on its two support
+    rows without building the factor: CFI = N^2."""
+    _memory(monkeypatch, BOX)
+
+    def build(*args, **kwargs):
+        raise AssertionError("no dense factor may be built")
+
+    monkeypatch.setattr(core, "tensor_power", build)
+    result = CliRunner().invoke(main, [args[0], "--model", _spec(tmp_path, data),
+                                       *args[1:], *JSON])
+    assert result.exit_code == 0, result.output
+    for row in yaml.safe_load(result.output)["rows"]:
+        assert abs(row["cfi"] - 196.0) <= 1e-9 * 196.0
 
 
 def test_spec_file_is_refused_before_it_is_parsed(tmp_path, monkeypatch):

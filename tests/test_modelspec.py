@@ -280,21 +280,26 @@ class TestSpecErrors:
         assert "phi.steps" in str(excinfo.value)
 
     def test_oversized_product_povm_rejected_before_allocation(self, monkeypatch):
-        """A custom 8-qubit amplitude state loads on a machine with 2^19
-        bytes, but the footprint of its x-basis product POVM's 2^8 x 2^8
-        factor (about 2^22.4 bytes) is refused."""
-        def allocate(*args):
-            raise AssertionError("product_basis_povm must not be called")
-
+        """On a machine with 2^19 bytes, a custom 8-qubit amplitude state
+        loads with its x-basis product POVM, which builds no factor at load.
+        ``cfi`` on a one-row state reads one support row of the basis and is
+        admitted; on a full-support state it reads the dense 2^8 x 2^8
+        factor (about 2^22.1 bytes) and is refused before the factor is
+        built."""
         sysconf = os.sysconf
         memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 7}
-        monkeypatch.setattr(modelspec, "product_basis_povm", allocate)
         monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
-        state = {"custom": {"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 255}}
-        assert build_model_spec({"state": state}).povm is None
+        one_row, full = ([[1.0, 0.0]] + [[0.0, 0.0]] * 255), [[2.0 ** -4, 0.0]] * 256
+        one_row, full = (build_model_spec({"state": {"custom": {"amplitudes": amplitudes}},
+                                           "povm": "x_basis_product"})
+                         for amplitudes in (one_row, full))
+        modelspec._admit(modelspec.footprint(one_row, "cfi"), "cfi")
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
-            build_model_spec({"state": state, "povm": "x_basis_product"})
+            modelspec._admit(modelspec.footprint(full, "cfi"), "cfi")
         assert excinfo.value.field == "povm"
+        assert "256 x 256 factor" in str(excinfo.value)
+        for spec in (one_row, full):
+            assert "factor" not in spec.povm.__dict__
 
     def test_eigenprojector_povm_rejected_before_allocation(self, monkeypatch):
         """A GHZ N=8 state's footprint is about 2^17 bytes and its product

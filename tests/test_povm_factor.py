@@ -176,20 +176,26 @@ class TestFactorOwnership:
     given to ``Povm`` is still copied and validated."""
 
     def test_x_product_load_peaks_near_one_factor(self):
-        """An N=10 ``x_basis_product`` build peaks at 1.26 factors: its last
-        Kronecker step holds its 512 x 512 input, a quarter of the factor,
-        next to the output, and the labels add some 60 KB. A copy into the
-        POVM made it 2.07."""
+        """An N=10 ``x_basis_product`` POVM holds its 1025 block bounds and no
+        factor; the dense factor, built on first read, peaks at 1.25
+        factors: its last Kronecker step holds its 512 x 512 input, a
+        quarter of the factor, next to the output. A copy into the POVM
+        made it 2.07."""
         import tracemalloc
 
-        product_basis_povm("x", 2)  # no first-call import in the peak
+        product_basis_povm("x", 2).factor  # no first-call import in the peaks
+        peaks = []
         tracemalloc.start()
         try:
             povm = product_basis_povm("x", 10)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            povm.factor
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * povm.factor.nbytes
+        assert peaks[0] <= 16 * 1025
+        assert peaks[1] <= 1.3 * povm.factor.nbytes
 
     def test_builders_freeze_their_factor(self):
         for povm in (product_basis_povm("y", 3), eigenprojector_povm(collective_spin("x", 2))):
@@ -201,3 +207,41 @@ class TestFactorOwnership:
         assert not np.shares_memory(povm.factor, factor) and factor.flags.writeable
         with pytest.raises(ValueError, match="F F\\^dagger = I"):
             Povm(labels=("a",), factor=2.0 * factor, block_sizes=[2])
+
+
+ROW_SETS = ("one", "two", "all")
+
+
+class TestProductRows:
+    """A product basis forms the rows of its factor site by site, bit for
+    bit the rows of ``tensor_power(B, N)``, and reads a GHZ state's CFI on
+    its two support rows without building the factor or the labels."""
+
+    @given(axis=st.sampled_from("xy"), n=st.integers(1, 8),
+           rows=st.sampled_from(ROW_SETS), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_tensor_power(self, axis, n, rows, seed):
+        from qcrb_lab.core import _XY_BASES, tensor_power
+
+        dim = 2 ** n
+        rng = np.random.default_rng(seed)
+        picked = {"one": rng.choice(dim, size=1), "all": np.arange(dim),
+                  "two": rng.choice(dim, size=min(2, dim), replace=False)}[rows]
+        povm = product_basis_povm(axis, n)
+        got = povm._factor_rows(picked)
+        assert np.array_equal(got, tensor_power(_XY_BASES[axis], n)[picked])
+        assert "factor" not in povm.__dict__
+        assert np.array_equal(povm._factor_rows(picked), povm.factor[picked])
+
+    @pytest.mark.parametrize("axis", "xy")
+    def test_ghz16_cfi_without_factor_or_labels(self, axis):
+        """CFI = N^2 at N=16 within 1e-9 at two regular phases, and neither
+        the 2^16 x 2^16 factor nor the 2^16 labels exist afterwards."""
+        from qcrb_lab.fisher import _cfi_values
+
+        n = 16
+        povm = product_basis_povm(axis, n)
+        values = list(_cfi_values(ghz_model(n), [0.1, math.pi / (4 * n)], povm))
+        assert all(abs(value - n * n) <= 1e-9 for value in values)
+        assert len(povm) == 2 ** n and povm.dim == 2 ** n
+        assert "factor" not in povm.__dict__ and "labels" not in povm.__dict__

@@ -23,7 +23,12 @@ exits 4 at its singular last phase naming ``'+++'``, and a text ``scan`` of
 it over ``0:pi:9``; ``cfi`` on a GHZ N=8 x-product spec over 9 phases,
 ``simulate`` (both estimators) on a GHZ N=8 x-product spec and ``cfi`` on a
 GHZ N=10 x-product spec over 3 phases, which read the outcome rows on the
-carrier's two support rows at d = 256 and 1024; ``lambda`` at pi/4 in both
+carrier's two support rows at d = 256 and 1024; ``cfi`` on GHZ N=14 and
+N=20 x-product specs at one phase, whose support rows are formed site by
+site and whose dense factors do not fit in memory; a ``scan`` of a GHZ N=8
+y-product spec over ``0:pi:9``; ``cfi`` on a full-support three-qubit
+``custom`` density measured with ``x_basis_product``, which reads the
+dense factor; ``lambda`` at pi/4 in both
 bases, at the singular phase 0 and from the GHZ N=2 spec; ``qfi --show-sld``,
 ``sld``, ``errprop``, ``scan`` and ``check-optimal`` (every variant) on a
 two-qubit ``custom`` amplitudes spec whose generator matrix is not diagonal;
@@ -227,6 +232,21 @@ def invocations(workdir: Path) -> list[list[str]]:
     ghz10 = _write(workdir / "ghz10-x.yaml", {
         "state": {"ghz": {"n": 10}}, "povm": "x_basis_product", "phi": "pi/8"})
     runs.append(["cfi", "--model", ghz10, "--phi-range", "0.1:3:3", "--output", "json"])
+    for n in (14, 20):
+        spec = _write(workdir / f"ghz{n}-x.yaml", {
+            "state": {"ghz": {"n": n}}, "povm": "x_basis_product", "phi": "pi/8"})
+        runs.append(["cfi", "--model", spec, "--output", "json"])
+    ghz8_y = _write(workdir / "ghz8-y.yaml", {
+        "state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a2": 1.0}},
+        "povm": "y_basis_product", "nu": 1000})
+    runs.append(["scan", "--model", ghz8_y, "--phi-range", "0:pi:9", "--output", "json"])
+    rng = np.random.default_rng(2027)
+    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    full_support = raw @ raw.conj().T
+    full_support = _write(workdir / "custom-full-support-x.yaml", {
+        "state": {"custom": {"density": _pairs(full_support / np.trace(full_support).real)}},
+        "povm": "x_basis_product"})
+    runs.append(["cfi", "--model", full_support, "--phi-range", "0.1:3:5", "--output", "json"])
     for n in (2, 3):
         spec = _write(workdir / f"ghz{n}-x-eigenprojectors.yaml", {
             "state": {"ghz": {"n": n}},
