@@ -10,12 +10,13 @@ SLD is covariant, ``L(phi) = U L_0 U^dagger``: it is solved once, at ``phi
 C_0'``. Every per-phase quantity of this module and of ``optimality`` is
 read from that pair moved by ``e = exp(-i g phi)`` and ``V``; the
 sample-mean estimator of ``simulate`` reads ``C_0'`` once per run, as the
-coefficients of its mean curve. POVM outcome probabilities are read from a
-setup (``_OutcomeRows``) made once per model, POVM and derivative order,
-which keeps ``F^dagger V`` only on the support rows of ``C_0'`` (two rows
-of ``2^N`` for GHZ), those of a product basis formed site by site with no
-``2^N x 2^N`` factor; ``cfi``, ``scan`` and ``simulate`` share it, and a
-grid's CFI (``_cfi_values``) is read from its arrays. A
+coefficients of its mean curve. POVM outcome probabilities and their
+first two derivatives are read from one setup (``_OutcomeRows``) per model
+and POVM, made once per grid pass or maximum-likelihood run, which keeps
+``F^dagger V`` only on the support rows of ``C_0'`` (two rows of ``2^N``
+for GHZ), those of a product basis formed site by site with no ``2^N x
+2^N`` factor; ``cfi``, ``scan`` and ``simulate`` share it, and a grid's
+CFI (``_cfi_values``) is read from its arrays. A
 blackbox model solves dense ``rho`` and ``d rho`` per phase, the dense
 reference.
 """
@@ -439,71 +440,27 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def outcome_distribution(model: ParametricModel, phi: float, povm: Povm, *,
                          second_order: bool = True) -> OutcomeDistribution:
     """Outcome distribution ``p(x) = Tr(rho_phi M_x)`` with derivatives."""
-    arrays = _outcome_arrays(model, [phi], povm, order=2 if second_order else 1)
-    return OutcomeDistribution(povm.labels, *arrays[:, 0])
+    return _OutcomeRows(model, povm).distribution(phi, 2 if second_order else 1)
 
 
-# complex entries per stacked array in one chunk of _outcome_arrays
+# complex entries per stacked array in one phase chunk of _OutcomeRows
 _BATCH_ENTRIES = 1 << 18
 
 
-def _phase_entries(model: ParametricModel, povm: Povm) -> int:
-    """Complex entries a phase adds to the largest stacked array of a chunk
-    of :func:`_outcome_arrays`: ``r max(R, |S|)`` for a generator model's
-    ``|S| x r`` carrier rows and ``R`` factor columns, ``d max(d, R)`` for a
-    blackbox model's dense stacks."""
-    columns = int(povm.block_bounds[-1])
-    if model.kind == "unitary_generator":
-        support, carrier = model._support, model._solution.carrier
-        rows = model.dim if support is None else support.size
-        return carrier.shape[1] * max(columns, rows)
-    return model.dim * max(model.dim, columns)
-
-
-def _phase_chunk(model: ParametricModel, povm: Povm) -> int:
-    """Phases per chunk of :func:`_outcome_arrays`."""
-    return max(1, _BATCH_ENTRIES // _phase_entries(model, povm))
-
-
-def _outcome_chunks(model: ParametricModel, phis, povm: Povm):
-    """Yield each chunk of phases of ``phis`` with its
-    :func:`_outcome_arrays` up to order 2, called when the chunk is read,
-    or with ``None`` where that call raised a package, value or arithmetic
-    error: each of its phases is then evaluated alone, so that the error is
-    the first offending phase's, raised when that phase is read."""
-    phis = np.asarray(phis, dtype=float).reshape(-1)
-    chunk = _phase_chunk(model, povm)
-    for start in range(0, phis.size, chunk):
-        at = phis[start:start + chunk]
-        try:
-            arrays = _outcome_arrays(model, at, povm, order=2)
-        except (MetrologyError, ValueError, ArithmeticError):  # raised again by its phase
-            arrays = None
-        yield at, arrays
-
-
-def _outcome_distributions(model: ParametricModel, phis, povm: Povm):
-    """Yield :func:`outcome_distribution` at each phase of ``phis``, bit for
-    bit, from one :func:`_outcome_arrays` call per chunk of phases."""
-    for at, arrays in _outcome_chunks(model, phis, povm):
-        for k, phi in enumerate(at.tolist()):
-            yield (outcome_distribution(model, phi, povm) if arrays is None
-                   else OutcomeDistribution(povm.labels, *arrays[:, k]))
+def _phase_chunk(r: int, width: int) -> int:
+    """Phases per chunk of :class:`_OutcomeRows` whose stacked arrays hold
+    ``r x width`` complex entries a phase."""
+    return max(1, _BATCH_ENTRIES // (r * width))
 
 
 def _cfi_values(model: ParametricModel, phis, povm: Povm):
     """Yield ``cfi(outcome_distribution(model, phi, povm))`` at each phase of
     ``phis``, bit for bit, or the :class:`SingularOutcomeError` it raises
-    there, from one :func:`_outcome_arrays` call per chunk of phases: the
-    chunk's rows are read once, as arrays, with no distribution formed."""
-    for at, arrays in _outcome_chunks(model, phis, povm):
-        if arrays is None:
-            for phi in at.tolist():
-                try:
-                    yield cfi(outcome_distribution(model, phi, povm))
-                except SingularOutcomeError as exc:
-                    yield exc
-            continue
+    there, from one :class:`_OutcomeRows` setup, made when the first phase
+    is read: each chunk's rows are read once, as arrays, with no
+    distribution formed."""
+    rows = _OutcomeRows(model, povm)
+    for _, arrays in rows.chunks(phis):
         totals, offending = _fisher_sums(*arrays)
         singular = offending.any(axis=1)
         for k, total in enumerate(totals.tolist()):
@@ -511,24 +468,16 @@ def _cfi_values(model: ParametricModel, phis, povm: Povm):
                    if singular[k] else total)
 
 
-def _outcome_arrays(model: ParametricModel, phis, povm: Povm, *,
-                    order: int) -> np.ndarray:
-    """Clipped probabilities and their first ``order`` (0, 1 or 2) phase
-    derivatives for a batch of phases, shape ``(order + 1, len(phis), K)``:
-    one call of a fresh :class:`_OutcomeRows`."""
-    return _OutcomeRows(model, povm, order)(phis)
-
-
 class _OutcomeRows:
-    """The outcome arrays of one model and POVM up to a derivative ``order``
-    (0, 1 or 2), set up once and evaluated on any batch of phases.
+    """The outcome arrays of one model and POVM, set up once and evaluated
+    on any batch of phases up to a derivative order 0, 1 or 2.
 
     A generator model reads them from its moved carrier ``C``, with ``dC =
     -iG C`` and ``d^2 C = -G^2 C``: ``p = ||F_x^dagger C||^2``, ``p' = 2
     Re<F_x^dagger C, F_x^dagger dC>`` and ``p'' = 2 (||F_x^dagger dC||^2 +
     Re<F_x^dagger C, F_x^dagger d^2 C>)``. A moved carrier ``e^{-i g phi}
     C_0'`` is zero wherever ``C_0'`` is, so the setup keeps only the rows
-    ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= order``) on the support S of
+    ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= 2``) on the support S of
     ``C_0'`` (``model._support``), and the products sum over S: they cost
     ``O(R |S| r)`` a phase, and the terms left out are exact zeros. Under a
     diagonal generator (no ``V``) the rows ``F[S]`` come from
@@ -541,16 +490,20 @@ class _OutcomeRows:
     one product or a sum of two, formed elementwise, so it is the
     left-to-right sum over every row bit for bit; a larger support is one
     matrix product. A blackbox model traces its dense stacks. Phases run in
-    chunks of :func:`_phase_chunk`; each chunk's probabilities must sum to
-    1 and, if returned, their derivatives to 0.
+    chunks of ``chunk`` (:func:`_phase_chunk` of the ``r x max(R, |S|)``
+    carrier products, or a blackbox model's ``d x max(d, R)`` stacks); each
+    chunk's probabilities must sum to 1 and, if formed, their derivatives
+    to 0.
     """
 
-    def __init__(self, model: ParametricModel, povm: Povm, order: int) -> None:
+    def __init__(self, model: ParametricModel, povm: Povm) -> None:
         if povm.dim != model.dim:
             raise DimensionMismatchError(
                 f"POVM dimension {povm.dim} != model dimension {model.dim}")
-        self.model, self.povm, self.order = model, povm, order
+        self.model, self.povm = model, povm
+        columns = int(povm.block_bounds[-1])
         if model.kind != "unitary_generator":
+            self.chunk = _phase_chunk(model.dim, max(model.dim, columns))
             return
         g, basis, _ = model._frame
         self.g, self.carrier, self.support = g, model._solution.carrier, model._support
@@ -562,8 +515,9 @@ class _OutcomeRows:
         g_s = g if self.support is None else g[self.support]
         # (F^dagger V)[:, S] (-i g_S)^k, so that rows[k] @ C_0'[S] moved is F^dagger d^k C
         self.rows = [frame.conj().T]
-        for _ in range(order):
+        for _ in range(2):
             self.rows.append(self.rows[-1] * (-1j * g_s))
+        self.chunk = _phase_chunk(self.carrier.shape[1], max(columns, len(g_s)))
 
     def _products(self, moved: np.ndarray, order: int) -> list[np.ndarray]:
         """``F^dagger d^k C`` for ``k <= order`` from the moved carrier rows."""
@@ -578,35 +532,64 @@ class _OutcomeRows:
             products.append(a)
         return products
 
-    def __call__(self, phis, order: int | None = None) -> np.ndarray:
-        """The arrays at ``phis`` up to ``order``, at most the setup's."""
-        order = self.order if order is None else order
+    def _chunk(self, phis: np.ndarray, order: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """The arrays at one chunk of phases ``phis`` up to ``order``, shape
+        ``(order + 1, len(phis), K)``, written into ``out`` (a new array if
+        ``None``)."""
         model, povm = self.model, self.povm
-        phis = np.asarray(phis, dtype=float).reshape(-1)
-        out = np.empty((order + 1, phis.size, len(povm)))
-        chunk = _phase_chunk(model, povm)
-        for start in range(0, phis.size, chunk):
-            at = slice(start, start + chunk)
-            if model.kind == "unitary_generator":
-                moved = np.exp(-1j * self.g * phis[at, None])[:, :, None] * self.carrier
-                a = self._products(moved if self.support is None else moved[:, self.support],
-                                   order)
-                out[0, at] = _block_sums(_re_inner(a[0], a[0]), povm)
-                if order >= 1:
-                    out[1, at] = 2.0 * _block_sums(_re_inner(a[0], a[1]), povm)
-                if order == 2:
-                    out[2, at] = 2.0 * _block_sums(
-                        _re_inner(a[1], a[1]) + _re_inner(a[0], a[2]), povm)
-            else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
-                f = povm.factor
-                rho = model._rho_derivatives(phis[at])
-                for k in range(order + 1):
-                    af = (rho if k == 0 else model._rho_derivatives(phis[at], k, rho=rho)) @ f
-                    out[k, at] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1),
-                                             povm)
-            np.clip(out[0, at], 0.0, 1.0, out=out[0, at])
-            _check_totals(out[0, at], out[1, at] if order else None)
+        if out is None:
+            out = np.empty((order + 1, phis.size, len(povm)))
+        if model.kind == "unitary_generator":
+            moved = np.exp(-1j * self.g * phis[:, None])[:, :, None] * self.carrier
+            a = self._products(moved if self.support is None else moved[:, self.support],
+                               order)
+            out[0] = _block_sums(_re_inner(a[0], a[0]), povm)
+            if order >= 1:
+                out[1] = 2.0 * _block_sums(_re_inner(a[0], a[1]), povm)
+            if order == 2:
+                out[2] = 2.0 * _block_sums(_re_inner(a[1], a[1]) + _re_inner(a[0], a[2]),
+                                           povm)
+        else:  # Re Tr(A M_x) = Re sum conj(F_x) * (A F_x) over the rows of F
+            f = povm.factor
+            rho = model._rho_derivatives(phis)
+            for k in range(order + 1):
+                af = (rho if k == 0 else model._rho_derivatives(phis, k, rho=rho)) @ f
+                out[k] = _block_sums((f.real * af.real + f.imag * af.imag).sum(axis=1), povm)
+        np.clip(out[0], 0.0, 1.0, out=out[0])
+        _check_totals(out[0], out[1] if order else None)
         return out
+
+    def __call__(self, phis, order: int) -> np.ndarray:
+        """Clipped probabilities and their first ``order`` phase derivatives
+        at ``phis``, shape ``(order + 1, len(phis), K)``."""
+        phis = np.asarray(phis, dtype=float).reshape(-1)
+        out = np.empty((order + 1, phis.size, len(self.povm)))
+        for start in range(0, phis.size, self.chunk):
+            at = slice(start, start + self.chunk)
+            self._chunk(phis[at], order, out[:, at])
+        return out
+
+    def chunks(self, phis):
+        """Yield each chunk of phases of ``phis`` with its arrays up to order
+        2, formed when the chunk is read. A chunk that raises a package,
+        value or arithmetic error is formed again one phase at a time, so
+        that the error is the first offending phase's, raised when that
+        phase is read, after the phases before it."""
+        phis = np.asarray(phis, dtype=float).reshape(-1)
+        for start in range(0, phis.size, self.chunk):
+            at = phis[start:start + self.chunk]
+            try:
+                arrays = self._chunk(at, 2)
+            except (MetrologyError, ValueError, ArithmeticError):  # raised again by its phase
+                for k in range(at.size):
+                    yield at[k:k + 1], self._chunk(at[k:k + 1], 2)
+                continue
+            yield at, arrays
+
+    def distribution(self, phi: float, order: int = 2) -> OutcomeDistribution:
+        """The :class:`OutcomeDistribution` at ``phi`` up to ``order`` (1 or 2)."""
+        return OutcomeDistribution(self.povm.labels, *self([phi], order)[:, 0])
 
 
 def cfi(dist: OutcomeDistribution) -> float:

@@ -32,7 +32,7 @@ from .core import (
     product_observable,
 )
 from .errors import SpecFileError
-from .fisher import _BATCH_ENTRIES, ParametricModel, unitary_model
+from .fisher import ParametricModel, _phase_chunk, unitary_model
 from .ghz import ghz_state, parity_observable
 from .simulate import _MLE_GRID_POINTS
 
@@ -206,7 +206,7 @@ _BYTES = {"base": 1 << 16,  # the smallest spec
           "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
           "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
           "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
-          "batch": 112}     # entry of a phase chunk of _outcome_arrays
+          "batch": 112}     # entry of a phase chunk of fisher._OutcomeRows
 # per output row, cell and SLD entry of a row by format; cells per row ("load" has none)
 _ROW_BYTES = {"text": (300, 110, 200), "csv": (300, 110, 200), "json": (450, 240, 450)}
 _CELLS = {"load": 0, "qfi": 2, "sld": 4, "errprop": 10, "check-optimal": 9, "scan": 11,
@@ -234,10 +234,10 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     dense, mle = sld_rows or simulate and observable, float(columns > 0)
     matrix = f"{dim:.0f} x {dim:.0f} matrix"
     width = max(dim, columns)
-    # phases per chunk of _outcome_arrays: the likelihood's, or a grid pass's
+    # phases per chunk of fisher._OutcomeRows: the likelihood's, or a grid pass's;
+    # max(d, R) >= max(|S|, R), equal for a POVM with F F^dagger = I
     chunk = min(2.0 * trials + _MLE_GRID_POINTS if simulate
-                else phases * (command in ("cfi", "scan")),
-                max(1.0, _BATCH_ENTRIES / (rank * width)))
+                else phases * (command in ("cfi", "scan")), _phase_chunk(rank, width))
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,

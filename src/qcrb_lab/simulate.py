@@ -11,7 +11,8 @@ polynomial in the generator's gaps, and inverts every trial's sample mean on
 its monotone branch by one lockstep ITP solve (:func:`_itp`, which reads the
 values at a bracket's ends to interpolate and their signs to bracket); the
 maximum-likelihood estimator sets up its outcome rows once per run
-(``fisher._OutcomeRows``, on the carrier's support rows), shares one
+(``fisher._OutcomeRows``, on the carrier's support rows), which also give
+the distribution the shots are drawn from and its CFI, shares one
 likelihood grid between all trials and solves each trial's score on its
 best cell in the same lockstep.
 """
@@ -523,35 +524,35 @@ def _positive_cfi(dist: OutcomeDistribution) -> float | None:
     return info if info > 0.0 else None
 
 
-def _mle_estimates(counts: np.ndarray, model: ParametricModel, povm: Povm,
+def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
                    search_interval: tuple[float, float]
                    ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Maximum-likelihood estimates of the count rows ``counts`` in one pass.
 
-    One ``fisher._OutcomeRows`` setup serves the run: the grid's outcome
-    probabilities are computed once and shared by every row, and every
-    score step reads the same rows. Where a row's score ``sum_x n_x p'_x / p_x`` (zero counts
-    skipped) falls through zero across the bracket ``[grid[b - 1], grid[b +
-    1]]`` of its best grid index ``b``, its estimate is the root, solved
-    in lockstep with the other rows' by :func:`_itp` from the scores at the
-    bracket's ends; otherwise the maximum sits at a bracket end, the one
-    with the larger grid log-likelihood. Returns the estimates, an all-false
-    clipped mask and the search interval, the estimates' branch.
+    ``arrays`` is the run's outcome setup of the model and POVM: the grid's
+    outcome probabilities are computed once and shared by every row, and
+    every score step reads the same rows. Where a row's score ``sum_x n_x
+    p'_x / p_x`` (zero counts skipped) falls through zero across the
+    bracket ``[grid[b - 1], grid[b + 1]]`` of its best grid index ``b``,
+    its estimate is the root, solved in lockstep with the other rows' by
+    :func:`_itp` from the scores at the bracket's ends; otherwise the
+    maximum sits at a bracket end, the one with the larger grid
+    log-likelihood. Returns the estimates, an all-false clipped mask and
+    the search interval, the estimates' branch.
     """
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not hi > lo:
         raise ValueError("search interval must have positive length")
     counts = counts.astype(float)
-    arrays = fisher._OutcomeRows(model, povm, order=1)
 
     def score(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        probs, derivs = arrays(phis)
+        probs, derivs = arrays(phis, 1)
         n = counts[rows]
         with np.errstate(divide="ignore", invalid="ignore"):  # zero counts are skipped
             return np.where(n > 0, n * derivs / probs, 0.0).sum(axis=1)
 
     grid = np.linspace(lo, hi, _MLE_GRID_POINTS)
-    log_p = _log_probabilities(arrays(grid, order=0)[0])
+    log_p = _log_probabilities(arrays(grid, 0)[0])
     values = _log_likelihoods(counts[:, None, :], log_p[None, :, :])
     finite = np.isfinite(values)
     best = np.where(finite, values, -np.inf).max(axis=1)
@@ -593,8 +594,9 @@ def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
     larger grid log-likelihood. Raises :class:`FlatLikelihoodError` when the
     likelihood carries no phase dependence over the interval.
     """
-    phi_hat, _, branch = _mle_estimates(record.counts[None], model, povm, search_interval)
-    info = _positive_cfi(outcome_distribution(model, float(phi_hat[0]), povm))
+    arrays = fisher._OutcomeRows(model, povm)
+    phi_hat, _, branch = _mle_estimates(record.counts[None], arrays, search_interval)
+    info = _positive_cfi(arrays.distribution(float(phi_hat[0])))
     se_predicted = None if info is None else 1.0 / math.sqrt(record.nu * info)
     return EstimatorResult(phi_hat=float(phi_hat[0]), method="maximum_likelihood",
                            se_predicted=se_predicted, branch=branch)
@@ -697,11 +699,12 @@ def run_mle_trials(model: ParametricModel, povm: Povm, phi_true: float,
         raise InsufficientTrialsError("need at least 2 trials")
     interval = (default_mle_interval(model, phi_true)
                 if search_interval is None else search_interval)
-    dist = outcome_distribution(model, phi_true, povm)
+    arrays = fisher._OutcomeRows(model, povm)
+    dist = arrays.distribution(phi_true)
     info = _positive_cfi(dist)
     predicted = None if info is None else 1.0 / (nu * info)
     qcrb = 1.0 / (nu * qfi(model, phi_true))
     estimates, clipped, _ = _mle_estimates(_draw_counts(dist, nu, seed, range(trials)),
-                                           model, povm, interval)
+                                           arrays, interval)
     return _summarize("maximum_likelihood", phi_true, nu, seed, estimates,
                       int(clipped.sum()), predicted_delta_phi_sq=predicted, qcrb=qcrb)

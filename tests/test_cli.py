@@ -520,24 +520,44 @@ class TestCfiCommand:
 
     @pytest.mark.parametrize("command", ["cfi", "scan"])
     def test_one_outcome_call_per_chunk(self, runner, ghz2_spec, monkeypatch, command):
-        """A grid's outcome arrays come from one call per chunk of phases:
-        one call for 9 phases, four once a chunk holds 3, with the same
-        output."""
+        """A grid's outcome arrays come from one kernel call per chunk of
+        phases: one call for 9 phases, three once a chunk holds 3, with the
+        same output."""
         calls = []
-        arrays = fisher._outcome_arrays
+        kernel = fisher._OutcomeRows._chunk
 
-        def counting(model, phis, povm, *, order):
+        def counting(self, phis, order, out=None):
             calls.append(len(phis))
-            return arrays(model, phis, povm, order=order)
+            return kernel(self, phis, order, out)
 
-        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        monkeypatch.setattr(fisher._OutcomeRows, "_chunk", counting)
         args = [command, "--model", ghz2_spec, "--phi-range", "0.1:3:9", "--output", "json"]
         whole = runner.invoke(main, args)
+        assert whole.exit_code == 0, whole.output
+        assert calls == [9]
         monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * 4)
         chunked = runner.invoke(main, args)
-        assert whole.exit_code == 0, whole.output
         assert calls == [9, 3, 3, 3]
         assert chunked.output == whole.output
+
+    @pytest.mark.parametrize("command", ["cfi", "scan"])
+    def test_one_outcome_setup_per_grid(self, runner, ghz2_spec, monkeypatch, command):
+        """A grid pass sets up its outcome rows once, even where each chunk
+        holds one phase."""
+        setups = []
+        init = fisher._OutcomeRows.__init__
+
+        def counting(self, *args, **kwargs):
+            setups.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fisher._OutcomeRows, "__init__", counting)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 1)
+        result = runner.invoke(main, [command, "--model", ghz2_spec, "--phi-range",
+                                      "0.1:3:9", "--output", "json"])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["rows"]) == 9
+        assert len(setups) == 1
 
     def test_singular_middle_row_names_its_outcome(self, runner, ghz2_spec):
         """The middle phase pi/2 of the grid is singular: the command exits 4

@@ -192,7 +192,7 @@ class TestSld:
         """An unchecked non-Hermitian state (defect 7.07e-2) is rejected by the
         SLD, the outcome distribution and the batched probabilities alike."""
         from qcrb_lab import EvaluationFailureError
-        from qcrb_lab.fisher import _outcome_arrays
+        from qcrb_lab.fisher import _OutcomeRows
 
         def skewed(phi):
             coherence = 0.4 * np.exp(1j * phi)
@@ -202,7 +202,7 @@ class TestSld:
         model, povm = blackbox_model(skewed, 2), product_basis_povm("x", 1)
         for evaluate in (lambda: sld(model, 0.3),
                          lambda: outcome_distribution(model, 0.3, povm),
-                         lambda: _outcome_arrays(model, [0.3], povm, order=0)):
+                         lambda: _OutcomeRows(model, povm)([0.3], 0)):
             with pytest.raises(EvaluationFailureError, match="non-Hermitian"):
                 evaluate()
 
@@ -505,7 +505,7 @@ class TestScalarReference:
         """A blackbox model's outcome arrays evaluate ``state_fn`` once at
         each phase and twice per derivative order: the second difference
         reuses the order-0 stack."""
-        from qcrb_lab.fisher import _outcome_arrays
+        from qcrb_lab.fisher import _OutcomeRows
 
         phases = []
         density = ghz_model(2).density
@@ -515,7 +515,7 @@ class TestScalarReference:
             return density(phi)
 
         model = blackbox_model(state_fn, 4)
-        _outcome_arrays(model, [0.1, 0.4, 0.9], product_basis_povm("x", 2), order=order)
+        _OutcomeRows(model, product_basis_povm("x", 2))([0.1, 0.4, 0.9], order)
         assert len(phases) == 3 * calls
 
 
@@ -762,7 +762,7 @@ class TestFrameRoute:
            phi=st.floats(-2.0 * math.pi, 2.0 * math.pi))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_propagator(self, kind, generator, seed, phi):
-        from qcrb_lab.fisher import _outcome_arrays
+        from qcrb_lab.fisher import _OutcomeRows
 
         model, povm = generator_case(kind, seed, generator)
         dim = model.dim
@@ -776,7 +776,7 @@ class TestFrameRoute:
                 (model.density(phi).matrix, state_derivative(model, phi)),
                 (rho, drho), bounds):
             assert np.linalg.norm(new - old) <= bound
-        arrays = _outcome_arrays(model, [phi], povm, order=2)[:, 0]
+        arrays = _OutcomeRows(model, povm)([phi], 2)[:, 0]
         old_arrays = (np.clip(_ref_factor_traces(rho, povm), 0.0, 1.0),
                       _ref_factor_traces(drho, povm), _ref_factor_traces(d2rho, povm))
         for new, old, bound in zip(arrays, old_arrays, bounds):
@@ -864,46 +864,72 @@ def _assert_same_distributions(got, model, phis, povm):
             assert getattr(dist, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+def _phase_entries(model, povm):
+    """Complex entries a phase adds to the largest stacked array of a chunk:
+    ``r max(R, |S|)`` for a generator model's ``|S| x r`` carrier rows and
+    ``R`` factor columns, ``d max(d, R)`` for a blackbox model's stacks."""
+    columns = int(povm.block_bounds[-1])
+    if model.kind == "unitary_generator":
+        support = model._support
+        rows = model.dim if support is None else support.size
+        return model._solution.carrier.shape[1] * max(columns, rows)
+    return model.dim * max(model.dim, columns)
+
+
+def _count_chunks(monkeypatch):
+    """Record the phases of each chunk ``_OutcomeRows`` evaluates."""
+    from qcrb_lab import fisher
+
+    calls = []
+    kernel = fisher._OutcomeRows._chunk
+
+    def counting(self, phis, order, out=None):
+        calls.append(len(phis))
+        return kernel(self, phis, order, out)
+
+    monkeypatch.setattr(fisher._OutcomeRows, "_chunk", counting)
+    return calls
+
+
+def _chunk_distributions(model, phis, povm):
+    """The distribution of each phase from ``_OutcomeRows.chunks``."""
+    from qcrb_lab.fisher import OutcomeDistribution, _OutcomeRows
+
+    for at, arrays in _OutcomeRows(model, povm).chunks(phis):
+        for k in range(at.size):
+            yield OutcomeDistribution(povm.labels, *arrays[:, k])
+
+
 class TestGridPass:
-    """``_outcome_distributions`` reads a grid's outcome distributions from
-    one ``_outcome_arrays`` call per chunk, bit for bit the per-phase
+    """``_OutcomeRows.chunks`` reads a grid's outcome arrays one chunk at a
+    time from one setup, bit for bit the per-phase
     :func:`outcome_distribution` of every phase."""
 
     @pytest.mark.parametrize("name,model,povm", GRID_CASES, ids=[c[0] for c in GRID_CASES])
     def test_equals_per_phase(self, name, model, povm):
-        from qcrb_lab.fisher import _outcome_distributions
-
         phis = np.linspace(-3.0, 3.0, 17)
-        _assert_same_distributions(_outcome_distributions(model, phis, povm),
+        _assert_same_distributions(_chunk_distributions(model, phis, povm),
                                    model, phis, povm)
 
     @pytest.mark.parametrize("name,model,povm", GRID_CASES[:16:5] + GRID_CASES[16:],
                              ids=[c[0] for c in GRID_CASES[:16:5] + GRID_CASES[16:]])
     def test_chunks(self, name, model, povm, monkeypatch):
-        """A grid longer than one chunk makes one call per chunk, and the
-        chunk boundaries change no bit."""
+        """A grid longer than one chunk evaluates one chunk at a time, and
+        the chunk boundaries change no bit."""
         from qcrb_lab import fisher
 
-        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * fisher._phase_entries(model, povm))
-        calls = []
-        arrays = fisher._outcome_arrays
-
-        def counting(model, phis, povm, *, order):
-            calls.append(len(phis))
-            return arrays(model, phis, povm, order=order)
-
-        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * _phase_entries(model, povm))
+        calls = _count_chunks(monkeypatch)
         phis = np.linspace(0.1, 3.0, 11)
-        got = list(fisher._outcome_distributions(model, phis, povm))
+        got = list(_chunk_distributions(model, phis, povm))
         assert calls == [3, 3, 3, 2]
-        monkeypatch.setattr(fisher, "_outcome_arrays", arrays)
         _assert_same_distributions(got, model, phis, povm)
 
     def test_a_failing_phase_raises_its_own_error_when_read(self):
         """Where a phase of a chunk fails, the phases before it are still
         yielded, and reading the failing one raises its per-phase error."""
         from qcrb_lab.errors import EvaluationFailureError
-        from qcrb_lab.fisher import _outcome_distributions
+        from qcrb_lab.fisher import _cfi_values
 
         def state_fn(phi):
             if phi > 1.0:
@@ -914,13 +940,16 @@ class TestGridPass:
 
         model, povm = blackbox_model(state_fn, 2), product_basis_povm("x", 1)
         phis = [0.1, 0.4, 0.7, 1.3, 0.2]
-        dists = _outcome_distributions(model, phis, povm)
-        _assert_same_distributions([next(dists) for _ in range(3)], model, phis[:3], povm)
-        with pytest.raises(EvaluationFailureError) as raised:
-            next(dists)
         with pytest.raises(EvaluationFailureError) as expected:
             outcome_distribution(model, 1.3, povm)
-        assert str(raised.value) == str(expected.value)
+        dists, values = _chunk_distributions(model, phis, povm), _cfi_values(model, phis, povm)
+        _assert_same_distributions([next(dists) for _ in range(3)], model, phis[:3], povm)
+        assert [next(values) for _ in range(3)] == [
+            cfi(outcome_distribution(model, phi, povm)) for phi in phis[:3]]
+        for grid in (dists, values):
+            with pytest.raises(EvaluationFailureError) as raised:
+                next(grid)
+            assert str(raised.value) == str(expected.value)
 
 
 def _cfi_outcomes(values):
@@ -929,49 +958,47 @@ def _cfi_outcomes(values):
             for v in values]
 
 
+def _per_phase_cfi(model, phis, povm):
+    """``_outcome_of(cfi, ...)`` of each phase's own distribution."""
+    return [_outcome_of(cfi, outcome_distribution(model, float(phi), povm)) for phi in phis]
+
+
 class TestGridCfi:
     """``_cfi_values`` reads a grid's CFI from the chunk's arrays, bit for
-    bit ``cfi`` of each distribution ``_outcome_distributions`` yields, and
-    at a singular phase the error ``cfi`` raises there, message included."""
+    bit ``cfi`` of each phase's :func:`outcome_distribution`, and at a
+    singular phase the error ``cfi`` raises there, message included."""
 
     @pytest.mark.parametrize("name,model,povm", GRID_CASES, ids=[c[0] for c in GRID_CASES])
     def test_equals_cfi_of_each_distribution(self, name, model, povm):
-        from qcrb_lab.fisher import _cfi_values, _outcome_distributions
+        from qcrb_lab.fisher import _cfi_values
 
         # through the singular GHZ phases k pi / N
         phis = np.linspace(0.0, math.pi, 25)
-        expected = [_outcome_of(cfi, d) for d in _outcome_distributions(model, phis, povm)]
-        assert _cfi_outcomes(_cfi_values(model, phis, povm)) == expected
+        assert _cfi_outcomes(_cfi_values(model, phis, povm)) == _per_phase_cfi(
+            model, phis, povm)
 
     def test_first_singular_phase_names_its_outcome(self):
         """GHZ N=3 on the x-product basis over ``pi/12:pi:4``: the last phase,
         pi, is singular and names ``'+++'``."""
-        from qcrb_lab.fisher import _cfi_values, _outcome_distributions
+        from qcrb_lab.fisher import _cfi_values
 
         model, povm = ghz_model(3), product_basis_povm("x", 3)
         phis = np.linspace(math.pi / 12, math.pi, 4)
         got = _cfi_outcomes(_cfi_values(model, phis, povm))
-        assert got == [_outcome_of(cfi, d) for d in _outcome_distributions(model, phis, povm)]
+        assert got == _per_phase_cfi(model, phis, povm)
         assert [kind for kind, _ in got] == ["value"] * 3 + [SingularOutcomeError]
         assert got[-1][1].startswith("outcome '+++' has p and dp ~ 0 but d2p = ")
 
     def test_chunks(self, monkeypatch):
-        """A grid longer than one chunk gives the same values, one
-        ``_outcome_arrays`` call per chunk."""
+        """A grid longer than one chunk gives the same values, one kernel
+        call per chunk."""
         from qcrb_lab import fisher
 
         model, povm = ghz_model(6), product_basis_povm("y", 6)
         phis = np.linspace(0.0, math.pi, 11)
         whole = _cfi_outcomes(fisher._cfi_values(model, phis, povm))
-        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * fisher._phase_entries(model, povm))
-        calls = []
-        arrays = fisher._outcome_arrays
-
-        def counting(model, phis, povm, *, order):
-            calls.append(len(phis))
-            return arrays(model, phis, povm, order=order)
-
-        monkeypatch.setattr(fisher, "_outcome_arrays", counting)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * _phase_entries(model, povm))
+        calls = _count_chunks(monkeypatch)
         assert _cfi_outcomes(fisher._cfi_values(model, phis, povm)) == whole
         assert calls == [3, 3, 3, 2]
 
@@ -1156,7 +1183,7 @@ class TestSupportRows:
             assert support is None
         else:
             assert support is not None and support.size == planted.size
-        got = fisher._OutcomeRows(model, povm, 2)(phis)
+        got = fisher._OutcomeRows(model, povm)(phis, 2)
         sequential = full_row_arrays(model, povm, phis, sequential=True)[0]
         if support is not None and support.size <= 2:
             assert np.array_equal(got, sequential)

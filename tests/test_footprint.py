@@ -146,10 +146,10 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
     upper bound. It overshoots where one constant covers routes of
     different cost: a POVM factor entry costs 70 B, above the 65 B peak of
     ``cfi`` with the eigenprojector POVM; a support-row entry of a product
-    basis costs 24 B per derivative order, the peak of the order-1 rows of
-    ``simulate``, while ``cfi`` builds three orders in 21.3 B each; a phase
-    chunk entry costs 112 B, the peak of ``_outcome_arrays`` at order 2; a
-    spec file costs 32 B per character, a long string of 4-byte
+    basis costs 24 B per derivative order, the peak of the two orders
+    ``simulate`` once built, while the three that ``cfi`` and ``simulate``
+    now build take 21.3 B each; a phase chunk entry costs 112 B, the peak
+    of an order-2 chunk of ``fisher._OutcomeRows``; a spec file costs 32 B per character, a long string of 4-byte
     characters, and 540 B per mark (``modelspec._YAML_MARKS``), a compact
     flow list ``[[0],[0],...]``, while full-precision floats in
     ``safe_dump``'s block layout parse to 2.6x less; the other terms

@@ -44,7 +44,7 @@ from qcrb_lab import (
     verify_clt_link,
 )
 from qcrb_lab import fisher, simulate
-from qcrb_lab.fisher import _outcome_arrays
+from qcrb_lab.fisher import _OutcomeRows
 from qcrb_lab.optimality import _moments
 
 from conftest import random_density, random_hermitian, ref_frame, ref_frame_solution
@@ -341,14 +341,14 @@ class TestEstimatorErrors:
 
     def test_flat_error_comes_from_lowest_index_trial(self):
         model = ghz_model(2)
-        povm = computational_povm(4)
+        arrays = _OutcomeRows(model, computational_povm(4))
         interval = default_mle_interval(model, 0.4)
         # outcomes |01>, |10> never fire; |00>, |11> fire with phase-free odds
         flat, impossible = [5, 0, 0, 5], [5, 5, 0, 0]
         with pytest.raises(FlatLikelihoodError, match="does not depend"):
-            simulate._mle_estimates(np.array([flat, impossible]), model, povm, interval)
+            simulate._mle_estimates(np.array([flat, impossible]), arrays, interval)
         with pytest.raises(FlatLikelihoodError, match="-inf over the whole"):
-            simulate._mle_estimates(np.array([impossible, flat]), model, povm, interval)
+            simulate._mle_estimates(np.array([impossible, flat]), arrays, interval)
 
 
 # --- reference: the per-trial estimators, one record and one phase at a time --
@@ -801,7 +801,7 @@ class TestBatchedEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_batched_probabilities_bitwise(self, name, phis):
         model, povm, _, _ = equivalence_case(name)
-        batch = _outcome_arrays(model, phis, povm, order=0)[0]
+        batch = _OutcomeRows(model, povm)(phis, 0)[0]
         assert batch.shape == (len(phis), len(povm))
         for phi, row in zip(phis, batch):
             single = outcome_distribution(model, phi, povm, second_order=False)
@@ -809,15 +809,15 @@ class TestBatchedEquivalence:
 
     def test_batched_probabilities_check_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            _outcome_arrays(ghz_model(2), [0.1], product_basis_povm("x", 3), order=0)
+            _OutcomeRows(ghz_model(2), product_basis_povm("x", 3))
 
     @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
     def test_chunked_probabilities_bitwise(self, name, monkeypatch):
         model, povm, _, _ = equivalence_case(name)
         phis = np.linspace(-3.0, 3.0, 11)
-        whole = _outcome_arrays(model, phis, povm, order=0)[0]
+        whole = _OutcomeRows(model, povm)(phis, 0)[0]
         monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 3 * model.dim ** 2)
-        chunked = _outcome_arrays(model, phis, povm, order=0)[0]
+        chunked = _OutcomeRows(model, povm)(phis, 0)[0]
         assert chunked.tobytes() == whole.tobytes()
 
     def test_chunked_mle_run_unchanged(self, monkeypatch):
@@ -826,6 +826,27 @@ class TestBatchedEquivalence:
         monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 2 * model.dim ** 2)
         chunked = run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
         assert chunked.estimates.tobytes() == whole.estimates.tobytes()
+
+    def test_one_outcome_setup_per_mle_run(self, monkeypatch):
+        """A maximum-likelihood run, or one record's estimate, sets up its
+        outcome rows once: they give the draw distribution, its CFI, the
+        grid and every score step, even where each chunk holds one phase."""
+        model, povm, _, phi = equivalence_case("ghz2-x")
+        setups = []
+        init = _OutcomeRows.__init__
+
+        def counting(self, *args, **kwargs):
+            setups.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_OutcomeRows, "__init__", counting)
+        monkeypatch.setattr(fisher, "_BATCH_ENTRIES", 1)
+        summary = run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
+        assert summary.predicted_delta_phi_sq is not None and len(setups) == 1
+        record = exact_record(outcome_distribution(model, phi, povm), NU)
+        setups.clear()
+        result = estimate_phi_mle(record, model, povm, default_mle_interval(model, phi))
+        assert result.se_predicted is not None and len(setups) == 1
 
     def test_log_likelihoods_reject_mismatched_outcomes(self):
         with pytest.raises(ValueError, match="3 outcome counts but 4"):

@@ -25,7 +25,9 @@ it over ``0:pi:9``; ``cfi`` on a GHZ N=8 x-product spec over 9 phases,
 GHZ N=10 x-product spec over 3 phases, which read the outcome rows on the
 carrier's two support rows at d = 256 and 1024; ``cfi`` on GHZ N=14 and
 N=20 x-product specs at one phase, whose support rows are formed site by
-site and whose dense factors do not fit in memory; a ``scan`` of a GHZ N=8
+site and whose dense factors do not fit in memory, and on the N=20 one over
+the 8 phases ``0.02:0.14:8``, one phase per chunk on one setup of those
+rows; a ``scan`` of a GHZ N=8
 y-product spec over ``0:pi:9``; ``cfi`` on a full-support three-qubit
 ``custom`` density measured with ``x_basis_product``, which reads the
 dense factor; ``lambda`` at pi/4 in both
@@ -236,6 +238,7 @@ def invocations(workdir: Path) -> list[list[str]]:
         spec = _write(workdir / f"ghz{n}-x.yaml", {
             "state": {"ghz": {"n": n}}, "povm": "x_basis_product", "phi": "pi/8"})
         runs.append(["cfi", "--model", spec, "--output", "json"])
+    runs.append(["cfi", "--model", spec, "--phi-range", "0.02:0.14:8", "--output", "json"])
     ghz8_y = _write(workdir / "ghz8-y.yaml", {
         "state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a2": 1.0}},
         "povm": "y_basis_product", "nu": 1000})
