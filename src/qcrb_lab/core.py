@@ -3,12 +3,14 @@
 Conventions used throughout the package:
 
 * states and density matrices are dense complex ``numpy`` arrays, and so
-  is a POVM's column factor, except that a product basis keeps its 2x2
-  site basis, forms the rows of its factor that a computation reads site by
-  site and builds the dense factor and its labels only when they are read;
-  an observable keeps the form it was built from (a real diagonal,
-  per-qubit product coefficients or a dense matrix), acts on vectors
-  through that form and builds its dense matrix only when one is read;
+  is a POVM's column factor, except that a product basis, and the
+  eigenprojector POVM of a product observable, keep one 2x2 basis per site
+  and a column order, form the rows of their factor that a computation
+  reads site by site and build the dense factor (and a product basis its
+  labels) only when they are read; an observable keeps the form it was
+  built from (a real diagonal, per-qubit product coefficients or a dense
+  matrix), acts on vectors and gives its entries on a set of rows through
+  that form, and builds its dense matrix only when one is read;
 * qubit site 0 is the leftmost (most significant) Kronecker factor, so the
   computational-basis index of ``|b_0 b_1 ... b_{N-1}>`` is the integer with
   binary digits ``b_0 b_1 ... b_{N-1}``;
@@ -18,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -423,6 +426,22 @@ class HermitianObservable:
             return _apply_product(self._factors, x)
         return self.matrix @ x
 
+    def _block(self, rows: np.ndarray) -> np.ndarray:
+        """``matrix[rows][:, rows]`` for an integer array ``rows``, through
+        the stored form: ``diag(g[rows])`` for a diagonal, the product of
+        the sites' entries for a product form, each entry the left-to-right
+        product that the Kronecker product holds, in ``O(N |rows|^2)``."""
+        if self._form == "diagonal":
+            return np.diag(self.diagonal[rows].astype(complex))
+        if self._form == "matrix":
+            return self.matrix[np.ix_(rows, rows)]
+        sites = len(self.product_form)
+        bits = rows[:, None] >> np.arange(sites - 1, -1, -1) & 1
+        out = self._factors[0][bits[:, 0, None], bits[None, :, 0]]
+        for k in range(1, sites):
+            out = out * self._factors[k][bits[:, k, None], bits[None, :, k]]
+        return out
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Povm:
@@ -441,10 +460,15 @@ class Povm:
     on the given matrices. ``Povm(labels=..., factor=F, block_sizes=...)``
     takes a copy of the factor itself, and ``check`` then validates ``F
     F^dagger = I``; the package's builders hand over the factor they have
-    just built, without a copy (``Povm._adopt``). A product basis
-    (:func:`product_basis_povm`) keeps only its ``2 x 2`` site basis
-    ``_site_basis`` and one column per outcome: ``block_bounds``, ``dim``
-    and ``len`` need no build, ``factor`` (``B^{tensor N}``) and its sign
+    just built, without a copy (``Povm._adopt``). A product form keeps only
+    its ``N`` site bases ``_site_bases`` (``N x 2 x 2``) and the order
+    ``_order`` of the columns of their Kronecker product (``None`` for
+    their own order): the factor is ``(B_0 kron ... kron B_{N-1})[:,
+    _order]``. A product basis (:func:`product_basis_povm`) is N equal
+    bases in their own order, one column per outcome; the eigenprojector
+    POVM of a product observable (:func:`eigenprojector_povm`) keeps each
+    site's eigenbasis and the columns sorted by eigenvalue. ``block_bounds``,
+    ``dim`` and ``len`` need no build, ``factor`` and a product basis's sign
     ``labels`` are built on first read, and :meth:`_factor_rows` forms any
     rows of the factor site by site. ``elements`` are the given matrices,
     or ``F_x F_x^dagger`` built on first read.
@@ -452,7 +476,8 @@ class Povm:
 
     block_bounds: np.ndarray
     dim: int
-    _site_basis: np.ndarray | None
+    _site_bases: np.ndarray | None
+    _order: np.ndarray | None
 
     def __init__(self, elements: Sequence = (), labels: Sequence = (),
                  check: bool = True, *, factor: np.ndarray | None = None,
@@ -494,19 +519,22 @@ class Povm:
             raise ValueError(
                 f"{len(labels)} labels for {len(block_sizes)} POVM elements")
         self.__dict__.update(factor=_freeze(factor), labels=labels)
-        self._set(np.cumsum([0, *block_sizes]), factor.shape[0], None)
+        self._set(np.cumsum([0, *block_sizes]), factor.shape[0])
 
-    def _set(self, block_bounds: np.ndarray, dim: int, site_basis: np.ndarray | None) -> None:
+    def _set(self, block_bounds: np.ndarray, dim: int, site_bases: np.ndarray | None = None,
+             order: np.ndarray | None = None) -> None:
         """Store the fields every POVM has."""
         object.__setattr__(self, "block_bounds", _freeze(block_bounds))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_site_basis", site_basis)
+        object.__setattr__(self, "_site_bases", site_bases)
+        object.__setattr__(self, "_order", order)
 
     @cached_property
     def factor(self) -> np.ndarray:
         """The ``d x R`` factor, read-only: the given one, or a product
-        basis's ``B^{tensor N}``, built on first read."""
-        return _freeze(tensor_power(self._site_basis, self.dim.bit_length() - 1))
+        form's, built on first read."""
+        factor = tensor_product(list(self._site_bases))
+        return _freeze(factor if self._order is None else factor[:, self._order])
 
     @cached_property
     def labels(self) -> tuple:
@@ -516,20 +544,22 @@ class Povm:
                      itertools.product("+-", repeat=self.dim.bit_length() - 1))
 
     def _factor_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``factor[rows]`` for an integer array ``rows``. A product basis
+        """``factor[rows]`` for an integer array ``rows``. A product form
         forms each row as successive outer products of its per-site rows
-        ``B[b_k, :]``, ``b_k`` the row's binary digits from site 0: each
-        entry is the same left-to-right product that ``B^{tensor N}`` holds,
-        in ``O(|rows| R)`` and with no ``d x d`` factor."""
-        if self._site_basis is None:
+        ``B_k[b_k, :]``, ``b_k`` the row's binary digits from site 0, then
+        takes the column order: each entry is the same left-to-right
+        product that the Kronecker product holds, in ``O(|rows| R)`` and
+        with no ``d x d`` factor."""
+        if self._site_bases is None:
             return self.factor[rows]
-        sites = self.dim.bit_length() - 1
-        # (|rows|, N, 2): the per-site row B[b_k, :] of each row
-        site_rows = self._site_basis[rows[:, None] >> np.arange(sites - 1, -1, -1) & 1]
+        sites = len(self._site_bases)
+        # (|rows|, N, 2): the per-site row B_k[b_k, :] of each row
+        site_rows = self._site_bases[np.arange(sites),
+                                     rows[:, None] >> np.arange(sites - 1, -1, -1) & 1]
         out = site_rows[:, 0]
         for k in range(1, sites):
             out = (out[:, :, None] * site_rows[:, k, None, :]).reshape(rows.size, -1)
-        return out
+        return out if self._order is None else out[:, self._order]
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
@@ -586,20 +616,61 @@ def eigenprojector_povm(obs: HermitianObservable) -> Povm:
     eigenvalue.
 
     Eigenvalues closer than ``_DEGENERACY_TOL`` (relative to the spectral
-    spread) are merged into one outcome; labels are the merged eigenvalues.
-    The factor is the eigenvector matrix, eigenvalues ascending, with one
-    block of columns per merged group.
+    spread) are merged into one outcome; labels are the merged eigenvalues'
+    means. The factor is an eigenvector matrix, eigenvalues ascending, with
+    one block of columns per merged group. A matrix or diagonal
+    observable's comes from ``eigh`` of its dense matrix. A product form's
+    is the Kronecker product of each site's closed-form eigenbasis
+    (:func:`_site_eigenpairs`), its eigenvalues the Kronecker product of the
+    sites' and its columns in their stable ascending order: it is kept in
+    that product form, so that neither ``eigh`` nor a ``d x d`` matrix is
+    formed.
     """
-    eigenvalues, eigenvectors = hermitian_eigendecomposition(obs.matrix)
+    if obs.product_form is None:
+        eigenvalues, eigenvectors = hermitian_eigendecomposition(obs.matrix)
+        block_sizes, labels = _merged(eigenvalues)
+        return Povm._adopt(eigenvectors, block_sizes, labels)
+    values, bases = zip(*map(_site_eigenpairs, obs.product_form))
+    eigenvalues = np.ones(1)
+    for site_values in values:
+        eigenvalues = _kron(eigenvalues, site_values)
+    order = np.argsort(eigenvalues, kind="stable")
+    block_sizes, labels = _merged(eigenvalues[order])
+    povm = Povm.__new__(Povm)
+    povm._set(np.cumsum([0, *block_sizes]), eigenvalues.size, _freeze(np.stack(bases)), order)
+    povm.__dict__["labels"] = labels
+    return povm
+
+
+def _merged(eigenvalues: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The sizes and mean values of the groups of ascending ``eigenvalues``
+    that no gap above ``_DEGENERACY_TOL`` times the spread (at least 1)
+    separates."""
     spread = max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
-    groups: list[list[int]] = [[0]]
-    for idx in range(1, len(eigenvalues)):
-        if eigenvalues[idx] - eigenvalues[groups[-1][-1]] <= _DEGENERACY_TOL * spread:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    labels = tuple(float(np.mean(eigenvalues[group])) for group in groups)
-    return Povm._adopt(eigenvectors, [len(group) for group in groups], labels)
+    starts = np.flatnonzero(np.diff(eigenvalues) > _DEGENERACY_TOL * spread) + 1
+    bounds = [0, *starts.tolist(), eigenvalues.size]
+    return np.diff(bounds), tuple(float(np.mean(eigenvalues[lo:hi]))
+                                  for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _site_eigenpairs(quad: tuple[float, float, float, float]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues ``a0 -+ |a|`` of ``a0 I + a.sigma`` and a unitary
+    whose columns are their eigenvectors, in closed form. With ``r = |a|``,
+    ``(r + a3, a1 + i a2)`` and ``(a1 - i a2, r - a3)`` are both ``+``
+    vectors; the one with the larger first entry (by the sign of ``a3``)
+    is normalised, and ``(-conj(y), conj(x))`` is the ``-`` vector of a ``+``
+    vector ``(x, y)``; adding 0 turns any negative zero positive. A site
+    with ``a = 0`` keeps the identity basis."""
+    a0, a1, a2, a3 = quad
+    r = math.hypot(a1, a2, a3)
+    if r == 0.0:
+        return np.array([a0, a0]), IDENTITY_2
+    x, y = (r + a3, complex(a1, a2)) if a3 >= 0.0 else (complex(a1, -a2), r - a3)
+    norm = math.hypot(abs(x), abs(y))
+    x, y = x / norm, y / norm
+    return (np.array([a0 - r, a0 + r]),
+            np.array([[-y.conjugate(), x], [complex(x).conjugate(), y]], dtype=complex) + 0.0)
 
 
 # columns: the single-qubit + and - eigenvectors of sigma_x and of sigma_y
@@ -625,12 +696,14 @@ def product_basis_povm(axis: str, n_qubits: int) -> Povm:
     Its factor is ``B^{tensor N}``, where the columns of ``B`` are the
     single-qubit ``+`` and ``-`` vectors; each column is one outcome, in the
     order and with the labels of :func:`product_basis_vectors`. The POVM
-    keeps ``B`` and builds the factor and the labels only when they are read.
+    keeps ``B`` once per site and builds the factor and the labels only
+    when they are read.
     """
     if axis not in _XY_BASES:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if n_qubits < 1:
         raise ValueError("tensor_power requires n >= 1")
     povm = Povm.__new__(Povm)
-    povm._set(np.arange(2 ** n_qubits + 1), 2 ** n_qubits, _XY_BASES[axis])
+    povm._set(np.arange(2 ** n_qubits + 1), 2 ** n_qubits,
+              np.broadcast_to(_XY_BASES[axis], (n_qubits, 2, 2)))
     return povm

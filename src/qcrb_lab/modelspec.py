@@ -188,11 +188,12 @@ class ModelSpec:
 #: the sizes :func:`footprint` reads; rank is the carrier's columns (1, or d for a
 #: density), file and marks a spec file's characters and its :data:`_YAML_MARKS`,
 #: rows the frame rows of the POVM's ``columns`` held: ``None`` (the default) for
-#: a d x R factor, ``|S|`` for a product basis's support rows, 0 where a product
-#: basis is not read
+#: a d x R factor, ``|S|`` for a product form's support rows, 0 where a product
+#: form is not read; observable_rows the same for the eigenprojectors that
+#: simulate measures an observable with: ``None`` where it reads the d x d operator
 Sizes = namedtuple("Sizes",
-                   "dim rank columns outcomes phases trials file marks observable rows",
-                   defaults=(1, 1, 0, 0, 1, 0, 0, 0, False, None))
+                   "dim rank columns outcomes phases trials file marks observable rows "
+                   "observable_rows", defaults=(1, 1, 0, 0, 1, 0, 0, 0, False, None, None))
 #: the spec file characters that open or separate YAML nodes
 _YAML_MARKS = "[{,-:\n"
 # Bytes held per unit of size, fitted to tracemalloc peaks (tests/test_footprint.py)
@@ -203,7 +204,7 @@ _BYTES = {"base": 1 << 16,  # the smallest spec
           "factor": 70,     # d x R POVM factor entry: its build, F^dagger V (-i g)^k
           "rows": 24,       # |S| x R support-row entry per derivative order 0-2 (all three
                             # are stacked): its per-site build, conjugate, (-i g)^k multiples
-          "matrix": 96,     # d x d entry of the SLD, or of simulate's eigenprojectors
+          "matrix": 96,     # d x d entry of the SLD, or of simulate's eigh eigenprojectors
           "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
           "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
           "batch": 112}     # entry of a phase chunk of fisher._OutcomeRows
@@ -221,17 +222,21 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     cells, (row, cell, entry) = _CELLS[command], _ROW_BYTES[output]
     if not isinstance(spec, Sizes):  # a ModelSpec: the sizes of its stored forms
         model, povm = spec.model, spec.povm
-        rows = None
-        if povm is not None and povm._site_basis is not None:  # no factor until read
+        rows = observable_rows = None
+        if povm is not None and povm._site_bases is not None:  # no factor until read
             rows = _support_rows(model) if command in ("cfi", "scan", "simulate") else 0
+        if spec.observable is not None and spec.observable.product_form is not None:
+            observable_rows = _support_rows(model)  # eigenprojectors of a product form
         spec = Sizes(model.dim, 1 if isinstance(model.initial_state, PureState) else model.dim,
                      *((0, 0) if povm is None else (int(povm.block_bounds[-1]), len(povm))),
-                     len(spec.phis), spec.trials, 0, 0, spec.observable is not None, rows)
-    *sizes, observable, rows = spec
+                     len(spec.phis), spec.trials, 0, 0, spec.observable is not None, rows,
+                     None if observable_rows == model.dim else observable_rows)
+    *sizes, observable, rows, observable_rows = spec
     dim, rank, columns, outcomes, phases, trials, file, marks = (
         float(min(size, 2 ** 64)) for size in sizes)
     sld_rows, simulate = command == "sld" or show_sld, command == "simulate"
-    dense, mle = sld_rows or simulate and observable, float(columns > 0)
+    mean_rows = float(simulate and observable and observable_rows or 0)
+    dense, mle = sld_rows or simulate and observable and not mean_rows, float(columns > 0)
     matrix = f"{dim:.0f} x {dim:.0f} matrix"
     width = max(dim, columns)
     # phases per chunk of fisher._OutcomeRows: the likelihood's, or a grid pass's;
@@ -245,6 +250,8 @@ def footprint(spec, command: str, *, show_sld: bool = False,
                 _BYTES["factor"] * dim * columns} if rows is None or rows == dim else
                {("povm", f"the {rows:.0f} x {columns:.0f} support rows"):
                 _BYTES["rows"] * 3 * rows * columns}),
+            ("observable", f"the {mean_rows:.0f} x {dim:.0f} eigenprojector support rows"):
+                _BYTES["rows"] * 3 * mean_rows * dim,
             ("phi", f"{phases:.0f} phases"): phases * (8 + (cells and row + cells * cell)),
             ("state", f"{matrix} work"): _BYTES["matrix"] * dim * dim * dense,
             ("state", f"the {matrix} of each row"): entry * dim * dim * phases * sld_rows,
@@ -255,7 +262,7 @@ def footprint(spec, command: str, *, show_sld: bool = False,
 
 
 def _support_rows(model: ParametricModel) -> int:
-    """The frame rows a product basis's outcome rows are formed on, as
+    """The frame rows a product form's outcome rows are formed on, as
     ``fisher._OutcomeRows`` forms them: the support ``|S|`` of a state
     vector under a diagonal generator, where ``model._support`` takes it,
     else every row, read from the dense factor (a density's support is
@@ -445,8 +452,8 @@ def _build_povm(data, n_qubits, observable, dim, *, fieldname: str = "povm"):
                 raise SpecFileError(
                     "eigenprojectors_of_observable needs an observable",
                     field=fieldname)
-            # eigh of the dense observable into a dim x dim factor
-            _admit(footprint(Sizes(dim, columns=dim), "load"), data, fieldname)
+            if observable.product_form is None:  # eigh of the dense observable
+                _admit(footprint(Sizes(dim, columns=dim), "load"), data, fieldname)
             return eigenprojector_povm(observable)
         raise SpecFileError(f"unknown POVM name {data!r}", field=fieldname)
     _, custom = _one_of(data, ("custom",), fieldname=fieldname)

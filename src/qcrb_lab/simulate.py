@@ -6,10 +6,14 @@ index)`` via ``SeedSequence`` spawn keys, so trial results are reproducible
 and independent of execution order. A run does its shared work once, draws
 one ``(trials, outcomes)`` count array and estimates on arrays; the
 single-record estimators run the same functions on one row, bit for bit.
-The sample-mean estimator solves the mean curve once, as a trigonometric
-polynomial in the generator's gaps, and inverts every trial's sample mean on
-its monotone branch by one lockstep ITP solve (:func:`_itp`, which reads the
-values at a bracket's ends to interpolate and their signs to bracket); the
+The sample-mean estimator draws from the observable's eigenprojectors,
+which a product observable keeps as per-site eigenbases read on the
+carrier's support rows, solves the mean curve once, as a trigonometric
+polynomial in the generator's gaps formed from ``O[S, S]`` on that support,
+so that a product observable needs neither ``eigh`` nor a ``d x d`` matrix,
+and inverts every trial's sample mean on its monotone branch by one
+lockstep ITP solve (:func:`_itp`, which reads the values at a bracket's
+ends to interpolate and their signs to bracket); the
 maximum-likelihood estimator sets up its outcome rows once per run
 (``fisher._OutcomeRows``, on the carrier's support rows), which also give
 the distribution the shots are drawn from and its CFI, shares one
@@ -238,11 +242,18 @@ class _MeanCurve:
     over the distinct positive gaps ``w`` (pairs grouped where ``g_j - g_k``
     are exactly equal): ``a_0`` sums ``Re M`` over the zero gaps, ``c_w = 2
     Re sum M_jk`` and ``s_w = -2 Im sum M_jk`` over the pairs of gap ``w``;
-    gaps whose two coefficients are zero are dropped. The coefficients are
-    formed once, so a phase costs O(#gaps); phases run in chunks of at most
-    ``_BATCH_ENTRIES / #gaps``. A blackbox model's curve reads
-    :func:`~.optimality._moments` of :func:`~.fisher.sld` at each phase, the
-    dense reference.
+    gaps whose two coefficients are zero are dropped. Under a diagonal
+    generator (no ``V``) whose carrier has a support S (``model._support``),
+    ``M`` is zero off ``S x S``, so the table is formed from ``O[S, S]``
+    (``HermitianObservable._block``, which reads a product form site by
+    site), ``C_0'[S]`` and ``g[S]``: the terms left out are exact zeros, and
+    no ``d x d`` matrix is formed. The sums over the pairs of S round as
+    the full table's wherever each holds at most two nonzero terms, as a
+    GHZ carrier's do. A full support or a non-diagonal frame forms the
+    table from the dense ``O'``. The coefficients are formed once, so a
+    phase costs O(#gaps); phases run in chunks of at most ``_BATCH_ENTRIES
+    / #gaps``. A blackbox model's curve reads :func:`~.optimality._moments`
+    of :func:`~.fisher.sld` at each phase, the dense reference.
     """
 
     def __init__(self, model: ParametricModel, obs: HermitianObservable) -> None:
@@ -251,8 +262,13 @@ class _MeanCurve:
         if model.kind != "unitary_generator":
             return
         g, basis, _ = model._frame
-        o = obs.matrix if basis is None else basis.conj().T @ obs.matrix @ basis
+        self._spread = float(np.abs(g).max())
         carrier = model._solution.carrier
+        support = model._support if basis is None else None
+        if support is not None:
+            g, carrier, o = g[support], carrier[support], obs._block(support)
+        else:
+            o = obs.matrix if basis is None else basis.conj().T @ obs.matrix @ basis
         m = o * (carrier.conj() @ carrier.T)
         gaps = g[:, None] - g[None, :]
         constant = float(m.real[gaps == 0.0].sum())
@@ -264,7 +280,6 @@ class _MeanCurve:
         self.gaps, cos, sin = gaps[keep], cos[keep], sin[keep]
         # (constant, cos, sin) coefficients of the mean and of its derivative
         self._terms = ((constant, cos, sin), (0.0, self.gaps * sin, -self.gaps * cos))
-        self._spread = float(np.abs(g).max())
 
     def _evaluate(self, phis, order: int) -> np.ndarray:
         phis = np.asarray(phis, dtype=float).reshape(-1)
@@ -297,14 +312,17 @@ class _MeanCurve:
         product or sum of d terms ``c d eps``; ``sum |M_jk| <= ||O||_F
         ||rho_0'||_F <= ||O||_F``. So the means differ by at most ``u = K eps
         d (1 + |phi| s) ||O||_F`` with ``K = _CURVE_NOISE``, and the slopes,
-        whose terms carry a gap of at most ``2 s``, by ``2 s u``. A
-        blackbox curve is the report's own route.
+        whose terms carry a gap of at most ``2 s``, by ``2 s u``. A product
+        form's ``||O||_F`` is the product of its sites', ``sqrt(2 (a0^2 +
+        |a|^2))``. A blackbox curve is the report's own route.
         """
         if self.gaps is None:
             return
         mean, slope = float(self.mean([phi])[0]), float(self.slope([phi])[0])
-        unit = (_CURVE_NOISE * _EPS * self._model.dim * (1.0 + abs(phi) * self._spread)
-                * float(np.linalg.norm(self._obs.matrix)))
+        sites = self._obs.product_form
+        norm = (float(np.linalg.norm(self._obs.matrix)) if sites is None else
+                math.prod(math.sqrt(2.0 * sum(c * c for c in quad)) for quad in sites))
+        unit = _CURVE_NOISE * _EPS * self._model.dim * (1.0 + abs(phi) * self._spread) * norm
         if (abs(mean - report.mean) > unit
                 or abs(slope - report.slope) > 2.0 * self._spread * unit):
             raise ArithmeticError(

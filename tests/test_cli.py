@@ -489,8 +489,7 @@ class TestOperatorsOnDemand:
             assert row["is_optimal"] is True and row["singular_flag"] is False
 
     @pytest.mark.parametrize("args", [["sld", "--phi", "0.1"],
-                                      ["qfi", "--phi", "0.1", "--show-sld"],
-                                      ["simulate", "--phi", "0.1"]])
+                                      ["qfi", "--phi", "0.1", "--show-sld"]])
     def test_dense_commands_refused_before_allocation(self, runner, ghz20_spec,
                                                       monkeypatch, args):
         def allocate(*args, **kwargs):
@@ -503,6 +502,18 @@ class TestOperatorsOnDemand:
         assert "state:" in result.output
         assert "1048576 x 1048576 matrix" in result.output
         assert "physical memory" in result.output
+
+    def test_ghz20_simulate_reaches_the_heisenberg_limit(self, runner, ghz20_spec):
+        """The sample-mean estimator measures the product observable's
+        eigenprojectors on the carrier's two support rows, with no dense
+        operator: its MSE over 200 trials lies within 5 standard errors,
+        ``5 sqrt(2 / trials)`` of itself, of ``1 / (nu N^2)``."""
+        payload = run_json(runner, ["simulate", "--model", ghz20_spec, "--phi", "0.01",
+                                    "--nu", "1000", "--trials", "200", "--seed", "7"])
+        (result,) = payload["results"]
+        expected = 1.0 / (1000 * 400)
+        assert result["method"] == "sample_mean_inversion" and result["n_clipped"] == 0
+        assert abs(result["mse"] - expected) <= 5.0 * expected * math.sqrt(2.0 / 200)
 
     def test_qfi_without_the_sld_runs_on_vectors(self, runner, ghz20_spec):
         payload = run_json(runner, ["qfi", "--model", ghz20_spec, "--phi", "0.1"])

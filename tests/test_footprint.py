@@ -40,6 +40,19 @@ def _ghz(n, *, povm=None, observable=True):
     return data
 
 
+def _full_support(n, *, povm=None):
+    """A state vector with every amplitude nonzero, written as custom
+    ``amplitudes`` (d pairs), with the GHZ specs' observable: no row of its
+    carrier is zero, so each route reads the d x d operator or factor."""
+    amps = np.linspace(1.0, 2.0, 2 ** n)
+    data = {"state": {"custom": {"amplitudes": [[float(x), 0.0]
+                                                for x in amps / np.linalg.norm(amps)]}},
+            "observable": {"pauli_product": {"a1": 0.6, "a2": 0.8}}, "phi": 0.1}
+    if povm:
+        data["povm"] = povm
+    return data
+
+
 def _mixed_ghz(n, epsilon=0.1):
     """A full-rank mixed GHZ density written as a custom ``density``."""
     dim = 2 ** n
@@ -62,15 +75,17 @@ def _spec(tmp_path, data) -> str:
 
 
 def _forbid(monkeypatch, data) -> None:
-    """Make every phase evaluator of the CLI raise, and the POVM builders
-    too unless ``data`` is a GHZ N=2 spec, whose POVM is built at load."""
+    """Make every phase evaluator of the CLI and every read of a dense POVM
+    factor raise, and the POVM builders too unless ``data`` is a GHZ N=2 or
+    a custom state spec, whose POVM is built at load."""
     def allocate(*args, **kwargs):
         raise AssertionError("no phase may be evaluated")
 
     for name in ("sld", "_cfi_values", "error_propagation", "_scan_row",
                  "_check_optimal_row", "run_sample_mean_trials", "run_mle_trials"):
         monkeypatch.setattr(cli, name, allocate)
-    if data["state"]["ghz"]["n"] > 2:
+    monkeypatch.setattr(core.Povm, "factor", property(allocate))
+    if data["state"].get("ghz", {}).get("n", 2) > 2:
         for name in ("product_basis_povm", "eigenprojector_povm"):
             monkeypatch.setattr(modelspec, name, allocate)
 
@@ -94,14 +109,14 @@ JSON = ["--output", "json"]
 # (command, spec, arguments): every command and output format at a size where
 # its size terms dominate
 BRACKETED = [
-    # the POVM factor and the dense work of d = 512, where a d = 1024 run
-    # takes 0.5-1.3 s (an eigh, or the likelihood solve), and the two support
-    # rows of the product basis at d = 1024 (and d = 16384, below)
-    ("cfi", _ghz(9, povm="eigenprojectors_of_observable"), []),
+    # the POVM factor and the dense work of d = 512 on a full support, where
+    # a d = 1024 run takes 0.5-1.3 s (the likelihood solve), and the two
+    # support rows of the product basis at d = 1024 (and d = 16384, below)
+    ("cfi", _full_support(9, povm="eigenprojectors_of_observable"), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), []),
     ("cfi", _ghz(10, povm=X_PRODUCT), JSON),
     ("scan", _ghz(10, povm=X_PRODUCT), ["--phi-range", "0.1:1:3", "--output", "csv"]),
-    ("simulate", _ghz(9), []),
+    ("simulate", _full_support(9), []),
     ("simulate", _ghz(9, povm=X_PRODUCT, observable=False), ["--trials", "2", *JSON]),
     # the SLD matrix of each row, at d = 64: at d = 1024 its million pairs
     # take 20-40 s to render under tracemalloc
@@ -133,6 +148,10 @@ BRACKETED = [
     # larger term covers
     ("cfi", _ghz(12, povm=X_PRODUCT, observable=False), ["--phi-range", "0.1:1:40"]),
     ("cfi", _ghz(14, povm=X_PRODUCT, observable=False), []),
+    # the eigenprojector support rows of a product observable: simulate's
+    # sample-mean run and cfi on a GHZ state, with no d x d operator
+    ("simulate", _ghz(14), []),
+    ("cfi", _ghz(12, povm="eigenprojectors_of_observable"), []),
 ]
 
 
@@ -183,14 +202,15 @@ def test_footprint_brackets_the_peak(warm, tmp_path, monkeypatch, command, data,
 
 
 EIGENPROJECTORS = "eigenprojectors_of_observable"
-# per command: a GHZ N=10 route that reads a dense d x d operator or factor,
-# and the field it is refused for
+# per command: a d = 1024 route that reads a dense d x d operator or factor,
+# and the field it is refused for (the eigenprojectors of a product
+# observable are read densely only on a full support)
 DENSE_ROUTES = {
     "qfi": (_ghz(10), ["--show-sld"], "state"),
     "sld": (_ghz(10), [], "state"),
-    "simulate": (_ghz(10), [], "state"),
-    "cfi": (_ghz(10, povm=EIGENPROJECTORS), [], "povm"),
-    "scan": (_ghz(10, povm=EIGENPROJECTORS), ["--phi-range", "0:1:3"], "povm"),
+    "simulate": (_full_support(10), [], "state"),
+    "cfi": (_full_support(10, povm=EIGENPROJECTORS), [], "povm"),
+    "scan": (_full_support(10, povm=EIGENPROJECTORS), ["--phi-range", "0:1:3"], "povm"),
     "errprop": None,
     "check-optimal": None,
     "lambda": None,
@@ -213,8 +233,9 @@ VECTOR_ROUTES = {
 def test_no_command_escapes_the_rule(tmp_path, monkeypatch, command):
     """On a machine of 4 MiB, every vector route runs (GHZ N=10 ``cfi`` and
     ``scan`` on the x-product basis's two support rows) and every dense
-    route on GHZ N=10 exits 2 naming its field before any phase runs. A
-    command added without a footprint entry fails here."""
+    route at d = 1024 exits 2 naming its field before any phase runs or
+    any dense POVM factor is read. A command added without a footprint
+    entry fails here."""
     footprint(Sizes(), command)
     _memory(monkeypatch, 1 << 22)
     runner = CliRunner()
@@ -237,7 +258,7 @@ BOX = int(7.84 * 2 ** 30)
 
 @pytest.mark.parametrize("data,args,field", [
     (_ghz(13), ["sld"], "state"),
-    (_ghz(14, povm=EIGENPROJECTORS), ["cfi"], "povm"),
+    (_full_support(14, povm=EIGENPROJECTORS), ["cfi"], "povm"),
     (_ghz(2, povm=X_PRODUCT), ["scan", "--phi-range", "0:1:3000000", *JSON], "phi"),
     (_ghz(2, povm=X_PRODUCT), ["simulate", "--trials", "5000000"], "trials"),
 ])
@@ -245,7 +266,8 @@ def test_runs_that_passed_every_old_guard_are_refused(tmp_path, monkeypatch, dat
                                                      args, field):
     """Each of these passed the four earlier rules on a 7.84 GiB machine and
     would hold 9-16 GiB; each is now refused, naming its field, before its
-    first phase."""
+    first phase. The eigenprojectors of a product observable are read as a
+    16384 x 16384 factor only on a full support: on GHZ N=14 they fit."""
     _memory(monkeypatch, BOX)
     _forbid(monkeypatch, data)
     result = CliRunner().invoke(main, [args[0], "--model", _spec(tmp_path, data),
@@ -258,17 +280,19 @@ def test_runs_that_passed_every_old_guard_are_refused(tmp_path, monkeypatch, dat
 @pytest.mark.parametrize("data,args", [
     (_ghz(14, povm=X_PRODUCT, observable=False), ["cfi"]),
     (_ghz(14, povm="y_basis_product"), ["scan", "--phi-range", "0.1:1:3"]),
+    (_ghz(14, povm=EIGENPROJECTORS), ["cfi"]),
 ])
 def test_support_rows_admit_what_the_factor_could_not(tmp_path, monkeypatch, data, args):
-    """On a 7.84 GiB machine, GHZ N=14 on a product basis, whose dense
-    16384 x 16384 factor would need 1.9e10 bytes, runs on its two support
-    rows without building the factor: CFI = N^2."""
+    """On a 7.84 GiB machine, GHZ N=14 on a product basis or on the
+    eigenprojectors of a product observable, whose dense 16384 x 16384
+    factor would need 1.9e10 bytes, runs on its two support rows without
+    building the factor or any Kronecker product: CFI = N^2."""
     _memory(monkeypatch, BOX)
 
     def build(*args, **kwargs):
         raise AssertionError("no dense factor may be built")
 
-    monkeypatch.setattr(core, "tensor_power", build)
+    monkeypatch.setattr(core, "tensor_product", build)
     result = CliRunner().invoke(main, [args[0], "--model", _spec(tmp_path, data),
                                        *args[1:], *JSON])
     assert result.exit_code == 0, result.output

@@ -303,22 +303,29 @@ class TestSpecErrors:
 
     def test_eigenprojector_povm_rejected_before_allocation(self, monkeypatch):
         """A GHZ N=8 state's footprint is about 2^17 bytes and its product
-        observable stores none, but the eigenprojector POVM diagonalises the
-        dense 2^8 x 2^8 observable into a 2^8 x 2^8 factor (about 2^22.4
-        bytes); on a machine with 2^19 bytes only the POVM is refused, and
-        so is ``sld``, whose footprint holds the dense SLD."""
+        observable stores none; the eigenprojector POVM of a matrix
+        observable diagonalises the dense 2^8 x 2^8 observable into a 2^8 x
+        2^8 factor (about 2^22.4 bytes), so on a machine with 2^19 bytes it
+        is refused, and so is ``sld``, whose footprint holds the dense SLD.
+        The product observable's eigenprojectors load in product form, with
+        no dense observable and no factor."""
         def allocate(*args):
             raise AssertionError("eigenprojector_povm must not be called")
 
         sysconf = os.sysconf
         memory = {"SC_PAGE_SIZE": 2 ** 12, "SC_PHYS_PAGES": 2 ** 7}
-        monkeypatch.setattr(modelspec, "eigenprojector_povm", allocate)
         monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
         data = {"state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a1": 1.0}}}
         spec = build_model_spec(data)
         assert "matrix" not in spec.observable.__dict__
+        product = build_model_spec({**data, "povm": "eigenprojectors_of_observable"})
+        assert product.povm._site_bases is not None and "factor" not in product.povm.__dict__
+        assert "matrix" not in product.observable.__dict__
+        monkeypatch.setattr(modelspec, "eigenprojector_povm", allocate)
+        matrix = [[float(x), 0.0] for x in np.kron(np.eye(128), [[0.0, 1.0], [1.0, 0.0]]).ravel()]
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
-            build_model_spec({**data, "povm": "eigenprojectors_of_observable"})
+            build_model_spec({**data, "observable": {"custom": matrix},
+                              "povm": "eigenprojectors_of_observable"})
         assert excinfo.value.field == "povm"
         with pytest.raises(SpecFileError, match="physical memory") as excinfo:
             modelspec._admit(modelspec.footprint(spec, "sld"), "sld")

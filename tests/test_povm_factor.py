@@ -24,6 +24,9 @@ from qcrb_lab import (
     outcome_distribution,
     product_basis_povm,
     product_basis_vectors,
+    product_observable,
+    run_mle_trials,
+    run_sample_mean_trials,
     state_derivative,
     unitary_model,
 )
@@ -245,3 +248,113 @@ class TestProductRows:
         assert all(abs(value - n * n) <= 1e-9 for value in values)
         assert len(povm) == 2 ** n and povm.dim == 2 ** n
         assert "factor" not in povm.__dict__ and "labels" not in povm.__dict__
+
+
+_EPS = float(np.finfo(float).eps)
+# a site's a0 and |a|: halves, so that distinct products of the site values
+# differ by at least 2^-N and equal ones only by rounding
+SITE_A0, SITE_R = (-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.5, 1.0, 1.5)
+AXES = tuple(tuple(sign * float(k == axis) for k in range(3))
+             for axis in range(3) for sign in (1.0, -1.0))
+DIRECTIONS = st.one_of(
+    st.sampled_from(AXES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1))
+
+
+@st.composite
+def site_quadruples(draw):
+    """``(a0, r n)`` for one site, ``n`` an axis or a random unit vector:
+    ``r = 0`` sites keep the identity, ``|a0| = r`` ones have a zero value,
+    and equal sites give degenerate products."""
+    a0, r, direction = (draw(st.sampled_from(SITE_A0)), draw(st.sampled_from(SITE_R)),
+                        draw(DIRECTIONS))
+    norm = math.hypot(*direction)
+    return (a0, *(r * c / norm for c in direction))
+
+
+class TestProductEigenprojectors:
+    """The eigenprojector POVM of a product observable is built from each
+    site's closed-form eigenbasis, with no ``eigh``, and agrees with the
+    dense ``eigh`` route.
+
+    The bounds, with ``M = prod_k (|a0_k| + r_k) >= ||O||_2``. Each site
+    value ``a0 -+ r`` carries at most ``2 eps (|a0| + r)``, so a product of
+    N of them carries at most ``3 N eps M``; ``eigh`` is backward stable,
+    its eigenvalues off by at most ``c d eps ||O||_2``; a group mean adds one
+    ``eps`` of the label. Labels therefore differ by at most ``4 (N + d) eps
+    M`` (``c = 4``). A projector of a group whose labels lie ``gap`` from
+    the others' moves by at most ``4 d eps M / gap`` under ``eigh``'s
+    backward error (Davis-Kahan), and the product columns are unit vectors
+    whose entries are products of N site entries of ``2 eps`` relative
+    error each, so ``F_x F_x^dagger`` is off by at most ``2 * 2 N eps
+    sqrt(d)``: projectors differ entrywise by at most ``4 d eps M / gap + 8
+    N sqrt(d) eps``."""
+
+    @given(sites=st.lists(site_quadruples(), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_eigh(self, sites, seed):
+        obs = product_observable(sites)
+        n, dim = len(sites), 2 ** len(sites)
+        povm = eigenprojector_povm(obs)
+        assert povm._site_bases is not None and "factor" not in povm.__dict__
+        eigenvalues = np.linalg.eigh(obs.matrix)[0]
+        spread = max(1.0, float(eigenvalues[-1] - eigenvalues[0]))
+        starts = [0, *(np.flatnonzero(np.diff(eigenvalues) > _DEGENERACY_TOL * spread)
+                       + 1).tolist(), dim]
+        labels = np.array([np.mean(eigenvalues[lo:hi]) for lo, hi in zip(starts, starts[1:])])
+        assert povm.block_bounds.tolist() == starts
+        scale = math.prod(abs(a0) + math.hypot(*a) for a0, *a in sites)
+        assert np.all(np.abs(np.array(povm.labels) - labels) <= 4 * (n + dim) * _EPS * scale)
+        for k, (built, dense) in enumerate(zip(povm.elements, dense_eigenprojectors(obs),
+                                               strict=True)):
+            gap = np.abs(np.delete(labels, k) - labels[k]).min(initial=np.inf)
+            bound = 4 * dim * _EPS * scale / gap + 8 * n * math.sqrt(dim) * _EPS
+            assert np.max(np.abs(built - dense)) <= bound
+        rng = np.random.default_rng(seed)
+        for picked in (rng.choice(dim, size=1), rng.choice(dim, size=min(2, dim), replace=False),
+                       np.arange(dim)):
+            assert np.array_equal(povm._factor_rows(picked), povm.factor[picked])
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("numpy.linalg.eigh must not be called")
+
+
+class TestWithoutEigh:
+    """A product observable's eigenprojectors are read with no ``eigh``."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_simulate_and_cfi_run_without_eigh(self, n, monkeypatch, tmp_path):
+        """GHZ N=3-8 ``simulate`` (both estimators) and ``cfi`` on the
+        eigenprojectors of the observable, through the CLI."""
+        import yaml
+        from click.testing import CliRunner
+
+        from qcrb_lab.cli import main
+
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+        runner = CliRunner()
+        for povm, args in (("x_basis_product", ["simulate", "--trials", "20"]),
+                           ("eigenprojectors_of_observable", ["cfi"])):
+            path = tmp_path / f"{povm}.yaml"
+            path.write_text(yaml.safe_dump({
+                "state": {"ghz": {"n": n}}, "observable": {"pauli_product": {"a1": 1.0}},
+                "povm": povm, "phi": 0.3 / n, "nu": 1000}), encoding="utf-8")
+            result = runner.invoke(main, [args[0], "--model", str(path), *args[1:]])
+            assert result.exit_code == 0, result.output
+
+    def test_ghz12_simulate_without_eigh_or_factor(self, monkeypatch):
+        """GHZ N=12 with the x product and the x-product basis: both
+        estimators run with neither ``eigh`` nor a dense POVM factor, the
+        sample-mean MSE lies within 5 standard errors of ``1 / (nu N^2)``, and
+        the observable's dense matrix is never built."""
+        n, nu, trials = 12, 1000, 200
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+        monkeypatch.setattr(Povm, "factor", property(_no_eigh))
+        model, obs = ghz_model(n), product_observable([(0.0, 1.0, 0.0, 0.0)] * n)
+        summary = run_sample_mean_trials(model, obs, 0.05, nu, trials, 7)
+        run_mle_trials(model, product_basis_povm("x", n), 0.05, nu, trials, 7)
+        expected = 1.0 / (nu * n * n)
+        assert abs(summary.mse - expected) <= 5.0 * expected * math.sqrt(2.0 / trials)
+        assert "matrix" not in obs.__dict__

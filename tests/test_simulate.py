@@ -1067,6 +1067,81 @@ class TestMeanCurve:
                 curve.check(phi, moved)
 
 
+def full_row_table(model, obs):
+    """``(gaps, a_0, c_w, s_w)`` of a diagonal-generator model's mean curve
+    over every frame row, as ``_MeanCurve`` formed it from the dense
+    observable before it read the carrier's support rows."""
+    g = model._frame[0]
+    carrier = model._solution.carrier
+    m = obs.matrix * (carrier.conj() @ carrier.T)
+    gaps = g[:, None] - g[None, :]
+    constant = float(m.real[gaps == 0.0].sum())
+    positive = gaps > 0.0
+    gaps, index = np.unique(gaps[positive], return_inverse=True)
+    cos = 2.0 * np.bincount(index, m.real[positive], gaps.size)
+    sin = -2.0 * np.bincount(index, m.imag[positive], gaps.size)
+    keep = (cos != 0.0) | (sin != 0.0)
+    return gaps[keep], constant, cos[keep], sin[keep]
+
+
+def _site_list(rng, n):
+    """``n`` random per-site quadruples with nonzero, non-axis coefficients."""
+    return product_observable([tuple(rng.uniform(-1.0, 1.0, size=4)) for _ in range(n)])
+
+
+class TestSupportCurve:
+    """The mean curve of a state vector under a diagonal generator is formed
+    on the carrier's support rows S, with ``O[S, S]`` read from the
+    observable's stored form, and agrees with the table over every row."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_ghz_table_is_the_full_row_table(self, n):
+        """On GHZ N=3-8, S holds two rows: each coefficient is one product or
+        a sum of two, so the table is bit for bit the full-row one, for the
+        x product, the saturating ``0.6 sx + 0.8 sy`` product, a per-site
+        list of random coefficients and parity; no dense observable is
+        built."""
+        model = ghz_model(n)
+        rng = np.random.default_rng(n)
+        for obs in (_pauli_product("x", n), product_observable([(0.0, 0.6, 0.8, 0.0)] * n),
+                    _site_list(rng, n), product_observable([(0.0, 0.0, 0.0, 1.0)] * n)):
+            curve = simulate._MeanCurve(model, obs)
+            assert "matrix" not in obs.__dict__
+            gaps, constant, cos, sin = full_row_table(model, obs)
+            assert curve.gaps.tobytes() == gaps.tobytes()
+            assert curve._terms[0][0] == constant
+            assert curve._terms[0][1].tobytes() == cos.tobytes()
+            assert curve._terms[0][2].tobytes() == sin.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_three_rows_agree_within_rounding(self, seed):
+        """A random state on 3 of 16 rows (two of them of one popcount, so a
+        zero gap pairs distinct rows) under J_z, with a random per-site
+        observable. Each term ``M_jk`` is one complex product of
+        ``O_jk`` and ``conj(c_j) c_k``, which the two routes may round once
+        otherwise each (a fused multiply-add in the outer product): at most
+        ``2 eps |M_jk|``. Each coefficient sums at most ``|S|^2`` terms in
+        another order, which adds at most ``(|S|^2 - 1) eps sum |M_jk|``,
+        and is doubled. So the tables differ by at most ``2 (|S|^2 + 1) eps
+        sum |M_jk|``, with the sum over S x S; their gaps are equal."""
+        rng = np.random.default_rng(seed)
+        rows = np.sort(np.concatenate([rng.choice([1, 2, 4, 8], size=2, replace=False),
+                                       rng.choice([3, 7, 12, 15], size=1)]))
+        amps = np.zeros(16, dtype=complex)
+        amps[rows] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        model = unitary_model(PureState(amps / np.linalg.norm(amps)), collective_spin("z", 4))
+        obs = _site_list(rng, 4)
+        assert model._support.tolist() == rows.tolist()
+        curve = simulate._MeanCurve(model, obs)
+        gaps, *expected = full_row_table(model, obs)
+        carrier = model._solution.carrier[rows]
+        total = float(np.sum(np.abs(obs.matrix[np.ix_(rows, rows)]
+                                    * (carrier.conj() @ carrier.T))))
+        bound = 2.0 * (rows.size ** 2 + 1) * _EPS * total
+        assert curve.gaps.tobytes() == gaps.tobytes()
+        for got, want in zip(curve._terms[0], expected):
+            assert np.all(np.abs(np.asarray(got) - want) <= bound)
+
 
 class TestBisect:
     """The lockstep ITP solver ``simulate._itp``."""

@@ -27,7 +27,12 @@ carrier's two support rows at d = 256 and 1024; ``cfi`` on GHZ N=14 and
 N=20 x-product specs at one phase, whose support rows are formed site by
 site and whose dense factors do not fit in memory, and on the N=20 one over
 the 8 phases ``0.02:0.14:8``, one phase per chunk on one setup of those
-rows; a ``scan`` of a GHZ N=8
+rows; ``simulate`` (200 trials, both estimators) on GHZ N=10 and N=14
+x-product specs measuring the x product, and the sample-mean ``simulate``
+of GHZ N=20 with the ``0.6 sx + 0.8 sy`` product, whose eigenprojectors
+are read on the support rows; ``cfi`` and ``simulate`` on a GHZ N=3 spec
+measured with the eigenprojectors of a per-site ``pauli_product`` list of
+distinct, non-axis coefficients; a ``scan`` of a GHZ N=8
 y-product spec over ``0:pi:9``; ``cfi`` on a full-support three-qubit
 ``custom`` density measured with ``x_basis_product``, which reads the
 dense factor; ``lambda`` at pi/4 in both
@@ -239,6 +244,24 @@ def invocations(workdir: Path) -> list[list[str]]:
             "state": {"ghz": {"n": n}}, "povm": "x_basis_product", "phi": "pi/8"})
         runs.append(["cfi", "--model", spec, "--output", "json"])
     runs.append(["cfi", "--model", spec, "--phi-range", "0.02:0.14:8", "--output", "json"])
+    for n in (10, 14):
+        spec = _write(workdir / f"ghz{n}-x-simulate.yaml", {
+            "state": {"ghz": {"n": n}}, "observable": {"pauli_product": {"a1": 1.0}},
+            "povm": "x_basis_product", "phi": 0.05, "nu": 1000, "trials": 200, "seed": 7})
+        runs.append(["simulate", "--model", spec])
+    ghz20_mean = _write(workdir / "ghz20-sample-mean.yaml", {
+        "state": {"ghz": {"n": 20}}, "observable": {"pauli_product": {"a1": 0.6, "a2": 0.8}},
+        "phi": 0.01, "nu": 1000, "trials": 200, "seed": 7})
+    runs.append(["simulate", "--model", ghz20_mean, "--output", "json"])
+    sites3 = _write(workdir / "ghz3-sites-eigenprojectors.yaml", {
+        "state": {"ghz": {"n": 3}},
+        "observable": {"pauli_product": [{"a0": 0.1, "a1": 0.6, "a2": 0.8},
+                                         {"a1": 0.3, "a2": -0.5, "a3": 0.7},
+                                         {"a0": -0.2, "a1": 0.9, "a2": 0.2, "a3": -0.4}]},
+        "povm": "eigenprojectors_of_observable", "phi": 0.3, "nu": 1000})
+    runs += [["cfi", "--model", sites3, "--phi-range", "0.1:3:5", "--output", "json"],
+             ["simulate", "--model", sites3, "--trials", "20", "--seed", "3",
+              "--output", "json"]]
     ghz8_y = _write(workdir / "ghz8-y.yaml", {
         "state": {"ghz": {"n": 8}}, "observable": {"pauli_product": {"a2": 1.0}},
         "povm": "y_basis_product", "nu": 1000})
