@@ -548,10 +548,13 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
     """Maximum-likelihood estimates of the count rows ``counts`` in one pass.
 
     ``arrays`` is the run's outcome setup of the model and POVM: the grid's
-    outcome probabilities are computed once and shared by every row, and
-    every score step reads the same rows. Where a row's score ``sum_x n_x
-    p'_x / p_x`` (zero counts skipped) falls through zero across the
-    bracket ``[grid[b - 1], grid[b + 1]]`` of its best grid index ``b``,
+    outcome probabilities and their slopes are computed once and shared by
+    every row, and every score step reads the same rows. A row's best grid
+    index ``b`` is searched only on the branch of the centre
+    (:func:`_branch_cells`), so that a mirror image of the phase about a
+    turning point of the likelihood is never taken. Where a row's score
+    ``sum_x n_x p'_x / p_x`` (zero counts skipped) falls through zero
+    across the bracket ``[grid[b - 1], grid[b + 1]]``,
     its estimate is the root, solved in lockstep with the other rows' by
     :func:`_itp` from the scores at the bracket's ends; otherwise the
     maximum sits at a bracket end, the one with the larger grid
@@ -570,8 +573,8 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
             return np.where(n > 0, n * derivs / probs, 0.0).sum(axis=1)
 
     grid = np.linspace(lo, hi, _MLE_GRID_POINTS)
-    log_p = _log_probabilities(arrays(grid, 0)[0])
-    values = _log_likelihoods(counts[:, None, :], log_p[None, :, :])
+    probs, derivs = arrays(grid, 1)
+    values = _log_likelihoods(counts[:, None, :], _log_probabilities(probs)[None, :, :])
     finite = np.isfinite(values)
     best = np.where(finite, values, -np.inf).max(axis=1)
     spread = best - np.where(finite, values, np.inf).min(axis=1)
@@ -583,10 +586,14 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
                 "log-likelihood is -inf over the whole search interval")
         raise FlatLikelihoodError(
             "likelihood does not depend on the phase over the search interval")
+    # the branch's finite cells, or every finite cell of a row with none there
+    pool = finite & _branch_cells(derivs)
+    pool = np.where(pool.any(axis=1)[:, None], pool, finite)
+    best = np.where(pool, values, -np.inf).max(axis=1)
     # grid ties are broken toward the interval center, then the lower index
     center = (lo + hi) / 2.0
     tie_tol = 1e-9 * np.maximum(1.0, np.abs(best))
-    candidates = finite & (values >= (best - tie_tol)[:, None])
+    candidates = pool & (values >= (best - tie_tol)[:, None])
     best_idx = np.where(candidates, np.abs(grid - center), np.inf).argmin(axis=1)
     ends = np.stack([np.maximum(best_idx - 1, 0),
                      np.minimum(best_idx + 1, _MLE_GRID_POINTS - 1)])
@@ -600,12 +607,28 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
     return phi_hat, np.zeros(len(counts), dtype=bool), (lo, hi)
 
 
+def _branch_cells(derivs: np.ndarray) -> np.ndarray:
+    """The mask of the grid cells between the nearest sign changes, on each
+    side of the centre cell, of ``p'`` of the outcome whose ``|p'|`` is the
+    largest at the centre (``derivs`` holds ``p'`` per grid phase and
+    outcome); every cell where that ``p'`` is zero at the centre. A zero
+    ``p'`` counts as a change."""
+    mid = derivs.shape[0] // 2
+    signs = np.sign(derivs[:, np.argmax(np.abs(derivs[mid]))])
+    if signs[mid] == 0.0:
+        return np.ones(signs.size, dtype=bool)
+    changed = np.flatnonzero(signs != signs[mid])
+    cells = np.arange(signs.size)
+    return ((cells > changed[changed < mid].max(initial=-1))
+            & (cells < changed[changed > mid].min(initial=signs.size)))
+
+
 def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
                      search_interval: tuple[float, float]) -> EstimatorResult:
     """Maximum-likelihood phase estimate over a search interval.
 
-    Coarse scan of a 65-point grid, whose ties are broken toward the
-    interval center, then an ITP solve of the score ``sum_x n_x p'_x / p_x``
+    Coarse scan of a 65-point grid on the branch of the interval center,
+    whose ties are broken toward the center, then an ITP solve of the score ``sum_x n_x p'_x / p_x``
     down to a 1e-12 bracket where it falls through zero across the best
     cell's neighbours (reading its values to interpolate and its signs to
     bracket, on outcome rows set up once), or else the neighbour with the
@@ -651,8 +674,11 @@ def verify_clt_link(means, observable_variance: float, nu: int) -> CltReport:
 
 
 def default_mle_interval(model: ParametricModel, branch_center: float) -> tuple[float, float]:
-    """Search interval staying inside one monotone branch of a GHZ-type
-    likelihood: ``branch_center +- 0.9 * pi / (2 N)``."""
+    """Search interval ``branch_center +- 0.9 * pi / (2 N)``, nine tenths of
+    the width of a monotone branch of a GHZ-type likelihood. It is centred
+    on the phase, not on the branch, so it may hold a turning point and the
+    phase's mirror image about it; the search keeps to the center's branch
+    (:func:`_branch_cells`)."""
     n_sites = max(1, math.ceil(math.log2(model.dim)))
     half_width = 0.9 * math.pi / (2.0 * n_sites)
     return branch_center - half_width, branch_center + half_width
