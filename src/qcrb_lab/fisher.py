@@ -15,10 +15,10 @@ first two derivatives are read from one setup (``_OutcomeRows``) per model
 and POVM, made once per grid pass or maximum-likelihood run, which keeps
 ``F^dagger V`` only on the support rows of ``C_0'`` (two rows of ``2^N``
 for GHZ), those of a product basis or of a product observable's
-eigenprojectors formed site by site with no ``2^N x 2^N`` factor; ``cfi``, ``scan`` and ``simulate`` share it, and a grid's
-CFI (``_cfi_values``) is read from its arrays. A
-blackbox model solves dense ``rho`` and ``d rho`` per phase, the dense
-reference.
+eigenprojectors formed site by site with no ``2^N x 2^N`` factor; ``cfi``,
+``scan`` and ``simulate`` share it, and a grid's CFI (``_cfi_values``) is
+read from its arrays. A blackbox model solves dense ``rho`` and ``d rho``
+per phase, the dense reference.
 """
 
 from __future__ import annotations
@@ -483,8 +483,8 @@ class _OutcomeRows:
     diagonal generator (no ``V``) the rows ``F[S]`` come from
     ``Povm._factor_rows``, which forms those of a product form (a product
     basis, or a product observable's eigenprojectors) site by site, so that
-    no ``d x R`` factor is built; a non-diagonal frame, or a
-    support of every row, reads the dense ``factor``. The
+    no ``d x R`` factor is built; a non-diagonal frame, or a support of
+    every row, reads the dense ``factor``. The
     carrier is moved on every row, ``O(d r)`` with ``d <= R``, as the
     full-row route moves it: a vectorised complex product can round
     otherwise than a lone one. Where ``|S| <= 2``, ``F^dagger d^k C`` is

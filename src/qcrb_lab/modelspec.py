@@ -225,8 +225,9 @@ def footprint(spec, command: str, *, show_sld: bool = False,
         rows = observable_rows = None
         if povm is not None and povm._site_bases is not None:  # no factor until read
             rows = _support_rows(model) if command in ("cfi", "scan", "simulate") else 0
-        if spec.observable is not None and spec.observable.product_form is not None:
-            observable_rows = _support_rows(model)  # eigenprojectors of a product form
+        if command == "simulate" and spec.observable is not None \
+                and spec.observable.product_form is not None:  # its eigenprojectors' rows
+            observable_rows = _support_rows(model)
         spec = Sizes(model.dim, 1 if isinstance(model.initial_state, PureState) else model.dim,
                      *((0, 0) if povm is None else (int(povm.block_bounds[-1]), len(povm))),
                      len(spec.phis), spec.trials, 0, 0, spec.observable is not None, rows,
