@@ -18,7 +18,8 @@ maximum-likelihood estimator sets up its outcome rows once per run
 (``fisher._OutcomeRows``, on the carrier's support rows), which also give
 the distribution the shots are drawn from and its CFI, shares one
 likelihood grid between all trials and solves each trial's score on its
-best cell in the same lockstep.
+best cell, searched on the branch of the interval centre, in the same
+lockstep.
 """
 
 from __future__ import annotations
