@@ -532,9 +532,15 @@ class Povm:
     @cached_property
     def factor(self) -> np.ndarray:
         """The ``d x R`` factor, read-only: the given one, or a product
-        form's, built on first read."""
-        factor = tensor_product(list(self._site_bases))
-        return _freeze(factor if self._order is None else factor[:, self._order])
+        form's, built on first read by :meth:`_factor_rows`, an eighth of
+        the rows (at least 64) at a time, so that its work arrays stay below
+        a quarter of the factor."""
+        out = np.empty((self.dim, int(self.block_bounds[-1])), dtype=complex)
+        step = max(64, self.dim // 8)
+        for start in range(0, self.dim, step):
+            out[start:start + step] = self._factor_rows(np.arange(start, min(start + step,
+                                                                             self.dim)))
+        return _freeze(out)
 
     @cached_property
     def labels(self) -> tuple:

@@ -477,7 +477,8 @@ class _OutcomeRows:
     Re<F_x^dagger C, F_x^dagger dC>`` and ``p'' = 2 (||F_x^dagger dC||^2 +
     Re<F_x^dagger C, F_x^dagger d^2 C>)``. A moved carrier ``e^{-i g phi}
     C_0'`` is zero wherever ``C_0'`` is, so the setup keeps only the rows
-    ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= 2``) on the support S of
+    ``(F^dagger V)[:, S] (-i g_S)^k`` (``k <= 2``, order 2 formed when it is
+    first read) on the support S of
     ``C_0'`` (``model._support``), and the products sum over S: they cost
     ``O(R |S| r)`` a phase, and the terms left out are exact zeros. Under a
     diagonal generator (no ``V``) the rows ``F[S]`` come from
@@ -494,7 +495,9 @@ class _OutcomeRows:
     chunks of ``chunk`` (:func:`_phase_chunk` of the ``r x max(R, |S|)``
     carrier products, or a blackbox model's ``d x max(d, R)`` stacks); each
     chunk's probabilities must sum to 1 and, if formed, their derivatives
-    to 0.
+    to 0. Where the carrier's rows hold two generator levels,
+    :meth:`fringes` reads every outcome's probability as one fringe from
+    the same rows.
     """
 
     def __init__(self, model: ParametricModel, povm: Povm) -> None:
@@ -514,14 +517,45 @@ class _OutcomeRows:
         else:
             frame = povm.factor if self.support is None else povm._factor_rows(self.support)
         g_s = g if self.support is None else g[self.support]
-        # (F^dagger V)[:, S] (-i g_S)^k, so that rows[k] @ C_0'[S] moved is F^dagger d^k C
+        # (F^dagger V)[:, S] (-i g_S)^k, so that rows[k] @ C_0'[S] moved is F^dagger d^k C;
+        # order 2 is formed on its first read
+        self._step = -1j * g_s
         self.rows = [frame.conj().T]
-        for _ in range(2):
-            self.rows.append(self.rows[-1] * (-1j * g_s))
+        self.rows.append(self.rows[0] * self._step)
         self.chunk = _phase_chunk(self.carrier.shape[1], max(columns, len(g_s)))
+
+    def fringes(self) -> tuple[float, np.ndarray] | None:
+        """``(w, table)`` where the carrier's nonzero rows hold exactly two
+        levels ``g_lo < g_hi`` of the generator, else ``None``: every
+        outcome's probability is then one fringe ``a + c cos(w phi) + s
+        sin(w phi)`` with ``w = g_hi - g_lo``, and ``table`` holds ``(a, c,
+        s)`` per outcome, shape ``(3, K)``. With ``A`` and ``B`` the rows'
+        ``F^dagger C_0'`` summed over the rows of each level, ``|A e^{-i g_lo
+        phi} + B e^{-i g_hi phi}|^2`` gives ``a = |A|^2 + |B|^2``, ``c = 2 Re(A
+        conj(B))`` and ``s = -2 Im(A conj(B))``, summed over the carrier's
+        columns and each outcome's block."""
+        if self.model.kind != "unitary_generator":
+            return None
+        carrier, g, rows = self.carrier, self.g, self.rows[0]
+        if self.support is None:
+            nonzero = carrier.any(axis=1)
+            rows = rows[:, nonzero]
+        else:
+            nonzero = self.support
+        carrier, g = carrier[nonzero], g[nonzero]
+        low = g == g.min()
+        if low.all() or not (low | (g == g.max())).all():
+            return None
+        a, b = rows[:, low] @ carrier[low], rows[:, ~low] @ carrier[~low]
+        cross = a * b.conj()
+        table = np.stack([_re_inner(a, a) + _re_inner(b, b), 2.0 * cross.real.sum(axis=1),
+                          -2.0 * cross.imag.sum(axis=1)])
+        return float(g.max() - g.min()), _block_sums(table, self.povm)
 
     def _products(self, moved: np.ndarray, order: int) -> list[np.ndarray]:
         """``F^dagger d^k C`` for ``k <= order`` from the moved carrier rows."""
+        if order == 2 and len(self.rows) == 2:
+            self.rows.append(self.rows[1] * self._step)
         rows = self.rows[:order + 1]
         if self.support is None or self.support.size > 2:
             return [f @ moved for f in rows]

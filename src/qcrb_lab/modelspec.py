@@ -190,10 +190,12 @@ class ModelSpec:
 #: rows the frame rows of the POVM's ``columns`` held: ``None`` (the default) for
 #: a d x R factor, ``|S|`` for a product form's support rows, 0 where a product
 #: form is not read; observable_rows the same for the eigenprojectors that
-#: simulate measures an observable with: ``None`` where it reads the d x d operator
+#: simulate measures an observable with: ``None`` where it reads the d x d operator;
+#: classes whether simulate's likelihood runs on two outcome classes (:func:`_two_classes`)
 Sizes = namedtuple("Sizes",
                    "dim rank columns outcomes phases trials file marks observable rows "
-                   "observable_rows", defaults=(1, 1, 0, 0, 1, 0, 0, 0, False, None, None))
+                   "observable_rows classes",
+                   defaults=(1, 1, 0, 0, 1, 0, 0, 0, False, None, None, False))
 #: the spec file characters that open or separate YAML nodes
 _YAML_MARKS = "[{,-:\n"
 # Bytes held per unit of size, fitted to tracemalloc peaks (tests/test_footprint.py)
@@ -205,8 +207,9 @@ _BYTES = {"base": 1 << 16,  # the smallest spec
           "rows": 24,       # |S| x R support-row entry per derivative order 0-2 (all three
                             # are stacked): its per-site build, conjugate, (-i g)^k multiples
           "matrix": 96,     # d x d entry of the SLD, or of simulate's eigh eigenprojectors
-          "mean_trial": 640, "mle_trial": 1024,  # a trial's record, result, grid row
+          "mean_trial": 640, "mle_trial": 1664,  # a trial's record, result, grid rows
           "outcome": 112,   # maximum-likelihood trial and outcome: counts and scores
+          "count": 16,      # the same on two outcome classes: its int64 count, twice over
           "batch": 112}     # entry of a phase chunk of fisher._OutcomeRows
 # per output row, cell and SLD entry of a row by format; cells per row ("load" has none)
 _ROW_BYTES = {"text": (300, 110, 200), "csv": (300, 110, 200), "json": (450, 240, 450)}
@@ -231,8 +234,9 @@ def footprint(spec, command: str, *, show_sld: bool = False,
         spec = Sizes(model.dim, 1 if isinstance(model.initial_state, PureState) else model.dim,
                      *((0, 0) if povm is None else (int(povm.block_bounds[-1]), len(povm))),
                      len(spec.phis), spec.trials, 0, 0, spec.observable is not None, rows,
-                     None if observable_rows == model.dim else observable_rows)
-    *sizes, observable, rows, observable_rows = spec
+                     None if observable_rows == model.dim else observable_rows,
+                     command == "simulate" and _two_classes(model, povm))
+    *sizes, observable, rows, observable_rows, classes = spec
     dim, rank, columns, outcomes, phases, trials, file, marks = (
         float(min(size, 2 ** 64)) for size in sizes)
     sld_rows, simulate = command == "sld" or show_sld, command == "simulate"
@@ -244,6 +248,9 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     # max(d, R) >= max(|S|, R), equal for a POVM with F F^dagger = I
     chunk = min(2.0 * trials + _MLE_GRID_POINTS if simulate
                 else phases * (command in ("cfi", "scan")), _phase_chunk(rank, width))
+    # on two classes the grid and the scores are two columns wide; the outcomes are
+    # read at the drawn phase alone
+    chunk = 1.0 if classes else chunk
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,
@@ -258,7 +265,8 @@ def footprint(spec, command: str, *, show_sld: bool = False,
             ("state", f"the {matrix} of each row"): entry * dim * dim * phases * sld_rows,
             ("trials", f"{trials:.0f} trials"): simulate * trials * (
                 _BYTES["mean_trial"] * observable
-                + mle * (_BYTES["mle_trial"] + _BYTES["outcome"] * outcomes)),
+                + mle * (_BYTES["mle_trial"]
+                         + _BYTES["count" if classes else "outcome"] * outcomes)),
             ("povm", "outcome phase chunks"): mle * _BYTES["batch"] * chunk * rank * width}
 
 
@@ -272,6 +280,20 @@ def _support_rows(model: ParametricModel) -> int:
             and model._support is not None):
         return model._support.size
     return model.dim
+
+
+def _two_classes(model: ParametricModel, povm) -> bool:
+    """Whether every outcome of ``povm`` on ``model`` takes one of two
+    fringes, as ``simulate``'s likelihood finds them: a state vector with two
+    nonzero amplitudes on two levels of a diagonal generator, measured in a
+    product basis (whose outcomes split by parity) or with two outcomes."""
+    state = model.initial_state
+    if povm is None or not isinstance(state, PureState) or model.generator.diagonal is None:
+        return False
+    rows = np.flatnonzero(state.amplitudes)
+    levels = model.generator.diagonal[rows]
+    return (rows.size == 2 and levels[0] != levels[1]
+            and (len(povm) == 2 or povm._site_bases is not None and povm._order is None))
 
 
 def _admit(terms: dict, what: str, field: str | None = None) -> None:

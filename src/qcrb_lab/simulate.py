@@ -20,6 +20,16 @@ the distribution the shots are drawn from and its CFI, shares one
 likelihood grid between all trials and solves each trial's score on its
 best cell, searched on the branch of the interval centre, in the same
 lockstep.
+
+Where the carrier holds two generator levels ``g_lo < g_hi`` (every GHZ
+state), both estimators read one fringe ``a + R cos(w phi - theta)``, ``w =
+g_hi - g_lo``, and take no ITP step: a one-gap mean curve has its branch
+and its inverse in closed form (:func:`_fringe_phases`, the parity
+estimator of Bollinger et al., PRA 54, R4649, 1996), and where every
+outcome's fringe is one of two (parity, on a product basis), the
+likelihood runs on the two class counts, a sufficient statistic, with its
+root ``P_1 = N_1 / (m_1 nu)`` in closed form wherever the bracket holds no
+turning point of ``P_1``.
 """
 
 from __future__ import annotations
@@ -190,9 +200,11 @@ def _draw_counts(dist: OutcomeDistribution, nu: int, seed: int,
     probs = probs / probs.sum()
     streams = list(streams)
     states = iter(_spawned_states(seed, [k for k in streams if k is not None]))
-    return np.array([(default_rng(seed) if k is None
-                      else Generator(PCG64(_SpawnedState(next(states))))).multinomial(nu, probs)
-                     for k in streams])
+    counts = np.empty((len(streams), probs.size), dtype=np.int64)
+    for row, k in zip(counts, streams):
+        row[:] = (default_rng(seed) if k is None
+                  else Generator(PCG64(_SpawnedState(next(states))))).multinomial(nu, probs)
+    return counts
 
 
 def sample_shots(dist: OutcomeDistribution, nu: int, seed: int, *,
@@ -253,8 +265,11 @@ class _MeanCurve:
     GHZ carrier's do. A full support or a non-diagonal frame forms the
     table from the dense ``O'``. The coefficients are formed once, so a
     phase costs O(#gaps); phases run in chunks of at most ``_BATCH_ENTRIES
-    / #gaps``. A blackbox model's curve reads :func:`~.optimality._moments`
-    of :func:`~.fisher.sld` at each phase, the dense reference.
+    / #gaps``. A curve of one gap ``w`` (any carrier of two generator
+    levels) is the fringe ``a_0 + R cos(w phi - theta)`` of :meth:`fringe`,
+    whose branches and inverse the estimator takes in closed form. A
+    blackbox model's curve reads :func:`~.optimality._moments` of
+    :func:`~.fisher.sld` at each phase, the dense reference.
     """
 
     def __init__(self, model: ParametricModel, obs: HermitianObservable) -> None:
@@ -296,6 +311,15 @@ class _MeanCurve:
             out[start:start + chunk] = constant + (np.cos(angles) * cos
                                                    + np.sin(angles) * sin).sum(axis=1)
         return out
+
+    def fringe(self) -> tuple[float, float, float, float] | None:
+        """``(a, R, theta, w)`` with ``<O>(phi) = a + R cos(w phi - theta)``
+        where the curve has one gap ``w``, else ``None``."""
+        if self.gaps is None or self.gaps.size != 1:
+            return None
+        constant, cos, sin = self._terms[0]
+        return (constant, math.hypot(cos[0], sin[0]), math.atan2(sin[0], cos[0]),
+                float(self.gaps[0]))
 
     def mean(self, phis) -> np.ndarray:
         return self._evaluate(phis, 0)
@@ -373,16 +397,14 @@ def _itp(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
 
     The constants. ``n_0 = 1`` gives the first step a room of at least ``w_0
     / 2``, the whole bracket, whatever ``w_0 / xtol``; with ``n_0 = 0`` it
-    would depend on how far ``w_0 / xtol`` falls below a power of 2, and
-    ``n_0 = 2`` took as many steps on the benchmark's brackets.
+    would depend on how far ``w_0 / xtol`` falls below a power of 2.
     ``kappa_2 = 2`` lies in ``[1, 1 + golden ratio)``, where the truncation
     keeps the interpolation's superlinear convergence near a simple root; it
     shrinks like the regula falsi error of a smooth ``f``. ``kappa_1 =
     0.1 / w_0`` makes the truncation scale-free, a tenth of the bracket at
-    the start: over the GHZ N=2 benchmark runs (seeds 1-5) the branch ends,
-    inversions and likelihood solves took 21-23 function calls in all at
-    0.1, 23-24 at 0.05, 25-26 at 0.2 and 27-28 at 0.5, against 115 by
-    bisection.
+    the start. The solver serves the curves and likelihoods that are no one
+    fringe (more than two generator levels or outcome classes, a blackbox
+    model) and the likelihood brackets that hold a turning point.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     roots = (lo + hi) / 2.0
@@ -424,11 +446,47 @@ def _itp(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
     return roots
 
 
+def _fringe_branch(fringe, phis):
+    """The index ``k`` of the monotone branch ``[(theta + k pi) / w, (theta +
+    (k + 1) pi) / w]`` of the fringe ``a + R cos(w phi - theta)`` that holds
+    each phase (the upper one at a turning point)."""
+    _, _, theta, w = fringe
+    return np.floor((w * np.asarray(phis) - theta) / math.pi).astype(int)
+
+
+def _fringe_phases(fringe, values, k):
+    """The phases on branch ``k`` where the fringe ``(a, R, theta, w)``
+    takes ``values``: ``(theta + k pi + arccos((-1)^k (v - a) / R)) / w``,
+    the argument clipped into ``[-1, 1]``.
+
+    Against an ITP solve on the same branch to ``xtol``, which stops within
+    ``xtol / 2`` of a root of the fringe as its route evaluates it, within
+    ``u`` of the exact one: ``a``, ``R``, ``theta``, the argument ``x`` and
+    the sum carry a few ulps, and a change ``delta`` of ``x`` moves arccos
+    by at most ``min(delta / sqrt(1 - (|x| + delta)^2), sqrt(2 delta))``, so
+    the two differ by at most ``xtol / 2 + 2 min(...) / w + 4 eps (|theta| +
+    (|k| + 1) pi) / w`` with ``delta = (u + 4 eps (|a| + |v| + R)) / R``:
+    the conditioning grows like ``1 / sqrt(1 - x^2)`` toward a turning
+    point, where the square root takes over."""
+    a, radius, theta, w = fringe
+    x = np.where(k % 2, a - values, values - a) / radius
+    return (theta + k * math.pi + np.arccos(np.clip(x, -1.0, 1.0))) / w
+
+
 def _branch_interval(curve: _MeanCurve, center: float, step: float) -> tuple[float, float]:
     """Monotone interval of the mean curve around ``center``. Each side
     walks outward in ``step``s up to ``2 pi``; its end is the first walk
     phase where the slope is 0, the stationary point solved between the
-    walk phases where the slope's sign changes, or the last walk phase."""
+    walk phases where the slope's sign changes, or the last walk phase. A
+    one-gap curve takes its branch in closed form, cut at the last walk
+    phases."""
+    fringe = curve.fringe()
+    if fringe is not None:
+        _, _, theta, w = fringe
+        reach = (int(2.0 * math.pi / step) + 1) * step
+        k = int(_fringe_branch(fringe, center))
+        return (max((theta + k * math.pi) / w, center - reach),
+                min((theta + (k + 1) * math.pi) / w, center + reach))
     center_slope = float(curve.slope([center])[0])
     sign_center = math.copysign(1.0, center_slope)
     # row 0 walks down, row 1 up
@@ -467,8 +525,9 @@ def _sample_mean_estimates(counts: np.ndarray, model: ParametricModel,
     outcomes have the numeric ``values``: the mean curve (checked against
     ``report`` at ``branch_center``), the monotone branch around it and its
     end means are set up once, then every in-branch sample mean is inverted
-    in one lockstep :func:`_itp` solve. Returns the estimates, the mask of the means
-    outside the branch image (estimated by the nearer end) and the branch."""
+    in one lockstep :func:`_itp` solve, or in closed form on a one-gap
+    curve. Returns the estimates, the mask of the means outside the branch
+    image (estimated by the nearer end) and the branch."""
     curve = _MeanCurve(model, obs)
     curve.check(branch_center, report)
     n_sites = max(1, math.ceil(math.log2(model.dim)))
@@ -483,6 +542,11 @@ def _sample_mean_estimates(counts: np.ndarray, model: ParametricModel,
     phi_hat[means == mean_lo] = lo
     inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
     count = int(inside.sum())
+    fringe = curve.fringe()
+    if fringe is not None:
+        k = _fringe_branch(fringe, branch_center)
+        phi_hat[inside] = np.clip(_fringe_phases(fringe, means[inside], k), lo, hi)
+        return phi_hat, out_of_branch, (lo, hi)
     phi_hat[inside] = _itp(lambda phis, _: curve.mean(phis), np.full(count, lo),
                            np.full(count, hi), np.full(count, mean_lo),
                            np.full(count, mean_hi), means[inside])
@@ -559,12 +623,22 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
     its estimate is the root, solved in lockstep with the other rows' by
     :func:`_itp` from the scores at the bracket's ends; otherwise the
     maximum sits at a bracket end, the one with the larger grid
-    log-likelihood. Returns the estimates, an all-false clipped mask and
-    the search interval, the estimates' branch.
+    log-likelihood. Where the outcomes fall into two classes
+    (:func:`_outcome_classes`), the counts, the grid, the branch and the
+    scores are the classes', ``N_1 log P_1 + N_2 log P_2`` being the
+    likelihood up to a constant, and a root whose bracket holds no turning
+    point of ``P_1`` is ``P_1 = N_1 / (m_1 nu)`` on its branch, clipped into
+    the bracket. Returns the estimates, an all-false clipped mask and the
+    search interval, the estimates' branch.
     """
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not hi > lo:
         raise ValueError("search interval must have positive length")
+    classes = _outcome_classes(arrays)
+    if classes is not None:
+        member, arrays, fringe, multiplicity = classes
+        first = np.sum(counts, axis=1, where=member)
+        counts = np.stack([first, counts.sum(axis=1) - first], axis=1)
     counts = counts.astype(float)
 
     def score(phis: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -603,9 +677,51 @@ def _mle_estimates(counts: np.ndarray, arrays: fisher._OutcomeRows,
     # the bracket end with the larger grid value, the lower end on a tie
     phi_hat = grid[ends[values[rows, ends].argmax(axis=0), rows]]
     falls = np.flatnonzero((s_lo > 0.0) & (s_hi < 0.0))
-    phi_hat[falls] = _itp(lambda phis, open_rows: score(phis, falls[open_rows]),
-                          *grid[ends[:, falls]], s_lo[falls], s_hi[falls], np.zeros(falls.size))
+    if classes is not None:  # the root P_1 = N_1 / (m_1 nu) where P_1 is monotone
+        bracket = grid[ends[:, falls]]
+        k = _fringe_branch(fringe, bracket)
+        closed = k[0] == k[1]
+        solved, n = falls[closed], counts[falls[closed]]
+        phi_hat[solved] = np.clip(
+            _fringe_phases(fringe, n[:, 0] / (multiplicity * n.sum(axis=1)), k[0, closed]),
+            *bracket[:, closed])
+        falls = falls[~closed]
+    if falls.size:
+        phi_hat[falls] = _itp(lambda phis, open_rows: score(phis, falls[open_rows]),
+                              *grid[ends[:, falls]], s_lo[falls], s_hi[falls],
+                              np.zeros(falls.size))
     return phi_hat, np.zeros(len(counts), dtype=bool), (lo, hi)
+
+
+def _outcome_classes(arrays: fisher._OutcomeRows):
+    """Where every outcome's fringe (``arrays.fringes()``) is one of exactly
+    two, compared by value so that signed zeros do not split them: the mask
+    of class 1 (the outcomes of outcome 0's fringe), an evaluator of the
+    classes' clipped probabilities ``P_c`` and slopes, shaped as ``arrays``'
+    with one column per class and checked to give ``m_1 P_1 + m_2 P_2 = 1``,
+    class 1's fringe ``(a, R, theta, w)`` and its multiplicity ``m_1``;
+    else ``None``."""
+    found = arrays.fringes()
+    if found is None:
+        return None
+    w, table = found
+    member = (table == table[:, :1]).all(axis=0)
+    other = table[:, int(np.argmin(member))]
+    if member.all() or not (member | (table == other[:, None]).all(axis=0)).all():
+        return None
+    a, c, s = np.stack([table[:, 0], other], axis=1)
+    weights = np.array([member.sum(), member.size - member.sum()], dtype=float)
+
+    def evaluate(phis, order: int) -> np.ndarray:
+        angles = w * np.asarray(phis, dtype=float).reshape(-1, 1)
+        cos, sin = np.cos(angles), np.sin(angles)
+        out = np.stack([a + c * cos + s * sin, w * (s * cos - c * sin)])
+        np.clip(out[0], 0.0, 1.0, out=out[0])
+        fisher._check_totals(out[0] * weights, out[1] * weights)
+        return out
+
+    return member, evaluate, (a[0], math.hypot(c[0], s[0]), math.atan2(s[0], c[0]), w), \
+        weights[0]
 
 
 def _branch_cells(derivs: np.ndarray) -> np.ndarray:
@@ -629,12 +745,14 @@ def estimate_phi_mle(record: ShotRecord, model: ParametricModel, povm: Povm,
     """Maximum-likelihood phase estimate over a search interval.
 
     Coarse scan of a 65-point grid on the branch of the interval center,
-    whose ties are broken toward the center, then an ITP solve of the score ``sum_x n_x p'_x / p_x``
-    down to a 1e-12 bracket where it falls through zero across the best
-    cell's neighbours (reading its values to interpolate and its signs to
-    bracket, on outcome rows set up once), or else the neighbour with the
-    larger grid log-likelihood. Raises :class:`FlatLikelihoodError` when the
-    likelihood carries no phase dependence over the interval.
+    whose ties are broken toward the center, then an ITP solve of the score
+    ``sum_x n_x p'_x / p_x`` down to a 1e-12 bracket where it falls through
+    zero across the best cell's neighbours (reading its values to
+    interpolate and its signs to bracket, on outcome rows set up once), or
+    else the neighbour with the larger grid log-likelihood; on two outcome
+    classes, the root in closed form (:func:`_mle_estimates`). Raises
+    :class:`FlatLikelihoodError` when the likelihood carries no phase
+    dependence over the interval.
     """
     arrays = fisher._OutcomeRows(model, povm)
     phi_hat, _, branch = _mle_estimates(record.counts[None], arrays, search_interval)

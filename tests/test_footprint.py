@@ -293,6 +293,7 @@ def test_support_rows_admit_what_the_factor_could_not(tmp_path, monkeypatch, dat
         raise AssertionError("no dense factor may be built")
 
     monkeypatch.setattr(core, "tensor_product", build)
+    monkeypatch.setattr(core.Povm, "factor", property(build))
     result = CliRunner().invoke(main, [args[0], "--model", _spec(tmp_path, data),
                                        *args[1:], *JSON])
     assert result.exit_code == 0, result.output

@@ -30,7 +30,7 @@ from qcrb_lab import (
     state_derivative,
     unitary_model,
 )
-from qcrb_lab.core import _DEGENERACY_TOL
+from qcrb_lab.core import _DEGENERACY_TOL, tensor_product
 from conftest import degenerate_observable, random_density, random_hermitian, random_povm
 
 
@@ -180,10 +180,10 @@ class TestFactorOwnership:
 
     def test_x_product_load_peaks_near_one_factor(self):
         """An N=10 ``x_basis_product`` POVM holds its 1025 block bounds and no
-        factor; the dense factor, built on first read, peaks at 1.25
-        factors: its last Kronecker step holds its 512 x 512 input, a
-        quarter of the factor, next to the output. A copy into the POVM
-        made it 2.07."""
+        factor; the dense factor, built on first read an eighth of its rows
+        at a time, peaks at 1.21 factors: each eighth's last outer product
+        holds its input, half the eighth, next to its output. Building every
+        row at once made it 1.54, and a copy into the POVM 2.07."""
         import tracemalloc
 
         product_basis_povm("x", 2).factor  # no first-call import in the peaks
@@ -315,6 +315,9 @@ class TestProductEigenprojectors:
         for picked in (rng.choice(dim, size=1), rng.choice(dim, size=min(2, dim), replace=False),
                        np.arange(dim)):
             assert np.array_equal(povm._factor_rows(picked), povm.factor[picked])
+        # the factor, built row by row, is the Kronecker product of the site bases
+        assert np.array_equal(povm.factor,
+                              tensor_product(list(povm._site_bases))[:, povm._order])
 
 
 def _no_eigh(*args, **kwargs):

@@ -375,10 +375,10 @@ def _reference_log_probabilities(probs, floor=1e-300):
     return np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > floor)
 
 
-def _reference_log_likelihood(record, dist, floor=1e-300):
-    logs = _reference_log_probabilities(dist.probabilities, floor)
+def _reference_log_likelihood(counts, probs, floor=1e-300):
+    logs = _reference_log_probabilities(probs, floor)
     total = 0.0
-    for count, p, log_p in zip(record.counts, dist.probabilities, logs):
+    for count, p, log_p in zip(counts, probs, logs):
         if count == 0:
             continue
         if p <= floor:
@@ -422,37 +422,38 @@ def _reference_newton_step(record, model, povm, phi, lo, hi):
     return phi
 
 
-def _reference_branch(model, povm, grid):
+def _reference_branch(slopes):
     """The grid indices from the centre index outward until ``p'`` of the
     outcome with the largest ``|p'|`` at the centre changes sign or
-    vanishes, one phase at a time; every index where it vanishes there."""
-    slopes = np.array([outcome_distribution(model, p, povm, second_order=False).derivatives
-                       for p in grid])
-    mid = len(grid) // 2
+    vanishes, from ``slopes``, ``p'`` per grid phase (one at a time) and
+    outcome; every index where it vanishes there."""
+    mid = len(slopes) // 2
     column = slopes[:, int(np.argmax(np.abs(slopes[mid])))]
     sign = np.sign(column[mid])
     if sign == 0.0:
-        return set(range(len(grid)))
+        return set(range(len(slopes)))
     branch = {mid}
     for step in (-1, 1):
         i = mid + step
-        while 0 <= i < len(grid) and np.sign(column[i]) == sign:
+        while 0 <= i < len(slopes) and np.sign(column[i]) == sign:
             branch.add(i)
             i += step
     return branch
 
 
-def _reference_bracket(record, model, povm, search_interval, grid_points=65):
+def _reference_bracket(arrays, counts, search_interval, grid_points=65):
     """The grid, its log-likelihoods and the grid indices of the bracket
     ``[grid[b - 1], grid[b + 1]]`` around the best index ``b`` on the
     centre's branch (every finite index where the branch has none; ties
     broken toward the interval centre, then the lower index), one phase at
-    a time."""
+    a time; ``arrays(phi)`` gives ``(p, p')`` per outcome (or class) whose
+    ``counts`` a record holds."""
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([reference_log_likelihood(record, model, povm, p) for p in grid])
+    at = [arrays(p) for p in grid]
+    values = np.array([_reference_log_likelihood(counts, probs) for probs, _ in at])
     finite = np.isfinite(values)
-    branch = _reference_branch(model, povm, grid)
+    branch = _reference_branch(np.array([derivs for _, derivs in at]))
     pool = [i for i in range(grid_points) if finite[i] and i in branch] or \
         [i for i in range(grid_points) if finite[i]]
     best = float(max(values[i] for i in pool))
@@ -465,15 +466,97 @@ def _reference_bracket(record, model, povm, search_interval, grid_points=65):
 
 def reference_log_likelihood(record, model, povm, phi):
     return _reference_log_likelihood(
-        record, outcome_distribution(model, phi, povm, second_order=False))
+        record.counts, outcome_distribution(model, phi, povm, second_order=False).probabilities)
+
+
+def _outcome_arrays(model, povm):
+    """``phi -> (p, p')`` per outcome, one phase at a time."""
+    def at(phi):
+        dist = outcome_distribution(model, phi, povm, second_order=False)
+        return dist.probabilities, dist.derivatives
+    return at
+
+
+def _reference_score(counts, probs, derivs):
+    """``sum n p' / p`` over the counted outcomes (or classes)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(counts > 0, counts * derivs / probs, 0.0).sum())
 
 
 def reference_score(record, model, povm, phi):
     """``sum_x n_x p'_x / p_x`` over the counted outcomes of one record."""
-    dist = outcome_distribution(model, phi, povm, second_order=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.where(record.counts > 0, record.counts * dist.derivatives
-                              / dist.probabilities, 0.0).sum())
+    return _reference_score(record.counts, *_outcome_arrays(model, povm)(phi))
+
+
+def reference_classes(model, povm):
+    """``(member, fringes, w)`` where the outcome fringes ``(a, c, s)`` of
+    the setup (``_OutcomeRows.fringes``), compared as Python floats (so
+    that ``-0.0 == 0.0``), take exactly two values: ``member[x]`` marks the
+    outcomes of outcome 0's fringe (class 1), ``fringes`` holds class 1's
+    and class 2's; else ``None``."""
+    found = _OutcomeRows(model, povm).fringes()
+    if found is None:
+        return None
+    w, table = found
+    fringes = [tuple(column) for column in table.T.tolist()]
+    if len(set(fringes)) != 2:
+        return None
+    member = [f == fringes[0] for f in fringes]
+    return member, (fringes[0], fringes[member.index(False)]), w
+
+
+def _class_arrays(classes):
+    """``phi -> (P, P')`` of the two classes, one phase at a time: ``P_c = a
+    + c cos(w phi) + s sin(w phi)`` clipped into [0, 1], ``P'_c = w (s
+    cos(w phi) - c sin(w phi))``."""
+    _, fringes, w = classes
+
+    def at(phi):
+        angle = w * phi
+        cos, sin = np.cos(angle), np.sin(angle)
+        return (np.array([min(max(a + c * cos + s * sin, 0.0), 1.0) for a, c, s in fringes]),
+                np.array([w * (s * cos - c * sin) for a, c, s in fringes]))
+    return at
+
+
+def _reference_fringe_phase(fringe, value, k):
+    """The phase on branch ``k`` of ``a + R cos(w phi - theta)`` where it
+    takes ``value``, one value at a time."""
+    a, radius, theta, w = fringe
+    x = ((a - value) if k % 2 else (value - a)) / radius
+    return (theta + k * math.pi + float(np.arccos(np.clip(x, -1.0, 1.0)))) / w
+
+
+def _reference_class_mle(record, classes, search_interval, closed=True):
+    """The class route of one record: class counts ``(N_1, N_2)``, the grid
+    and bracket on the two class columns, then, where the class score falls
+    through zero across the bracket, the root ``P_1 = N_1 / (m_1 nu)`` in
+    closed form on class 1's branch if both ends lie on it (and ``closed``),
+    else a scalar ITP solve of the class score; otherwise the bracket end
+    with the larger grid log-likelihood. Returns the estimate and its route:
+    ``"end"``, ``"closed"``, ``"itp"`` (not ``closed``) or ``"turning"``
+    (a bracket that holds a turning point)."""
+    member, fringes, w = classes
+    first = sum(int(n) for n, m in zip(record.counts, member) if m)
+    counts = np.array([first, record.nu - first], dtype=float)
+    arrays = _class_arrays(classes)
+    grid, values, lo_i, hi_i = _reference_bracket(arrays, counts, search_interval)
+
+    def score(phi):
+        return _reference_score(counts, *arrays(phi))
+
+    lo, hi = grid[lo_i], grid[hi_i]
+    if not score(lo) > 0.0 > score(hi):
+        return (grid[hi_i] if values[hi_i] > values[lo_i] else grid[lo_i]), "end"
+    a, c, s = fringes[0]
+    fringe = (a, math.hypot(c, s), math.atan2(s, c), w)
+    k_lo, k_hi = (math.floor((w * x - fringe[2]) / math.pi) for x in (lo, hi))
+    if k_lo != k_hi:
+        return reference_itp(score, float(lo), float(hi), 0.0), "turning"
+    if closed:
+        target = counts[0] / (sum(member) * (counts[0] + counts[1]))
+        return min(max(_reference_fringe_phase(fringe, target, k_lo), lo), hi), "closed"
+    return reference_itp(score, float(lo), float(hi), 0.0), "itp"
 
 
 def _mle_result(record, model, povm, search_interval, phi_hat):
@@ -490,8 +573,15 @@ def _mle_result(record, model, povm, search_interval, phi_hat):
 def reference_mle(record, model, povm, search_interval):
     """Grid, bracket, then a scalar ITP solve of the record's score where it
     falls through zero across the bracket; else the bracket end with the
-    larger grid log-likelihood, the lower end on a tie."""
-    grid, values, lo_i, hi_i = _reference_bracket(record, model, povm, search_interval)
+    larger grid log-likelihood, the lower end on a tie. Where the outcomes
+    fall into two classes (``reference_classes``), the class route of
+    ``_reference_class_mle``."""
+    classes = reference_classes(model, povm)
+    if classes is not None:
+        phi_hat, _ = _reference_class_mle(record, classes, search_interval)
+        return _mle_result(record, model, povm, search_interval, phi_hat)
+    grid, values, lo_i, hi_i = _reference_bracket(_outcome_arrays(model, povm), record.counts,
+                                                  search_interval)
 
     def score(phi):
         return reference_score(record, model, povm, phi)
@@ -507,7 +597,8 @@ def golden_newton_mle(record, model, povm, search_interval):
     """The earlier refinement, kept as an independent cross-check: a
     golden-section search of the bracket on log-likelihood values down to
     1e-10, then one Newton step on the score."""
-    grid, _, lo_i, hi_i = _reference_bracket(record, model, povm, search_interval)
+    grid, _, lo_i, hi_i = _reference_bracket(_outcome_arrays(model, povm), record.counts,
+                                             search_interval)
     bracket = (float(grid[lo_i]), float(grid[hi_i]))
     phi_hat = _reference_newton_step(
         record, model, povm,
@@ -527,14 +618,27 @@ def moments_curve(model, obs):
 
 def harmonic_curve(model, obs):
     """``phi -> (<O>, d<O>/dphi)`` of a generator model from the harmonic
-    sum over the gaps of its centred generator, one phase at a time: ``M_jk
-    = O'_jk rho_0'_kj`` in the frame, ``Re M`` summed over the zero gaps, and
-    ``c_w = 2 Re sum M_jk``, ``s_w = -2 Im sum M_jk`` accumulated in row-major
-    order over the pairs with ``g_j - g_k = w > 0``, sorted by ``w``; gaps
-    with ``c_w = s_w = 0`` are dropped. A blackbox model's curve is
-    ``moments_curve``."""
+    sum of ``harmonic_terms``, one phase at a time. A blackbox model's curve
+    is ``moments_curve``."""
     if model.kind != "unitary_generator":
         return moments_curve(model, obs)
+    constant, gaps, cos, sin = harmonic_terms(model, obs)
+
+    def at(phi):
+        angles = phi * gaps
+        mean = constant + (np.cos(angles) * cos + np.sin(angles) * sin).sum()
+        slope = 0.0 + (np.cos(angles) * (gaps * sin) + np.sin(angles) * (-gaps * cos)).sum()
+        return float(mean), float(slope)
+    return at
+
+
+def harmonic_terms(model, obs):
+    """``(a_0, gaps, c_w, s_w)`` of a generator model's mean curve over the
+    gaps of its centred generator: ``M_jk = O'_jk rho_0'_kj`` in the frame,
+    ``Re M`` summed over the zero gaps, and ``c_w = 2 Re sum M_jk``, ``s_w =
+    -2 Im sum M_jk`` accumulated in row-major order over the pairs with
+    ``g_j - g_k = w > 0``, sorted by ``w``; gaps with ``c_w = s_w = 0`` are
+    dropped."""
     g, basis = ref_frame(model.generator)
     o = obs.matrix if basis is None else basis.conj().T @ obs.matrix @ basis
     carrier = ref_frame_solution(model)[0]
@@ -548,17 +652,21 @@ def harmonic_curve(model, obs):
             if gap > 0.0:
                 re, im = sums.get(gap, (0.0, 0.0))
                 sums[gap] = (re + m[j, k].real, im + m[j, k].imag)
-    constant = float(np.sum(constant))
     terms = [(gap, 2.0 * re, -2.0 * im) for gap, (re, im) in sorted(sums.items())
              if re != 0.0 or im != 0.0]
-    gaps, cos, sin = (np.array([term[i] for term in terms]) for i in range(3))
+    return (float(np.sum(constant)),
+            *(np.array([term[i] for term in terms]) for i in range(3)))
 
-    def at(phi):
-        angles = phi * gaps
-        mean = constant + (np.cos(angles) * cos + np.sin(angles) * sin).sum()
-        slope = 0.0 + (np.cos(angles) * (gaps * sin) + np.sin(angles) * (-gaps * cos)).sum()
-        return float(mean), float(slope)
-    return at
+
+def reference_fringe(model, obs):
+    """``(a, R, theta, w)`` of a generator model's mean curve where
+    ``harmonic_terms`` hold one gap, else ``None``."""
+    if model.kind != "unitary_generator":
+        return None
+    constant, gaps, cos, sin = harmonic_terms(model, obs)
+    if gaps.size != 1:
+        return None
+    return constant, math.hypot(cos[0], sin[0]), math.atan2(sin[0], cos[0]), float(gaps[0])
 
 
 def _sign(x):
@@ -633,9 +741,11 @@ def _reference_branch_interval(slope, center, step, root):
 
 
 def reference_sample_mean(record, obs, model, branch_center, curve=harmonic_curve,
-                          root=reference_itp):
+                          root=reference_itp, closed=True):
     """The sample-mean estimate of one record, evaluating the mean curve
-    ``curve(model, obs)`` one phase at a time and solving with ``root``."""
+    ``curve(model, obs)`` one phase at a time and solving with ``root``; if
+    ``closed``, a one-gap harmonic curve (``reference_fringe``) takes its
+    branch and its inversion in closed form, one value at a time."""
     values = np.array([float(label) for label in record.labels])
     empirical_mean = float((record.frequencies() * values).sum())
     report = error_propagation(model, branch_center, obs, record.nu)
@@ -649,8 +759,16 @@ def reference_sample_mean(record, obs, model, branch_center, curve=harmonic_curv
         return at(x)[1]
 
     n_sites = max(1, math.ceil(math.log2(model.dim)))
-    lo, hi = _reference_branch_interval(slope, branch_center, math.pi / (8.0 * n_sites),
-                                        root)
+    step = math.pi / (8.0 * n_sites)
+    fringe = reference_fringe(model, obs) if curve is harmonic_curve and closed else None
+    if fringe is not None:
+        _, _, theta, w = fringe
+        k = math.floor((w * branch_center - theta) / math.pi)
+        reach = (int(2.0 * math.pi / step) + 1) * step
+        lo = max((theta + k * math.pi) / w, branch_center - reach)
+        hi = min((theta + (k + 1) * math.pi) / w, branch_center + reach)
+    else:
+        lo, hi = _reference_branch_interval(slope, branch_center, step, root)
     mean_lo, mean_hi = mean(lo), mean(hi)
     low_value, high_value = sorted((mean_lo, mean_hi))
     if empirical_mean < low_value or empirical_mean > high_value:
@@ -662,6 +780,8 @@ def reference_sample_mean(record, obs, model, branch_center, curve=harmonic_curv
         phi_hat = lo
     elif empirical_mean == mean_hi:
         phi_hat = hi
+    elif fringe is not None:
+        phi_hat = min(max(_reference_fringe_phase(fringe, empirical_mean, k), lo), hi)
     else:
         phi_hat = root(mean, lo, hi, empirical_mean)
     return simulate.EstimatorResult(phi_hat=float(phi_hat), method="sample_mean_inversion",
@@ -695,12 +815,22 @@ def _blackbox_ghz2():
     return blackbox_model(pure.density, 4)
 
 
+def _three_levels():
+    """Amplitudes on |000>, |011> and |111> under J_z: three generator
+    levels, so that the outcome probabilities are no one fringe."""
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 3, 7]] = 0.7, 0.3 + 0.2j, 0.6
+    return unitary_model(PureState(amps / np.linalg.norm(amps)), collective_spin("z", 3))
+
+
 @cache
 def equivalence_case(name):
     """(model, product POVM, observable, phase) for each cross-checked model."""
     if name.startswith("ghz"):
         n, axis = int(name[3]), name[-1]
         model = ghz_model(n)
+    elif name == "three-level":
+        n, axis, model = 3, "x", _three_levels()
     else:
         n, axis = 2, "x"
         model = _mixed_ghz2() if name == "mixed" else _blackbox_ghz2()
@@ -708,7 +838,7 @@ def equivalence_case(name):
 
 
 EQUIVALENCE_CASES = ("ghz1-x", "ghz1-y", "ghz2-x", "ghz2-y", "ghz3-x", "ghz3-y",
-                     "mixed", "blackbox")
+                     "mixed", "blackbox", "three-level")
 NU, TRIALS, SEED = 2000, 6, 13
 
 
@@ -1297,3 +1427,239 @@ class TestBisect:
                               np.array([1e300]), np.zeros(1))
         assert lo not in seen and hi not in seen
         assert abs(found[0] - root) <= 1e-12
+
+
+def closed_form_bound(fringe, value, k, u, xtol=1e-12):
+    """The bound of ``simulate._fringe_phases`` on the distance between the
+    closed-form phase of ``value`` on branch ``k`` of ``fringe = (a, R,
+    theta, w)`` and an ITP root to ``xtol`` of the fringe evaluated within
+    ``u``."""
+    a, radius, theta, w = fringe
+    x = abs(value - a) / radius
+    delta = (u + 4.0 * _EPS * (abs(a) + abs(value) + radius)) / radius
+    room = 1.0 - (x + delta) ** 2
+    move = math.sqrt(2.0 * delta)
+    if room > 0.0:
+        move = min(move, delta / math.sqrt(room))
+    return xtol / 2.0 + 2.0 * move / w + 4.0 * _EPS * (abs(theta) + (abs(k) + 1) * math.pi) / w
+
+
+@st.composite
+def two_level_cases(draw):
+    """``(model, povm, observable)``: N = 1-6 qubits under J_z with a pure
+    or rank-1/2 density carrier on 1-3 rows of each of two popcounts (two
+    generator levels), measured in the x or y product basis or with the
+    eigenprojectors of a random product observable (one of +-1 sites, whose
+    product has two eigenvalues, or of random quadruples)."""
+    n = draw(st.integers(1, 6))
+    popcounts = [bin(i).count("1") for i in range(2 ** n)]
+    levels = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    rows = [draw(st.lists(st.sampled_from([i for i, p in enumerate(popcounts) if p == level]),
+                          min_size=1, max_size=3, unique=True)) for level in levels]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.sampled_from([0, 1, 2]))  # 0: a state vector
+    vectors = np.zeros((2 ** n, max(rank, 1)), dtype=complex)
+    picked = rows[0] + rows[1]
+    vectors[picked] = (rng.normal(size=(len(picked), max(rank, 1)))
+                       + 1j * rng.normal(size=(len(picked), max(rank, 1))))
+    if rank:
+        rho = vectors @ vectors.conj().T
+        state = DensityMatrix(rho / np.trace(rho).real)
+    else:
+        state = PureState(vectors[:, 0] / np.linalg.norm(vectors))
+    model = unitary_model(state, collective_spin("z", n))
+    kind = draw(st.sampled_from(["x", "y", "signs", "sites"]))
+    if kind == "signs":
+        directions = rng.normal(size=(n, 3))
+        sites = [(0.0, *(v / np.linalg.norm(v))) for v in directions]
+    else:
+        sites = [tuple(rng.uniform(-1.0, 1.0, size=4)) for _ in range(n)]
+    obs = product_observable(sites)
+    povm = product_basis_povm(kind, n) if kind in "xy" else eigenprojector_povm(obs)
+    return model, povm, obs
+
+
+TURNING_SEEN = []
+
+
+class TestFringeRoute:
+    """Where the carrier holds two generator levels, the outcome fringes,
+    the closed-form sample-mean inversion and the closed-form likelihood
+    root agree with the per-outcome probabilities and with ITP solves
+    within the bound of ``simulate._fringe_phases``; a likelihood bracket
+    that holds a turning point of class 1's fringe takes ``_itp``.
+
+    Rounding. The fringe table and the per-outcome route both sum
+    ``F_x^dagger C`` over the support rows S (at most ``|S| + 1`` roundings
+    of ``sum_s |F_xs| |C_s|`` each) and square it, so they differ by at most
+    ``4 (|S| + 2) eps`` of ``sum (sum_s |F_xs| |C_s|)^2`` over the block and
+    the carrier's columns, plus the fringe's evaluation, ``4 eps (|a| + (|c|
+    + |s|)(1 + |w phi|))``. The likelihood's ITP solves the class score,
+    whose root is ``N_1 P_2 m_2 = m_1 N_2 P_1``: errors ``e_c`` of ``P_c``
+    move it as ``e_1 + (m_2 / m_1) e_2`` moves ``P_1``, with ``e_c = 4 eps
+    (|a_c| + (|c_c| + |s_c|)(1 + |w phi|))`` and the table's defect from
+    ``m_1 P_1 + m_2 P_2 = 1`` over ``m_1``. The sample mean's ITP reads the
+    harmonic curve, within ``curve_bounds``' mean bound of the exact one; its
+    branch ends are roots of the slope, within ``xtol / 2`` plus the slope
+    bound over ``w^2 R`` plus the rounding of ``(theta + k pi) / w``. Over
+    two runs of 2,000 examples (some 2,950 closed-form likelihood roots,
+    1,260 turning-point brackets and 6,500 sample means each) the largest
+    ratio of a distance to its bound was 0.18 (table), 0.97 (likelihood)
+    and 0.47 (sample mean). ``xtol / 2`` is most of the last two bounds:
+    the likelihood's largest distance, 4.95e-13, is an ITP midpoint's."""
+
+    @given(case=two_level_cases(), phi=st.floats(-math.pi, math.pi),
+           near_turn=st.booleans(), nu=st.sampled_from([20, 200, 2000]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_against_itp(self, case, phi, near_turn, nu, seed):
+        model, povm, obs = case
+        arrays = _OutcomeRows(model, povm)
+        found = arrays.fringes()
+        carrier = model._solution.carrier
+        support = np.flatnonzero(carrier.any(axis=1))
+        levels = model._frame[0][support]
+        assert (found is not None) == (np.unique(levels).size == 2)
+        if found is None:
+            return
+        w, table = found
+        # the table against the per-outcome probabilities
+        rows = povm.factor.conj().T[:, support]
+        scale = fisher._block_sums(((np.abs(rows) @ np.abs(carrier[support])) ** 2)
+                                   .sum(axis=1)[None], povm)[0]
+        phis = np.array([phi, phi + 0.5, -phi / 3.0])
+        probs = arrays(phis, 0)[0]
+        angles = w * phis[:, None]
+        fringe_probs = table[0] + table[1] * np.cos(angles) + table[2] * np.sin(angles)
+        bound = (4 * (support.size + 2) * _EPS * scale + 4 * _EPS * (
+            np.abs(table[0]) + (np.abs(table[1]) + np.abs(table[2])) * (1 + np.abs(angles))))
+        assert np.all(np.abs(fringe_probs - probs) <= bound)
+
+        classes = reference_classes(model, povm)
+        if classes is not None:
+            member, fringes, _ = classes
+            a, c, s = fringes[0]
+            fringe = (a, math.hypot(c, s), math.atan2(s, c), w)
+            if near_turn:  # a turning point of class 1, within a grid cell or two
+                k = round((w * phi - fringe[2]) / math.pi)
+                phi = (fringe[2] + k * math.pi) / w + phi * 1e-3
+            self._likelihood(model, povm, classes, fringe, phi, nu, seed)
+        self._sample_mean(model, obs, phi, nu, seed)
+
+    @staticmethod
+    def _likelihood(model, povm, classes, fringe, phi, nu, seed):
+        member, fringes, w = classes
+        m1 = sum(member)
+        m2 = len(member) - m1
+        records = reference_records(model, povm, phi, nu, 4, seed)
+        interval = default_mle_interval(model, phi)
+        solved = []
+
+        def spy(f, lo, hi, *args, **kwargs):
+            solved.append(len(lo))
+            return itp(f, lo, hi, *args, **kwargs)
+
+        itp = simulate._itp
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_itp", spy)
+            try:
+                got = simulate._mle_estimates(np.array([r.counts for r in records]),
+                                              _OutcomeRows(model, povm), interval)[0]
+            except FlatLikelihoodError:
+                return
+        defect = (abs(m1 * fringes[0][0] + m2 * fringes[1][0] - 1.0)
+                  + abs(m1 * fringes[0][1] + m2 * fringes[1][1])
+                  + abs(m1 * fringes[0][2] + m2 * fringes[1][2]))
+        turning = 0
+        for phi_hat, record in zip(got.tolist(), records):
+            closed, route = _reference_class_mle(record, classes, interval)
+            assert phi_hat == closed
+            turning += route == "turning"
+            if route != "closed":
+                continue
+            by_itp, _ = _reference_class_mle(record, classes, interval, closed=False)
+            stretch = 1.0 + abs(w * phi_hat)
+            u = 4.0 * _EPS * stretch * sum(
+                (abs(a) + (abs(c) + abs(s))) * weight
+                for (a, c, s), weight in zip(fringes, (1.0, m2 / m1))) + defect / m1
+            first = sum(int(n) for n, m in zip(record.counts, member) if m)
+            k = math.floor((w * phi_hat - fringe[2]) / math.pi)
+            bound = closed_form_bound(fringe, first / (m1 * nu), k, u)
+            assert abs(phi_hat - by_itp) <= bound, (phi_hat, by_itp, bound)
+        # a bracket that holds a turning point is solved by _itp, bit for bit
+        assert sum(solved) == turning
+        TURNING_SEEN.append(turning)
+
+    @staticmethod
+    def _sample_mean(model, obs, phi, nu, seed):
+        curve = simulate._MeanCurve(model, obs)
+        fringe = curve.fringe()
+        if fringe is None:
+            return
+        try:
+            report = error_propagation(model, phi, obs, nu)
+        except SingularSensitivityError:
+            return
+        povm = eigenprojector_povm(obs)
+        records = reference_records(model, povm, phi, nu, 4, seed)
+        got, _, (lo, hi) = simulate._sample_mean_estimates(
+            np.array([r.counts for r in records]), model, obs,
+            simulate._outcome_values(povm.labels), report, phi)
+        _, radius, theta, w = fringe
+        k = math.floor((w * phi - theta) / math.pi)
+        mean_bound, slope_bound = curve_bounds(model, obs, max(abs(lo), abs(hi)))
+        end = (0.5e-12 + slope_bound / (w * w * radius)
+               + 4.0 * _EPS * (abs(theta) + (abs(k) + 1) * math.pi) / w)
+        values = simulate._outcome_values(povm.labels)
+        for phi_hat, record in zip(got.tolist(), records):
+            by_itp = reference_sample_mean(record, obs, model, phi, closed=False)
+            mean = float((record.frequencies() * values).sum())
+            bound = end + closed_form_bound(fringe, mean, k, mean_bound)
+            assert abs(phi_hat - by_itp.phi_hat) <= bound, (phi_hat, by_itp.phi_hat, bound)
+
+
+class TestWithoutItp:
+    """A one-fringe spec's estimates take no ITP step."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("axis", "xy")
+    def test_ghz_runs_take_no_itp_step(self, n, axis, monkeypatch):
+        """GHZ N=2-10 with the x or y product and its product basis: both
+        estimators run with ``_itp`` patched to raise."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("_itp must not be called")
+
+        monkeypatch.setattr(simulate, "_itp", refuse)
+        model, obs = ghz_model(n), _pauli_product(axis, n)
+        run_sample_mean_trials(model, obs, 0.3 / n, 1000, 50, 7)
+        run_mle_trials(model, product_basis_povm(axis, n), 0.3 / n, 1000, 50, 7)
+
+    def test_three_levels_take_itp(self, monkeypatch):
+        """The three-level carrier's likelihood has no fringe: its solve is
+        ``_itp``'s."""
+        calls = []
+        itp = simulate._itp
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].size)
+            return itp(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_itp", spy)
+        model, povm, _, phi = equivalence_case("three-level")
+        run_mle_trials(model, povm, phi, NU, TRIALS, SEED)
+        assert sum(calls) > 0
+
+
+def test_sample_mean_run_forms_no_second_order_rows(monkeypatch):
+    """The sample-mean run reads its outcome rows to order 1: on GHZ N=10
+    the setup holds the rows and their first multiple, not the second."""
+    setups = []
+    init = _OutcomeRows.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        setups.append(self)
+
+    monkeypatch.setattr(_OutcomeRows, "__init__", keep)
+    run_sample_mean_trials(ghz_model(10), _pauli_product("x", 10), 0.03, 1000, 20, 7)
+    assert [len(setup.rows) for setup in setups] == [2]

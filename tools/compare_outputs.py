@@ -27,10 +27,16 @@ carrier's two support rows at d = 256 and 1024; ``cfi`` on GHZ N=14 and
 N=20 x-product specs at one phase, whose support rows are formed site by
 site and whose dense factors do not fit in memory, and on the N=20 one over
 the 8 phases ``0.02:0.14:8``, one phase per chunk on one setup of those
-rows; ``simulate`` (200 trials, both estimators) on GHZ N=10 and N=14
-x-product specs measuring the x product, and the sample-mean ``simulate``
-of GHZ N=20 with the ``0.6 sx + 0.8 sy`` product, whose eigenprojectors
-are read on the support rows; ``cfi`` and ``simulate`` on a GHZ N=3 spec
+rows; ``simulate`` (200 trials, both estimators) on GHZ N=10, N=14 and
+N=16 x-product specs measuring the x product, on a GHZ N=9 y-product spec
+at ``pi/18 - 0.05``, near the turning point ``pi/18`` of its likelihood,
+and on a GHZ N=6 spec measured with the eigenprojectors of the ``0.6 sx +
+0.8 sy`` product, whose two outcomes split by parity; ``simulate`` (both
+estimators) on a three-qubit ``custom`` state on ``|000>``, ``|011>`` and
+``|111>``, whose three generator levels give no one-fringe likelihood; the
+sample-mean ``simulate`` of GHZ N=20 with the ``0.6 sx + 0.8 sy`` product,
+whose eigenprojectors are read on the support rows; ``cfi`` and
+``simulate`` on a GHZ N=3 spec
 measured with the eigenprojectors of a per-site ``pauli_product`` list of
 distinct, non-axis coefficients; a ``scan`` of a GHZ N=8
 y-product spec over ``0:pi:9``; ``cfi`` on a full-support three-qubit
@@ -244,11 +250,28 @@ def invocations(workdir: Path) -> list[list[str]]:
             "state": {"ghz": {"n": n}}, "povm": "x_basis_product", "phi": "pi/8"})
         runs.append(["cfi", "--model", spec, "--output", "json"])
     runs.append(["cfi", "--model", spec, "--phi-range", "0.02:0.14:8", "--output", "json"])
-    for n in (10, 14):
+    for n in (10, 14, 16):
         spec = _write(workdir / f"ghz{n}-x-simulate.yaml", {
             "state": {"ghz": {"n": n}}, "observable": {"pauli_product": {"a1": 1.0}},
             "povm": "x_basis_product", "phi": 0.05, "nu": 1000, "trials": 200, "seed": 7})
         runs.append(["simulate", "--model", spec])
+    ghz9_y = _write(workdir / "ghz9-y-simulate.yaml", {
+        "state": {"ghz": {"n": 9}}, "observable": {"pauli_product": {"a2": 1.0}},
+        "povm": "y_basis_product", "phi": np.pi / 18 - 0.05, "nu": 1000, "trials": 200,
+        "seed": 7})
+    ghz6_eigen = _write(workdir / "ghz6-eigenprojectors-simulate.yaml", {
+        "state": {"ghz": {"n": 6}}, "observable": {"pauli_product": {"a1": 0.6, "a2": 0.8}},
+        "povm": "eigenprojectors_of_observable", "phi": 0.05, "nu": 1000, "trials": 200,
+        "seed": 7})
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 3, 7]] = 0.7, 0.3 + 0.2j, 0.6
+    three_levels = _write(workdir / "three-levels.yaml", {
+        "state": {"custom": {"amplitudes": _pairs(amps / np.linalg.norm(amps))}},
+        "observable": {"pauli_product": {"a1": 1.0}}, "povm": "x_basis_product",
+        "phi": 0.1, "nu": 1000})
+    runs += [["simulate", "--model", ghz9_y], ["simulate", "--model", ghz6_eigen],
+             ["simulate", "--model", three_levels, "--trials", "20", "--seed", "3",
+              "--output", "json"]]
     ghz20_mean = _write(workdir / "ghz20-sample-mean.yaml", {
         "state": {"ghz": {"n": 20}}, "observable": {"pauli_product": {"a1": 0.6, "a2": 0.8}},
         "phi": 0.01, "nu": 1000, "trials": 200, "seed": 7})
