@@ -536,16 +536,12 @@ class _OutcomeRows:
         columns and each outcome's block."""
         if self.model.kind != "unitary_generator":
             return None
-        carrier, g, rows = self.carrier, self.g, self.rows[0]
-        if self.support is None:
-            nonzero = carrier.any(axis=1)
-            rows = rows[:, nonzero]
-        else:
-            nonzero = self.support
-        carrier, g = carrier[nonzero], g[nonzero]
+        nonzero = self.carrier.any(axis=1) if self.support is None else self.support
+        carrier, g = self.carrier[nonzero], self.g[nonzero]
         low = g == g.min()
         if low.all() or not (low | (g == g.max())).all():
             return None
+        rows = self.rows[0] if self.support is not None else self.rows[0][:, nonzero]
         a, b = rows[:, low] @ carrier[low], rows[:, ~low] @ carrier[~low]
         cross = a * b.conj()
         table = np.stack([_re_inner(a, a) + _re_inner(b, b), 2.0 * cross.real.sum(axis=1),

@@ -245,12 +245,12 @@ def footprint(spec, command: str, *, show_sld: bool = False,
     matrix = f"{dim:.0f} x {dim:.0f} matrix"
     width = max(dim, columns)
     # phases per chunk of fisher._OutcomeRows: the likelihood's, or a grid pass's;
-    # max(d, R) >= max(|S|, R), equal for a POVM with F F^dagger = I
-    chunk = min(2.0 * trials + _MLE_GRID_POINTS if simulate
-                else phases * (command in ("cfi", "scan")), _phase_chunk(rank, width))
-    # on two classes the grid and the scores are two columns wide; the outcomes are
-    # read at the drawn phase alone
-    chunk = 1.0 if classes else chunk
+    # max(d, R) >= max(|S|, R), equal for a POVM with F F^dagger = I. On two
+    # classes the likelihood is two columns wide, and the outcomes are read at the
+    # drawn phase alone
+    chunk = 1.0 if classes else min(2.0 * trials + _MLE_GRID_POINTS if simulate
+                                    else phases * (command in ("cfi", "scan")),
+                                    _phase_chunk(rank, width))
     return {(None, "the YAML parse"): _BYTES["char"] * file + _BYTES["mark"] * marks,
             ("state", f"the {dim:.0f} x {rank:.0f} carrier"):
                 _BYTES["base"] + _BYTES["carrier"] * dim * rank,

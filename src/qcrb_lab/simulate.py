@@ -541,15 +541,15 @@ def _sample_mean_estimates(counts: np.ndarray, model: ParametricModel,
     phi_hat[means == mean_hi] = hi
     phi_hat[means == mean_lo] = lo
     inside = ~out_of_branch & (means != mean_lo) & (means != mean_hi)
-    count = int(inside.sum())
     fringe = curve.fringe()
     if fringe is not None:
-        k = _fringe_branch(fringe, branch_center)
-        phi_hat[inside] = np.clip(_fringe_phases(fringe, means[inside], k), lo, hi)
-        return phi_hat, out_of_branch, (lo, hi)
-    phi_hat[inside] = _itp(lambda phis, _: curve.mean(phis), np.full(count, lo),
-                           np.full(count, hi), np.full(count, mean_lo),
-                           np.full(count, mean_hi), means[inside])
+        phi_hat[inside] = np.clip(_fringe_phases(fringe, means[inside],
+                                                 _fringe_branch(fringe, branch_center)), lo, hi)
+    else:
+        count = int(inside.sum())
+        phi_hat[inside] = _itp(lambda phis, _: curve.mean(phis), np.full(count, lo),
+                               np.full(count, hi), np.full(count, mean_lo),
+                               np.full(count, mean_hi), means[inside])
     return phi_hat, out_of_branch, (lo, hi)
 
 
@@ -698,9 +698,9 @@ def _outcome_classes(arrays: fisher._OutcomeRows):
     two, compared by value so that signed zeros do not split them: the mask
     of class 1 (the outcomes of outcome 0's fringe), an evaluator of the
     classes' clipped probabilities ``P_c`` and slopes, shaped as ``arrays``'
-    with one column per class and checked to give ``m_1 P_1 + m_2 P_2 = 1``,
-    class 1's fringe ``(a, R, theta, w)`` and its multiplicity ``m_1``;
-    else ``None``."""
+    order-1 output with one column per class and checked to give ``m_1 P_1 +
+    m_2 P_2 = 1``, class 1's fringe ``(a, R, theta, w)`` and its
+    multiplicity ``m_1``; else ``None``."""
     found = arrays.fringes()
     if found is None:
         return None
@@ -720,8 +720,8 @@ def _outcome_classes(arrays: fisher._OutcomeRows):
         fisher._check_totals(out[0] * weights, out[1] * weights)
         return out
 
-    return member, evaluate, (a[0], math.hypot(c[0], s[0]), math.atan2(s[0], c[0]), w), \
-        weights[0]
+    fringe = (a[0], math.hypot(c[0], s[0]), math.atan2(s[0], c[0]), w)
+    return member, evaluate, fringe, weights[0]
 
 
 def _branch_cells(derivs: np.ndarray) -> np.ndarray:

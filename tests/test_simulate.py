@@ -1475,11 +1475,8 @@ def two_level_cases(draw):
     else:
         sites = [tuple(rng.uniform(-1.0, 1.0, size=4)) for _ in range(n)]
     obs = product_observable(sites)
-    povm = product_basis_povm(kind, n) if kind in "xy" else eigenprojector_povm(obs)
+    povm = product_basis_povm(kind, n) if kind in ("x", "y") else eigenprojector_povm(obs)
     return model, povm, obs
-
-
-TURNING_SEEN = []
 
 
 class TestFringeRoute:
@@ -1588,7 +1585,6 @@ class TestFringeRoute:
             assert abs(phi_hat - by_itp) <= bound, (phi_hat, by_itp, bound)
         # a bracket that holds a turning point is solved by _itp, bit for bit
         assert sum(solved) == turning
-        TURNING_SEEN.append(turning)
 
     @staticmethod
     def _sample_mean(model, obs, phi, nu, seed):
